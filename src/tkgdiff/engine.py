@@ -10,8 +10,8 @@ uninterrupted one.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -225,11 +225,14 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    tensors = dict(ckpt.named_tensors())
+    """Write the checkpoint atomically: records stream into `<name>.tmp` in
+    the same directory, which is flushed, synced and renamed over `path`. A
+    write that fails leaves any previous file at `path` untouched."""
+    arrays = {name: t.data for name, t in ckpt.named_tensors().items()}
     adam_meta = {}
     for name, state in ckpt.adam.items():
-        tensors[f"adam.m.{name}"] = Tensor(state.m)
-        tensors[f"adam.v.{name}"] = Tensor(state.v)
+        arrays[f"adam.m.{name}"] = state.m
+        arrays[f"adam.v.{name}"] = state.v
         adam_meta[name] = {"t": state.t, "lr": state.lr, "beta1": state.beta1,
                            "beta2": state.beta2, "eps": state.eps}
     header = {
@@ -243,21 +246,25 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
                           "width": ckpt.denoiser.width},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    for name in sorted(tensors):
-        data = tensors[name].data
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<I", data.ndim))
-        for dim in data.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(data.astype("<f8").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+            fh.write(blob)
+            for name in sorted(arrays):
+                data = np.ascontiguousarray(arrays[name], dtype="<f8")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack(f"<I{len(encoded)}sI{data.ndim}I", len(encoded),
+                                     encoded, data.ndim, *data.shape))
+                fh.write(memoryview(data).cast("B"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -326,7 +333,7 @@ def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
         dpcl=ckpt.dpcl, denoiser=ckpt.denoiser, entropies=token_entropies(store),
         distance_per=dist_per, distance_nonper=dist_nonper,
         distance_sign=cfg.distance_sign, score_combine=cfg.score_combine,
-        steps=cfg.steps, mu=cfg.mu, chains=cfg.chains,
+        steps=cfg.steps, chains=cfg.chains,
         no_gndiff=cfg.no_gndiff, no_dpcl=cfg.no_dpcl,
         route_by_novelty=cfg.route_by_novelty)
 
@@ -458,12 +465,12 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
             n_batches += 1
 
         val_mrr = 0.0
-        if valid_quads is not None and len(valid_quads):
+        if valid_index is not None:
             model = ev.Model(
                 dpcl=dparams, denoiser=nparams, entropies=entropies,
                 distance_per=dist_per, distance_nonper=dist_nonper,
                 distance_sign=config.distance_sign, score_combine=config.score_combine,
-                steps=config.steps, mu=config.mu, chains=config.chains,
+                steps=config.steps, chains=config.chains,
                 no_gndiff=config.no_gndiff, no_dpcl=config.no_dpcl,
                 route_by_novelty=config.route_by_novelty)
             seed_eval = int(nk.rng_for(config.seed, _NS_EVAL, epoch).integers(2 ** 31))
@@ -488,7 +495,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
             with open(out_path / "metrics.jsonl", "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(line) + "\n")
 
-        if val_mrr > best_mrr:
+        if valid_index is not None and val_mrr > best_mrr:
             best_mrr = val_mrr
             best = snapshot(epoch + 1)
             if out_path is not None:
@@ -499,6 +506,8 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
     final = snapshot(config.total_epochs)
     if best is None:
         best = final
+        if out_path is not None and valid_index is None:
+            save_checkpoint(final, out_path / "best.ckpt")
     best.metrics = list(metrics)
     if out_path is not None and not (out_path / "last.ckpt").exists():
         save_checkpoint(final, out_path / "last.ckpt")

@@ -61,7 +61,6 @@ class Model:
     distance_sign: float = 1.0
     score_combine: str = "sum"
     steps: int = 50
-    mu: float = 0.25
     chains: int = 8
     no_gndiff: bool = False
     no_dpcl: bool = False
@@ -168,8 +167,8 @@ _SCOPE_FOR_SPLIT = {
 }
 
 
-def _query_distributions(model: Model, store: QuadStore, quads: np.ndarray,
-                         index: PeriodicIndex, component: str, seed: int) -> np.ndarray:
+def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
+                         component: str, seed: int) -> np.ndarray:
     """(B, |E|) candidate distribution per query under the chosen component."""
     use_dpcl = component in ("combined", "dpcl") and not (
         component == "combined" and model.no_dpcl)
@@ -185,9 +184,8 @@ def _query_distributions(model: Model, store: QuadStore, quads: np.ndarray,
     if use_diff:
         if model.denoiser is None:
             raise ValueError("model has no denoiser for a gndiff evaluation")
-        pg = gndiff.p_diff_batch(model.denoiser, model.entropies, quads[:, :2],
-                                 model.steps, model.mu, model.chains,
-                                 nk.rng_for(seed, 9))
+        pg = gndiff.p_diff_batch(model.denoiser, quads[:, :2], model.steps,
+                                 model.chains, nk.rng_for(seed, 9))
     if pd is None and pg is None:
         raise ValueError(f"component '{component}' leaves nothing to evaluate")
     if pd is None:
@@ -205,7 +203,12 @@ def evaluate_split(model: Model, store: QuadStore, split: str,
                    strata=STRATA, component: str = "combined",
                    seed: int = 0, index: PeriodicIndex | None = None,
                    lam: float = 2.0) -> dict[str, RankReport]:
-    """Time-filtered rank reports for a split, overall and per stratum."""
+    """Time-filtered rank reports for a split, overall and per stratum.
+
+    The candidate distributions are computed with BLAS on one thread, so
+    they and their timing do not depend on the process's BLAS thread count
+    (see numkit.single_threaded_blas).
+    """
     if component not in COMPONENTS:
         raise ValueError(f"component must be one of {COMPONENTS}, got '{component}'")
     quads = store.split(split)
@@ -220,8 +223,8 @@ def evaluate_split(model: Model, store: QuadStore, split: str,
     chunk = 256
     for start in range(0, len(quads), chunk):
         block = quads[start:start + chunk]
-        probs = _query_distributions(model, store, block, index, component,
-                                     seed + start)
+        with nk.single_threaded_blas():
+            probs = _query_distributions(model, block, index, component, seed + start)
         for i, (s, r, o, t) in enumerate(block):
             objs = same_time[(int(s), int(r), int(t))]
             rank = filtered_rank(probs[i], int(o), objs)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numkit as nk
 from .corpus import TokenEntropy
+from .errors import NumericError
 from .numkit import Tensor
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
     "DenoiserParams", "build_schedule", "inference_schedule",
     "transition_matrix", "forward_marginal", "sample_forward", "posterior",
     "init_denoiser", "denoise_x0", "denoise_x0_batch",
-    "diffusion_loss", "batch_loss", "sample_conditional", "p_diff",
+    "diffusion_loss", "batch_loss", "p_diff_batch",
 ]
 
 N_POSITIONS = 3
@@ -286,16 +287,24 @@ def _time_embedding(ts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
-    """Clean-sequence logits for a batch: (B, 3) corrupted token ids and (B,)
-    step indices -> (3B, K) logits, rows grouped per sequence; taped."""
+def _hidden(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
+    """Hidden layer for (B, 3) corrupted token ids and (B,) step indices:
+    tanh of the first dense layer over the three token embeddings and the
+    step embedding; (B, h), taped when a tape is active."""
     xt = np.asarray(xt, dtype=np.int64).reshape(-1, N_POSITIONS)
     ts = np.asarray(ts, dtype=np.float64).reshape(-1)
     b = xt.shape[0]
     emb = nk.take_rows(params.token_emb, xt.reshape(-1))        # (3B, w)
     emb = nk.reshape(emb, b, 3 * params.width)
     x = nk.concat_cols(emb, Tensor(_time_embedding(ts, params.width)))
-    h = nk.tanh(nk.add(nk.matmul(x, nk.transpose(params.w1)), params.b1))
+    return nk.tanh(nk.add(nk.matmul(x, nk.transpose(params.w1)), params.b1))
+
+
+def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
+    """Clean-sequence logits for a batch: (B, 3) corrupted token ids and (B,)
+    step indices -> (3B, K) logits, rows grouped per sequence; taped."""
+    h = _hidden(params, xt, ts)
+    b = h.shape[0]
     logits = nk.add(nk.matmul(h, nk.transpose(params.w2)), params.b2)  # (B, 3K)
     logits = nk.reshape(logits, N_POSITIONS * b, params.vocab_size)
     mask = np.tile(params.role_mask(), (b, 1))
@@ -365,61 +374,41 @@ def batch_loss(params: DenoiserParams, entropies: TokenEntropy,
 # Reverse sampling / inference
 # ---------------------------------------------------------------------------
 
-def _entity_dist(params: DenoiserParams, logits_row: np.ndarray) -> np.ndarray:
-    """Softmax of a tail-position logit row restricted to entity ids."""
-    row = logits_row[:params.n_entities]
-    row = row - row.max()
-    e = np.exp(row)
-    return e / e.sum()
+def _tail_probs(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Predicted clean-tail distribution over entities for (B, 3) corrupted
+    token ids and (B,) step indices; (B, |E|), untaped.
+
+    Applies only rows 2K : 2K+|E| of the output layer (the tail position's
+    entity logits). The role mask is exactly 0 there, so these logits equal
+    the matching slice of denoise_x0_batch.
+    """
+    h = _hidden(params, xt, ts).data
+    k = params.vocab_size
+    cols = slice(2 * k, 2 * k + params.n_entities)
+    probs = h @ params.w2.data[cols].T     # the logits, then softmax in place
+    probs += params.b2.data[:, cols]
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("tail logits contain non-finite values")
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
-def sample_conditional(schedule: DiffusionSchedule, params: DenoiserParams,
-                       s_id: int, r_id: int, rng: np.random.Generator,
-                       greedy: bool = False) -> tuple[int, np.ndarray]:
-    """Reverse chain from the all-mask state with the subject and relation
-    clamped throughout; returns the final tail entity id and the final step's
-    predicted clean-tail distribution over entities."""
-    n_e, n_r = params.n_entities, params.n_relations
-    mask = params.vocab_size - 1
-    x = np.array([s_id, n_e + r_id, mask], dtype=np.int64)
-    tail_dist = None
-    for t in range(schedule.steps, 0, -1):
-        logits = denoise_x0_batch(params, x[None, :], np.array([t])).data
-        tail_dist = _entity_dist(params, logits[2])
-        if x[2] == mask:
-            revert = schedule.revert_prob(t)[2]
-            if rng.random() < revert:
-                if greedy:
-                    x[2] = int(np.argmax(tail_dist))
-                else:
-                    x[2] = int(rng.choice(n_e, p=tail_dist))
-        # unmasked positions are point masses under the posterior; the clamped
-        # subject/relation never re-mask
-    assert x[2] != mask, "revert probability at t=1 is 1, the tail must be set"
-    return int(x[2]), tail_dist
-
-
-def p_diff(schedule: DiffusionSchedule, params: DenoiserParams,
-           s_id: int, r_id: int, rng: np.random.Generator,
-           chains: int = 8, greedy: bool = False) -> np.ndarray:
-    """Candidate-entity distribution: mean of the final-step predicted tail
-    distribution over independent reverse chains; deterministic given the
-    generator (per-chain streams are spawned from it)."""
-    dists = []
-    for child in rng.spawn(chains):
-        _, dist = sample_conditional(schedule, params, s_id, r_id, child, greedy)
-        dists.append(dist)
-    return np.mean(dists, axis=0)
-
-
-def p_diff_batch(params: DenoiserParams, entropies: TokenEntropy,
-                 queries: np.ndarray, steps: int, mu: float,
+def p_diff_batch(params: DenoiserParams, queries: np.ndarray, steps: int,
                  chains: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized p_diff for (B, 2) [s, r] query rows -> (B, |E|).
+    """Candidate-entity distribution for (B, 2) [s, r] query rows -> (B, |E|):
+    the mean, over `chains` reverse chains per query, of the predicted
+    clean-tail distribution at the last step (t = 1).
 
-    Runs B * chains reverse chains in lockstep with one batched denoiser call
-    per step; random draws come from `rng` in a fixed order, so results are
-    deterministic given the generator.
+    The chains run with the subject and relation clamped. From t = T down to
+    1, each step draws `rng.random(B * chains)` for the reveals of masked
+    tails and, if any tail reveals, another for the inverse-CDF picks, so
+    results are deterministic given the generator. No draw depends on the
+    denoiser, so the draws come first, and only rows that are read are then
+    computed: a tail revealed at t > 1 is picked from its query's shared
+    row [s, r, MASK] at t, and stays fixed; t = 1 evaluates each chain's own
+    [s, r, tail] row.
     """
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
     b = queries.shape[0]
@@ -428,27 +417,32 @@ def p_diff_batch(params: DenoiserParams, entropies: TokenEntropy,
     rows = b * chains
     # the unknown tail's schedule is linear (see inference_schedule), shared
     # across queries: revert prob at t is (a[t-1]-a[t])/(1-a[t])
-    t_grid = np.arange(steps + 1, dtype=np.float64)
-    a_tail = 1.0 - t_grid / steps
-    x = np.empty((rows, N_POSITIONS), dtype=np.int64)
-    x[:, 0] = np.repeat(queries[:, 0], chains)
-    x[:, 1] = n_e + np.repeat(queries[:, 1], chains)
-    x[:, 2] = mask
-    tail_dist = np.zeros((rows, n_e))
+    a_tail = 1.0 - np.arange(steps + 1, dtype=np.float64) / steps
+    reveal_t = np.zeros(rows, dtype=np.int64)     # 0: still masked
+    u = np.empty(rows)
     for t in range(steps, 0, -1):
-        logits = denoise_x0_batch(params, x, np.full(rows, t)).data
-        tail_logits = logits[2::N_POSITIONS, :n_e]
-        shifted = tail_logits - tail_logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        tail_dist = e / e.sum(axis=1, keepdims=True)
-        masked = x[:, 2] == mask
-        if masked.any():
-            denom = 1.0 - a_tail[t]
-            revert = (a_tail[t - 1] - a_tail[t]) / denom if denom > 0 else 0.0
-            do_revert = masked & (rng.random(rows) < revert)
-            if do_revert.any():
-                u = rng.random(rows)
-                cum = np.cumsum(tail_dist, axis=1)
-                picks = (cum < u[:, None]).sum(axis=1).clip(0, n_e - 1)
-                x[do_revert, 2] = picks[do_revert]
-    return tail_dist.reshape(b, chains, n_e).mean(axis=1)
+        masked = reveal_t == 0
+        if not masked.any():
+            break
+        revert = (a_tail[t - 1] - a_tail[t]) / (1.0 - a_tail[t])
+        do_revert = masked & (rng.random(rows) < revert)
+        if do_revert.any():
+            reveal_t[do_revert] = t
+            u[do_revert] = rng.random(rows)[do_revert]
+
+    query_of = np.repeat(np.arange(b), chains)
+    x = np.empty((rows, N_POSITIONS), dtype=np.int64)
+    x[:, 0] = queries[query_of, 0]
+    x[:, 1] = n_e + queries[query_of, 1]
+    x[:, 2] = mask
+    early = np.flatnonzero(reveal_t > 1)  # picks at t = 1 are never read
+    if early.size:
+        # one shared row per (query, reveal step); x still holds [s, r, MASK]
+        keys, slot = np.unique(query_of[early] * (steps + 1) + reveal_t[early],
+                               return_inverse=True)
+        query, step = np.divmod(keys, steps + 1)
+        cum = _tail_probs(params, x[query * chains], step)
+        np.cumsum(cum, axis=1, out=cum)
+        x[early, 2] = (cum[slot] < u[early, None]).sum(axis=1).clip(0, n_e - 1)
+    probs = _tail_probs(params, x, np.ones(rows))
+    return probs.reshape(b, chains, n_e).mean(axis=1)

@@ -1,5 +1,6 @@
 """Minimal dense-tensor kernel: float64 matrices, a reverse-mode gradient tape,
-Adam, finite-difference gradient checking, and seeded counter-based RNG.
+Adam, finite-difference gradient checking, a one-thread BLAS scope, and
+seeded counter-based RNG.
 
 Tensors are immutable 2-D float64 arrays. Primitive operations record
 themselves on the innermost active GradTape (if any); backward replays the
@@ -9,8 +10,11 @@ order is fixed and runs are reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +27,7 @@ __all__ = [
     "log", "neg", "sqrt", "acosh", "clamp_min", "softmax_rows",
     "sum_all", "sum_cols", "sum_rows", "transpose", "reshape",
     "concat_cols", "take_rows", "gather_cols",
-    "adam_step", "grad_check", "rng_for",
+    "adam_step", "grad_check", "single_threaded_blas", "rng_for",
 ]
 
 
@@ -551,6 +555,65 @@ def grad_check(f, params: Sequence[Tensor], tolerance: float = 1e-4,
             worst = max(worst, err)
         per_param.append(worst)
     return GradCheckReport(max(per_param, default=0.0), per_param, tolerance)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+# (prefix, suffix) of the thread-count symbols in the OpenBLAS builds numpy
+# ships or links: numpy >= 2 wheels, numpy 1.x wheels, a system OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
+
+
+@functools.cache
+def _openblas_threads_api():
+    """(get, set) thread-count functions of the OpenBLAS that numpy loaded,
+    or None when none is found (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas() -> Iterator[None]:
+    """Run the body with OpenBLAS on one thread, then restore its count.
+
+    For phases made of small products. OpenBLAS splits a product of more
+    than 2^18 multiply-adds over its threads, and the call returns only when
+    every thread has run its share. On a host whose CPUs are shared, a thread
+    can wait milliseconds to be scheduled, longer than a small product takes,
+    and the wait varies from run to run. Results also stop depending on the
+    thread count: for some shapes the split moves where the kernel's unrolled
+    blocks end, which changes the last bits of a few sums. The setting is
+    process-wide; a no-op when numpy's BLAS is not a findable OpenBLAS.
+    """
+    api = _openblas_threads_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 # ---------------------------------------------------------------------------

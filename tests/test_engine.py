@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import resource
+import signal
 
 import numpy as np
 import pytest
@@ -78,8 +80,7 @@ def test_memorize_single_fact():
     batch = dpcl_mod.QueryBatch.from_quads(store.quads, index)
     pd = evaluate.p_dpcl(model.dpcl, batch, model.distance_per,
                          model.distance_nonper)
-    pg = gndiff.p_diff_batch(model.denoiser, model.entropies,
-                             store.quads[:, :2], cfg.steps, cfg.mu, 4,
+    pg = gndiff.p_diff_batch(model.denoiser, store.quads[:, :2], cfg.steps, 4,
                              nk.rng_for(0, 99))
     combined = evaluate.combine(pg, pd)
     assert int(np.argmax(combined[0])) == 1   # the memorized object
@@ -277,3 +278,75 @@ def test_planted_pattern_quick_recovery():
                                       seed=3, lam=cfg.lam)
     random_mrr = np.mean([1.0 / r for r in range(1, store.n_entities + 1)])
     assert reports["all"].mrr > 2 * random_mrr
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    ckpt = engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=16), store)
+    path = tmp_path / "best.ckpt"
+    engine.save_checkpoint(ckpt, path)
+    before = path.read_bytes()
+
+    # a file-size limit makes the OS refuse the write part-way, as a full
+    # disk would
+    ckpt.epoch += 1
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (len(before) // 2, hard))
+    try:
+        with pytest.raises(OSError):
+            engine.save_checkpoint(ckpt, path)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
+def test_train_without_validation_returns_final_state(tmp_path, monkeypatch):
+    store = single_fact_store()
+    assert len(store.split("valid")) == 0
+    cfg = quick_config(epochs_stage1=3, epochs_stage2=2, batch=4, steps=4)
+    ckpt = engine.train(cfg, store, out_dir=tmp_path / "five")
+    assert ckpt.epoch == cfg.total_epochs
+    best = engine.load_checkpoint(tmp_path / "five" / "best.ckpt")
+    last = engine.load_checkpoint(tmp_path / "five" / "last.ckpt")
+    assert best.epoch == last.epoch == cfg.total_epochs
+    for name, t in ckpt.named_tensors().items():
+        np.testing.assert_array_equal(t.data, best.named_tensors()[name].data)
+
+    written = []
+    save = engine.save_checkpoint
+
+    def record(ckpt, path):
+        written.append(path.name)
+        save(ckpt, path)
+
+    monkeypatch.setattr(engine, "save_checkpoint", record)
+    engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=4, steps=4),
+                 store, out_dir=tmp_path / "one")
+    assert sorted(written) == ["best.ckpt", "last.ckpt"]
+
+
+def test_evaluate_split_runs_inference_on_one_blas_thread(monkeypatch):
+    api = nk._openblas_threads_api()
+    if api is None:
+        pytest.skip("numpy's BLAS is not a findable OpenBLAS")
+    get, set_ = api
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    cfg = quick_config(epochs_stage1=1, epochs_stage2=1, batch=16, steps=4)
+    model = engine.model_from_checkpoint(engine.train(cfg, store), store)
+    seen = []
+    for name, module in (("p_dpcl", evaluate), ("p_diff_batch", gndiff)):
+        def record(*args, _inner=getattr(module, name), **kwargs):
+            seen.append(get())
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+    before = get()
+    set_(2)
+    try:
+        evaluate.evaluate_split(model, store, "test", seed=1, lam=cfg.lam)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert set(seen) == {1}

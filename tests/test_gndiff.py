@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from tkgdiff import corpus, gndiff
 from tkgdiff import numkit as nk
+from tkgdiff.errors import NumericError
 
 
 def make_entropies(n_entities=3, n_relations=1, seed=61):
@@ -453,7 +455,7 @@ def test_sample_conditional_clamps_and_degenerate_denoiser(monkeypatch):
         return nk.tensor(out)
 
     monkeypatch.setattr(gndiff, "denoise_x0_batch", fake_denoise)
-    o_id, dist = gndiff.sample_conditional(sched, params, 1, 0, nk.rng_for(75))
+    o_id, dist = oracles.sample_conditional(sched, params, 1, 0, nk.rng_for(75))
     assert o_id == target
     # the first state seen is the clamped start (s, r, mask); K = 4+2+1
     np.testing.assert_array_equal(seen_states[0][0], [1, 4, 6])
@@ -469,7 +471,7 @@ def test_tail_distribution_normalized_over_entities():
     params = gndiff.init_denoiser(5, 2, width=8, rng=nk.rng_for(76))
     seq = gndiff.NodeSequence([0, 5, 1], 5, 2)
     sched = gndiff.build_schedule(ent, seq, steps=6, mu=0.25)
-    o_id, dist = gndiff.sample_conditional(sched, params, 0, 0, nk.rng_for(77))
+    o_id, dist = oracles.sample_conditional(sched, params, 0, 0, nk.rng_for(77))
     assert 0 <= o_id < 5
     assert dist.shape == (5,)
     assert dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -480,9 +482,9 @@ def test_p_diff_single_greedy_chain_identity():
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(78))
     sched = gndiff.inference_schedule(ent, 1, 0, steps=5, mu=0.25)
     rng = nk.rng_for(79)
-    dist = gndiff.p_diff(sched, params, 1, 0, rng, chains=1, greedy=True)
+    dist = oracles.p_diff(sched, params, 1, 0, rng, chains=1, greedy=True)
     child = nk.rng_for(79).spawn(1)[0]
-    _, single = gndiff.sample_conditional(sched, params, 1, 0, child, greedy=True)
+    _, single = oracles.sample_conditional(sched, params, 1, 0, child, greedy=True)
     np.testing.assert_allclose(dist, single, atol=1e-15)
     assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -491,8 +493,8 @@ def test_p_diff_deterministic_given_seed():
     ent = make_entropies(n_entities=4, n_relations=1)
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(80))
     sched = gndiff.inference_schedule(ent, 0, 0, steps=4, mu=0.25)
-    a = gndiff.p_diff(sched, params, 0, 0, nk.rng_for(81), chains=4)
-    b = gndiff.p_diff(sched, params, 0, 0, nk.rng_for(81), chains=4)
+    a = oracles.p_diff(sched, params, 0, 0, nk.rng_for(81), chains=4)
+    b = oracles.p_diff(sched, params, 0, 0, nk.rng_for(81), chains=4)
     np.testing.assert_array_equal(a, b)
 
 
@@ -514,21 +516,110 @@ def test_overfit_single_fact_dominates_p_diff():
                    for name, g in zip(tensors, grads)}
         params = params.replace(**updates)
     sched = gndiff.inference_schedule(ent, 1, 0, steps=8, mu=0.25)
-    dist = gndiff.p_diff(sched, params, 1, 0, nk.rng_for(84), chains=8)
+    dist = oracles.p_diff(sched, params, 1, 0, nk.rng_for(84), chains=8)
     assert dist[3] > 0.9
 
 
 def test_p_diff_batch_properties():
-    ent = make_entropies(n_entities=6, n_relations=2)
     params = gndiff.init_denoiser(6, 2, width=8, rng=nk.rng_for(85))
     queries = np.array([[0, 0], [3, 1], [5, 0]])
-    out1 = gndiff.p_diff_batch(params, ent, queries, steps=6, mu=0.25,
-                               chains=3, rng=nk.rng_for(86))
-    out2 = gndiff.p_diff_batch(params, ent, queries, steps=6, mu=0.25,
-                               chains=3, rng=nk.rng_for(86))
+    out1 = gndiff.p_diff_batch(params, queries, steps=6, chains=3, rng=nk.rng_for(86))
+    out2 = gndiff.p_diff_batch(params, queries, steps=6, chains=3, rng=nk.rng_for(86))
     np.testing.assert_array_equal(out1, out2)
     assert out1.shape == (3, 6)
     np.testing.assert_allclose(out1.sum(axis=1), 1.0, atol=1e-9)
+
+
+class ConstantRng:
+    """Generator stand-in whose uniform draws are all `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("n_e, n_r, width, steps, chains, queries, seed", [
+    (6, 2, 8, 6, 3, [[0, 0], [3, 1], [5, 0]], 87),
+    (5, 1, 4, 2, 1, [[1, 0], [4, 0]], 88),                  # steps=2, chains=1
+    (7, 3, 6, 9, 8, [[2, 1], [2, 1], [6, 2], [2, 1]], 89),  # duplicate queries
+    (40, 4, 16, 30, 5, [[s, s % 4] for s in range(0, 40, 3)], 90),
+])
+def test_p_diff_batch_matches_chain_oracle(n_e, n_r, width, steps, chains, queries, seed):
+    ent = make_entropies(n_entities=n_e, n_relations=n_r)
+    params = gndiff.init_denoiser(n_e, n_r, width=width, rng=nk.rng_for(seed))
+    queries = np.array(queries)
+    rng_new, rng_ref = nk.rng_for(seed, 1), nk.rng_for(seed, 1)
+    out = gndiff.p_diff_batch(params, queries, steps, chains, rng_new)
+    ref = oracles.p_diff_batch(params, ent, queries, steps, 0.25, chains, rng_ref)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    # the same draws in the same order leave the generators in the same state
+    np.testing.assert_array_equal(rng_new.random(4), rng_ref.random(4))
+
+
+@pytest.mark.parametrize("draw", [0.0, 0.999])
+def test_p_diff_batch_matches_oracle_when_every_chain_reveals_at_once(draw):
+    # every draw 0: all tails reveal at t = T and pick entity 0; every draw
+    # 0.999: tails stay masked until t = 1 reveals them
+    ent = make_entropies(n_entities=5, n_relations=2)
+    params = gndiff.init_denoiser(5, 2, width=6, rng=nk.rng_for(91))
+    queries = np.array([[0, 1], [4, 0], [0, 1]])
+    out = gndiff.p_diff_batch(params, queries, 7, 4, ConstantRng(draw))
+    ref = oracles.p_diff_batch(params, ent, queries, 7, 0.25, 4, ConstantRng(draw))
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
+def test_p_diff_batch_shares_one_row_per_query_before_t1(monkeypatch):
+    n_e, steps, chains = 12, 10, 8
+    ent = make_entropies(n_entities=n_e, n_relations=2)
+    params = gndiff.init_denoiser(n_e, 2, width=8, rng=nk.rng_for(92))
+    queries = np.array([[s, s % 2] for s in range(6)] + [[0, 0]])
+
+    # queries with a masked chain at each step, from the full chain simulation
+    masked_queries = {}
+    full = gndiff.denoise_x0_batch
+
+    def record_masked(p, xt, ts):
+        masked = np.flatnonzero(xt[:, 2] == p.vocab_size - 1)
+        masked_queries[int(ts[0])] = len(np.unique(masked // chains))
+        return full(p, xt, ts)
+
+    monkeypatch.setattr(gndiff, "denoise_x0_batch", record_masked)
+    oracles.p_diff_batch(params, ent, queries, steps, 0.25, chains, nk.rng_for(93))
+
+    def no_full_denoiser(*args):
+        raise AssertionError("inference must not run the full denoiser")
+
+    rows = {}
+    hidden = gndiff._hidden
+
+    def record_rows(p, xt, ts):
+        for t, n in zip(*np.unique(ts, return_counts=True)):
+            rows[int(t)] = rows.get(int(t), 0) + int(n)
+        return hidden(p, xt, ts)
+
+    monkeypatch.setattr(gndiff, "denoise_x0_batch", no_full_denoiser)
+    monkeypatch.setattr(gndiff, "_hidden", record_rows)
+    gndiff.p_diff_batch(params, queries, steps, chains, nk.rng_for(93))
+    assert rows.pop(1) == len(queries) * chains
+    assert rows, "some chain reveals before t = 1"
+    for t, n in rows.items():
+        assert n <= masked_queries[t], (t, n, masked_queries[t])
+    assert sum(rows.values()) < sum(masked_queries.values()) - masked_queries[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_p_diff_batch_raises_on_non_finite_logits(monkeypatch):
+    # finite weights whose tail logits overflow: a hidden layer of ones times
+    # output rows of 1e308 sums past the float64 range
+    params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(94))
+    w2 = params.w2.numpy()
+    w2[2 * params.vocab_size:] = 1e308
+    params = params.replace(w2=nk.tensor(w2))
+    monkeypatch.setattr(gndiff, "_hidden", lambda p, xt, ts: nk.full(len(xt), 6, 1.0))
+    with pytest.raises(NumericError, match="non-finite"):
+        gndiff.p_diff_batch(params, np.array([[0, 0]]), 4, 2, nk.rng_for(95))
 
 
 def test_node_sequence_role_validation():

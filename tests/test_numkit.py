@@ -255,3 +255,22 @@ def test_rng_for_is_stable_and_splits():
     c = nk.rng_for(3, 1, 3).integers(0, 1000, 5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_single_threaded_blas_sets_one_thread_and_restores():
+    api = nk._openblas_threads_api()
+    if api is None:
+        pytest.skip("numpy's BLAS is not a findable OpenBLAS")
+    get, set_ = api
+    before = get()
+    set_(2)
+    try:
+        with nk.single_threaded_blas():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError):
+            with nk.single_threaded_blas():
+                raise RuntimeError
+        assert get() == 2
+    finally:
+        set_(before)
