@@ -290,16 +290,6 @@ class TokenEntropy:
     def mask_token(self) -> int:
         return self.vocab_size - 1
 
-    def entity_token(self, e: int) -> int:
-        return int(e)
-
-    def relation_token(self, r: int) -> int:
-        return self.n_entities + int(r)
-
-    def sequence_tokens(self, s: int, r: int, o: int) -> np.ndarray:
-        return np.array([self.entity_token(s), self.relation_token(r),
-                         self.entity_token(o)], dtype=np.int64)
-
     def quad_tokens(self, quads: np.ndarray) -> np.ndarray:
         """(n, 4) quads -> (n, 3) combined-vocabulary token ids."""
         out = np.empty((len(quads), 3), dtype=np.int64)

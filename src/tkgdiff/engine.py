@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TKGD"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # namespaces for stateless rng derivation
 _NS_INIT = 0
@@ -67,11 +67,7 @@ class TrainConfig:
     mapping_strategy: str = "hyp/euc"
     no_gndiff: bool = False
     no_dpcl: bool = False
-    route_by_novelty: bool = False
     score_combine: str = "sum"
-    # recorded resolutions of underdetermined choices
-    entropy_counting: str = "per-position"
-    loss_reduction: str = "mean"
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -93,10 +89,6 @@ class TrainConfig:
         ev.strategy_distances(self.mapping_strategy)
         if self.score_combine not in ("sum", "max"):
             raise ConfigError(f"score_combine must be 'sum' or 'max', got '{self.score_combine}'")
-        if self.entropy_counting != "per-position":
-            raise ConfigError("only per-position entropy counting is implemented")
-        if self.loss_reduction != "mean":
-            raise ConfigError("only batch-mean loss reduction is implemented")
 
     @property
     def total_epochs(self) -> int:
@@ -213,10 +205,8 @@ class Checkpoint:
     denoiser: DenoiserParams
     adam: dict[str, AdamState]
     epoch: int                   # next epoch to run
-    rng_state: dict = field(default_factory=dict)
     best_val_mrr: float = -1.0
-    version: int = CHECKPOINT_VERSION
-    metrics: list = field(default_factory=list, repr=False)
+    metrics: list = field(default_factory=list, repr=False)  # one line per epoch run
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {f"dpcl.{k}": v for k, v in self.dpcl.named().items()}
@@ -227,7 +217,16 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the checkpoint atomically: records stream into `<name>.tmp` in
     the same directory, which is flushed, synced and renamed over `path`. A
-    write that fails leaves any previous file at `path` untouched."""
+    write that fails leaves any previous file at `path` untouched.
+
+    Layout (little-endian): the magic `TKGD`; u32 format version; u32 header
+    length; a JSON header with sorted keys (`config`, `epoch`, `adam` step
+    counts and hyperparameters, `best_val_mrr`, `denoiser_meta`, and the
+    per-epoch `metrics` lines); then one record per tensor in name order: u32
+    name length, the UTF-8 name, u32 rank, u32 dims, float64 payload. This
+    is format version 2; `load_checkpoint` rejects any other version with
+    CheckpointVersionError.
+    """
     arrays = {name: t.data for name, t in ckpt.named_tensors().items()}
     adam_meta = {}
     for name, state in ckpt.adam.items():
@@ -238,12 +237,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = {
         "config": ckpt.config.to_dict(),
         "epoch": ckpt.epoch,
-        "rng_state": ckpt.rng_state,
         "adam": adam_meta,
         "best_val_mrr": ckpt.best_val_mrr,
         "denoiser_meta": {"n_entities": ckpt.denoiser.n_entities,
                           "n_relations": ckpt.denoiser.n_relations,
                           "width": ckpt.denoiser.width},
+        "metrics": ckpt.metrics,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path = Path(path)
@@ -275,6 +274,13 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by save_checkpoint.
+
+    Every way the file can fail to decode raises CheckpointError: a bad
+    magic, an unknown version (CheckpointVersionError), truncation, a header
+    that is not the expected JSON, a missing or unexpected tensor record, or
+    a non-finite payload.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -283,24 +289,32 @@ def load_checkpoint(path) -> Checkpoint:
         if version != CHECKPOINT_VERSION:
             raise CheckpointVersionError(
                 f"checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = json.loads(_read_exact(fh, hlen, "header"))
-        tensors: dict[str, Tensor] = {}
-        while True:
-            raw = fh.read(4)
-            if not raw:
-                break
-            if len(raw) != 4:
-                raise CheckpointError("truncated checkpoint while reading record")
-            (nlen,) = struct.unpack("<I", raw)
-            name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            dims = [struct.unpack("<I", _read_exact(fh, 4, "dims"))[0]
-                    for _ in range(rank)]
-            count = int(np.prod(dims)) if dims else 1
-            payload = _read_exact(fh, 8 * count, f"tensor '{name}'")
-            arr = np.frombuffer(payload, dtype="<f8").reshape(dims)
-            tensors[name] = Tensor(arr)
+        try:
+            return _read_body(fh)
+        except (KeyError, TypeError, ValueError, AttributeError, NumericError) as e:
+            raise CheckpointError(
+                f"corrupt checkpoint {path}: {type(e).__name__}: {e}") from e
+
+
+def _read_body(fh) -> Checkpoint:
+    (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+    header = json.loads(_read_exact(fh, hlen, "header"))
+    tensors: dict[str, Tensor] = {}
+    while True:
+        raw = fh.read(4)
+        if not raw:
+            break
+        if len(raw) != 4:
+            raise CheckpointError("truncated checkpoint while reading record")
+        (nlen,) = struct.unpack("<I", raw)
+        name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
+        (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
+        dims = [struct.unpack("<I", _read_exact(fh, 4, "dims"))[0]
+                for _ in range(rank)]
+        count = int(np.prod(dims)) if dims else 1
+        payload = _read_exact(fh, 8 * count, f"tensor '{name}'")
+        arr = np.frombuffer(payload, dtype="<f8").reshape(dims)
+        tensors[name] = Tensor(arr)
 
     config = TrainConfig.from_dict(header["config"])
     dpcl_fields = {k.split(".", 1)[1]: v for k, v in tensors.items()
@@ -320,8 +334,7 @@ def load_checkpoint(path) -> Checkpoint:
         adam[name] = state
     return Checkpoint(config=config, dpcl=DpclParams(**dpcl_fields),
                       denoiser=denoiser, adam=adam, epoch=header["epoch"],
-                      rng_state=header["rng_state"],
-                      best_val_mrr=header["best_val_mrr"])
+                      best_val_mrr=header["best_val_mrr"], metrics=header["metrics"])
 
 
 def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
@@ -334,8 +347,7 @@ def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
         distance_per=dist_per, distance_nonper=dist_nonper,
         distance_sign=cfg.distance_sign, score_combine=cfg.score_combine,
         steps=cfg.steps, chains=cfg.chains,
-        no_gndiff=cfg.no_gndiff, no_dpcl=cfg.no_dpcl,
-        route_by_novelty=cfg.route_by_novelty)
+        no_gndiff=cfg.no_gndiff, no_dpcl=cfg.no_dpcl)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +374,8 @@ def _copy_adam(states: dict[str, AdamState]) -> dict[str, AdamState]:
 def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = None,
           out_dir=None, resume_from=None, log=None) -> Checkpoint:
     """Run the two-stage loop and return the checkpoint with the best
-    validation MRR (final state if validation is empty)."""
+    validation MRR (final state if validation is empty). Its `metrics` hold
+    one line per epoch, including the epochs before a resume."""
     config.validate()
     train_quads = store.split("train")
     if len(train_quads) == 0:
@@ -381,6 +394,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
         dparams, nparams, adam = ckpt.dpcl, ckpt.denoiser, ckpt.adam
         start_epoch = ckpt.epoch
         best_mrr = ckpt.best_val_mrr
+        metrics = ckpt.metrics
     else:
         init_rng = nk.rng_for(config.seed, _NS_INIT)
         dparams = dpcl_mod.init_params(store.n_entities, store.n_relations,
@@ -391,17 +405,16 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                 for name, p in _all_params(dparams, nparams).items()}
         start_epoch = 0
         best_mrr = -1.0
+        metrics = []
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-    metrics: list[dict] = []
     best = None
 
     def snapshot(epoch_next: int) -> Checkpoint:
         return Checkpoint(config=config, dpcl=dparams, denoiser=nparams,
                           adam=_copy_adam(adam), epoch=epoch_next,
-                          rng_state={"seed": config.seed, "next_epoch": epoch_next},
                           best_val_mrr=best_mrr, metrics=list(metrics))
 
     for epoch in range(start_epoch, config.total_epochs):
@@ -471,8 +484,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                 distance_per=dist_per, distance_nonper=dist_nonper,
                 distance_sign=config.distance_sign, score_combine=config.score_combine,
                 steps=config.steps, chains=config.chains,
-                no_gndiff=config.no_gndiff, no_dpcl=config.no_dpcl,
-                route_by_novelty=config.route_by_novelty)
+                no_gndiff=config.no_gndiff, no_dpcl=config.no_dpcl)
             seed_eval = int(nk.rng_for(config.seed, _NS_EVAL, epoch).integers(2 ** 31))
             reports = ev.evaluate_split(model, store, "valid", strata=("all",),
                                         seed=seed_eval, index=valid_index,

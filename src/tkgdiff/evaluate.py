@@ -64,7 +64,6 @@ class Model:
     chains: int = 8
     no_gndiff: bool = False
     no_dpcl: bool = False
-    route_by_novelty: bool = False
 
     @property
     def n_entities(self) -> int:
@@ -89,16 +88,8 @@ def p_dpcl(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare"
     return e / e.sum(axis=1, keepdims=True)
 
 
-def combine(p_diff: np.ndarray, p_dpcl_: np.ndarray,
-            no_gndiff: bool = False, no_dpcl: bool = False) -> np.ndarray:
-    """Average the two candidate distributions; under an ablation flag the
-    surviving component passes through alone."""
-    if no_gndiff and no_dpcl:
-        raise ValueError("cannot ablate both components")
-    if no_gndiff:
-        return np.asarray(p_dpcl_)
-    if no_dpcl:
-        return np.asarray(p_diff)
+def combine(p_diff: np.ndarray, p_dpcl_: np.ndarray) -> np.ndarray:
+    """Average the two candidate distributions."""
     a, b = np.asarray(p_diff), np.asarray(p_dpcl_)
     if a.shape != b.shape:
         raise DimensionError(f"distribution shapes differ: {a.shape} vs {b.shape}")
@@ -192,10 +183,6 @@ def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
         return pg
     if pg is None:
         return pd
-    if model.route_by_novelty:
-        # hard routing: diffusion answers new-event queries, scoring the rest
-        new = np.array([is_new_event(index, s, r, o, t) for s, r, o, t in quads])
-        return np.where(new[:, None], pg, pd)
     return combine(pg, pd)
 
 

@@ -7,8 +7,6 @@ at coincident points is defined as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import numkit as nk
@@ -18,25 +16,9 @@ from .numkit import Tensor
 BALL_MARGIN = 1e-5  # rows are kept at norm <= 1 - BALL_MARGIN
 
 __all__ = [
-    "BALL_MARGIN", "PoincarePoint", "project_to_ball", "project_array_to_ball",
-    "poincare_distance", "euclidean_distance",
+    "BALL_MARGIN", "project_to_ball", "project_array_to_ball",
     "poincare_pairwise", "euclidean_pairwise",
 ]
-
-
-@dataclass(frozen=True)
-class PoincarePoint:
-    """A point strictly inside the unit ball; construction projects if needed."""
-
-    coords: np.ndarray = field()
-
-    def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "coords", project_array_to_ball(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
 
 
 # rescaled rows land a hair inside the margin so re-projection is an exact no-op
@@ -77,14 +59,6 @@ def project_to_ball(x: Tensor) -> Tensor:
     return nk._tape_record(out, (x,), backward)
 
 
-def _as_rows(p) -> Tensor:
-    if isinstance(p, Tensor):
-        return p
-    if isinstance(p, PoincarePoint):
-        return Tensor(p.coords.reshape(1, -1))
-    return Tensor(np.asarray(p, dtype=np.float64).reshape(1, -1))
-
-
 def _check_inside(rows: Tensor, name: str) -> None:
     norms = np.linalg.norm(rows.data, axis=1)
     if np.any(norms >= 1.0):
@@ -94,35 +68,6 @@ def _check_inside(rows: Tensor, name: str) -> None:
 
 def _row_sqnorm(x: Tensor) -> Tensor:
     return nk.sum_cols(nk.mul(x, x))
-
-
-def _rowwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    d = nk.sub(a, b)
-    return nk.sum_cols(nk.mul(d, d))
-
-
-def euclidean_distance(a, b) -> Tensor:
-    """Row-wise L2 distance |a_i - b_i|, shape (m, 1); taped."""
-    a, b = _as_rows(a), _as_rows(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"euclidean_distance needs equal shapes: {a.shape} vs {b.shape}")
-    return nk.sqrt(nk.clamp_min(_rowwise_sqdist(a, b), 0.0))
-
-
-def poincare_distance(a, b) -> Tensor:
-    """Row-wise ball distance arcosh(1 + 2 |a-b|^2 / ((1-|a|^2)(1-|b|^2))); taped.
-
-    Rows must already lie strictly inside the unit ball.
-    """
-    a, b = _as_rows(a), _as_rows(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"poincare_distance needs equal shapes: {a.shape} vs {b.shape}")
-    _check_inside(a, "first argument")
-    _check_inside(b, "second argument")
-    one = nk.constant(1.0)
-    denom = nk.mul(nk.sub(one, _row_sqnorm(a)), nk.sub(one, _row_sqnorm(b)))
-    arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(_rowwise_sqdist(a, b), denom)))
-    return nk.acosh(arg)
 
 
 _CHUNK = 512  # bounds the (m, chunk, d) difference block

@@ -1,19 +1,241 @@
 """Reference implementations that tests compare the production code against.
 
-The reverse-chain samplers below simulate every chain through the full taped
-denoiser at every step. `gndiff.p_diff_batch` must reproduce
-`p_diff_batch` here while computing only the rows it reads.
+Each item is the plain, one-sequence or one-row form of a computation that
+`tkgdiff` runs batched; only tests call them.
+
+Diffusion, one sequence at a time (checks `gndiff.batch_loss` and
+`gndiff.p_diff_batch`):
+- `NodeSequence`: a validated (subject, relation, object) token triple.
+- `DiffusionSchedule`, `build_schedule`, `inference_schedule`: per-sequence
+  survival and step-mask probabilities, from the same
+  `gndiff._schedule_arrays` that `batch_loss` uses.
+- `transition_matrix`, `forward_marginal`, `sample_forward`, `posterior`:
+  the forward chain and its Bayes posterior, as explicit distributions.
+- `diffusion_loss`: the single-sample bound of one sequence; the mean of
+  these over a batch is `gndiff.batch_loss`.
+- `sample_conditional`, `p_diff`, `p_diff_batch`: reverse chains that run
+  every chain through the full taped denoiser at every step.
+  `gndiff.p_diff_batch` must reproduce `p_diff_batch` here while computing
+  only the rows it reads.
+
+Distances, one row pair at a time (checks `geometry.poincare_pairwise` and
+`geometry.euclidean_pairwise`):
+- `PoincarePoint`: a point projected into the ball on construction.
+- `poincare_distance`, `euclidean_distance`: row-wise distances, taped.
+
+The diffusion oracles call `gndiff.denoise_x0_batch` through the module, so
+tests can monkeypatch the denoiser.
+
+Some items check no production function; their tests check only the oracle:
+`transition_matrix`, `forward_marginal` and `posterior` (the forward chain
+and its posterior, which `batch_loss` never forms), `NodeSequence`'s role
+validation, the clamp-saturation warning of `build_schedule`, and
+`PoincarePoint`.
 """
+
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from tkgdiff import gndiff
+from tkgdiff import numkit as nk
 from tkgdiff.corpus import TokenEntropy
-from tkgdiff.gndiff import N_POSITIONS, DenoiserParams, DiffusionSchedule
+from tkgdiff.errors import DimensionError
+from tkgdiff.geometry import _check_inside, _row_sqnorm, project_array_to_ball
+from tkgdiff.gndiff import N_POSITIONS, DenoiserParams
+from tkgdiff.numkit import Tensor
 
-# The samplers call gndiff.denoise_x0_batch through the module, so tests can
-# monkeypatch the denoiser.
 
+# ---------------------------------------------------------------------------
+# Diffusion: one sequence
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NodeSequence:
+    """Three combined-vocabulary token ids with fixed roles
+    (subject-entity, relation, object-entity)."""
+
+    tokens: np.ndarray
+    n_entities: int
+    n_relations: int
+
+    def __post_init__(self):
+        toks = np.asarray(self.tokens, dtype=np.int64).reshape(-1)
+        if toks.size != N_POSITIONS:
+            raise ValueError(f"a node sequence has {N_POSITIONS} tokens, got {toks.size}")
+        object.__setattr__(self, "tokens", toks)
+        for pos in range(N_POSITIONS):
+            if not self._valid(pos, int(toks[pos])):
+                raise ValueError(f"token {toks[pos]} is not valid at position {pos}")
+
+    @property
+    def vocab_size(self) -> int:
+        return self.n_entities + self.n_relations + 1
+
+    @property
+    def mask_token(self) -> int:
+        return self.vocab_size - 1
+
+    def _valid(self, pos: int, token: int) -> bool:
+        if token == self.mask_token:
+            return True
+        if pos == 1:
+            return self.n_entities <= token < self.n_entities + self.n_relations
+        return 0 <= token < self.n_entities
+
+    def with_tokens(self, tokens) -> "NodeSequence":
+        return NodeSequence(tokens, self.n_entities, self.n_relations)
+
+    @classmethod
+    def from_quad(cls, entropies: TokenEntropy, s: int, r: int, o: int) -> "NodeSequence":
+        return cls([s, entropies.n_entities + r, o],
+                   entropies.n_entities, entropies.n_relations)
+
+
+@dataclass
+class DiffusionSchedule:
+    """Per-position survival and step-mask probabilities for one sequence."""
+
+    steps: int
+    mu: float
+    alpha_bar: np.ndarray       # (T+1, 3), clamped; [0] = 1, [T] = 0
+    alpha_bar_raw: np.ndarray   # (T+1, 3), pre-clamp (schedule-identity checks)
+    beta: np.ndarray            # (T+1, 3); beta[t] = 1 - a[t]/a[t-1], beta[0] = 0
+    entropies: np.ndarray       # (3,) token entropies the schedule was built from
+
+    def revert_prob(self, t: int) -> np.ndarray:
+        """Posterior probability that a masked position reverts at step t."""
+        a_prev, a_t = self.alpha_bar[t - 1], self.alpha_bar[t]
+        denom = 1.0 - a_t
+        return np.where(denom > 0.0, (a_prev - a_t) / np.where(denom > 0, denom, 1.0), 0.0)
+
+
+def build_schedule(entropies: TokenEntropy, sequence: NodeSequence,
+                   steps: int, mu: float) -> DiffusionSchedule:
+    """Entropy-informed schedule for one sequence.
+
+    Pre-clamp values satisfy sum_i alpha_bar[t, i] * H_i = (1 - t/T) sum_i H_i
+    for every t; tokens with lower entropy keep higher survival at interior t.
+    """
+    if steps < 2:
+        raise ValueError(f"need at least 2 steps, got {steps}")
+    if mu < 0:
+        raise ValueError(f"mu must be nonnegative, got {mu}")
+    h = entropies.entropy[sequence.tokens]
+    raw, clamped = gndiff._schedule_arrays(h, steps, mu)
+    interior = np.arange(1, steps)
+    if interior.size:
+        touched = np.any(np.abs(clamped[interior] - raw[interior]) > 0, axis=1)
+        if touched.mean() > 0.5:
+            warnings.warn(f"mu={mu} saturates the schedule clamp on "
+                          f"{touched.mean():.0%} of interior steps", stacklevel=2)
+    beta = np.zeros_like(clamped)
+    prev = clamped[:-1]
+    beta[1:] = np.where(prev > 0.0, 1.0 - clamped[1:] / np.where(prev > 0, prev, 1.0), 1.0)
+    beta = np.clip(beta, 0.0, 1.0)
+    return DiffusionSchedule(steps, mu, clamped, raw, beta, h)
+
+
+def inference_schedule(entropies: TokenEntropy, s: int, r: int,
+                       steps: int, mu: float) -> DiffusionSchedule:
+    """Schedule for answering (s, r, ?): the unknown tail gets the mean of the
+    known positions' entropies, which makes its normalized-entropy term vanish
+    and its survival exactly linear."""
+    hs = entropies.entropy[int(s)]
+    hr = entropies.entropy[entropies.n_entities + int(r)]
+    h = np.array([hs, hr, 0.5 * (hs + hr)])
+    raw, clamped = gndiff._schedule_arrays(h, steps, mu)
+    beta = np.zeros_like(clamped)
+    prev = clamped[:-1]
+    beta[1:] = np.where(prev > 0.0, 1.0 - clamped[1:] / np.where(prev > 0, prev, 1.0), 1.0)
+    return DiffusionSchedule(steps, mu, clamped, raw, np.clip(beta, 0.0, 1.0), h)
+
+
+def transition_matrix(schedule: DiffusionSchedule, sequence: NodeSequence,
+                      position: int, t: int) -> np.ndarray:
+    """One-step forward matrix Q_t at a position: stay with 1 - beta, jump to
+    the mask with beta, and the mask row is absorbing."""
+    k = sequence.vocab_size
+    m = sequence.mask_token
+    beta = schedule.beta[t, position]
+    q = np.eye(k) * (1.0 - beta)
+    q[:, m] += beta
+    q[m] = 0.0
+    q[m, m] = 1.0
+    return q
+
+
+def forward_marginal(schedule: DiffusionSchedule, x0: NodeSequence, t: int) -> np.ndarray:
+    """Per-position distribution of x_t given x_0: original token with
+    probability alpha_bar[t], mask otherwise; shape (3, K)."""
+    if not 0 <= t <= schedule.steps:
+        raise ValueError(f"t must be in [0, {schedule.steps}], got {t}")
+    k = x0.vocab_size
+    out = np.zeros((N_POSITIONS, k))
+    a = schedule.alpha_bar[t]
+    for i in range(N_POSITIONS):
+        out[i, x0.tokens[i]] += a[i]
+        out[i, x0.mask_token] += 1.0 - a[i]
+    return out
+
+
+def sample_forward(schedule: DiffusionSchedule, x0: NodeSequence, t: int,
+                   rng: np.random.Generator) -> NodeSequence:
+    keep = rng.random(N_POSITIONS) < schedule.alpha_bar[t]
+    toks = np.where(keep, x0.tokens, x0.mask_token)
+    return x0.with_tokens(toks)
+
+
+def posterior(schedule: DiffusionSchedule, x_t: NodeSequence, x0: NodeSequence,
+              t: int) -> np.ndarray:
+    """q(x_{t-1} | x_t, x_0) per position, shape (3, K): a point mass on any
+    unmasked token; a masked token reverts to x_0 with the revert probability
+    and otherwise stays masked."""
+    if not 1 <= t <= schedule.steps:
+        raise ValueError(f"t must be in [1, {schedule.steps}], got {t}")
+    mask = x0.mask_token
+    out = np.zeros((N_POSITIONS, x0.vocab_size))
+    revert = schedule.revert_prob(t)
+    for i in range(N_POSITIONS):
+        tok = int(x_t.tokens[i])
+        if tok == mask:
+            out[i, x0.tokens[i]] += revert[i]
+            out[i, mask] += 1.0 - revert[i]
+        elif tok == int(x0.tokens[i]):
+            out[i, tok] = 1.0
+        else:
+            raise ValueError(f"inconsistent x_t at position {i}: token {tok} is "
+                             f"neither x_0 ({x0.tokens[i]}) nor the mask")
+    return out
+
+
+def diffusion_loss(schedule: DiffusionSchedule, params: DenoiserParams,
+                   x0: NodeSequence, rng: np.random.Generator) -> Tensor:
+    """Single-sample variational bound term: draws t uniform in [1, T] and x_t
+    from the forward marginal, then scores the reverse step.
+
+    For the absorbing chain the step KL collapses per masked position to
+    -revert_prob * log p_hat(x_0 token); at t = 1 the revert probability is 1,
+    which is exactly the reconstruction term. The terminal prior term is
+    identically zero (both sides are the all-mask point mass) and is asserted,
+    not computed.
+    """
+    assert np.all(schedule.alpha_bar[schedule.steps] == 0.0), \
+        "terminal state must be all-mask"
+    t = int(rng.integers(1, schedule.steps + 1))
+    x_t = sample_forward(schedule, x0, t, rng)
+    masked = x_t.tokens == x0.mask_token
+    weights = np.where(masked, schedule.revert_prob(t), 0.0)
+    logits = gndiff.denoise_x0_batch(params, x_t.tokens[None, :], np.array([t]))
+    probs = nk.softmax_rows(logits)
+    picked = nk.gather_cols(probs, x0.tokens)
+    return nk.neg(nk.sum_all(nk.mul(Tensor(weights.reshape(-1, 1)), nk.log(picked))))
+
+
+# ---------------------------------------------------------------------------
+# Diffusion: full reverse chains
+# ---------------------------------------------------------------------------
 
 def _entity_dist(params: DenoiserParams, logits_row: np.ndarray) -> np.ndarray:
     """Softmax of a tail-position logit row restricted to entity ids."""
@@ -102,3 +324,59 @@ def p_diff_batch(params: DenoiserParams, entropies: TokenEntropy,
                 picks = (cum < u[:, None]).sum(axis=1).clip(0, n_e - 1)
                 x[do_revert, 2] = picks[do_revert]
     return tail_dist.reshape(b, chains, n_e).mean(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Distances: one row pair at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PoincarePoint:
+    """A point strictly inside the unit ball; construction projects if needed."""
+
+    coords: np.ndarray = field()
+
+    def __post_init__(self):
+        arr = np.asarray(self.coords, dtype=np.float64).reshape(-1)
+        object.__setattr__(self, "coords", project_array_to_ball(arr))
+
+    @property
+    def dim(self) -> int:
+        return self.coords.size
+
+
+def _as_rows(p) -> Tensor:
+    if isinstance(p, Tensor):
+        return p
+    if isinstance(p, PoincarePoint):
+        return Tensor(p.coords.reshape(1, -1))
+    return Tensor(np.asarray(p, dtype=np.float64).reshape(1, -1))
+
+
+def _rowwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
+    d = nk.sub(a, b)
+    return nk.sum_cols(nk.mul(d, d))
+
+
+def euclidean_distance(a, b) -> Tensor:
+    """Row-wise L2 distance |a_i - b_i|, shape (m, 1); taped."""
+    a, b = _as_rows(a), _as_rows(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"euclidean_distance needs equal shapes: {a.shape} vs {b.shape}")
+    return nk.sqrt(nk.clamp_min(_rowwise_sqdist(a, b), 0.0))
+
+
+def poincare_distance(a, b) -> Tensor:
+    """Row-wise ball distance arcosh(1 + 2 |a-b|^2 / ((1-|a|^2)(1-|b|^2))); taped.
+
+    Rows must already lie strictly inside the unit ball.
+    """
+    a, b = _as_rows(a), _as_rows(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"poincare_distance needs equal shapes: {a.shape} vs {b.shape}")
+    _check_inside(a, "first argument")
+    _check_inside(b, "second argument")
+    one = nk.constant(1.0)
+    denom = nk.mul(nk.sub(one, _row_sqnorm(a)), nk.sub(one, _row_sqnorm(b)))
+    arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(_rowwise_sqdist(a, b), denom)))
+    return nk.acosh(arg)

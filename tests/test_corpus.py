@@ -237,7 +237,7 @@ def test_full_frequency_token_has_zero_entropy():
 
 def test_sequence_tokens_layout(small_store):
     ent = corpus.token_entropies(small_store)
-    toks = ent.sequence_tokens(1, 1, 3)
+    toks = ent.quad_tokens(np.array([[1, 1, 3, 0]]))[0]
     np.testing.assert_array_equal(toks, [1, small_store.n_entities + 1, 3])
     batch = ent.quad_tokens(small_store.quads[:3])
     assert batch.shape == (3, 3)

@@ -2,9 +2,14 @@ import dataclasses
 import json
 import resource
 import signal
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import planted_period_store, quick_config, single_fact_store
 from tkgdiff import dpcl as dpcl_mod
@@ -13,6 +18,10 @@ from tkgdiff import numkit as nk
 from tkgdiff.corpus import build_periodic_index, token_entropies
 from tkgdiff.errors import (CheckpointError, CheckpointVersionError,
                             ConfigError, NumericError)
+
+
+def strip_wall(metrics):
+    return [{k: v for k, v in m.items() if k != "wall_seconds"} for m in metrics]
 
 
 def test_joint_loss_endpoints():
@@ -110,10 +119,6 @@ def test_determinism_same_seed():
     cfg = quick_config(batch=16)
     a = engine.train(cfg, store)
     b = engine.train(cfg, store)
-
-    def strip_wall(metrics):
-        return [{k: v for k, v in m.items() if k != "wall_seconds"} for m in metrics]
-
     assert strip_wall(a.metrics) == strip_wall(b.metrics)
     for name, t in a.named_tensors().items():
         np.testing.assert_array_equal(t.data, b.named_tensors()[name].data)
@@ -181,6 +186,15 @@ def test_checkpoint_version_mismatch(tmp_path):
         engine.load_checkpoint(p)
 
 
+def test_checkpoint_of_an_older_version_is_rejected(tmp_path, small_ckpt):
+    p = tmp_path / "old.ckpt"
+    engine.save_checkpoint(small_ckpt, p)
+    blob = p.read_bytes()
+    p.write_bytes(blob[:4] + struct.pack("<I", engine.CHECKPOINT_VERSION - 1) + blob[8:])
+    with pytest.raises(CheckpointVersionError, match="not supported"):
+        engine.load_checkpoint(p)
+
+
 def test_checkpoint_truncated(tmp_path):
     store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
     cfg = quick_config(epochs_stage1=1, epochs_stage2=0, batch=16)
@@ -206,9 +220,116 @@ def test_resume_matches_uninterrupted(tmp_path):
 
     assert resumed.metrics[-1]["loss_total"] == pytest.approx(
         full.metrics[-1]["loss_total"], abs=1e-12)
+    assert strip_wall(resumed.metrics) == strip_wall(full.metrics)
     for name, t in full.named_tensors().items():
         np.testing.assert_allclose(t.data, resumed.named_tensors()[name].data,
                                    atol=1e-12)
+
+
+def split_checkpoint(blob):
+    """The header bytes and the tensor records of a checkpoint file, parsed
+    independently of the loader: {name: (record bytes, array)} in file order."""
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    pos = 12 + hlen
+    records = {}
+    while pos < len(blob):
+        start = pos
+        (nlen,) = struct.unpack_from("<I", blob, pos)
+        name = blob[pos + 4:pos + 4 + nlen].decode("utf-8")
+        pos += 4 + nlen
+        (rank,) = struct.unpack_from("<I", blob, pos)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 4)
+        pos += 4 + 4 * rank
+        end = pos + 8 * int(np.prod(dims))
+        records[name] = (blob[start:end], np.frombuffer(blob[pos:end], "<f8").reshape(dims))
+        pos = end
+    return blob[12:12 + hlen], records
+
+
+def join_checkpoint(blob, header, records):
+    """Checkpoint bytes with the header and records of `blob` replaced."""
+    return blob[:8] + struct.pack("<I", len(header)) + header + \
+        b"".join(rec for rec, _ in records.values())
+
+
+@pytest.fixture(scope="module")
+def small_ckpt():
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    return engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=16), store)
+
+
+def edit_header(change):
+    def corrupt(header, records):
+        values = json.loads(header)
+        change(values)
+        return json.dumps(values).encode(), records
+    return corrupt
+
+
+def nan_payload(header, records):
+    rec, arr = records["dpcl.entity_emb"]
+    records["dpcl.entity_emb"] = (rec[:-8] + struct.pack("<d", float("nan")), arr)
+    return header, records
+
+
+def drop_record(header, records):
+    del records["dpcl.entity_emb"]
+    return header, records
+
+
+@pytest.mark.parametrize("corrupt", [
+    nan_payload,
+    lambda header, records: (b"{not json", records),
+    edit_header(lambda h: h.pop("epoch")),
+    edit_header(lambda h: h["config"].update(bogus=1)),
+    drop_record,
+], ids=["non-finite-payload", "header-not-json", "header-missing-key",
+        "unknown-config-key", "missing-tensor-record"])
+def test_every_checkpoint_load_failure_is_a_checkpoint_error(tmp_path, small_ckpt, corrupt):
+    good = tmp_path / "good.ckpt"
+    engine.save_checkpoint(small_ckpt, good)
+    blob = good.read_bytes()
+    header, records = corrupt(*split_checkpoint(blob))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        engine.load_checkpoint(bad)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(n_entities=st.integers(1, 6), n_relations=st.integers(1, 3),
+       d_dpcl=st.integers(1, 4), d_diff=st.integers(1, 4),
+       epoch=st.integers(0, 1000), best=FLOATS, seed=st.integers(0, 2 ** 16),
+       metrics=st.lists(st.dictionaries(
+           st.sampled_from(["epoch", "loss_total", "val_mrr", "wall_seconds"]),
+           st.one_of(FLOATS, st.integers(0, 1000))), max_size=4))
+def test_checkpoint_roundtrip_bytes_on_random_shapes(n_entities, n_relations, d_dpcl,
+                                                     d_diff, epoch, best, seed, metrics):
+    rng = nk.rng_for(seed)
+    dparams = dpcl_mod.init_params(n_entities, n_relations, d_dpcl, rng)
+    nparams = gndiff.init_denoiser(n_entities, n_relations, d_diff, rng)
+    adam = {}
+    for name, p in engine._all_params(dparams, nparams).items():
+        state = nk.AdamState(p.shape, lr=0.01)
+        state.m = rng.normal(size=p.shape)
+        state.v = rng.random(p.shape)
+        state.t = int(rng.integers(0, 100))
+        adam[name] = state
+    ckpt = engine.Checkpoint(
+        config=engine.TrainConfig(d_dpcl=d_dpcl, d_diff=d_diff, seed=seed),
+        dpcl=dparams, denoiser=nparams, adam=adam, epoch=epoch,
+        best_val_mrr=best, metrics=metrics)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        engine.save_checkpoint(ckpt, first)
+        loaded = engine.load_checkpoint(first)
+        engine.save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.metrics == metrics and loaded.epoch == epoch
+    assert loaded.best_val_mrr == best and loaded.config == ckpt.config
 
 
 def test_metrics_log_written(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
 
@@ -45,13 +46,15 @@ def test_project_gradient():
 def test_poincare_distance_zero_on_self():
     rng = nk.rng_for(23)
     x = nk.tensor(random_ball_points(rng, 8, 5))
-    d = geo.poincare_distance(x, x)
+    d = oracles.poincare_distance(x, x)
     np.testing.assert_allclose(d.data, 0.0, atol=1e-12)
+    for pairwise in (geo.poincare_pairwise, geo.euclidean_pairwise):
+        np.testing.assert_allclose(np.diag(pairwise(x, x).data), 0.0, atol=1e-12)
 
 
 def test_poincare_origin_to_half():
     # arcosh(1 + 2*0.25/(1*0.75)) = arcosh(5/3) = ln 3
-    d = geo.poincare_distance([0.0, 0.0], [0.5, 0.0])
+    d = oracles.poincare_distance([0.0, 0.0], [0.5, 0.0])
     assert d.item() == pytest.approx(np.log(3.0), abs=1e-10)
 
 
@@ -59,24 +62,24 @@ def test_poincare_symmetry_100_pairs():
     rng = nk.rng_for(24)
     a = nk.tensor(random_ball_points(rng, 100, 4))
     b = nk.tensor(random_ball_points(rng, 100, 4))
-    dab = geo.poincare_distance(a, b)
-    dba = geo.poincare_distance(b, a)
+    dab = oracles.poincare_distance(a, b)
+    dba = oracles.poincare_distance(b, a)
     np.testing.assert_allclose(dab.data, dba.data, atol=1e-12)
 
 
 def test_euclidean_345():
-    d = geo.euclidean_distance([0.0, 0.0], [3.0, 4.0])
+    d = oracles.euclidean_distance([0.0, 0.0], [3.0, 4.0])
     assert d.item() == pytest.approx(5.0, abs=1e-12)
-    assert geo.euclidean_distance([1.0, 1.0], [1.0, 1.0]).item() == 0.0
+    assert oracles.euclidean_distance([1.0, 1.0], [1.0, 1.0]).item() == 0.0
 
 
 def test_euclidean_triangle_inequality():
     rng = nk.rng_for(25)
     for _ in range(100):
         a, b, c = rng.normal(size=(3, 6))
-        dab = geo.euclidean_distance(a, b).item()
-        dbc = geo.euclidean_distance(b, c).item()
-        dac = geo.euclidean_distance(a, c).item()
+        dab = oracles.euclidean_distance(a, b).item()
+        dbc = oracles.euclidean_distance(b, c).item()
+        dac = oracles.euclidean_distance(a, c).item()
         assert dac <= dab + dbc + 1e-12
 
 
@@ -85,8 +88,8 @@ def test_small_radius_limit():
     rng = nk.rng_for(26)
     a = nk.tensor(random_ball_points(rng, 50, 3, max_norm=0.01))
     b = nk.tensor(random_ball_points(rng, 50, 3, max_norm=0.01))
-    dp = geo.poincare_distance(a, b).data
-    de = geo.euclidean_distance(a, b).data
+    dp = oracles.poincare_distance(a, b).data
+    de = oracles.euclidean_distance(a, b).data
     nonzero = de > 1e-9
     ratio = dp[nonzero] / de[nonzero]
     assert np.all(np.abs(ratio - 2.0) < 0.02)
@@ -95,28 +98,32 @@ def test_small_radius_limit():
 def test_poincare_monotone_toward_boundary():
     u = np.array([1.0, 0.0, 0.0])
     radii = np.linspace(0.05, 1.0 - geo.BALL_MARGIN, 40, endpoint=False)
-    dists = [geo.poincare_distance(np.zeros(3), r * u).item() for r in radii]
+    dists = [oracles.poincare_distance(np.zeros(3), r * u).item() for r in radii]
     assert all(b > a for a, b in zip(dists, dists[1:]))
+    row = geo.poincare_pairwise(nk.tensor(np.zeros((1, 3))), nk.tensor(radii[:, None] * u))
+    assert np.all(np.diff(row.data[0]) > 0)
 
 
 def test_distance_gradients_away_from_coincidence():
     rng = nk.rng_for(27)
     a = nk.tensor(random_ball_points(rng, 4, 3, max_norm=0.8))
     b = nk.tensor(random_ball_points(rng, 4, 3, max_norm=0.8))
-    rp = nk.grad_check(lambda ps: nk.sum_all(geo.poincare_distance(ps[0], ps[1])),
+    rp = nk.grad_check(lambda ps: nk.sum_all(oracles.poincare_distance(ps[0], ps[1])),
                        [a, b], tolerance=1e-4)
     assert rp.ok, rp
-    re = nk.grad_check(lambda ps: nk.sum_all(geo.euclidean_distance(ps[0], ps[1])),
+    re = nk.grad_check(lambda ps: nk.sum_all(oracles.euclidean_distance(ps[0], ps[1])),
                        [a, b], tolerance=1e-4)
     assert re.ok, re
 
 
 def test_coincident_gradient_is_zero_not_nan():
     x = nk.tensor([[0.2, 0.1]])
-    with nk.GradTape() as tape:
-        d = nk.sum_all(geo.poincare_distance(x, x))
-    (g,) = tape.gradient(d, [x])
-    np.testing.assert_array_equal(g, np.zeros((1, 2)))
+    for distance in (oracles.poincare_distance, geo.poincare_pairwise,
+                     geo.euclidean_pairwise):
+        with nk.GradTape() as tape:
+            d = nk.sum_all(distance(x, x))
+        (g,) = tape.gradient(d, [x])
+        np.testing.assert_array_equal(g, np.zeros((1, 2)))
 
 
 def test_pairwise_matches_rowwise():
@@ -127,8 +134,8 @@ def test_pairwise_matches_rowwise():
     pw_e = geo.euclidean_pairwise(a, b).data
     for i in range(3):
         for j in range(5):
-            dp = geo.poincare_distance(a.data[i], b.data[j]).item()
-            de = geo.euclidean_distance(a.data[i], b.data[j]).item()
+            dp = oracles.poincare_distance(a.data[i], b.data[j]).item()
+            de = oracles.euclidean_distance(a.data[i], b.data[j]).item()
             assert pw_p[i, j] == pytest.approx(dp, abs=1e-10)
             assert pw_e[i, j] == pytest.approx(de, abs=1e-10)
 
@@ -148,12 +155,17 @@ def test_pairwise_gradients():
 
 def test_outside_ball_rejected():
     with pytest.raises(ValueError, match="unit ball"):
-        geo.poincare_distance([1.5, 0.0], [0.0, 0.0])
+        oracles.poincare_distance([1.5, 0.0], [0.0, 0.0])
+    inside, outside = nk.tensor([[0.0, 0.0]]), nk.tensor([[0.0, 0.0], [1.5, 0.0]])
+    with pytest.raises(ValueError, match="unit ball"):
+        geo.poincare_pairwise(outside, inside)
+    with pytest.raises(ValueError, match="unit ball"):
+        geo.poincare_pairwise(inside, outside)
 
 
 def test_poincare_point_projects_on_construction():
-    p = geo.PoincarePoint(np.array([3.0, 4.0]))
+    p = oracles.PoincarePoint(np.array([3.0, 4.0]))
     assert np.linalg.norm(p.coords) < 1.0
-    q = geo.PoincarePoint([0.1, 0.2])
+    q = oracles.PoincarePoint([0.1, 0.2])
     np.testing.assert_allclose(q.coords, [0.1, 0.2])
-    assert geo.poincare_distance(p, p).item() == 0.0
+    assert oracles.poincare_distance(p, p).item() == 0.0

@@ -21,7 +21,7 @@ def make_entropies(n_entities=3, n_relations=1, seed=61):
 
 
 def make_sequence(entropies, s=0, r=0, o=1):
-    return gndiff.NodeSequence.from_quad(entropies, s, r, o)
+    return oracles.NodeSequence.from_quad(entropies, s, r, o)
 
 
 class FakeRng:
@@ -48,7 +48,7 @@ class FakeRng:
 
 def test_schedule_linear_when_mu_zero():
     ent = make_entropies()
-    sched = gndiff.build_schedule(ent, make_sequence(ent), steps=10, mu=0.0)
+    sched = oracles.build_schedule(ent, make_sequence(ent), steps=10, mu=0.0)
     t = np.arange(11) / 10.0
     for i in range(3):
         np.testing.assert_allclose(sched.alpha_bar[:, i], 1.0 - t, atol=1e-15)
@@ -60,7 +60,7 @@ def test_schedule_identity_preclamp():
     for seed in range(5):
         ent = make_entropies(seed=100 + seed)
         seq = make_sequence(ent, 0, 0, 2)
-        sched = gndiff.build_schedule(ent, seq, steps=50, mu=0.6)
+        sched = oracles.build_schedule(ent, seq, steps=50, mu=0.6)
         h = ent.entropy[seq.tokens]
         lhs = sched.alpha_bar_raw @ h
         t = np.arange(51) / 50.0
@@ -70,7 +70,7 @@ def test_schedule_identity_preclamp():
 
 def test_schedule_boundaries_exact():
     ent = make_entropies()
-    sched = gndiff.build_schedule(ent, make_sequence(ent), steps=50, mu=0.25)
+    sched = oracles.build_schedule(ent, make_sequence(ent), steps=50, mu=0.25)
     assert np.all(sched.alpha_bar[0] == 1.0)
     assert np.all(sched.alpha_bar[50] == 0.0)
     assert np.all(np.diff(sched.alpha_bar, axis=0) <= 0)
@@ -80,7 +80,7 @@ def test_schedule_boundaries_exact():
 def test_schedule_equal_entropy_equal_curves():
     ent = make_entropies()
     ent.entropy[:] = 1.7
-    sched = gndiff.build_schedule(ent, make_sequence(ent), steps=20, mu=0.4)
+    sched = oracles.build_schedule(ent, make_sequence(ent), steps=20, mu=0.4)
     np.testing.assert_array_equal(sched.alpha_bar[:, 0], sched.alpha_bar[:, 1])
     np.testing.assert_array_equal(sched.alpha_bar[:, 0], sched.alpha_bar[:, 2])
 
@@ -92,7 +92,7 @@ def test_schedule_entropy_ordering():
     ent.entropy[0] = 0.5   # subject token
     ent.entropy[1] = 2.5   # object token
     seq = make_sequence(ent, s=0, r=0, o=1)
-    sched = gndiff.build_schedule(ent, seq, steps=30, mu=0.3)
+    sched = oracles.build_schedule(ent, seq, steps=30, mu=0.3)
     interior = sched.alpha_bar_raw[1:30]
     assert np.all(interior[:, 0] > interior[:, 2])
 
@@ -102,7 +102,7 @@ def test_schedule_warns_when_clamp_saturates():
     ent.entropy[:] = [0.1, 4.0, 4.0, 4.0, 4.0][:len(ent.entropy)]
     seq = make_sequence(ent, 0, 0, 1)
     with pytest.warns(UserWarning, match="saturates"):
-        gndiff.build_schedule(ent, seq, steps=10, mu=5.0)
+        oracles.build_schedule(ent, seq, steps=10, mu=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +112,11 @@ def test_schedule_warns_when_clamp_saturates():
 def test_forward_marginal_endpoints():
     ent = make_entropies()
     seq = make_sequence(ent)
-    sched = gndiff.build_schedule(ent, seq, steps=8, mu=0.25)
-    m0 = gndiff.forward_marginal(sched, seq, 0)
+    sched = oracles.build_schedule(ent, seq, steps=8, mu=0.25)
+    m0 = oracles.forward_marginal(sched, seq, 0)
     for i in range(3):
         assert m0[i, seq.tokens[i]] == 1.0
-    mT = gndiff.forward_marginal(sched, seq, 8)
+    mT = oracles.forward_marginal(sched, seq, 8)
     for i in range(3):
         assert mT[i, seq.mask_token] == 1.0
         assert mT[i].sum() == 1.0
@@ -127,8 +127,8 @@ def constant_beta_schedule(beta, steps, k_entropies):
     alpha = np.vstack([np.ones((1, 3)), a])
     b = np.full((steps + 1, 3), beta)
     b[0] = 0.0
-    return gndiff.DiffusionSchedule(steps, 0.0, alpha, alpha.copy(), b,
-                                    np.ones(3))
+    return oracles.DiffusionSchedule(steps, 0.0, alpha, alpha.copy(), b,
+                                     np.ones(3))
 
 
 def test_forward_marginal_matches_stepwise_monte_carlo():
@@ -136,7 +136,7 @@ def test_forward_marginal_matches_stepwise_monte_carlo():
     ent = make_entropies()
     seq = make_sequence(ent)
     sched = constant_beta_schedule(0.1, 2, ent)
-    marg = gndiff.forward_marginal(sched, seq, 2)
+    marg = oracles.forward_marginal(sched, seq, 2)
     assert marg[0, seq.tokens[0]] == pytest.approx(0.81, abs=1e-12)
 
     rng = nk.rng_for(62)
@@ -154,13 +154,13 @@ def test_forward_marginal_mc_full_schedule():
     # closed form at every t (K=5 fixture, T=3, 100k chains per check)
     ent = make_entropies()
     seq = make_sequence(ent, 0, 0, 2)
-    sched = gndiff.build_schedule(ent, seq, steps=3, mu=0.3)
+    sched = oracles.build_schedule(ent, seq, steps=3, mu=0.3)
     rng = nk.rng_for(63)
     n = 100_000
     surviving = np.ones((n, 3), dtype=bool)
     for t in (1, 2, 3):
         surviving &= rng.random((n, 3)) >= sched.beta[t]
-        marg = gndiff.forward_marginal(sched, seq, t)
+        marg = oracles.forward_marginal(sched, seq, t)
         for i in range(3):
             assert abs(surviving[:, i].mean() - marg[i, seq.tokens[i]]) < 0.005
             assert abs((1 - surviving[:, i].mean()) - marg[i, seq.mask_token]) < 0.005
@@ -169,8 +169,8 @@ def test_forward_marginal_mc_full_schedule():
 def test_posterior_point_mass_on_unmasked():
     ent = make_entropies()
     seq = make_sequence(ent)
-    sched = gndiff.build_schedule(ent, seq, steps=6, mu=0.2)
-    post = gndiff.posterior(sched, seq, seq, 3)   # nothing masked
+    sched = oracles.build_schedule(ent, seq, steps=6, mu=0.2)
+    post = oracles.posterior(sched, seq, seq, 3)   # nothing masked
     for i in range(3):
         assert post[i, seq.tokens[i]] == 1.0
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
@@ -181,9 +181,9 @@ def test_posterior_terminal_revert_half():
     seq = make_sequence(ent)
     alpha = np.array([[1.0] * 3, [0.5] * 3, [0.0] * 3])
     beta = np.array([[0.0] * 3, [0.5] * 3, [1.0] * 3])
-    sched = gndiff.DiffusionSchedule(2, 0.0, alpha, alpha.copy(), beta, np.ones(3))
+    sched = oracles.DiffusionSchedule(2, 0.0, alpha, alpha.copy(), beta, np.ones(3))
     masked = seq.with_tokens([seq.mask_token] * 3)
-    post = gndiff.posterior(sched, masked, seq, 2)
+    post = oracles.posterior(sched, masked, seq, 2)
     for i in range(3):
         assert post[i, seq.tokens[i]] == pytest.approx(0.5, abs=1e-15)
         assert post[i, seq.mask_token] == pytest.approx(0.5, abs=1e-15)
@@ -192,19 +192,19 @@ def test_posterior_terminal_revert_half():
 def test_posterior_rejects_inconsistent_xt():
     ent = make_entropies()
     seq = make_sequence(ent, 0, 0, 1)
-    sched = gndiff.build_schedule(ent, seq, steps=4, mu=0.2)
+    sched = oracles.build_schedule(ent, seq, steps=4, mu=0.2)
     bad = seq.with_tokens([2, seq.tokens[1], seq.tokens[2]])  # wrong subject
     with pytest.raises(ValueError, match="inconsistent"):
-        gndiff.posterior(sched, bad, seq, 2)
+        oracles.posterior(sched, bad, seq, 2)
 
 
 def test_transition_matrix_rows():
     ent = make_entropies()
     seq = make_sequence(ent)
-    sched = gndiff.build_schedule(ent, seq, steps=5, mu=0.3)
+    sched = oracles.build_schedule(ent, seq, steps=5, mu=0.3)
     for t in range(1, 6):
         for pos in range(3):
-            q = gndiff.transition_matrix(sched, seq, pos, t)
+            q = oracles.transition_matrix(sched, seq, pos, t)
             np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
             m = seq.mask_token
             assert q[m, m] == 1.0 and q[m, :m].sum() == 0.0
@@ -214,10 +214,10 @@ def test_posterior_matches_general_matrix_form():
     # rowwise Bayes inversion with the explicit transition matrices
     ent = make_entropies()
     seq = make_sequence(ent, 0, 0, 2)
-    sched = gndiff.build_schedule(ent, seq, steps=3, mu=0.3)
+    sched = oracles.build_schedule(ent, seq, steps=3, mu=0.3)
     k = seq.vocab_size
     for pos in range(3):
-        qs = [gndiff.transition_matrix(sched, seq, pos, t) for t in range(1, 4)]
+        qs = [oracles.transition_matrix(sched, seq, pos, t) for t in range(1, 4)]
         qbar = [np.eye(k)]
         for q in qs:
             qbar.append(qbar[-1] @ q)
@@ -233,7 +233,7 @@ def test_posterior_matches_general_matrix_form():
                 general = (xt @ qs[t - 1].T) * (x0 @ qbar[t - 1]) / denom
                 toks = seq.tokens.copy()
                 toks[pos] = xt_tok
-                post = gndiff.posterior(sched, seq.with_tokens(toks), seq, t)
+                post = oracles.posterior(sched, seq.with_tokens(toks), seq, t)
                 np.testing.assert_allclose(post[pos], general, atol=1e-12)
 
 
@@ -241,10 +241,10 @@ def test_bayes_consistency_chain():
     # sum_{x_{t-1}} q(x_{t-1}|x_t,x_0) q(x_t|x_{t-1}) prop-to q(x_t|x_0)
     ent = make_entropies(n_entities=2, n_relations=1)   # K = 4
     seq = make_sequence(ent, 0, 0, 1)
-    sched = gndiff.build_schedule(ent, seq, steps=3, mu=0.4)
+    sched = oracles.build_schedule(ent, seq, steps=3, mu=0.4)
     k = seq.vocab_size
     for pos in range(3):
-        qs = [gndiff.transition_matrix(sched, seq, pos, t) for t in range(1, 4)]
+        qs = [oracles.transition_matrix(sched, seq, pos, t) for t in range(1, 4)]
         qbar = [np.eye(k)]
         for q in qs:
             qbar.append(qbar[-1] @ q)
@@ -257,7 +257,7 @@ def test_bayes_consistency_chain():
                     continue
                 toks = seq.tokens.copy()
                 toks[pos] = xt_tok
-                post = gndiff.posterior(sched, seq.with_tokens(toks), seq, t)[pos]
+                post = oracles.posterior(sched, seq.with_tokens(toks), seq, t)[pos]
                 # Bayes: q(x_{t-1}|x_t,x_0) q(x_t|x_0) == q(x_t|x_{t-1}) q(x_{t-1}|x_0)
                 for v in range(k):
                     rhs = qs[t - 1][v, xt_tok] * qbar[t - 1][seq.tokens[pos], v]
@@ -273,7 +273,7 @@ def test_denoiser_output_shape_and_role_mask():
     params = gndiff.init_denoiser(3, 2, width=8, rng=rng)
     ent = make_entropies(3, 2)
     seq = make_sequence(ent, 0, 0, 1)
-    logits = gndiff.denoise_x0(params, seq, 2)
+    logits = gndiff.denoise_x0_batch(params, seq.tokens[None, :], np.array([2]))
     assert logits.shape == (3, 6)
     # relation position: entity and mask tokens are off
     assert np.all(logits.data[1, :3] <= gndiff.NEG_INF / 2)
@@ -293,7 +293,7 @@ def test_denoiser_cross_entropy_gradient():
 
     def f(ps):
         p = params.replace(**dict(zip(names, ps)))
-        logits = gndiff.denoise_x0(p, xt, 2)
+        logits = gndiff.denoise_x0_batch(p, xt.tokens[None, :], np.array([2]))
         probs = nk.softmax_rows(logits)
         picked = nk.gather_cols(probs, seq.tokens)
         return nk.neg(nk.sum_all(nk.log(picked)))
@@ -317,13 +317,13 @@ def perfect_logits(seq):
 def test_loss_zero_for_perfect_denoiser(monkeypatch):
     ent = make_entropies()
     seq = make_sequence(ent, 0, 0, 2)
-    sched = gndiff.build_schedule(ent, seq, steps=6, mu=0.25)
+    sched = oracles.build_schedule(ent, seq, steps=6, mu=0.25)
     params = gndiff.init_denoiser(3, 1, width=4, rng=nk.rng_for(66))
-    monkeypatch.setattr(gndiff, "denoise_x0",
-                        lambda p, x_t, t: perfect_logits(seq))
+    monkeypatch.setattr(gndiff, "denoise_x0_batch",
+                        lambda p, xt, ts: perfect_logits(seq))
     for t in range(1, 7):
-        loss = gndiff.diffusion_loss(sched, params, seq,
-                                     FakeRng([t], [[0.99, 0.99, 0.99]]))
+        loss = oracles.diffusion_loss(sched, params, seq,
+                                      FakeRng([t], [[0.99, 0.99, 0.99]]))
         assert loss.item() == 0.0
 
 
@@ -331,9 +331,9 @@ def test_prior_term_zero_for_every_x0():
     ent = make_entropies()
     for o in range(ent.n_entities):
         seq = make_sequence(ent, 0, 0, o)
-        sched = gndiff.build_schedule(ent, seq, steps=5, mu=0.3)
+        sched = oracles.build_schedule(ent, seq, steps=5, mu=0.3)
         # terminal marginal is the all-mask point mass == the prior
-        mT = gndiff.forward_marginal(sched, seq, 5)
+        mT = oracles.forward_marginal(sched, seq, 5)
         prior = np.zeros_like(mT)
         prior[:, seq.mask_token] = 1.0
         np.testing.assert_array_equal(mT, prior)
@@ -352,7 +352,7 @@ def exhaustive_expected_loss(sched, params, seq):
             if prob == 0.0:
                 continue
             toks = np.where(masked, seq.mask_token, seq.tokens)
-            logits = gndiff.denoise_x0(params, seq.with_tokens(toks), t).data
+            logits = gndiff.denoise_x0_batch(params, toks[None, :], np.array([t])).data
             logits = logits - logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
@@ -367,7 +367,7 @@ def test_loss_matches_exhaustive_expectation():
     # approaches the exhaustively enumerated expectation
     ent = make_entropies(n_entities=2, n_relations=1)
     seq = make_sequence(ent, 0, 0, 1)
-    sched = gndiff.build_schedule(ent, seq, steps=2, mu=0.3)
+    sched = oracles.build_schedule(ent, seq, steps=2, mu=0.3)
     params = gndiff.init_denoiser(2, 1, width=4, rng=nk.rng_for(67))
     expected = exhaustive_expected_loss(sched, params, seq)
 
@@ -377,7 +377,7 @@ def test_loss_matches_exhaustive_expectation():
         for bits in range(8):
             masked = [(bits >> i) & 1 for i in range(3)]
             us = [0.99 if m else 0.0 for m in masked]  # keep iff u < alpha
-            loss = gndiff.diffusion_loss(sched, params, seq, FakeRng([t], [us]))
+            loss = oracles.diffusion_loss(sched, params, seq, FakeRng([t], [us]))
             cache[(t, bits)] = loss.item()
 
     rng = nk.rng_for(68)
@@ -396,9 +396,9 @@ def test_loss_mask_pattern_edge_cases():
     # with a direct run on a real generator
     ent = make_entropies(n_entities=2, n_relations=1)
     seq = make_sequence(ent, 0, 0, 1)
-    sched = gndiff.build_schedule(ent, seq, steps=2, mu=0.3)
+    sched = oracles.build_schedule(ent, seq, steps=2, mu=0.3)
     params = gndiff.init_denoiser(2, 1, width=4, rng=nk.rng_for(69))
-    real = gndiff.diffusion_loss(sched, params, seq, nk.rng_for(70))
+    real = oracles.diffusion_loss(sched, params, seq, nk.rng_for(70))
     assert np.isfinite(real.item()) and real.item() >= 0.0
 
 
@@ -409,12 +409,12 @@ def test_batch_loss_matches_single_path():
     # scripted draws: t=2 for both, first fully masked, second untouched
     fake = FakeRng([[2, 2]], [np.array([[0.999, 0.999, 0.999], [0.0, 0.0, 0.0]])])
     loss = gndiff.batch_loss(params, ent, toks, 4, 0.3, fake)
-    seq0 = gndiff.NodeSequence(toks[0], 3, 1)
-    sched0 = gndiff.build_schedule(ent, seq0, 4, 0.3)
-    l0 = gndiff.diffusion_loss(sched0, params, seq0, FakeRng([2], [[0.999] * 3]))
-    seq1 = gndiff.NodeSequence(toks[1], 3, 1)
-    sched1 = gndiff.build_schedule(ent, seq1, 4, 0.3)
-    l1 = gndiff.diffusion_loss(sched1, params, seq1, FakeRng([2], [[0.0] * 3]))
+    seq0 = oracles.NodeSequence(toks[0], 3, 1)
+    sched0 = oracles.build_schedule(ent, seq0, 4, 0.3)
+    l0 = oracles.diffusion_loss(sched0, params, seq0, FakeRng([2], [[0.999] * 3]))
+    seq1 = oracles.NodeSequence(toks[1], 3, 1)
+    sched1 = oracles.build_schedule(ent, seq1, 4, 0.3)
+    l1 = oracles.diffusion_loss(sched1, params, seq1, FakeRng([2], [[0.0] * 3]))
     assert loss.item() == pytest.approx((l0.item() + l1.item()) / 2, abs=1e-12)
 
 
@@ -439,8 +439,8 @@ def test_batch_loss_gradient():
 def test_sample_conditional_clamps_and_degenerate_denoiser(monkeypatch):
     ent = make_entropies(n_entities=4, n_relations=2)
     params = gndiff.init_denoiser(4, 2, width=4, rng=nk.rng_for(74))
-    seq = gndiff.NodeSequence([1, 4, 0], 4, 2)
-    sched = gndiff.build_schedule(ent, seq, steps=5, mu=0.2)
+    seq = oracles.NodeSequence([1, 4, 0], 4, 2)
+    sched = oracles.build_schedule(ent, seq, steps=5, mu=0.2)
 
     seen_states = []
     target = 2
@@ -469,8 +469,8 @@ def test_sample_conditional_clamps_and_degenerate_denoiser(monkeypatch):
 def test_tail_distribution_normalized_over_entities():
     ent = make_entropies(n_entities=5, n_relations=2)
     params = gndiff.init_denoiser(5, 2, width=8, rng=nk.rng_for(76))
-    seq = gndiff.NodeSequence([0, 5, 1], 5, 2)
-    sched = gndiff.build_schedule(ent, seq, steps=6, mu=0.25)
+    seq = oracles.NodeSequence([0, 5, 1], 5, 2)
+    sched = oracles.build_schedule(ent, seq, steps=6, mu=0.25)
     o_id, dist = oracles.sample_conditional(sched, params, 0, 0, nk.rng_for(77))
     assert 0 <= o_id < 5
     assert dist.shape == (5,)
@@ -480,7 +480,7 @@ def test_tail_distribution_normalized_over_entities():
 def test_p_diff_single_greedy_chain_identity():
     ent = make_entropies(n_entities=4, n_relations=1)
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(78))
-    sched = gndiff.inference_schedule(ent, 1, 0, steps=5, mu=0.25)
+    sched = oracles.inference_schedule(ent, 1, 0, steps=5, mu=0.25)
     rng = nk.rng_for(79)
     dist = oracles.p_diff(sched, params, 1, 0, rng, chains=1, greedy=True)
     child = nk.rng_for(79).spawn(1)[0]
@@ -492,7 +492,7 @@ def test_p_diff_single_greedy_chain_identity():
 def test_p_diff_deterministic_given_seed():
     ent = make_entropies(n_entities=4, n_relations=1)
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(80))
-    sched = gndiff.inference_schedule(ent, 0, 0, steps=4, mu=0.25)
+    sched = oracles.inference_schedule(ent, 0, 0, steps=4, mu=0.25)
     a = oracles.p_diff(sched, params, 0, 0, nk.rng_for(81), chains=4)
     b = oracles.p_diff(sched, params, 0, 0, nk.rng_for(81), chains=4)
     np.testing.assert_array_equal(a, b)
@@ -515,7 +515,7 @@ def test_overfit_single_fact_dominates_p_diff():
         updates = {name: nk.adam_step(states[name], tensors[name], g)
                    for name, g in zip(tensors, grads)}
         params = params.replace(**updates)
-    sched = gndiff.inference_schedule(ent, 1, 0, steps=8, mu=0.25)
+    sched = oracles.inference_schedule(ent, 1, 0, steps=8, mu=0.25)
     dist = oracles.p_diff(sched, params, 1, 0, nk.rng_for(84), chains=8)
     assert dist[3] > 0.9
 
@@ -624,8 +624,8 @@ def test_p_diff_batch_raises_on_non_finite_logits(monkeypatch):
 
 def test_node_sequence_role_validation():
     with pytest.raises(ValueError):
-        gndiff.NodeSequence([0, 0, 1], 3, 1)   # entity token at relation slot
+        oracles.NodeSequence([0, 0, 1], 3, 1)   # entity token at relation slot
     with pytest.raises(ValueError):
-        gndiff.NodeSequence([3, 3, 1], 3, 1)   # relation token at subject slot
-    seq = gndiff.NodeSequence([0, 3, 4], 3, 1)  # mask allowed anywhere
+        oracles.NodeSequence([3, 3, 1], 3, 1)   # relation token at subject slot
+    seq = oracles.NodeSequence([0, 3, 4], 3, 1)  # mask allowed anywhere
     assert seq.mask_token == 4
