@@ -22,8 +22,8 @@ from .errors import ConfigError, DimensionError
 from .numkit import Tensor
 
 __all__ = [
-    "DpclParams", "QueryBatch", "init_params", "query_code",
-    "periodic_scores", "nonperiodic_scores", "ce_loss", "supcon_loss",
+    "DpclParams", "QueryBatch", "init_params", "query_code", "head_scores",
+    "ce_loss", "supcon_loss",
 ]
 
 DISTANCE_KINDS = ("poincare", "euclidean")
@@ -101,6 +101,17 @@ class QueryBatch:
         return cls(s_ids=s, r_ids=r, t_ids=t, gt_ids=o, z_rows=z, periodic=periodic)
 
 
+def _query_input(params: DpclParams, batch: QueryBatch) -> tuple[Tensor, Tensor]:
+    """Subject rows (B, d) and the code input s concat r (B, 2d); taped."""
+    s_emb = nk.take_rows(params.entity_emb, batch.s_ids)
+    r_emb = nk.take_rows(params.relation_emb, batch.r_ids)
+    return s_emb, nk.concat_cols(s_emb, r_emb)
+
+
+def _code(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return nk.tanh(nk.add(nk.matmul(x, nk.transpose(w)), b))
+
+
 def query_code(params: DpclParams, batch: QueryBatch, head: str) -> Tensor:
     """tanh(W (s concat r) + b) for the chosen head, shape (B, d); taped."""
     w, b = {
@@ -108,43 +119,41 @@ def query_code(params: DpclParams, batch: QueryBatch, head: str) -> Tensor:
         "nonperiodic": (params.w_nonper, params.b_nonper),
         "contrastive": (params.w_ctr, params.b_ctr),
     }[head]
-    s_emb = nk.take_rows(params.entity_emb, batch.s_ids)
-    r_emb = nk.take_rows(params.relation_emb, batch.r_ids)
-    x = nk.concat_cols(s_emb, r_emb)
-    return nk.tanh(nk.add(nk.matmul(x, nk.transpose(w)), b))
+    return _code(_query_input(params, batch)[1], w, b)
 
 
-def _distance_term(params: DpclParams, batch: QueryBatch, kind: str) -> Tensor:
-    if kind not in DISTANCE_KINDS:
-        raise ConfigError(f"distance kind must be one of {DISTANCE_KINDS}, got '{kind}'")
-    s_emb = nk.take_rows(params.entity_emb, batch.s_ids)
-    if kind == "poincare":
-        return geo.poincare_pairwise(geo.project_to_ball(s_emb),
-                                     geo.project_to_ball(params.entity_emb))
-    return geo.euclidean_pairwise(s_emb, params.entity_emb)
+def head_scores(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare",
+                distance_nonper: str = "euclidean",
+                distance_sign: float = 1.0) -> tuple[Tensor, Tensor]:
+    """(periodic, non-periodic) dependency scores per candidate, each
+    (B, |E|); taped.
 
+    A head's score is its affine-code match against the entity table, plus
+    (periodic) or minus (non-periodic) the signed history row, plus
+    `distance_sign` times the subject-candidate distance of the kind the head
+    is given. Both distances come from one subject x entity squared-distance
+    block, and a kind both heads use is computed once. A Poincare distance
+    needs every entity row inside the ball (geometry.poincare_from_sqdist).
+    """
+    for kind in (distance_per, distance_nonper):
+        if kind not in DISTANCE_KINDS:
+            raise ConfigError(f"distance kind must be one of {DISTANCE_KINDS}, got '{kind}'")
+    entities = params.entity_emb
+    s_emb, x = _query_input(params, batch)
+    sqdist = geo.pairwise_sqdist(s_emb, entities)
+    dist = {kind: geo.poincare_from_sqdist(sqdist, s_emb, entities) if kind == "poincare"
+            else geo.euclidean_from_sqdist(sqdist)
+            for kind in dict.fromkeys((distance_per, distance_nonper))}
+    entities_t = nk.transpose(entities)
+    z = Tensor(batch.z_rows)
+    sign = nk.constant(distance_sign)
 
-def periodic_scores(params: DpclParams, batch: QueryBatch,
-                    distance: str = "poincare", distance_sign: float = 1.0) -> Tensor:
-    """Periodic dependency score per candidate: affine-code match against the
-    entity table, plus the signed history row, plus the subject-candidate
-    distance; shape (B, |E|); taped."""
-    code = query_code(params, batch, "periodic")
-    affine = nk.matmul(code, nk.transpose(params.entity_emb))
-    scores = nk.add(affine, Tensor(batch.z_rows))
-    dist = _distance_term(params, batch, distance)
-    return nk.add(scores, nk.mul(nk.constant(distance_sign), dist))
+    def head(w, b, history, kind):
+        affine = nk.matmul(_code(x, w, b), entities_t)
+        return nk.add(history(affine, z), nk.mul(sign, dist[kind]))
 
-
-def nonperiodic_scores(params: DpclParams, batch: QueryBatch,
-                       distance: str = "euclidean", distance_sign: float = 1.0) -> Tensor:
-    """Non-periodic dependency score: like the periodic head but the history
-    row enters with opposite sign; shape (B, |E|); taped."""
-    code = query_code(params, batch, "nonperiodic")
-    affine = nk.matmul(code, nk.transpose(params.entity_emb))
-    scores = nk.sub(affine, Tensor(batch.z_rows))
-    dist = _distance_term(params, batch, distance)
-    return nk.add(scores, nk.mul(nk.constant(distance_sign), dist))
+    return (head(params.w_per, params.b_per, nk.add, distance_per),
+            head(params.w_nonper, params.b_nonper, nk.sub, distance_nonper))
 
 
 def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:

@@ -431,10 +431,8 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                 with nk.GradTape() as tape:
                     if not config.no_dpcl:
                         batch = QueryBatch.from_quads(quads, index)
-                        sp = dpcl_mod.periodic_scores(dparams, batch, dist_per,
-                                                      config.distance_sign)
-                        snp = dpcl_mod.nonperiodic_scores(dparams, batch, dist_nonper,
-                                                          config.distance_sign)
+                        sp, snp = dpcl_mod.head_scores(dparams, batch, dist_per, dist_nonper,
+                                                       config.distance_sign)
                         ce_t = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
                         if stage == 2 and len(batch) >= 2:
                             sup_t = dpcl_mod.supcon_loss(dparams, batch, config.tau)

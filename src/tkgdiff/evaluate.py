@@ -75,12 +75,12 @@ def p_dpcl(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare"
            score_combine: str = "sum") -> np.ndarray:
     """Softmax over the combined candidate score (sum of the two heads, or
     their elementwise max under the variant flag); (B, |E|) rows sum to 1."""
-    sp = dpcl_mod.periodic_scores(params, batch, distance_per, distance_sign).data
-    snp = dpcl_mod.nonperiodic_scores(params, batch, distance_nonper, distance_sign).data
+    sp, snp = dpcl_mod.head_scores(params, batch, distance_per, distance_nonper,
+                                   distance_sign)
     if score_combine == "sum":
-        s = sp + snp
+        s = sp.data + snp.data
     elif score_combine == "max":
-        s = np.maximum(sp, snp)
+        s = np.maximum(sp.data, snp.data)
     else:
         raise ValueError(f"score_combine must be 'sum' or 'max', got '{score_combine}'")
     shifted = s - s.max(axis=1, keepdims=True)

@@ -3,6 +3,16 @@
 Points are rows of 2-D tensors. The ball keeps a margin below the unit sphere
 so the distance denominator (1 - |x|^2) never collapses; the distance gradient
 at coincident points is defined as zero.
+
+Both distances are functions of the all-pairs squared difference |a_i - b_j|^2,
+so `pairwise_sqdist` computes it once and `euclidean_from_sqdist` /
+`poincare_from_sqdist` derive either distance from it. It forms the
+differences explicitly: the expansion |a|^2 + |b|^2 - 2 a.b loses about eight
+digits to cancellation between close points, which the ball distance divides
+by (1 - |a|^2)(1 - |b|^2) and magnifies near the boundary. The (m, chunk, d)
+difference block is sized to BLOCK_BYTES, half of a 2 MiB per-core L2 cache,
+so it stays in cache between the subtraction that writes it and the sum that
+reads it.
 """
 
 from __future__ import annotations
@@ -14,9 +24,11 @@ from .errors import DimensionError
 from .numkit import Tensor
 
 BALL_MARGIN = 1e-5  # rows are kept at norm <= 1 - BALL_MARGIN
+BLOCK_BYTES = 1 << 20  # bytes of the (m, chunk, d) difference block
 
 __all__ = [
-    "BALL_MARGIN", "project_to_ball", "project_array_to_ball",
+    "BALL_MARGIN", "BLOCK_BYTES", "project_array_to_ball", "pairwise_sqdist",
+    "euclidean_from_sqdist", "poincare_from_sqdist",
     "poincare_pairwise", "euclidean_pairwise",
 ]
 
@@ -37,54 +49,39 @@ def project_array_to_ball(x: np.ndarray) -> np.ndarray:
     return out[0] if vec_in else out
 
 
-def project_to_ball(x: Tensor) -> Tensor:
-    """Taped projection of each row into the ball (identity for interior rows)."""
-    rows = x.data
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    limit = 1.0 - BALL_MARGIN
-    scaled = norms >= limit
-    factor = np.where(scaled, _TARGET / np.maximum(norms, limit), 1.0)
-    out = Tensor(rows * factor, copy=False)
-
-    def backward(g):
-        if not scaled.any():
-            return (g,)
-        # for rescaled rows y = c v/|v|: J^T g = (c/|v|) (g - v_hat (v_hat . g))
-        safe = np.maximum(norms, limit)
-        unit = rows / safe
-        radial = (unit * g).sum(axis=1, keepdims=True)
-        g_scaled = (_TARGET / safe) * (g - unit * radial)
-        return (np.where(scaled, g_scaled, g),)
-
-    return nk._tape_record(out, (x,), backward)
-
-
 def _check_inside(rows: Tensor, name: str) -> None:
     norms = np.linalg.norm(rows.data, axis=1)
-    if np.any(norms >= 1.0):
-        raise ValueError(f"{name} has rows outside the unit ball (max norm {norms.max():.6f}); "
-                         "project_to_ball first")
+    if np.any(norms > 1.0 - BALL_MARGIN):
+        raise ValueError(f"{name} has rows outside the unit ball less its margin "
+                         f"(max norm {norms.max():.6f} > 1 - {BALL_MARGIN:g}); "
+                         "keep them inside with project_array_to_ball")
 
 
 def _row_sqnorm(x: Tensor) -> Tensor:
     return nk.sum_cols(nk.mul(x, x))
 
 
-_CHUNK = 512  # bounds the (m, chunk, d) difference block
+def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs |a_i - b_j|^2, shape (m, n); taped.
 
-
-def _pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs |a_i - b_j|^2 via explicit differences (the inner-product
-    expansion loses ~8 digits to cancellation); taped with a closed-form
-    backward that never materializes the (m, n, d) block."""
+    Forms the differences explicitly, in column chunks whose (m, chunk, d)
+    block fits BLOCK_BYTES (see the module docstring for why). Each entry
+    sums over d alone, so the result does not depend on the chunk size. The
+    closed-form backward never materializes the (m, n, d) block.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    m, n = ad.shape[0], bd.shape[0]
+    (m, d), n = ad.shape, bd.shape[0]
+    chunk = max(1, BLOCK_BYTES // (8 * max(m * d, 1)))
     out = np.empty((m, n))
-    for j0 in range(0, n, _CHUNK):
-        block = bd[j0:j0 + _CHUNK]
-        diff = ad[:, None, :] - block[None, :, :]
-        out[:, j0:j0 + _CHUNK] = np.einsum("ijk,ijk->ij", diff, diff)
-    result = Tensor(out, copy=False)
+    block = np.empty((m, min(chunk, n), d))
+    for j0 in range(0, n, chunk):
+        cols = bd[j0:j0 + chunk]
+        diff = block[:, :len(cols)]
+        np.subtract(ad[:, None, :], cols[None, :, :], out=diff)
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[:, j0:j0 + len(cols)])
+    result = nk._result(out, "pairwise_sqdist")
 
     def backward(g):
         row = g.sum(axis=1, keepdims=True)
@@ -96,22 +93,31 @@ def _pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     return nk._tape_record(result, (a, b), backward)
 
 
-def euclidean_pairwise(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs L2 distances, shape (m, n); taped."""
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    return nk.sqrt(nk.clamp_min(_pairwise_sqdist(a, b), 0.0))
+def euclidean_from_sqdist(sqdist: Tensor) -> Tensor:
+    """L2 distances from squared distances; taped."""
+    return nk.sqrt(nk.clamp_min(sqdist, 0.0))
 
 
-def poincare_pairwise(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs ball distances, shape (m, n); taped. Rows must be inside the ball."""
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
+def poincare_from_sqdist(sqdist: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """Ball distances from `sqdist = pairwise_sqdist(a, b)`; taped. Rows of
+    `a` and `b` must have norm <= 1 - BALL_MARGIN (ValueError otherwise)."""
+    if sqdist.shape != (a.shape[0], b.shape[0]):
+        raise DimensionError(f"squared distances {sqdist.shape} do not pair "
+                             f"{a.shape} with {b.shape}")
     _check_inside(a, "first argument")
     _check_inside(b, "second argument")
     one = nk.constant(1.0)
     na = nk.sub(one, _row_sqnorm(a))                 # (m, 1)
     nb = nk.transpose(nk.sub(one, _row_sqnorm(b)))   # (1, n)
-    arg = nk.add(one, nk.mul(nk.constant(2.0),
-                             nk.div(_pairwise_sqdist(a, b), nk.mul(na, nb))))
+    arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(sqdist, nk.mul(na, nb))))
     return nk.acosh(arg)
+
+
+def euclidean_pairwise(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs L2 distances, shape (m, n); taped."""
+    return euclidean_from_sqdist(pairwise_sqdist(a, b))
+
+
+def poincare_pairwise(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs ball distances, shape (m, n); taped. Rows must be inside the ball."""
+    return poincare_from_sqdist(pairwise_sqdist(a, b), a, b)

@@ -175,10 +175,22 @@ def _tape_record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
+def _wrap(values: np.ndarray) -> Tensor:
+    """A Tensor over a 2-D C-ordered float64 array that an operation just made
+    (or a view of an immutable tensor's array), without Tensor()'s copy and
+    scan: nothing else writes the array, and its values come from checked
+    tensors or from _result's scan."""
+    values.flags.writeable = False
+    out = Tensor.__new__(Tensor)
+    out.data = values
+    return out
+
+
 def _result(values: np.ndarray, op: str) -> Tensor:
-    if not np.all(np.isfinite(values)):
+    """Wrap an operation's fresh result after one finiteness scan."""
+    if not np.isfinite(values).all():
         raise NumericError(f"{op} produced non-finite values")
-    return Tensor(values, copy=False)
+    return _wrap(values)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +425,7 @@ def sum_rows(a: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T)
+    out = _wrap(np.ascontiguousarray(a.data.T))
 
     def backward(g):
         return (g.T,)
@@ -424,7 +436,7 @@ def transpose(a: Tensor) -> Tensor:
 def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     if rows * cols != a.size:
         raise DimensionError(f"cannot reshape {a.shape} to ({rows}, {cols})")
-    out = Tensor(a.data.reshape(rows, cols))
+    out = _wrap(a.data.reshape(rows, cols))
 
     def backward(g):
         return (g.reshape(a.shape),)
@@ -435,7 +447,7 @@ def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0]:
         raise DimensionError(f"concat_cols needs equal row counts: {a.shape} vs {b.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=1), copy=False)
+    out = _wrap(np.concatenate([a.data, b.data], axis=1))
     split = a.shape[1]
 
     def backward(g):
@@ -449,7 +461,7 @@ def take_rows(table: Tensor, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise DimensionError(f"row ids out of range for table with {table.shape[0]} rows")
-    out = Tensor(table.data[idx])
+    out = _wrap(table.data[idx])
 
     def backward(g):
         gt = np.zeros_like(table.data)
@@ -467,7 +479,7 @@ def gather_cols(a: Tensor, cols) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
         raise DimensionError(f"column ids out of range for {a.shape}")
     rows = np.arange(a.shape[0])
-    out = Tensor(a.data[rows, idx].reshape(-1, 1))
+    out = _wrap(a.data[rows, idx].reshape(-1, 1))
 
     def backward(g):
         ga = np.zeros_like(a.data)
@@ -507,7 +519,7 @@ def adam_step(state: AdamState, params: Tensor, grads) -> Tensor:
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
     m_hat = state.m / (1.0 - state.beta1 ** state.t)
     v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return Tensor(params.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    return _result(params.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps), "adam_step")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ Distances, one row pair at a time (checks `geometry.poincare_pairwise` and
 - `PoincarePoint`: a point projected into the ball on construction.
 - `poincare_distance`, `euclidean_distance`: row-wise distances, taped.
 
+Scoring, one head at a time (checks `dpcl.head_scores`):
+- `head_score`: one head's scores with its own subject rows and a row-wise
+  distance per (query, candidate) pair, taped.
+
 The diffusion oracles call `gndiff.denoise_x0_batch` through the module, so
 tests can monkeypatch the denoiser.
 
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tkgdiff import gndiff
+from tkgdiff import dpcl, gndiff
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import TokenEntropy
 from tkgdiff.errors import DimensionError
@@ -369,7 +373,7 @@ def euclidean_distance(a, b) -> Tensor:
 def poincare_distance(a, b) -> Tensor:
     """Row-wise ball distance arcosh(1 + 2 |a-b|^2 / ((1-|a|^2)(1-|b|^2))); taped.
 
-    Rows must already lie strictly inside the unit ball.
+    Rows must already lie within 1 - BALL_MARGIN of the origin.
     """
     a, b = _as_rows(a), _as_rows(b)
     if a.shape != b.shape:
@@ -380,3 +384,25 @@ def poincare_distance(a, b) -> Tensor:
     denom = nk.mul(nk.sub(one, _row_sqnorm(a)), nk.sub(one, _row_sqnorm(b)))
     arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(_rowwise_sqdist(a, b), denom)))
     return nk.acosh(arg)
+
+
+# ---------------------------------------------------------------------------
+# Scoring: one head at a time
+# ---------------------------------------------------------------------------
+
+def head_score(params: dpcl.DpclParams, batch: dpcl.QueryBatch, head: str,
+               distance: str, distance_sign: float = 1.0) -> Tensor:
+    """One head's dependency scores, (B, |E|), computed apart from the other
+    head: affine-code match, plus (periodic) or minus (non-periodic) the
+    history row, plus the signed row-wise distance of every (subject,
+    candidate) pair; taped."""
+    history = {"periodic": nk.add, "nonperiodic": nk.sub}[head]
+    entities = params.entity_emb
+    code = dpcl.query_code(params, batch, head)
+    scores = history(nk.matmul(code, nk.transpose(entities)), Tensor(batch.z_rows))
+    n, b = entities.shape[0], len(batch)
+    subjects = nk.take_rows(entities, np.repeat(batch.s_ids, n))
+    candidates = nk.take_rows(entities, np.tile(np.arange(n), b))
+    rowwise = {"poincare": poincare_distance, "euclidean": euclidean_distance}[distance]
+    dist = nk.reshape(rowwise(subjects, candidates), b, n)
+    return nk.add(scores, nk.mul(nk.constant(distance_sign), dist))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkgdiff import corpus
 from tkgdiff import numkit as nk
@@ -120,6 +122,42 @@ def test_index_matches_brute_force_on_random_fixture():
                 for o in range(6):
                     want = 2.0 if o in expect else -2.0
                     assert idx.z_value(s, r, t, o) == want
+
+
+@st.composite
+def scoped_stores(draw):
+    """(store, scope): a few time-sorted quads over small vocabularies, split
+    at arbitrary boundaries, and a non-empty subset of the splits."""
+    n_ent, n_rel, n_ts = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    quads = draw(st.lists(st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1),
+                                     st.integers(0, n_ent - 1), st.integers(0, n_ts - 1)),
+                          max_size=24))
+    arr = np.array(sorted(quads, key=lambda q: q[3]), dtype=np.int64).reshape(-1, 4)
+    train_end = draw(st.integers(0, len(arr)))
+    valid_end = draw(st.integers(train_end, len(arr)))
+    store = corpus.QuadStore(arr, [f"e{i}" for i in range(n_ent)],
+                             [f"r{i}" for i in range(n_rel)],
+                             [str(t) for t in range(n_ts)], train_end, valid_end)
+    scope = tuple(draw(st.lists(st.sampled_from(corpus.SPLITS), min_size=1,
+                                max_size=3, unique=True)))
+    return store, scope
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=scoped_stores(), lam=st.sampled_from([0.5, 2.0]))
+def test_periodic_index_matches_brute_force_scan(case, lam):
+    store, scope = case
+    scoped = np.concatenate([store.split(name) for name in scope])
+    idx = corpus.build_periodic_index(store, lam, scope)
+    for s in range(store.n_entities):
+        for r in range(store.n_relations):
+            for t in range(store.n_timestamps + 1):
+                seen = {int(o) for ss, rr, o, tt in scoped if ss == s and rr == r and tt < t}
+                assert idx.history(s, r, t) == seen
+                want = np.where(np.isin(np.arange(store.n_entities), list(seen)), lam, -lam)
+                np.testing.assert_array_equal(idx.z_row(s, r, t), want)
+                for o in range(store.n_entities):
+                    assert corpus.is_new_event(idx, s, r, o, t) == (o not in seen)
 
 
 def test_z_two_values_and_sign_flip():

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from tkgdiff import dpcl
+import oracles
+from helpers import planted_period_store, quick_config
+from tkgdiff import dpcl, engine
+from tkgdiff import evaluate as ev
+from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
+from tkgdiff.corpus import token_entropies
 from tkgdiff.errors import ConfigError
 from tkgdiff.geometry import project_array_to_ball
 
@@ -16,6 +21,14 @@ def make_batch(rng, n_entities, size, lam=2.0):
     z[np.arange(size), gt] = np.where(rng.random(size) < 0.5, lam, -lam)
     periodic = z[np.arange(size), gt] > 0
     return dpcl.QueryBatch(s, r, t, gt, z, periodic)
+
+
+def periodic(params, batch, distance_sign=1.0):
+    return dpcl.head_scores(params, batch, distance_sign=distance_sign)[0]
+
+
+def nonperiodic(params, batch):
+    return dpcl.head_scores(params, batch)[1]
 
 
 @pytest.fixture
@@ -52,7 +65,7 @@ def scalar_score(params, batch, i, j, head, distance):
 
 def test_periodic_scores_match_scalar_oracle(setup):
     params, batch, _ = setup
-    scores = dpcl.periodic_scores(params, batch).data
+    scores = periodic(params, batch).data
     for i in range(len(batch)):
         for j in range(5):
             want = scalar_score(params, batch, i, j, "periodic", "poincare")
@@ -61,7 +74,7 @@ def test_periodic_scores_match_scalar_oracle(setup):
 
 def test_nonperiodic_scores_match_scalar_oracle(setup):
     params, batch, _ = setup
-    scores = dpcl.nonperiodic_scores(params, batch).data
+    scores = nonperiodic(params, batch).data
     for i in range(len(batch)):
         for j in range(5):
             want = scalar_score(params, batch, i, j, "nonperiodic", "euclidean")
@@ -76,7 +89,7 @@ def test_zeroed_affine_isolates_distance(setup):
     emb[batch.s_ids[0]] = 0.0
     params = params.replace(entity_emb=nk.tensor(emb))
     batch.z_rows[:] = 0.0
-    scores = dpcl.periodic_scores(params, batch).data
+    scores = periodic(params, batch).data
     for j in range(5):
         b = project_array_to_ball(emb[j])
         want = np.arccosh(1.0 + 2.0 * (b @ b) / (1.0 - b @ b))
@@ -89,7 +102,7 @@ def test_score_additivity_in_distance(setup):
     params, batch, _ = setup
     params = params.replace(w_per=nk.zeros(4, 8), b_per=nk.zeros(1, 4))
     batch.z_rows[:] = 0.0
-    scores = dpcl.periodic_scores(params, batch).data
+    scores = periodic(params, batch).data
     e = params.entity_emb.data
     s = project_array_to_ball(e[batch.s_ids[0]])
 
@@ -103,12 +116,12 @@ def test_score_additivity_in_distance(setup):
 def test_z_sign_opposition(setup):
     params, batch, _ = setup
     lam = 2.0
-    sp0 = dpcl.periodic_scores(params, batch).data.copy()
-    snp0 = dpcl.nonperiodic_scores(params, batch).data.copy()
+    sp0 = periodic(params, batch).data.copy()
+    snp0 = nonperiodic(params, batch).data.copy()
     o = int(batch.gt_ids[0])
     batch.z_rows[0, o] += 2 * lam
-    sp1 = dpcl.periodic_scores(params, batch).data
-    snp1 = dpcl.nonperiodic_scores(params, batch).data
+    sp1 = periodic(params, batch).data
+    snp1 = nonperiodic(params, batch).data
     assert sp1[0, o] - sp0[0, o] == pytest.approx(2 * lam, abs=1e-12)
     assert snp1[0, o] - snp0[0, o] == pytest.approx(-2 * lam, abs=1e-12)
 
@@ -117,20 +130,20 @@ def test_nonperiodic_self_distance_zero(setup):
     params, batch, _ = setup
     params = params.replace(w_nonper=nk.zeros(4, 8), b_nonper=nk.zeros(1, 4))
     batch.z_rows[:] = 0.0
-    scores = dpcl.nonperiodic_scores(params, batch).data
+    scores = nonperiodic(params, batch).data
     s0 = int(batch.s_ids[0])
     assert scores[0, s0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distance_sign_flag(setup):
     params, batch, _ = setup
-    plus = dpcl.periodic_scores(params, batch, distance_sign=1.0).data
-    minus = dpcl.periodic_scores(params, batch, distance_sign=-1.0).data
+    plus = periodic(params, batch, distance_sign=1.0).data
+    minus = periodic(params, batch, distance_sign=-1.0).data
     affine_only = (plus + minus) / 2.0
     dist = (plus - minus) / 2.0
     assert np.all(dist >= -1e-12)
     # affine+z part identical under both signs
-    zeroed = dpcl.periodic_scores(params, batch, distance_sign=0.0).data
+    zeroed = periodic(params, batch, distance_sign=0.0).data
     np.testing.assert_allclose(affine_only, zeroed, atol=1e-12)
 
 
@@ -138,12 +151,12 @@ def test_permutation_equivariance(setup):
     params, batch, _ = setup
     perm = np.array([2, 0, 4, 1, 3])          # new id of each old entity
     inv = np.argsort(perm)
-    scores = dpcl.periodic_scores(params, batch).data
+    scores = periodic(params, batch).data
     pparams = params.replace(entity_emb=nk.tensor(params.entity_emb.data[inv]))
     pbatch = dpcl.QueryBatch(perm[batch.s_ids], batch.r_ids, batch.t_ids,
                              perm[batch.gt_ids], batch.z_rows[:, inv],
                              batch.periodic)
-    pscores = dpcl.periodic_scores(pparams, pbatch).data
+    pscores = periodic(pparams, pbatch).data
     np.testing.assert_allclose(pscores[:, perm], scores, atol=1e-12)
 
 
@@ -320,11 +333,154 @@ def test_full_dpcl_gradient_suite(setup):
 
     def f(ps):
         p = dpcl.DpclParams(**dict(zip(names, ps)))
-        sp = dpcl.periodic_scores(p, batch)
-        snp = dpcl.nonperiodic_scores(p, batch)
+        sp, snp = dpcl.head_scores(p, batch)
         ce = dpcl.ce_loss(sp, snp, batch.gt_ids)
         sup = dpcl.supcon_loss(p, batch, tau=0.1)
         return nk.add(ce, sup)
 
     report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
+
+
+@pytest.mark.parametrize("strategy", sorted(ev.STRATEGY_DISTANCES))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_head_scores_match_per_head_oracle(setup, strategy, sign):
+    # one shared squared-distance block gives each head what it would get
+    # from its own subject rows and its own distances, values and gradients
+    params, _, rng = setup
+    batch = make_batch(rng, 5, 4)
+    per, nonper = ev.STRATEGY_DISTANCES[strategy]
+    names = list(params.named())
+    sources = list(params.named().values())
+    weights = nk.tensor(rng.normal(size=(4, 5))), nk.tensor(rng.normal(size=(4, 5)))
+
+    def objective(sp, snp):
+        return nk.add(nk.sum_all(nk.mul(sp, weights[0])), nk.sum_all(nk.mul(snp, weights[1])))
+
+    with nk.GradTape() as tape:
+        sp, snp = dpcl.head_scores(params, batch, per, nonper, sign)
+        shared = objective(sp, snp)
+    got = tape.gradient(shared, sources)
+    with nk.GradTape() as tape:
+        osp = oracles.head_score(params, batch, "periodic", per, sign)
+        osnp = oracles.head_score(params, batch, "nonperiodic", nonper, sign)
+        apart = objective(osp, osnp)
+    want = tape.gradient(apart, sources)
+    np.testing.assert_allclose(sp.data, osp.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(snp.data, osnp.data, rtol=0, atol=1e-12)
+    for name, g, w in zip(names, got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("strategy", sorted(ev.STRATEGY_DISTANCES))
+def test_head_scores_gradient(setup, strategy):
+    params, _, rng = setup
+    batch = make_batch(rng, 5, 3)
+    names = list(params.named())
+    kinds = ev.STRATEGY_DISTANCES[strategy]
+
+    def f(ps):
+        p = dpcl.DpclParams(**dict(zip(names, ps)))
+        sp, snp = dpcl.head_scores(p, batch, *kinds)
+        return dpcl.ce_loss(sp, snp, batch.gt_ids)
+
+    report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
+    assert report.ok, report
+
+
+@pytest.mark.parametrize("strategy", sorted(ev.STRATEGY_DISTANCES))
+def test_each_distance_kind_is_derived_once(monkeypatch, setup, strategy):
+    params, batch, _ = setup
+    derived = []
+    for name in ("poincare_from_sqdist", "euclidean_from_sqdist"):
+        real = getattr(geo, name)
+
+        def counted(*args, _real=real, _name=name):
+            derived.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(geo, name, counted)
+    kinds = ev.STRATEGY_DISTANCES[strategy]
+    dpcl.head_scores(params, batch, *kinds)
+    assert sorted(derived) == sorted(f"{kind}_from_sqdist" for kind in set(kinds))
+
+
+def test_head_scores_reject_rows_past_the_ball_margin(setup):
+    # a row between 1 - BALL_MARGIN and the unit sphere is an error for a
+    # Poincare head, not something scoring re-projects
+    params, batch, _ = setup
+    emb = params.entity_emb.numpy()
+    emb[3] = 0.0
+    emb[3, 0] = 1.0 - geo.BALL_MARGIN / 2
+    params = params.replace(entity_emb=nk.tensor(emb))
+    for kinds in (("poincare", "euclidean"), ("euclidean", "poincare")):
+        with pytest.raises(ValueError, match="unit ball"):
+            dpcl.head_scores(params, batch, *kinds)
+    sp, snp = dpcl.head_scores(params, batch, "euclidean", "euclidean")
+    assert np.isfinite(sp.data).all() and np.isfinite(snp.data).all()
+
+
+def test_head_scores_reject_unknown_distance(setup):
+    params, batch, _ = setup
+    with pytest.raises(ConfigError):
+        dpcl.head_scores(params, batch, "poincare", "manhattan")
+
+
+def _count_sqdist_calls(monkeypatch) -> list:
+    calls = []
+    real = geo.pairwise_sqdist
+
+    def counted(a, b):
+        calls.append(a.shape[0])
+        return real(a, b)
+
+    monkeypatch.setattr(geo, "pairwise_sqdist", counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["hyp/euc", "hyp/hyp"])
+def test_one_difference_block_per_training_batch(monkeypatch, strategy):
+    store = planted_period_store()
+    cfg = quick_config(mapping_strategy=strategy, no_gndiff=True, batch=64,
+                       epochs_stage1=1, epochs_stage2=1)
+    calls = _count_sqdist_calls(monkeypatch)
+    engine.train(cfg, store)
+    n_train, n_valid = len(store.split("train")), len(store.split("valid"))
+    full, last = divmod(n_train, cfg.batch)
+    # per epoch: one block per training batch, then one per validation chunk
+    assert 0 < n_valid <= 256
+    epoch = [cfg.batch] * full + [last] * bool(last) + [n_valid]
+    assert calls == epoch * cfg.total_epochs
+
+
+def test_one_difference_block_per_eval_chunk(monkeypatch):
+    store = planted_period_store(n_entities=40, n_timestamps=100)
+    n_test = len(store.split("test"))
+    assert n_test > 256
+    params = dpcl.init_params(store.n_entities, store.n_relations, 8, nk.rng_for(46))
+    model = ev.Model(dpcl=params, denoiser=None, entropies=token_entropies(store),
+                     no_gndiff=True)
+    calls = _count_sqdist_calls(monkeypatch)
+    ev.evaluate_split(model, store, "test", strata=("all",))
+    assert calls == [256] * (n_test // 256) + [n_test % 256] * bool(n_test % 256)
+
+
+@pytest.mark.parametrize("strategy", ["hyp/euc", "hyp/hyp"])
+def test_training_keeps_entity_rows_inside_the_ball_margin(monkeypatch, tmp_path, strategy):
+    # a large step pushes rows past the boundary; the engine's projection
+    # after every step must keep each row within 1 - BALL_MARGIN
+    store = planted_period_store()
+    cfg = quick_config(mapping_strategy=strategy, no_gndiff=True, lr=0.5,
+                       epochs_stage1=2, epochs_stage2=1)
+    norms = []
+    real = engine.save_checkpoint
+
+    def record(ckpt, path):
+        norms.append(np.linalg.norm(ckpt.dpcl.entity_emb.data, axis=1).max())
+        return real(ckpt, path)
+
+    monkeypatch.setattr(engine, "save_checkpoint", record)
+    engine.train(cfg, store, out_dir=tmp_path)
+    assert len(norms) >= cfg.total_epochs
+    assert max(norms) <= 1.0 - geo.BALL_MARGIN
+    assert max(norms) > 0.99   # the step did reach the boundary

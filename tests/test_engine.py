@@ -375,8 +375,7 @@ def test_joint_gradient_through_everything():
     def f(ps):
         dp = dpcl_mod.DpclParams(**dict(zip(d_names, ps[:len(d_names)])))
         np_ = nparams.replace(**dict(zip(n_names, ps[len(d_names):])))
-        sp = dpcl_mod.periodic_scores(dp, batch)
-        snp = dpcl_mod.nonperiodic_scores(dp, batch)
+        sp, snp = dpcl_mod.head_scores(dp, batch)
         ce = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
         sup = dpcl_mod.supcon_loss(dp, batch, cfg.tau)
         diff = gndiff.batch_loss(np_, entropies, toks, cfg.steps, cfg.mu,

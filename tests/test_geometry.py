@@ -4,6 +4,7 @@ import pytest
 import oracles
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
+from tkgdiff.errors import DimensionError
 
 
 def random_ball_points(rng, n, d, max_norm=0.9):
@@ -13,34 +14,22 @@ def random_ball_points(rng, n, d, max_norm=0.9):
 
 
 def test_project_inside_unchanged():
-    p = geo.project_to_ball(nk.tensor([[0.3, 0.4]]))
-    np.testing.assert_array_equal(p.data, [[0.3, 0.4]])
+    p = geo.project_array_to_ball(np.array([[0.3, 0.4]]))
+    np.testing.assert_array_equal(p, [[0.3, 0.4]])
 
 
 def test_project_forces_to_margin():
-    p = geo.project_to_ball(nk.tensor([[3.0, 4.0]]))
-    assert np.linalg.norm(p.data) == pytest.approx(1.0 - geo.BALL_MARGIN, abs=1e-11)
-    np.testing.assert_allclose(p.data / np.linalg.norm(p.data), [[0.6, 0.8]], atol=1e-12)
+    p = geo.project_array_to_ball(np.array([[3.0, 4.0]]))
+    assert np.linalg.norm(p) == pytest.approx(1.0 - geo.BALL_MARGIN, abs=1e-11)
+    np.testing.assert_allclose(p / np.linalg.norm(p), [[0.6, 0.8]], atol=1e-12)
 
 
 def test_project_idempotent():
     rng = nk.rng_for(21)
-    x = nk.tensor(rng.normal(size=(10, 4)) * 3.0)
-    once = geo.project_to_ball(x)
-    twice = geo.project_to_ball(once)
-    np.testing.assert_array_equal(once.data, twice.data)
-
-
-def test_project_gradient():
-    rng = nk.rng_for(22)
-    # mix of interior and exterior rows
-    x = nk.tensor(np.vstack([rng.normal(size=(2, 3)) * 0.2,
-                             rng.normal(size=(2, 3)) * 3.0]))
-    w = nk.tensor(rng.normal(size=(4, 3)))
-    report = nk.grad_check(
-        lambda ps: nk.sum_all(nk.mul(geo.project_to_ball(ps[0]), w)), [x],
-        tolerance=1e-5)
-    assert report.ok, report
+    x = rng.normal(size=(10, 4)) * 3.0
+    once = geo.project_array_to_ball(x)
+    twice = geo.project_array_to_ball(once)
+    np.testing.assert_array_equal(once, twice)
 
 
 def test_poincare_distance_zero_on_self():
@@ -161,6 +150,14 @@ def test_outside_ball_rejected():
         geo.poincare_pairwise(outside, inside)
     with pytest.raises(ValueError, match="unit ball"):
         geo.poincare_pairwise(inside, outside)
+    # inside the unit sphere but past the margin that training keeps rows within
+    past = nk.tensor([[0.0, 1.0 - geo.BALL_MARGIN / 2]])
+    at = nk.tensor([[0.0, 1.0 - geo.BALL_MARGIN]])
+    assert np.isfinite(geo.poincare_pairwise(at, inside).data).all()
+    with pytest.raises(ValueError, match="unit ball"):
+        geo.poincare_pairwise(past, inside)
+    with pytest.raises(ValueError, match="unit ball"):
+        geo.poincare_pairwise(inside, past)
 
 
 def test_poincare_point_projects_on_construction():
@@ -169,3 +166,39 @@ def test_poincare_point_projects_on_construction():
     q = oracles.PoincarePoint([0.1, 0.2])
     np.testing.assert_allclose(q.coords, [0.1, 0.2])
     assert oracles.poincare_distance(p, p).item() == 0.0
+
+
+def _one_block(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@pytest.mark.parametrize("m, n, d", [(3, 10, 4), (5, 9, 7), (1, 6, 1)])
+@pytest.mark.parametrize("cols", [1, 4, 9, 15])
+def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, n, d, cols):
+    # a budget of `cols` (m, d) slabs, plus bytes short of one more, gives
+    # chunks of `cols` columns (chunk = 1, chunk < n, chunk >= n), and every
+    # chunking equals one unchunked block bit for bit
+    widths = []
+    real = np.subtract
+
+    def spy(x, y, out):
+        widths.append(out.shape[1])
+        return real(x, y, out=out)
+
+    monkeypatch.setattr(geo.np, "subtract", spy)
+    monkeypatch.setattr(geo, "BLOCK_BYTES", 8 * m * d * cols + 7)
+    rng = nk.rng_for(30, m, d)
+    a, b = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+    got = geo.pairwise_sqdist(nk.tensor(a), nk.tensor(b)).data
+    full, last = divmod(n, cols)
+    assert widths == [cols] * full + [last] * bool(last)
+    np.testing.assert_array_equal(got, _one_block(a, b))
+
+
+def test_pairwise_sqdist_rejects_mismatched_dims():
+    with pytest.raises(DimensionError):
+        geo.pairwise_sqdist(nk.tensor(np.zeros((2, 3))), nk.tensor(np.zeros((2, 4))))
+    sq = geo.pairwise_sqdist(nk.tensor(np.zeros((2, 3))), nk.tensor(np.zeros((4, 3))))
+    with pytest.raises(DimensionError):
+        geo.poincare_from_sqdist(sq, nk.tensor(np.zeros((4, 3))), nk.tensor(np.zeros((2, 3))))

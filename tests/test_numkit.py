@@ -96,6 +96,19 @@ def test_log_of_nonpositive_raises():
         nk.log(nk.tensor([-1.0]))
 
 
+def test_overflowing_results_raise_with_the_op_name():
+    # op results are scanned once, in _result, not again when wrapped
+    big = nk.tensor([[1e200]])
+    with np.errstate(over="ignore"):
+        for op, call in (("exp", lambda: nk.exp(nk.tensor([[1000.0]]))),
+                         ("mul", lambda: nk.mul(big, big)),
+                         ("matmul", lambda: nk.matmul(big, big)),
+                         ("adam_step", lambda: nk.adam_step(nk.AdamState((1, 1), lr=1e308),
+                                                            nk.tensor([[-1e308]]), [[1.0]]))):
+            with pytest.raises(NumericError, match=op):
+                call()
+
+
 def test_elementwise_rejects_unknown_kind():
     with pytest.raises(DimensionError):
         nk.elementwise("pow", nk.tensor([1.0]))
