@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import time
@@ -277,9 +278,13 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
     Every way the file can fail to decode raises CheckpointError: a bad
-    magic, an unknown version (CheckpointVersionError), truncation, a header
-    that is not the expected JSON, a missing or unexpected tensor record, or
-    a non-finite payload.
+    magic, an unknown version (CheckpointVersionError), truncation (also
+    dims that claim more bytes than the file has left), a header that is not
+    the expected JSON, a record that is not 2-D, a missing or unexpected
+    tensor record, or a non-finite payload.
+
+    Parameter tensors are read-only views of the arrays read from the file;
+    the Adam moments are those arrays, writeable.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -296,10 +301,29 @@ def load_checkpoint(path) -> Checkpoint:
                 f"corrupt checkpoint {path}: {type(e).__name__}: {e}") from e
 
 
+def _read_array(fh, size: int, name: str) -> np.ndarray:
+    """One record's float64 payload, read straight into a fresh array. The
+    dims are checked against the bytes left in the file before anything is
+    allocated."""
+    (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
+    if rank != 2:
+        raise ValueError(f"tensor '{name}' has rank {rank}, expected 2")
+    dims = struct.unpack("<2I", _read_exact(fh, 8, "dims"))
+    if 8 * math.prod(dims) > size - fh.tell():
+        raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
+    arr = np.empty(dims, dtype="<f8")
+    if fh.readinto(arr) != arr.nbytes:
+        raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
+    if not np.isfinite(arr).all():
+        raise NumericError(f"tensor '{name}' contains non-finite values")
+    return arr
+
+
 def _read_body(fh) -> Checkpoint:
+    size = os.fstat(fh.fileno()).st_size
     (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
     header = json.loads(_read_exact(fh, hlen, "header"))
-    tensors: dict[str, Tensor] = {}
+    arrays: dict[str, np.ndarray] = {}
     while True:
         raw = fh.read(4)
         if not raw:
@@ -308,28 +332,22 @@ def _read_body(fh) -> Checkpoint:
             raise CheckpointError("truncated checkpoint while reading record")
         (nlen,) = struct.unpack("<I", raw)
         name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
-        (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-        dims = [struct.unpack("<I", _read_exact(fh, 4, "dims"))[0]
-                for _ in range(rank)]
-        count = int(np.prod(dims)) if dims else 1
-        payload = _read_exact(fh, 8 * count, f"tensor '{name}'")
-        arr = np.frombuffer(payload, dtype="<f8").reshape(dims)
-        tensors[name] = Tensor(arr)
+        arrays[name] = _read_array(fh, size, name)
 
     config = TrainConfig.from_dict(header["config"])
-    dpcl_fields = {k.split(".", 1)[1]: v for k, v in tensors.items()
+    dpcl_fields = {k.split(".", 1)[1]: nk._wrap(v) for k, v in arrays.items()
                    if k.startswith("dpcl.")}
-    den_fields = {k.split(".", 1)[1]: v for k, v in tensors.items()
+    den_fields = {k.split(".", 1)[1]: nk._wrap(v) for k, v in arrays.items()
                   if k.startswith("denoiser.")}
     meta = header["denoiser_meta"]
     denoiser = DenoiserParams(**den_fields, n_entities=meta["n_entities"],
                               n_relations=meta["n_relations"], width=meta["width"])
     adam = {}
     for name, info in header["adam"].items():
-        state = AdamState(tensors[f"adam.m.{name}"].shape, lr=info["lr"],
+        state = AdamState(arrays[f"adam.m.{name}"].shape, lr=info["lr"],
                           beta1=info["beta1"], beta2=info["beta2"], eps=info["eps"])
-        state.m = tensors[f"adam.m.{name}"].numpy()
-        state.v = tensors[f"adam.v.{name}"].numpy()
+        state.m = arrays[f"adam.m.{name}"]
+        state.v = arrays[f"adam.v.{name}"]
         state.t = info["t"]
         adam[name] = state
     return Checkpoint(config=config, dpcl=DpclParams(**dpcl_fields),
@@ -375,7 +393,14 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
           out_dir=None, resume_from=None, log=None) -> Checkpoint:
     """Run the two-stage loop and return the checkpoint with the best
     validation MRR (final state if validation is empty). Its `metrics` hold
-    one line per epoch, including the epochs before a resume."""
+    one line per epoch, including the epochs before a resume.
+
+    A resumed run starts its best from the `best.ckpt` beside `resume_from`
+    when that file's `best_val_mrr` equals the resumed checkpoint's, so it
+    returns the same state as the uninterrupted run. When there is no such
+    file, or its MRR differs, the best before the resume is unknown: the run
+    returns the best epoch after the resume that beats the resumed
+    checkpoint's `best_val_mrr`, or else the final state."""
     config.validate()
     train_quads = store.split("train")
     if len(train_quads) == 0:
@@ -389,12 +414,18 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
     valid_index = build_periodic_index(store, config.lam, ("train", "valid")) \
         if len(valid_quads) else None
 
+    best = None
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         dparams, nparams, adam = ckpt.dpcl, ckpt.denoiser, ckpt.adam
         start_epoch = ckpt.epoch
         best_mrr = ckpt.best_val_mrr
         metrics = ckpt.metrics
+        best_path = Path(resume_from).with_name("best.ckpt")
+        if valid_index is not None and best_path.exists():
+            saved = load_checkpoint(best_path)
+            if saved.best_val_mrr == best_mrr:
+                best = dataclasses.replace(saved, config=config)
     else:
         init_rng = nk.rng_for(config.seed, _NS_INIT)
         dparams = dpcl_mod.init_params(store.n_entities, store.n_relations,
@@ -410,7 +441,6 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-    best = None
 
     def snapshot(epoch_next: int) -> Checkpoint:
         return Checkpoint(config=config, dpcl=dparams, denoiser=nparams,

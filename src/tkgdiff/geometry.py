@@ -9,10 +9,11 @@ so `pairwise_sqdist` computes it once and `euclidean_from_sqdist` /
 `poincare_from_sqdist` derive either distance from it. It forms the
 differences explicitly: the expansion |a|^2 + |b|^2 - 2 a.b loses about eight
 digits to cancellation between close points, which the ball distance divides
-by (1 - |a|^2)(1 - |b|^2) and magnifies near the boundary. The (m, chunk, d)
-difference block is sized to BLOCK_BYTES, half of a 2 MiB per-core L2 cache,
-so it stays in cache between the subtraction that writes it and the sum that
-reads it.
+by (1 - |a|^2)(1 - |b|^2) and magnifies near the boundary. The differences
+are formed once per distinct row of `a`: scoring passes one subject row per
+query, and a few subjects make most queries. The (rows, chunk, d) difference
+block is sized to BLOCK_BYTES, half of a 2 MiB per-core L2 cache, so it stays
+in cache between the subtraction that writes it and the sum that reads it.
 """
 
 from __future__ import annotations
@@ -61,17 +62,9 @@ def _row_sqnorm(x: Tensor) -> Tensor:
     return nk.sum_cols(nk.mul(x, x))
 
 
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs |a_i - b_j|^2, shape (m, n); taped.
-
-    Forms the differences explicitly, in column chunks whose (m, chunk, d)
-    block fits BLOCK_BYTES (see the module docstring for why). Each entry
-    sums over d alone, so the result does not depend on the chunk size. The
-    closed-form backward never materializes the (m, n, d) block.
-    """
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
+def _sqdist_rows(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 for every row of `ad` against every row of `bd`, shape
+    (m, n), in column chunks whose (m, chunk, d) block fits BLOCK_BYTES."""
     (m, d), n = ad.shape, bd.shape[0]
     chunk = max(1, BLOCK_BYTES // (8 * max(m * d, 1)))
     out = np.empty((m, n))
@@ -81,7 +74,25 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
         diff = block[:, :len(cols)]
         np.subtract(ad[:, None, :], cols[None, :, :], out=diff)
         np.einsum("ijk,ijk->ij", diff, diff, out=out[:, j0:j0 + len(cols)])
-    result = nk._result(out, "pairwise_sqdist")
+    return out
+
+
+def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs |a_i - b_j|^2, shape (m, n); taped.
+
+    Forms the differences explicitly (the module docstring says why), once
+    per distinct row of `a`; repeated rows share that row of distances.
+    Equal rows give equal differences up to the sign of zero, which squaring
+    removes, and each entry sums over d alone, so the result depends neither
+    on the sharing nor on the chunk size. The closed-form backward never
+    materializes the (m, n, d) block and uses every row of `a`.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    rows, inverse = np.unique(ad, axis=0, return_inverse=True)
+    # numpy 2.0.x returns the inverse with a trailing axis
+    result = nk._result(_sqdist_rows(rows, bd)[inverse.reshape(-1)], "pairwise_sqdist")
 
     def backward(g):
         row = g.sum(axis=1, keepdims=True)

@@ -176,10 +176,10 @@ def _tape_record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def _wrap(values: np.ndarray) -> Tensor:
-    """A Tensor over a 2-D C-ordered float64 array that an operation just made
-    (or a view of an immutable tensor's array), without Tensor()'s copy and
-    scan: nothing else writes the array, and its values come from checked
-    tensors or from _result's scan."""
+    """A Tensor over a 2-D C-ordered float64 array that an operation or a
+    checkpoint load just made (or a view of an immutable tensor's array),
+    without Tensor()'s copy and scan: nothing else writes the array, and its
+    values come from checked tensors or from the maker's own scan."""
     values.flags.writeable = False
     out = Tensor.__new__(Tensor)
     out.data = values
@@ -508,18 +508,34 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: Tensor, grads) -> Tensor:
-    """One bias-corrected Adam update; returns the updated parameter tensor."""
+    """One bias-corrected Adam update; returns the updated parameter tensor.
+
+    Updates `state.m` and `state.v` in place and builds the step in one
+    scratch array, with the operations and their order of the textbook
+    form, `p - lr * m_hat / (sqrt(v_hat) + eps)`, so the bits are the same.
+    """
     g = grads.data if isinstance(grads, Tensor) else np.asarray(grads, dtype=np.float64)
     if g.shape != params.data.shape:
         raise DimensionError(f"gradient shape {g.shape} != parameter shape {params.shape}")
     if state.m.shape != params.data.shape:
         raise DimensionError(f"optimizer state shape {state.m.shape} != parameter shape {params.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return _result(params.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps), "adam_step")
+    m, v = state.m, state.v
+    step = np.multiply(g, 1.0 - state.beta1)
+    m *= state.beta1
+    m += step
+    np.multiply(g, g, out=step)
+    step *= 1.0 - state.beta2
+    v *= state.beta2
+    v += step
+    out = np.divide(v, 1.0 - state.beta2 ** state.t)     # v_hat
+    np.sqrt(out, out=out)
+    out += state.eps
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=step)  # m_hat
+    step *= state.lr
+    step /= out
+    np.subtract(params.data, step, out=out)
+    return _result(out, "adam_step")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ Distances, one row pair at a time (checks `geometry.poincare_pairwise` and
 `geometry.euclidean_pairwise`):
 - `PoincarePoint`: a point projected into the ball on construction.
 - `poincare_distance`, `euclidean_distance`: row-wise distances, taped.
+- `pairwise_sqdist`: the all-pairs squared distances with one difference row
+  per row of `a`, repeated rows included; `geometry.pairwise_sqdist` must
+  reproduce it bit for bit while forming one row per distinct row.
+
+Optimizer (checks `numkit.adam_step`):
+- `adam_step`: the textbook Adam update, which rebinds fresh moment arrays;
+  `numkit.adam_step` must reproduce it bit for bit while updating in place.
 
 Scoring, one head at a time (checks `dpcl.head_scores`):
 - `head_score`: one head's scores with its own subject rows and a row-wise
@@ -46,7 +53,8 @@ from tkgdiff import dpcl, gndiff
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import TokenEntropy
 from tkgdiff.errors import DimensionError
-from tkgdiff.geometry import _check_inside, _row_sqnorm, project_array_to_ball
+from tkgdiff.geometry import (BLOCK_BYTES, _check_inside, _row_sqnorm,
+                              project_array_to_ball)
 from tkgdiff.gndiff import N_POSITIONS, DenoiserParams
 from tkgdiff.numkit import Tensor
 
@@ -384,6 +392,57 @@ def poincare_distance(a, b) -> Tensor:
     denom = nk.mul(nk.sub(one, _row_sqnorm(a)), nk.sub(one, _row_sqnorm(b)))
     arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(_rowwise_sqdist(a, b), denom)))
     return nk.acosh(arg)
+
+
+def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs |a_i - b_j|^2, shape (m, n); taped.
+
+    Forms the differences explicitly, in column chunks whose (m, chunk, d)
+    block fits BLOCK_BYTES (the `geometry` module docstring says why). Each
+    entry sums over d alone, so the result does not depend on the chunk size.
+    The closed-form backward never materializes the (m, n, d) block.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    (m, d), n = ad.shape, bd.shape[0]
+    chunk = max(1, BLOCK_BYTES // (8 * max(m * d, 1)))
+    out = np.empty((m, n))
+    block = np.empty((m, min(chunk, n), d))
+    for j0 in range(0, n, chunk):
+        cols = bd[j0:j0 + chunk]
+        diff = block[:, :len(cols)]
+        np.subtract(ad[:, None, :], cols[None, :, :], out=diff)
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[:, j0:j0 + len(cols)])
+    result = nk._result(out, "pairwise_sqdist")
+
+    def backward(g):
+        row = g.sum(axis=1, keepdims=True)
+        col = g.sum(axis=0)[:, None]
+        ga = 2.0 * (row * ad - g @ bd)
+        gb = 2.0 * (col * bd - g.T @ ad)
+        return ga, gb
+
+    return nk._tape_record(result, (a, b), backward)
+
+
+# ---------------------------------------------------------------------------
+# Optimizer
+# ---------------------------------------------------------------------------
+
+def adam_step(state: nk.AdamState, params: Tensor, grads) -> Tensor:
+    """One bias-corrected Adam update; returns the updated parameter tensor."""
+    g = grads.data if isinstance(grads, Tensor) else np.asarray(grads, dtype=np.float64)
+    if g.shape != params.data.shape:
+        raise DimensionError(f"gradient shape {g.shape} != parameter shape {params.shape}")
+    if state.m.shape != params.data.shape:
+        raise DimensionError(f"optimizer state shape {state.m.shape} != parameter shape {params.shape}")
+    state.t += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+    m_hat = state.m / (1.0 - state.beta1 ** state.t)
+    v_hat = state.v / (1.0 - state.beta2 ** state.t)
+    return nk._result(params.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps), "adam_step")
 
 
 # ---------------------------------------------------------------------------

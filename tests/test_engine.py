@@ -226,6 +226,42 @@ def test_resume_matches_uninterrupted(tmp_path):
                                    atol=1e-12)
 
 
+def test_resumed_run_returns_the_best_before_the_resume(tmp_path):
+    # the uninterrupted run's best is its first epoch, and no epoch after
+    # the resume beats it
+    store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
+    full_cfg = quick_config(epochs_stage1=2, epochs_stage2=3, batch=16, seed=2)
+    full = engine.train(full_cfg, store)
+    assert full.epoch == 1
+
+    engine.train(quick_config(epochs_stage1=2, epochs_stage2=0, batch=16, seed=2), store,
+                 out_dir=tmp_path / "run")
+    resumed = engine.train(full_cfg, store, resume_from=tmp_path / "run" / "last.ckpt")
+
+    assert resumed.epoch == full.epoch and resumed.config == full_cfg
+    assert resumed.best_val_mrr == full.best_val_mrr
+    assert strip_wall(resumed.metrics) == strip_wall(full.metrics)
+    for name, t in full.named_tensors().items():
+        np.testing.assert_allclose(t.data, resumed.named_tensors()[name].data,
+                                   atol=1e-12)
+
+
+def test_best_snapshot_keeps_its_state_through_later_steps(tmp_path):
+    # Adam updates its moments in place after the best epoch's snapshot
+    store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
+    cfg = quick_config(epochs_stage1=2, epochs_stage2=3, batch=16, seed=2)
+    best = engine.train(cfg, store, out_dir=tmp_path)
+    assert best.epoch < cfg.total_epochs
+    saved = engine.load_checkpoint(tmp_path / "best.ckpt")
+    last = engine.load_checkpoint(tmp_path / "last.ckpt")
+    for name, t in best.named_tensors().items():
+        np.testing.assert_array_equal(t.data, saved.named_tensors()[name].data)
+    for name, state in best.adam.items():
+        np.testing.assert_array_equal(state.m, saved.adam[name].m)
+        np.testing.assert_array_equal(state.v, saved.adam[name].v)
+        assert state.t == saved.adam[name].t < last.adam[name].t
+
+
 def split_checkpoint(blob):
     """The header bytes and the tensor records of a checkpoint file, parsed
     independently of the loader: {name: (record bytes, array)} in file order."""
@@ -293,6 +329,33 @@ def test_every_checkpoint_load_failure_is_a_checkpoint_error(tmp_path, small_ckp
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(join_checkpoint(blob, header, records))
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        engine.load_checkpoint(bad)
+
+
+def test_loaded_parameters_are_read_only_and_adam_moments_writeable(tmp_path, small_ckpt):
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    loaded = engine.load_checkpoint(path)
+    for t in loaded.named_tensors().values():
+        assert not t.data.flags.writeable
+    moments = [a for s in loaded.adam.values() for a in (s.m, s.v)]
+    assert all(a.flags.writeable and a.flags.c_contiguous for a in moments)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(moments)
+                   for b in moments[i + 1:])
+
+
+def test_record_dims_past_the_end_of_the_file_are_truncation(tmp_path, small_ckpt):
+    good = tmp_path / "good.ckpt"
+    engine.save_checkpoint(small_ckpt, good)
+    blob = good.read_bytes()
+    header, records = split_checkpoint(blob)
+    rec, arr = records["dpcl.entity_emb"]
+    dims_at = len(rec) - arr.nbytes - 8
+    records["dpcl.entity_emb"] = (rec[:dims_at] + struct.pack("<2I", 2 ** 30, 2 ** 30)
+                                  + rec[dims_at + 8:], arr)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match="truncated"):
         engine.load_checkpoint(bad)
 
 

@@ -202,3 +202,57 @@ def test_pairwise_sqdist_rejects_mismatched_dims():
     sq = geo.pairwise_sqdist(nk.tensor(np.zeros((2, 3))), nk.tensor(np.zeros((4, 3))))
     with pytest.raises(DimensionError):
         geo.poincare_from_sqdist(sq, nk.tensor(np.zeros((4, 3))), nk.tensor(np.zeros((2, 3))))
+
+
+def _rows_with(rng, m, distinct, d):
+    """m rows of width d drawn from `distinct` rows, each used at least once."""
+    pool = rng.normal(size=(distinct, d)) * 0.1
+    ids = np.concatenate([np.arange(distinct), rng.integers(0, distinct, m - distinct)])
+    return pool[rng.permutation(ids)]
+
+
+@pytest.mark.parametrize("m, distinct, d", [
+    (1, 1, 4), (3, 1, 4), (8, 5, 7), (64, 28, 16), (64, 64, 16), (100, 100, 3),
+    (192, 43, 9), (256, 1, 5), (256, 256, 2),
+])
+def test_pairwise_sqdist_matches_the_one_row_per_query_oracle(m, distinct, d):
+    rng = nk.rng_for(31, m, distinct, d)
+    a = nk.tensor(_rows_with(rng, m, distinct, d))
+    b = nk.tensor(rng.normal(size=(37, d)) * 0.1)
+    weights = nk.tensor(rng.normal(size=(m, 37)))
+    values, grads = [], []
+    for pairwise in (geo.pairwise_sqdist, oracles.pairwise_sqdist):
+        with nk.GradTape() as tape:
+            out = pairwise(a, b)
+            loss = nk.sum_all(nk.mul(out, weights))
+        values.append(out.data)
+        grads.append(tape.gradient(loss, [a, b]))
+    np.testing.assert_array_equal(values[0], values[1])
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_pairwise_sqdist_signed_zero_rows_match_the_oracle():
+    # 0.0 and -0.0 rows count as one distinct row; their differences differ
+    # only in the sign of zero, which squaring removes
+    a = nk.tensor([[0.0, 0.5, -0.0], [-0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [-0.0, -0.0, -0.0]])
+    b = nk.tensor([[0.0, 0.5, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
+    got = geo.pairwise_sqdist(a, b).data
+    np.testing.assert_array_equal(got, oracles.pairwise_sqdist(a, b).data)
+    assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("m, distinct", [(192, 43), (64, 28), (5, 5), (6, 1)])
+def test_difference_block_has_one_row_per_distinct_row(monkeypatch, m, distinct):
+    rows = []
+    real = geo._sqdist_rows
+
+    def count(ad, bd):
+        rows.append(ad.shape[0])
+        return real(ad, bd)
+
+    monkeypatch.setattr(geo, "_sqdist_rows", count)
+    rng = nk.rng_for(32, m)
+    a = nk.tensor(_rows_with(rng, m, distinct, 6))
+    geo.pairwise_sqdist(a, nk.tensor(rng.normal(size=(50, 6))))
+    assert rows == [distinct]

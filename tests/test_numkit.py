@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from tkgdiff import numkit as nk
 from tkgdiff.errors import DimensionError, NumericError
 
@@ -229,6 +230,22 @@ def test_adam_deterministic_runs():
 
     a, b = run(), run()
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 3), (37, 11), (200, 2)])
+def test_adam_in_place_matches_the_textbook_form(shape):
+    rng = nk.rng_for(56, *shape)
+    p = q = nk.tensor(rng.normal(size=shape))
+    state, ref = nk.AdamState(shape, lr=0.01), nk.AdamState(shape, lr=0.01)
+    m, v = state.m, state.v
+    for _ in range(100):
+        g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 3, size=shape)
+        p = nk.adam_step(state, p, g)
+        q = oracles.adam_step(ref, q, g)
+        np.testing.assert_array_equal(p.data, q.data)
+        np.testing.assert_array_equal(state.m, ref.m)
+        np.testing.assert_array_equal(state.v, ref.v)
+    assert state.m is m and state.v is v and state.t == ref.t == 100
 
 
 def test_grad_check_quadratic():
