@@ -110,14 +110,12 @@ def _timestamp_order(raw_values: set[str]) -> list[str]:
         return sorted(raw_values)
 
 
-def load_quads(path, fmt: str = "tsv") -> QuadStore:
+def load_quads(path) -> QuadStore:
     """Load a quadruple corpus from TSV.
 
     `path` may be one file (auto-split 80/10/10 by timestamp), a directory
     holding train/valid/test files, or a sequence of exactly three paths.
     """
-    if fmt != "tsv":
-        raise DataError(f"unsupported format '{fmt}'")
     paths = _resolve_paths(path)
 
     entity_ids: dict[str, int] = {}
@@ -202,7 +200,6 @@ class PeriodicIndex:
 
     lam: float
     n_entities: int
-    scope: tuple[str, ...]
     _by_sr: dict[tuple[int, int], tuple[list[int], list[int]]]  # (s,r) -> (ts, objs)
 
     def history(self, s: int, r: int, t: int) -> set[int]:
@@ -240,7 +237,7 @@ def build_periodic_index(store: QuadStore, lam: float,
         order = np.argsort(np.asarray(ts), kind="stable")
         ts[:] = [ts[i] for i in order]
         objs[:] = [objs[i] for i in order]
-    return PeriodicIndex(float(lam), store.n_entities, tuple(scope), by_sr)
+    return PeriodicIndex(float(lam), store.n_entities, by_sr)
 
 
 def is_new_event(index: PeriodicIndex, s: int, r: int, o: int, t: int) -> bool:

@@ -43,17 +43,8 @@ class DpclParams:
     w_ctr: Tensor           # (d, 2d)
     b_ctr: Tensor           # (1, d)
 
-    @property
-    def dim(self) -> int:
-        return self.entity_emb.shape[1]
-
     def named(self) -> dict[str, Tensor]:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    def replace(self, **updates) -> "DpclParams":
-        fields = self.named()
-        fields.update(updates)
-        return DpclParams(**fields)
 
 
 def init_params(n_entities: int, n_relations: int, dim: int,

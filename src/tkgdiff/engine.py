@@ -35,11 +35,11 @@ from .numkit import AdamState, Tensor
 __all__ = [
     "TrainConfig", "Checkpoint", "train", "joint_loss",
     "save_checkpoint", "load_checkpoint", "model_from_checkpoint",
-    "parse_config_file", "apply_overrides", "config_hash",
+    "parse_config_file", "apply_overrides",
 ]
 
 CHECKPOINT_MAGIC = b"TKGD"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # namespaces for stateless rng derivation
 _NS_INIT = 0
@@ -68,7 +68,6 @@ class TrainConfig:
     mapping_strategy: str = "hyp/euc"
     no_gndiff: bool = False
     no_dpcl: bool = False
-    score_combine: str = "sum"
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -88,8 +87,6 @@ class TrainConfig:
         if self.no_gndiff and self.no_dpcl:
             raise ConfigError("cannot ablate both components")
         ev.strategy_distances(self.mapping_strategy)
-        if self.score_combine not in ("sum", "max"):
-            raise ConfigError(f"score_combine must be 'sum' or 'max', got '{self.score_combine}'")
 
     @property
     def total_epochs(self) -> int:
@@ -158,12 +155,6 @@ def apply_overrides(values: dict, overrides) -> dict:
     return merged
 
 
-def config_hash(config: TrainConfig) -> str:
-    import hashlib
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:8]
-
-
 # ---------------------------------------------------------------------------
 # Joint objective
 # ---------------------------------------------------------------------------
@@ -225,7 +216,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     counts and hyperparameters, `best_val_mrr`, `denoiser_meta`, and the
     per-epoch `metrics` lines); then one record per tensor in name order: u32
     name length, the UTF-8 name, u32 rank, u32 dims, float64 payload. This
-    is format version 2; `load_checkpoint` rejects any other version with
+    is format version 3; `load_checkpoint` rejects any other version with
     CheckpointVersionError.
     """
     arrays = {name: t.data for name, t in ckpt.named_tensors().items()}
@@ -355,28 +346,33 @@ def _read_body(fh) -> Checkpoint:
                       best_val_mrr=header["best_val_mrr"], metrics=header["metrics"])
 
 
-def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
-    """Evaluation bundle for a checkpoint; entropies are derived from the
-    store's training split (cheap, and not persisted in the file)."""
-    cfg = ckpt.config
-    dist_per, dist_nonper = ev.strategy_distances(cfg.mapping_strategy)
+def _model(config: TrainConfig, dparams: DpclParams, nparams: DenoiserParams) -> ev.Model:
+    """The evaluation view of a run's parameters: a component the config
+    ablates is left out (None)."""
+    dist_per, dist_nonper = ev.strategy_distances(config.mapping_strategy)
     return ev.Model(
-        dpcl=ckpt.dpcl, denoiser=ckpt.denoiser, entropies=token_entropies(store),
+        dpcl=None if config.no_dpcl else dparams,
+        denoiser=None if config.no_gndiff else nparams,
         distance_per=dist_per, distance_nonper=dist_nonper,
-        distance_sign=cfg.distance_sign, score_combine=cfg.score_combine,
-        steps=cfg.steps, chains=cfg.chains,
-        no_gndiff=cfg.no_gndiff, no_dpcl=cfg.no_dpcl)
+        distance_sign=config.distance_sign, steps=config.steps, chains=config.chains)
+
+
+def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
+    """Evaluation bundle for a checkpoint whose vocabulary is the store's.
+
+    Raises DataError when the checkpoint's entity or relation count differs
+    from the store's."""
+    sizes = (ckpt.denoiser.n_entities, ckpt.denoiser.n_relations)
+    if sizes != (store.n_entities, store.n_relations):
+        raise DataError(
+            f"checkpoint has {sizes[0]} entities and {sizes[1]} relations, the store "
+            f"{store.n_entities} entities and {store.n_relations} relations")
+    return _model(ckpt.config, ckpt.dpcl, ckpt.denoiser)
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-def _all_params(dparams: DpclParams, nparams: DenoiserParams) -> dict[str, Tensor]:
-    out = {f"dpcl.{k}": v for k, v in dparams.named().items()}
-    out.update({f"denoiser.{k}": v for k, v in nparams.named().items()})
-    return out
-
 
 def _copy_adam(states: dict[str, AdamState]) -> dict[str, AdamState]:
     out = {}
@@ -432,8 +428,8 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                                        config.d_dpcl, init_rng)
         nparams = gndiff.init_denoiser(store.n_entities, store.n_relations,
                                        config.d_diff, init_rng)
-        adam = {name: AdamState(p.shape, lr=config.lr)
-                for name, p in _all_params(dparams, nparams).items()}
+        adam = {name: AdamState(p.shape, lr=config.lr) for name, p in
+                Checkpoint(config, dparams, nparams, {}, 0).named_tensors().items()}
         start_epoch = 0
         best_mrr = -1.0
         metrics = []
@@ -493,11 +489,11 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                     emb = dpcl_updates["entity_emb"]
                     dpcl_updates["entity_emb"] = Tensor(
                         project_array_to_ball(emb.data), copy=False)
-                dparams = dparams.replace(**dpcl_updates)
+                dparams = dataclasses.replace(dparams, **dpcl_updates)
             if not config.no_gndiff:
                 den_updates = {k.split(".", 1)[1]: v for k, v in updated.items()
                                if k.startswith("denoiser.")}
-                nparams = nparams.replace(**den_updates)
+                nparams = dataclasses.replace(nparams, **den_updates)
 
             sums["ce"] += _maybe(ce_t) or 0.0
             sums["sup"] += _maybe(sup_t) or 0.0
@@ -507,16 +503,10 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
 
         val_mrr = 0.0
         if valid_index is not None:
-            model = ev.Model(
-                dpcl=dparams, denoiser=nparams, entropies=entropies,
-                distance_per=dist_per, distance_nonper=dist_nonper,
-                distance_sign=config.distance_sign, score_combine=config.score_combine,
-                steps=config.steps, chains=config.chains,
-                no_gndiff=config.no_gndiff, no_dpcl=config.no_dpcl)
             seed_eval = int(nk.rng_for(config.seed, _NS_EVAL, epoch).integers(2 ** 31))
-            reports = ev.evaluate_split(model, store, "valid", strata=("all",),
-                                        seed=seed_eval, index=valid_index,
-                                        lam=config.lam)
+            reports = ev.evaluate_split(_model(config, dparams, nparams), store, "valid",
+                                        strata=("all",), seed=seed_eval,
+                                        index=valid_index, lam=config.lam)
             val_mrr = reports["all"].mrr
 
         line = {

@@ -1,32 +1,30 @@
-"""Inference-time probability combination and time-filtered ranking metrics,
-plus the mapping-strategy comparison harness.
+"""Inference-time probability combination and time-filtered ranking metrics.
 
-A query's candidate distribution is the average of the diffusion-chain
-distribution and the softmax of the summed dependency scores (either side
-alone under ablation). Ranks are time-filtered: other objects that are also
-true for the same (s, r, t) within the evaluated split are removed, and ties
-break pessimistically (the ground truth ranks behind equal-probability
-competitors).
+A model scores with the components whose parameters it holds: the softmax of
+the dependency scores (DPCL), the diffusion-chain distribution (GNDiff), or,
+with both, the average of the two. Ranks are time-filtered: other objects
+that are also true for the same (s, r, t) within the evaluated split are
+removed, and ties break pessimistically (the ground truth ranks behind
+equal-probability competitors).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dpcl as dpcl_mod
 from . import gndiff
 from . import numkit as nk
-from .corpus import PeriodicIndex, QuadStore, TokenEntropy, build_periodic_index, is_new_event
+from .corpus import PeriodicIndex, QuadStore, build_periodic_index, is_new_event
 from .dpcl import DpclParams, QueryBatch
 from .errors import ConfigError, DimensionError
 from .gndiff import DenoiserParams
 
 __all__ = [
     "Model", "RankReport", "STRATEGY_DISTANCES", "strategy_distances",
-    "p_dpcl", "combine", "filtered_rank", "raw_rank",
-    "evaluate_split", "mapping_strategy_harness",
+    "p_dpcl", "combine", "filtered_rank", "raw_rank", "evaluate_split",
 ]
 
 STRATEGY_DISTANCES = {
@@ -37,7 +35,6 @@ STRATEGY_DISTANCES = {
 }
 
 STRATA = ("all", "new-events", "periodic")
-COMPONENTS = ("combined", "gndiff", "dpcl")
 
 
 def strategy_distances(name: str) -> tuple[str, str]:
@@ -51,38 +48,25 @@ def strategy_distances(name: str) -> tuple[str, str]:
 
 @dataclass
 class Model:
-    """Everything evaluation needs from a trained run."""
+    """Everything evaluation needs from a trained run. A component scores iff
+    its parameters are set; to evaluate one component alone, replace the
+    other's with None (`dataclasses.replace(model, denoiser=None)`)."""
 
     dpcl: DpclParams | None
     denoiser: DenoiserParams | None
-    entropies: TokenEntropy
     distance_per: str = "poincare"
     distance_nonper: str = "euclidean"
     distance_sign: float = 1.0
-    score_combine: str = "sum"
     steps: int = 50
     chains: int = 8
-    no_gndiff: bool = False
-    no_dpcl: bool = False
-
-    @property
-    def n_entities(self) -> int:
-        return self.entropies.n_entities
 
 
 def p_dpcl(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare",
-           distance_nonper: str = "euclidean", distance_sign: float = 1.0,
-           score_combine: str = "sum") -> np.ndarray:
-    """Softmax over the combined candidate score (sum of the two heads, or
-    their elementwise max under the variant flag); (B, |E|) rows sum to 1."""
+           distance_nonper: str = "euclidean", distance_sign: float = 1.0) -> np.ndarray:
+    """Softmax over the summed scores of the two heads; (B, |E|) rows sum to 1."""
     sp, snp = dpcl_mod.head_scores(params, batch, distance_per, distance_nonper,
                                    distance_sign)
-    if score_combine == "sum":
-        s = sp.data + snp.data
-    elif score_combine == "max":
-        s = np.maximum(sp.data, snp.data)
-    else:
-        raise ValueError(f"score_combine must be 'sum' or 'max', got '{score_combine}'")
+    s = sp.data + snp.data
     shifted = s - s.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -123,10 +107,6 @@ class RankReport:
     raw_ranks: list[int] = field(default_factory=list)
 
     @property
-    def empty(self) -> bool:
-        return not self.ranks
-
-    @property
     def mrr(self) -> float:
         return float(np.mean([1.0 / r for r in self.ranks])) if self.ranks else 0.0
 
@@ -134,21 +114,6 @@ class RankReport:
         if not self.ranks:
             return 0.0
         return float(np.mean([r <= k for r in self.ranks]))
-
-    def to_dict(self, include_ranks: bool = False) -> dict:
-        out = {
-            "stratum": self.stratum,
-            "queries": len(self.ranks),
-            "empty": self.empty,
-            "mrr": self.mrr,
-            "hits@1": self.hits(1),
-            "hits@3": self.hits(3),
-            "hits@10": self.hits(10),
-        }
-        if include_ranks:
-            out["ranks"] = list(self.ranks)
-            out["raw_ranks"] = list(self.raw_ranks)
-        return out
 
 
 _SCOPE_FOR_SPLIT = {
@@ -159,26 +124,16 @@ _SCOPE_FOR_SPLIT = {
 
 
 def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
-                         component: str, seed: int) -> np.ndarray:
-    """(B, |E|) candidate distribution per query under the chosen component."""
-    use_dpcl = component in ("combined", "dpcl") and not (
-        component == "combined" and model.no_dpcl)
-    use_diff = component in ("combined", "gndiff") and not (
-        component == "combined" and model.no_gndiff)
+                         seed: int) -> np.ndarray:
+    """(B, |E|) candidate distribution per query from the model's components."""
     pd = pg = None
-    if use_dpcl:
-        if model.dpcl is None:
-            raise ValueError("model has no scoring parameters for a dpcl evaluation")
+    if model.dpcl is not None:
         batch = QueryBatch.from_quads(quads, index)
         pd = p_dpcl(model.dpcl, batch, model.distance_per, model.distance_nonper,
-                    model.distance_sign, model.score_combine)
-    if use_diff:
-        if model.denoiser is None:
-            raise ValueError("model has no denoiser for a gndiff evaluation")
+                    model.distance_sign)
+    if model.denoiser is not None:
         pg = gndiff.p_diff_batch(model.denoiser, quads[:, :2], model.steps,
                                  model.chains, nk.rng_for(seed, 9))
-    if pd is None and pg is None:
-        raise ValueError(f"component '{component}' leaves nothing to evaluate")
     if pd is None:
         return pg
     if pg is None:
@@ -187,17 +142,17 @@ def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
 
 
 def evaluate_split(model: Model, store: QuadStore, split: str,
-                   strata=STRATA, component: str = "combined",
-                   seed: int = 0, index: PeriodicIndex | None = None,
+                   strata=STRATA, seed: int = 0, index: PeriodicIndex | None = None,
                    lam: float = 2.0) -> dict[str, RankReport]:
     """Time-filtered rank reports for a split, overall and per stratum.
 
     The candidate distributions are computed with BLAS on one thread, so
     they and their timing do not depend on the process's BLAS thread count
-    (see numkit.single_threaded_blas).
+    (see numkit.single_threaded_blas). A model with neither component
+    raises ValueError.
     """
-    if component not in COMPONENTS:
-        raise ValueError(f"component must be one of {COMPONENTS}, got '{component}'")
+    if model.dpcl is None and model.denoiser is None:
+        raise ValueError("model has neither scoring parameters nor a denoiser")
     quads = store.split(split)
     if index is None:
         index = build_periodic_index(store, lam, _SCOPE_FOR_SPLIT[split])
@@ -211,7 +166,7 @@ def evaluate_split(model: Model, store: QuadStore, split: str,
     for start in range(0, len(quads), chunk):
         block = quads[start:start + chunk]
         with nk.single_threaded_blas():
-            probs = _query_distributions(model, block, index, component, seed + start)
+            probs = _query_distributions(model, block, index, seed + start)
         for i, (s, r, o, t) in enumerate(block):
             objs = same_time[(int(s), int(r), int(t))]
             rank = filtered_rank(probs[i], int(o), objs)
@@ -223,21 +178,3 @@ def evaluate_split(model: Model, store: QuadStore, split: str,
                     reports[name].ranks.append(rank)
                     reports[name].raw_ranks.append(rr)
     return reports
-
-
-def mapping_strategy_harness(base_config, store: QuadStore,
-                             strategies=tuple(STRATEGY_DISTANCES),
-                             split: str = "test") -> dict[str, RankReport]:
-    """Train the scoring component alone under each spatial mapping strategy
-    (one shared seed) and report test metrics per strategy."""
-    from . import engine  # deferred: engine drives training, we drive scoring
-
-    out: dict[str, RankReport] = {}
-    for strat in strategies:
-        cfg = replace(base_config, mapping_strategy=strat, no_gndiff=True)
-        ckpt = engine.train(cfg, store)
-        model = engine.model_from_checkpoint(ckpt, store)
-        reports = evaluate_split(model, store, split, strata=("all",),
-                                 seed=cfg.seed, lam=cfg.lam)
-        out[strat] = reports["all"]
-    return out

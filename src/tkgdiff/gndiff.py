@@ -81,11 +81,6 @@ class DenoiserParams:
         return {f: getattr(self, f)
                 for f in ("token_emb", "w1", "b1", "w2", "b2")}
 
-    def replace(self, **updates) -> "DenoiserParams":
-        fields = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        fields.update(updates)
-        return DenoiserParams(**fields)
-
     def role_mask(self) -> np.ndarray:
         """(3, K) additive mask: 0 for tokens a clean sequence may hold at the
         position, NEG_INF elsewhere (the mask token is never a clean token)."""

@@ -25,7 +25,7 @@ __all__ = [
     "tensor", "zeros", "full", "constant",
     "matmul", "elementwise", "add", "sub", "mul", "div", "tanh", "exp",
     "log", "neg", "sqrt", "acosh", "clamp_min", "softmax_rows",
-    "sum_all", "sum_cols", "sum_rows", "transpose", "reshape",
+    "sum_all", "sum_cols", "transpose", "reshape",
     "concat_cols", "take_rows", "gather_cols",
     "adam_step", "grad_check", "single_threaded_blas", "rng_for",
 ]
@@ -68,33 +68,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data) -> Tensor:
     return Tensor(data)
@@ -110,10 +83,6 @@ def full(rows: int, cols: int, value: float) -> Tensor:
 
 def constant(value: float) -> Tensor:
     return Tensor(np.array([[float(value)]]), copy=False)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +376,6 @@ def sum_all(a: Tensor) -> Tensor:
 def sum_cols(a: Tensor) -> Tensor:
     """Sum along axis 1, keeping a column: (m, n) -> (m, 1)."""
     out = _result(a.data.sum(axis=1, keepdims=True), "sum_cols")
-
-    def backward(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _tape_record(out, (a,), backward)
-
-
-def sum_rows(a: Tensor) -> Tensor:
-    """Sum along axis 0, keeping a row: (m, n) -> (1, n)."""
-    out = _result(a.data.sum(axis=0, keepdims=True), "sum_rows")
 
     def backward(g):
         return (np.broadcast_to(g, a.shape).copy(),)

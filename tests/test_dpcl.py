@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from tkgdiff import dpcl, engine
 from tkgdiff import evaluate as ev
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
-from tkgdiff.corpus import token_entropies
 from tkgdiff.errors import ConfigError
 from tkgdiff.geometry import project_array_to_ball
 
@@ -83,11 +84,11 @@ def test_nonperiodic_scores_match_scalar_oracle(setup):
 
 def test_zeroed_affine_isolates_distance(setup):
     params, batch, _ = setup
-    params = params.replace(w_per=nk.zeros(4, 8), b_per=nk.zeros(1, 4))
+    params = dataclasses.replace(params, w_per=nk.zeros(4, 8), b_per=nk.zeros(1, 4))
     # subject at the origin, empty history row
     emb = params.entity_emb.numpy()
     emb[batch.s_ids[0]] = 0.0
-    params = params.replace(entity_emb=nk.tensor(emb))
+    params = dataclasses.replace(params, entity_emb=nk.tensor(emb))
     batch.z_rows[:] = 0.0
     scores = periodic(params, batch).data
     for j in range(5):
@@ -100,7 +101,7 @@ def test_score_additivity_in_distance(setup):
     # identical affine scores and z: the farther candidate wins by exactly
     # the distance difference
     params, batch, _ = setup
-    params = params.replace(w_per=nk.zeros(4, 8), b_per=nk.zeros(1, 4))
+    params = dataclasses.replace(params, w_per=nk.zeros(4, 8), b_per=nk.zeros(1, 4))
     batch.z_rows[:] = 0.0
     scores = periodic(params, batch).data
     e = params.entity_emb.data
@@ -128,7 +129,7 @@ def test_z_sign_opposition(setup):
 
 def test_nonperiodic_self_distance_zero(setup):
     params, batch, _ = setup
-    params = params.replace(w_nonper=nk.zeros(4, 8), b_nonper=nk.zeros(1, 4))
+    params = dataclasses.replace(params, w_nonper=nk.zeros(4, 8), b_nonper=nk.zeros(1, 4))
     batch.z_rows[:] = 0.0
     scores = nonperiodic(params, batch).data
     s0 = int(batch.s_ids[0])
@@ -152,7 +153,7 @@ def test_permutation_equivariance(setup):
     perm = np.array([2, 0, 4, 1, 3])          # new id of each old entity
     inv = np.argsort(perm)
     scores = periodic(params, batch).data
-    pparams = params.replace(entity_emb=nk.tensor(params.entity_emb.data[inv]))
+    pparams = dataclasses.replace(params, entity_emb=nk.tensor(params.entity_emb.data[inv]))
     pbatch = dpcl.QueryBatch(perm[batch.s_ids], batch.r_ids, batch.t_ids,
                              perm[batch.gt_ids], batch.z_rows[:, inv],
                              batch.periodic)
@@ -412,7 +413,7 @@ def test_head_scores_reject_rows_past_the_ball_margin(setup):
     emb = params.entity_emb.numpy()
     emb[3] = 0.0
     emb[3, 0] = 1.0 - geo.BALL_MARGIN / 2
-    params = params.replace(entity_emb=nk.tensor(emb))
+    params = dataclasses.replace(params, entity_emb=nk.tensor(emb))
     for kinds in (("poincare", "euclidean"), ("euclidean", "poincare")):
         with pytest.raises(ValueError, match="unit ball"):
             dpcl.head_scores(params, batch, *kinds)
@@ -458,8 +459,7 @@ def test_one_difference_block_per_eval_chunk(monkeypatch):
     n_test = len(store.split("test"))
     assert n_test > 256
     params = dpcl.init_params(store.n_entities, store.n_relations, 8, nk.rng_for(46))
-    model = ev.Model(dpcl=params, denoiser=None, entropies=token_entropies(store),
-                     no_gndiff=True)
+    model = ev.Model(dpcl=params, denoiser=None)
     calls = _count_sqdist_calls(monkeypatch)
     ev.evaluate_split(model, store, "test", strata=("all",))
     assert calls == [256] * (n_test // 256) + [n_test % 256] * bool(n_test % 256)

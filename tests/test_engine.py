@@ -17,7 +17,7 @@ from tkgdiff import engine, evaluate, gndiff
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import build_periodic_index, token_entropies
 from tkgdiff.errors import (CheckpointError, CheckpointVersionError,
-                            ConfigError, NumericError)
+                            ConfigError, DataError, NumericError)
 
 
 def strip_wall(metrics):
@@ -193,6 +193,47 @@ def test_checkpoint_of_an_older_version_is_rejected(tmp_path, small_ckpt):
     p.write_bytes(blob[:4] + struct.pack("<I", engine.CHECKPOINT_VERSION - 1) + blob[8:])
     with pytest.raises(CheckpointVersionError, match="not supported"):
         engine.load_checkpoint(p)
+
+
+def test_checkpoint_in_the_format_with_score_combine_is_rejected(tmp_path, small_ckpt):
+    # format 2 headers carried config.score_combine, which format 3 dropped
+    p = tmp_path / "v2.ckpt"
+    engine.save_checkpoint(small_ckpt, p)
+    blob = p.read_bytes()
+    header, records = split_checkpoint(blob)
+    values = json.loads(header)
+    values["config"]["score_combine"] = "sum"
+    header = json.dumps(values, sort_keys=True).encode("utf-8")
+    blob = join_checkpoint(blob, header, records)
+    p.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    with pytest.raises(CheckpointVersionError, match="version 2 is not supported"):
+        engine.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("flag, absent, present", [
+    ("no_gndiff", "denoiser", "dpcl"), ("no_dpcl", "dpcl", "denoiser")])
+def test_an_ablated_component_is_absent_from_the_model(flag, absent, present):
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    cfg = quick_config(epochs_stage1=1, epochs_stage2=0, batch=16, **{flag: True})
+    ckpt = engine.train(cfg, store)
+    model = engine.model_from_checkpoint(ckpt, store)
+    assert getattr(model, absent) is None
+    assert getattr(model, present) is getattr(ckpt, present)
+
+
+@pytest.mark.parametrize("n_entities, n_relations", [(6, 2), (8, 3)])
+def test_a_checkpoint_is_refused_for_a_store_of_another_vocabulary(n_entities,
+                                                                   n_relations):
+    # without the check a denoiser-only model ranked 8 candidates on a
+    # 6-entity store
+    cfg = quick_config(epochs_stage1=1, epochs_stage2=0, batch=16, no_dpcl=True)
+    store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
+    ckpt = engine.train(cfg, store)
+    other = planted_period_store(n_entities=n_entities, n_relations=n_relations,
+                                 n_timestamps=30)
+    with pytest.raises(DataError, match=f"8 entities and 2 relations, the store "
+                                        f"{n_entities} entities and {n_relations}"):
+        engine.model_from_checkpoint(ckpt, other)
 
 
 def test_checkpoint_truncated(tmp_path):
@@ -375,7 +416,9 @@ def test_checkpoint_roundtrip_bytes_on_random_shapes(n_entities, n_relations, d_
     dparams = dpcl_mod.init_params(n_entities, n_relations, d_dpcl, rng)
     nparams = gndiff.init_denoiser(n_entities, n_relations, d_diff, rng)
     adam = {}
-    for name, p in engine._all_params(dparams, nparams).items():
+    params = engine.Checkpoint(engine.TrainConfig(), dparams, nparams, adam={},
+                               epoch=0).named_tensors()
+    for name, p in params.items():
         state = nk.AdamState(p.shape, lr=0.01)
         state.m = rng.normal(size=p.shape)
         state.v = rng.random(p.shape)
@@ -437,7 +480,7 @@ def test_joint_gradient_through_everything():
 
     def f(ps):
         dp = dpcl_mod.DpclParams(**dict(zip(d_names, ps[:len(d_names)])))
-        np_ = nparams.replace(**dict(zip(n_names, ps[len(d_names):])))
+        np_ = dataclasses.replace(nparams, **dict(zip(n_names, ps[len(d_names):])))
         sp, snp = dpcl_mod.head_scores(dp, batch)
         ce = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
         sup = dpcl_mod.supcon_loss(dp, batch, cfg.tau)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,13 +73,28 @@ def trained():
     return store, model, index
 
 
-@pytest.mark.parametrize("component", evaluate.COMPONENTS)
+COMPONENTS = {"combined": {}, "gndiff": {"dpcl": None}, "dpcl": {"denoiser": None}}
+
+
+@pytest.mark.parametrize("component", COMPONENTS)
 def test_query_distributions_ignore_the_gold_object(trained, component):
     store, model, index = trained
+    model = dataclasses.replace(model, **COMPONENTS[component])
     quads = store.split("test")
     swapped = quads.copy()
     swapped[:, 2] = nk.rng_for(7).permutation(quads[:, 2])
     assert np.any(swapped[:, 2] != quads[:, 2])
-    probs = evaluate._query_distributions(model, quads, index, component, seed=3)
-    probs_swapped = evaluate._query_distributions(model, swapped, index, component, seed=3)
+    probs = evaluate._query_distributions(model, quads, index, seed=3)
+    probs_swapped = evaluate._query_distributions(model, swapped, index, seed=3)
     np.testing.assert_array_equal(probs, probs_swapped)
+
+
+def test_a_model_with_no_component_is_refused_before_any_work(trained, monkeypatch):
+    store, model, _ = trained
+    built = []
+    monkeypatch.setattr(evaluate, "build_periodic_index",
+                        lambda *args, **kwargs: built.append(args))
+    empty = dataclasses.replace(model, dpcl=None, denoiser=None)
+    with pytest.raises(ValueError, match="neither"):
+        evaluate.evaluate_split(empty, store, "test")
+    assert built == []

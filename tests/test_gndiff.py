@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -292,7 +294,7 @@ def test_denoiser_cross_entropy_gradient():
     names = list(params.named())
 
     def f(ps):
-        p = params.replace(**dict(zip(names, ps)))
+        p = dataclasses.replace(params, **dict(zip(names, ps)))
         logits = gndiff.denoise_x0_batch(p, xt.tokens[None, :], np.array([2]))
         probs = nk.softmax_rows(logits)
         picked = nk.gather_cols(probs, seq.tokens)
@@ -425,7 +427,7 @@ def test_batch_loss_gradient():
     names = list(params.named())
 
     def f(ps):
-        p = params.replace(**dict(zip(names, ps)))
+        p = dataclasses.replace(params, **dict(zip(names, ps)))
         return gndiff.batch_loss(p, ent, toks, steps=5, mu=0.25, rng=nk.rng_for(73))
 
     report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
@@ -514,7 +516,7 @@ def test_overfit_single_fact_dominates_p_diff():
         grads = tape.gradient(loss, list(tensors.values()))
         updates = {name: nk.adam_step(states[name], tensors[name], g)
                    for name, g in zip(tensors, grads)}
-        params = params.replace(**updates)
+        params = dataclasses.replace(params, **updates)
     sched = oracles.inference_schedule(ent, 1, 0, steps=8, mu=0.25)
     dist = oracles.p_diff(sched, params, 1, 0, nk.rng_for(84), chains=8)
     assert dist[3] > 0.9
@@ -616,7 +618,7 @@ def test_p_diff_batch_raises_on_non_finite_logits(monkeypatch):
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(94))
     w2 = params.w2.numpy()
     w2[2 * params.vocab_size:] = 1e308
-    params = params.replace(w2=nk.tensor(w2))
+    params = dataclasses.replace(params, w2=nk.tensor(w2))
     monkeypatch.setattr(gndiff, "_hidden", lambda p, xt, ts: nk.full(len(xt), 6, 1.0))
     with pytest.raises(NumericError, match="non-finite"):
         gndiff.p_diff_batch(params, np.array([[0, 0]]), 4, 2, nk.rng_for(95))
