@@ -1,7 +1,7 @@
 """Inference-time probability combination and time-filtered ranking metrics.
 
-A model scores with the components whose parameters it holds: the softmax of
-the dependency scores (DPCL), the diffusion-chain distribution (GNDiff), or,
+A model scores with the components whose parameters it holds: the mean of
+the two DPCL heads' softmaxes, the diffusion-chain distribution (GNDiff), or,
 with both, the average of the two. Ranks are time-filtered: other objects
 that are also true for the same (s, r, t) within the evaluated split are
 removed, and ties break pessimistically (the ground truth ranks behind
@@ -63,13 +63,12 @@ class Model:
 
 def p_dpcl(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare",
            distance_nonper: str = "euclidean", distance_sign: float = 1.0) -> np.ndarray:
-    """Softmax over the summed scores of the two heads; (B, |E|) rows sum to 1."""
+    """The distribution dpcl.ce_loss trains: the mean of the two heads'
+    softmaxes, 0.5 * (softmax(S_per) + softmax(S_nonper)); (B, |E|) rows sum
+    to 1, and -log(2 p[gt]) is a query's term of the loss."""
     sp, snp = dpcl_mod.head_scores(params, batch, distance_per, distance_nonper,
                                    distance_sign)
-    s = sp.data + snp.data
-    shifted = s - s.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return 0.5 * (nk.softmax_rows(sp).data + nk.softmax_rows(snp).data)
 
 
 def combine(p_diff: np.ndarray, p_dpcl_: np.ndarray) -> np.ndarray:

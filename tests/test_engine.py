@@ -224,8 +224,8 @@ def test_an_ablated_component_is_absent_from_the_model(flag, absent, present):
 @pytest.mark.parametrize("n_entities, n_relations", [(6, 2), (8, 3)])
 def test_a_checkpoint_is_refused_for_a_store_of_another_vocabulary(n_entities,
                                                                    n_relations):
-    # without the check a denoiser-only model ranked 8 candidates on a
-    # 6-entity store
+    # a denoiser-only model would otherwise rank the checkpoint's 8
+    # candidates on a 6-entity store without any error
     cfg = quick_config(epochs_stage1=1, epochs_stage2=0, batch=16, no_dpcl=True)
     store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
     ckpt = engine.train(cfg, store)
@@ -250,14 +250,19 @@ def test_checkpoint_truncated(tmp_path):
 
 
 def test_resume_matches_uninterrupted(tmp_path):
+    # compares the last.ckpt files, the states validation does not choose
     store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
     full_cfg = quick_config(epochs_stage1=2, epochs_stage2=2, batch=16)
-    full = engine.train(full_cfg, store)
+    engine.train(full_cfg, store, out_dir=tmp_path / "full")
+    full = engine.load_checkpoint(tmp_path / "full" / "last.ckpt")
 
     short_cfg = quick_config(epochs_stage1=2, epochs_stage2=0, batch=16)
-    part = engine.train(short_cfg, store, out_dir=tmp_path / "run")
+    engine.train(short_cfg, store, out_dir=tmp_path / "run")
+    part = engine.load_checkpoint(tmp_path / "run" / "last.ckpt")
     assert part.epoch == 2
-    resumed = engine.train(full_cfg, store, resume_from=tmp_path / "run" / "last.ckpt")
+    engine.train(full_cfg, store, out_dir=tmp_path / "resumed",
+                 resume_from=tmp_path / "run" / "last.ckpt")
+    resumed = engine.load_checkpoint(tmp_path / "resumed" / "last.ckpt")
 
     assert resumed.metrics[-1]["loss_total"] == pytest.approx(
         full.metrics[-1]["loss_total"], abs=1e-12)
