@@ -1,9 +1,9 @@
-"""Synthetic corpora shared by the engine/evaluate tests and the acceptance
-suite."""
+"""Synthetic corpora and query batches shared by the tests."""
 
 import numpy as np
 
 from tkgdiff.corpus import QuadStore
+from tkgdiff.dpcl import QueryBatch
 
 
 def store_from_quads(quads, n_entities, n_relations, n_timestamps,
@@ -96,3 +96,16 @@ def quick_config(**overrides):
                 epochs_stage1=2, epochs_stage2=1, steps=8, chains=2, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def make_batch(rng, n_entities, size, lam=2.0):
+    """Random DPCL queries: about 30% of each signed history row is +lam,
+    and the ground truth is in the history half of the time."""
+    s = rng.integers(0, n_entities, size)
+    r = rng.integers(0, 2, size)
+    t = rng.integers(1, 10, size)
+    gt = rng.integers(0, n_entities, size)
+    z = np.where(rng.random((size, n_entities)) < 0.3, lam, -lam)
+    z[np.arange(size), gt] = np.where(rng.random(size) < 0.5, lam, -lam)
+    periodic = z[np.arange(size), gt] > 0
+    return QueryBatch(s, r, t, gt, z, periodic)

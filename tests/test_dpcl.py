@@ -4,24 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import planted_period_store, quick_config
+from helpers import make_batch, planted_period_store, quick_config
 from tkgdiff import dpcl, engine
 from tkgdiff import evaluate as ev
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
 from tkgdiff.errors import ConfigError
 from tkgdiff.geometry import project_array_to_ball
-
-
-def make_batch(rng, n_entities, size, lam=2.0):
-    s = rng.integers(0, n_entities, size)
-    r = rng.integers(0, 2, size)
-    t = rng.integers(1, 10, size)
-    gt = rng.integers(0, n_entities, size)
-    z = np.where(rng.random((size, n_entities)) < 0.3, lam, -lam)
-    z[np.arange(size), gt] = np.where(rng.random(size) < 0.5, lam, -lam)
-    periodic = z[np.arange(size), gt] > 0
-    return dpcl.QueryBatch(s, r, t, gt, z, periodic)
 
 
 def periodic(params, batch, distance_sign=1.0):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import planted_period_store, quick_config
+from helpers import make_batch, planted_period_store, quick_config
 from tkgdiff import dpcl, engine, evaluate
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import build_periodic_index
@@ -104,23 +104,13 @@ def test_a_model_with_no_component_is_refused_before_any_work(trained, monkeypat
 # DPCL scores the distribution its loss trains
 # ---------------------------------------------------------------------------
 
-def query_batch(n_entities, lam=2.0, size=4, seed=12):
-    rng = nk.rng_for(seed)
-    z = np.where(rng.random((size, n_entities)) < 0.3, lam, -lam)
-    gt = rng.integers(0, n_entities, size)
-    return dpcl.QueryBatch(
-        s_ids=rng.integers(0, n_entities, size), r_ids=rng.integers(0, 2, size),
-        t_ids=np.full(size, 9), gt_ids=gt, z_rows=z,
-        periodic=z[np.arange(size), gt] > 0)
-
-
 def test_p_dpcl_rises_with_a_candidates_history_value():
     # the signed history row enters the periodic head as +z and the
     # non-periodic head as -z, so a sum of the two scores cancels it; here
     # one candidate's history value flips on an otherwise empty history
     lam, n = 2.0, 20
     params = dpcl.init_params(n, 2, 8, nk.rng_for(13))
-    batch = query_batch(n, lam)
+    batch = make_batch(nk.rng_for(12), n, 4, lam)
     rows = np.arange(len(batch))
     batch.z_rows[:] = -lam
     seen = dataclasses.replace(batch, z_rows=batch.z_rows.copy())
@@ -134,7 +124,7 @@ def test_p_dpcl_rises_with_a_candidates_history_value():
 def test_p_dpcl_is_the_distribution_ce_loss_trains(strategy):
     per, nonper = evaluate.strategy_distances(strategy)
     params = dpcl.init_params(7, 2, 6, nk.rng_for(14))
-    batch = query_batch(7, size=6)
+    batch = make_batch(nk.rng_for(12), 7, 6)
     rows = np.arange(len(batch))
     p = evaluate.p_dpcl(params, batch, per, nonper)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
