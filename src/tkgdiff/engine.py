@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TKGD"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # namespaces for stateless rng derivation
 _NS_INIT = 0
@@ -190,33 +190,52 @@ def joint_loss(config: TrainConfig, ce: Tensor | None, sup: Tensor | None,
 
 @dataclass
 class Checkpoint:
-    """A resumable training state; save/load round-trips bit-identically."""
+    """A resumable training state; save/load round-trips bit-identically.
+    The component a run ablates has no parameters (None)."""
 
     config: TrainConfig
-    dpcl: DpclParams
-    denoiser: DenoiserParams
+    dpcl: DpclParams | None
+    denoiser: DenoiserParams | None
     adam: dict[str, AdamState]
     epoch: int                   # next epoch to run
     best_val_mrr: float = -1.0
     metrics: list = field(default_factory=list, repr=False)  # one line per epoch run
 
     def named_tensors(self) -> dict[str, Tensor]:
-        out = {f"dpcl.{k}": v for k, v in self.dpcl.named().items()}
-        out.update({f"denoiser.{k}": v for k, v in self.denoiser.named().items()})
-        return out
+        return _named_tensors(self.dpcl, self.denoiser)
+
+    @property
+    def vocabulary(self) -> tuple[int, int]:
+        """The entity and relation counts the parameters cover."""
+        if self.dpcl is not None:
+            return self.dpcl.entity_emb.shape[0], self.dpcl.relation_emb.shape[0]
+        return self.denoiser.n_entities, self.denoiser.n_relations
+
+
+def _named_tensors(dparams: DpclParams | None,
+                   nparams: DenoiserParams | None) -> dict[str, Tensor]:
+    out = {}
+    for prefix, params in (("dpcl", dparams), ("denoiser", nparams)):
+        if params is not None:
+            out.update({f"{prefix}.{k}": v for k, v in params.named().items()})
+    return out
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the checkpoint atomically: records stream into `<name>.tmp` in
     the same directory, which is flushed, synced and renamed over `path`. A
-    write that fails leaves any previous file at `path` untouched.
+    write that fails leaves any previous file at `path` untouched, and no
+    write changes the bytes of a file that shares the old inode of `path`.
 
     Layout (little-endian): the magic `TKGD`; u32 format version; u32 header
     length; a JSON header with sorted keys (`config`, `epoch`, `adam` step
-    counts and hyperparameters, `best_val_mrr`, `denoiser_meta`, and the
-    per-epoch `metrics` lines); then one record per tensor in name order: u32
-    name length, the UTF-8 name, u32 rank, u32 dims, float64 payload. This
-    is format version 3; `load_checkpoint` rejects any other version with
+    counts and hyperparameters, `best_val_mrr`, the vocabulary sizes
+    `n_entities` and `n_relations`, and the per-epoch `metrics` lines); then
+    one record per tensor in name order: u32 name length, the UTF-8 name, u32
+    rank, u32 dims, float64 payload. The records are the parameters
+    (`dpcl.*`, `denoiser.*`) and their Adam moments (`adam.m.<name>`,
+    `adam.v.<name>`); the component the config ablates has none. This is
+    format version 4; `load_checkpoint` rejects any other version with
     CheckpointVersionError.
     """
     arrays = {name: t.data for name, t in ckpt.named_tensors().items()}
@@ -226,14 +245,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         arrays[f"adam.v.{name}"] = state.v
         adam_meta[name] = {"t": state.t, "lr": state.lr, "beta1": state.beta1,
                            "beta2": state.beta2, "eps": state.eps}
+    n_entities, n_relations = ckpt.vocabulary
     header = {
         "config": ckpt.config.to_dict(),
         "epoch": ckpt.epoch,
         "adam": adam_meta,
         "best_val_mrr": ckpt.best_val_mrr,
-        "denoiser_meta": {"n_entities": ckpt.denoiser.n_entities,
-                          "n_relations": ckpt.denoiser.n_relations,
-                          "width": ckpt.denoiser.width},
+        "n_entities": n_entities,
+        "n_relations": n_relations,
         "metrics": ckpt.metrics,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -272,7 +291,12 @@ def load_checkpoint(path) -> Checkpoint:
     magic, an unknown version (CheckpointVersionError), truncation (also
     dims that claim more bytes than the file has left), a header that is not
     the expected JSON, a record that is not 2-D, a missing or unexpected
-    tensor record, or a non-finite payload.
+    tensor record, Adam states that do not match the parameter records,
+    parameters that do not cover the header's `n_entities` and
+    `n_relations`, or a non-finite payload. The component the header's
+    config ablates must have no records and loads as None; every other
+    component must have all of its records. The denoiser's width is the
+    config's `d_diff`.
 
     Parameter tensors are read-only views of the arrays read from the file;
     the Adam moments are those arrays, writeable.
@@ -326,35 +350,56 @@ def _read_body(fh) -> Checkpoint:
         arrays[name] = _read_array(fh, size, name)
 
     config = TrainConfig.from_dict(header["config"])
-    dpcl_fields = {k.split(".", 1)[1]: nk._wrap(v) for k, v in arrays.items()
-                   if k.startswith("dpcl.")}
-    den_fields = {k.split(".", 1)[1]: nk._wrap(v) for k, v in arrays.items()
-                  if k.startswith("denoiser.")}
-    meta = header["denoiser_meta"]
-    denoiser = DenoiserParams(**den_fields, n_entities=meta["n_entities"],
-                              n_relations=meta["n_relations"], width=meta["width"])
-    adam = {}
+    sizes = (header["n_entities"], header["n_relations"])
+    dparams = _component(arrays, "dpcl", config.no_dpcl, DpclParams)
+    nparams = _component(arrays, "denoiser", config.no_gndiff, DenoiserParams,
+                         n_entities=sizes[0], n_relations=sizes[1], width=config.d_diff)
+    ckpt = Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam={},
+                      epoch=header["epoch"], best_val_mrr=header["best_val_mrr"],
+                      metrics=header["metrics"])
+    if ckpt.vocabulary != sizes:
+        raise ValueError(f"parameters cover {ckpt.vocabulary} (entities, relations), "
+                         f"the header says {sizes}")
+    if set(header["adam"]) != set(ckpt.named_tensors()):
+        raise ValueError("Adam states do not match the parameter records")
     for name, info in header["adam"].items():
-        state = AdamState(arrays[f"adam.m.{name}"].shape, lr=info["lr"],
-                          beta1=info["beta1"], beta2=info["beta2"], eps=info["eps"])
-        state.m = arrays[f"adam.m.{name}"]
-        state.v = arrays[f"adam.v.{name}"]
-        state.t = info["t"]
-        adam[name] = state
-    return Checkpoint(config=config, dpcl=DpclParams(**dpcl_fields),
-                      denoiser=denoiser, adam=adam, epoch=header["epoch"],
-                      best_val_mrr=header["best_val_mrr"], metrics=header["metrics"])
+        m, v = arrays.pop(f"adam.m.{name}"), arrays.pop(f"adam.v.{name}")
+        state = AdamState(m.shape, lr=info["lr"], beta1=info["beta1"],
+                          beta2=info["beta2"], eps=info["eps"])
+        state.m, state.v, state.t = m, v, info["t"]
+        ckpt.adam[name] = state
+    if arrays:
+        raise ValueError(f"unexpected tensor records {sorted(arrays)}")
+    return ckpt
 
 
-def _model(config: TrainConfig, dparams: DpclParams, nparams: DenoiserParams) -> ev.Model:
-    """The evaluation view of a run's parameters: a component the config
-    ablates is left out (None)."""
+def _component(arrays: dict[str, np.ndarray], prefix: str, ablated: bool, cls, **meta):
+    """The parameters of one component, taking its records out of `arrays`:
+    None when the config ablates it, which then must have no records."""
+    names = [k for k in arrays if k.startswith(prefix + ".")]
+    if ablated:
+        if names:
+            raise ValueError(f"{prefix}.* records in a checkpoint whose config ablates {prefix}")
+        return None
+    return cls(**{k[len(prefix) + 1:]: nk._wrap(arrays.pop(k)) for k in names}, **meta)
+
+
+def _model(config: TrainConfig, dparams: DpclParams | None,
+           nparams: DenoiserParams | None) -> ev.Model:
+    """The evaluation view of a run's parameters."""
     dist_per, dist_nonper = ev.strategy_distances(config.mapping_strategy)
     return ev.Model(
-        dpcl=None if config.no_dpcl else dparams,
-        denoiser=None if config.no_gndiff else nparams,
+        dpcl=dparams, denoiser=nparams,
         distance_per=dist_per, distance_nonper=dist_nonper,
         distance_sign=config.distance_sign, steps=config.steps, chains=config.chains)
+
+
+def _check_vocabulary(ckpt: Checkpoint, store: QuadStore) -> None:
+    sizes = ckpt.vocabulary
+    if sizes != (store.n_entities, store.n_relations):
+        raise DataError(
+            f"checkpoint has {sizes[0]} entities and {sizes[1]} relations, the store "
+            f"{store.n_entities} entities and {store.n_relations} relations")
 
 
 def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
@@ -362,11 +407,7 @@ def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
 
     Raises DataError when the checkpoint's entity or relation count differs
     from the store's."""
-    sizes = (ckpt.denoiser.n_entities, ckpt.denoiser.n_relations)
-    if sizes != (store.n_entities, store.n_relations):
-        raise DataError(
-            f"checkpoint has {sizes[0]} entities and {sizes[1]} relations, the store "
-            f"{store.n_entities} entities and {store.n_relations} relations")
+    _check_vocabulary(ckpt, store)
     return _model(ckpt.config, ckpt.dpcl, ckpt.denoiser)
 
 
@@ -385,25 +426,60 @@ def _copy_adam(states: dict[str, AdamState]) -> dict[str, AdamState]:
     return out
 
 
+# The config fields a checkpoint's parameters are shaped or trained by: a run
+# resumes a checkpoint only under the same values.
+_RESUME_KEYS = ("no_gndiff", "no_dpcl", "d_dpcl", "d_diff", "mapping_strategy")
+
+
+def _check_resumable(ckpt: Checkpoint, config: TrainConfig, store: QuadStore) -> None:
+    differ = [k for k in _RESUME_KEYS if getattr(ckpt.config, k) != getattr(config, k)]
+    if differ:
+        raise ConfigError("cannot resume under another " + ", ".join(
+            f"{k} ({getattr(ckpt.config, k)!r} in the checkpoint, {getattr(config, k)!r} "
+            f"in the config)" for k in differ))
+    _check_vocabulary(ckpt, store)
+
+
+def _link(src: Path, dst: Path) -> None:
+    """Make `dst` name the file at `src`, atomically: a hard link at
+    `<dst>.tmp` is renamed over `dst`."""
+    tmp = dst.with_name(dst.name + ".tmp")
+    tmp.unlink(missing_ok=True)
+    os.link(src, tmp)
+    os.replace(tmp, dst)
+
+
 def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = None,
           out_dir=None, resume_from=None, log=None) -> Checkpoint:
     """Run the two-stage loop and return the checkpoint with the best
     validation MRR (final state if validation is empty). Its `metrics` hold
-    one line per epoch, including the epochs before a resume.
+    one line per epoch, including the epochs before a resume. The component
+    the config ablates is never initialised or trained, and is None in every
+    checkpoint of the run.
 
-    A resumed run starts its best from the `best.ckpt` beside `resume_from`
-    when that file's `best_val_mrr` equals the resumed checkpoint's, so it
-    returns the same state as the uninterrupted run. When there is no such
-    file, or its MRR differs, the best before the resume is unknown: the run
-    returns the best epoch after the resume that beats the resumed
-    checkpoint's `best_val_mrr`, or else the final state."""
+    With `out_dir`, every epoch writes its state to `last.ckpt` and appends
+    its line to `metrics.jsonl`. `best.ckpt` holds the best state; when that
+    is the state just written to `last.ckpt` (an epoch that improves the
+    validation MRR, or the final state when validation is empty), it is a
+    hard link to that file, which the next `last.ckpt` write replaces by a
+    new file and leaves as it is.
+
+    A resumed run first checks that `resume_from` was trained with the same
+    components, widths and mapping strategy as `config` (ConfigError) and on
+    the store's vocabulary (DataError). It starts its best from the
+    `best.ckpt` beside `resume_from` when that file's `best_val_mrr` equals
+    the resumed checkpoint's, so it returns the same state as the
+    uninterrupted run. When there is no such file, or its MRR differs, the
+    best before the resume is unknown: the run returns the best epoch after
+    the resume that beats the resumed checkpoint's `best_val_mrr`, or else
+    the final state."""
     config.validate()
     train_quads = store.split("train")
     if len(train_quads) == 0:
         raise DataError("training split is empty")
     dist_per, dist_nonper = ev.strategy_distances(config.mapping_strategy)
     needs_ball = (not config.no_dpcl) and "poincare" in (dist_per, dist_nonper)
-    entropies = token_entropies(store)
+    entropies = None if config.no_gndiff else token_entropies(store)
     if index is None:
         index = build_periodic_index(store, config.lam, ("train",))
     valid_quads = store.split("valid")
@@ -413,6 +489,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
     best = None
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
+        _check_resumable(ckpt, config, store)
         dparams, nparams, adam = ckpt.dpcl, ckpt.denoiser, ckpt.adam
         start_epoch = ckpt.epoch
         best_mrr = ckpt.best_val_mrr
@@ -424,12 +501,12 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                 best = dataclasses.replace(saved, config=config)
     else:
         init_rng = nk.rng_for(config.seed, _NS_INIT)
-        dparams = dpcl_mod.init_params(store.n_entities, store.n_relations,
-                                       config.d_dpcl, init_rng)
-        nparams = gndiff.init_denoiser(store.n_entities, store.n_relations,
-                                       config.d_diff, init_rng)
-        adam = {name: AdamState(p.shape, lr=config.lr) for name, p in
-                Checkpoint(config, dparams, nparams, {}, 0).named_tensors().items()}
+        dparams = None if config.no_dpcl else dpcl_mod.init_params(
+            store.n_entities, store.n_relations, config.d_dpcl, init_rng)
+        nparams = None if config.no_gndiff else gndiff.init_denoiser(
+            store.n_entities, store.n_relations, config.d_diff, init_rng)
+        adam = {name: AdamState(p.shape, lr=config.lr)
+                for name, p in _named_tensors(dparams, nparams).items()}
         start_epoch = 0
         best_mrr = -1.0
         metrics = []
@@ -438,10 +515,10 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    def snapshot(epoch_next: int) -> Checkpoint:
-        return Checkpoint(config=config, dpcl=dparams, denoiser=nparams,
-                          adam=_copy_adam(adam), epoch=epoch_next,
-                          best_val_mrr=best_mrr, metrics=list(metrics))
+    def state(epoch_next: int) -> Checkpoint:
+        """The live state; the next Adam step updates its moments in place."""
+        return Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam=adam,
+                          epoch=epoch_next, best_val_mrr=best_mrr, metrics=list(metrics))
 
     for epoch in range(start_epoch, config.total_epochs):
         t0 = time.perf_counter()
@@ -473,15 +550,10 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                     f"ce={_maybe(ce_t)}, sup={_maybe(sup_t)}, diff={_maybe(diff_t)}"
                 ) from e
 
-            trainable = {}
-            if not config.no_dpcl:
-                trainable.update({f"dpcl.{k}": v for k, v in dparams.named().items()})
-            if not config.no_gndiff:
-                trainable.update({f"denoiser.{k}": v for k, v in nparams.named().items()})
-            names = list(trainable)
-            grads = tape.gradient(total_t, [trainable[n] for n in names])
-            updated = {n: nk.adam_step(adam[n], trainable[n], g)
-                       for n, g in zip(names, grads)}
+            trainable = _named_tensors(dparams, nparams)
+            grads = tape.gradient(total_t, list(trainable.values()))
+            updated = {n: nk.adam_step(adam[n], p, g)
+                       for (n, p), g in zip(trainable.items(), grads)}
             if not config.no_dpcl:
                 dpcl_updates = {k.split(".", 1)[1]: v for k, v in updated.items()
                                 if k.startswith("dpcl.")}
@@ -525,22 +597,28 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
             with open(out_path / "metrics.jsonl", "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(line) + "\n")
 
-        if valid_index is not None and val_mrr > best_mrr:
+        improved = valid_index is not None and val_mrr > best_mrr
+        if improved:
             best_mrr = val_mrr
-            best = snapshot(epoch + 1)
-            if out_path is not None:
-                save_checkpoint(best, out_path / "best.ckpt")
+        current = state(epoch + 1)
         if out_path is not None:
-            save_checkpoint(snapshot(epoch + 1), out_path / "last.ckpt")
+            save_checkpoint(current, out_path / "last.ckpt")
+            if improved:
+                _link(out_path / "last.ckpt", out_path / "best.ckpt")
+        if improved:
+            # only a best that later epochs would step keeps its own moments
+            best = current if epoch + 1 == config.total_epochs else \
+                dataclasses.replace(current, adam=_copy_adam(adam))
 
-    final = snapshot(config.total_epochs)
+    final = state(config.total_epochs)
+    if out_path is not None:
+        if start_epoch >= config.total_epochs:   # no epoch wrote last.ckpt
+            save_checkpoint(final, out_path / "last.ckpt")
+        if valid_index is None:
+            _link(out_path / "last.ckpt", out_path / "best.ckpt")
     if best is None:
         best = final
-        if out_path is not None and valid_index is None:
-            save_checkpoint(final, out_path / "best.ckpt")
     best.metrics = list(metrics)
-    if out_path is not None and not (out_path / "last.ckpt").exists():
-        save_checkpoint(final, out_path / "last.ckpt")
     return best
 
 

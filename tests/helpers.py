@@ -1,4 +1,5 @@
-"""Synthetic corpora and query batches shared by the tests."""
+"""Synthetic corpora, query batches and checkpoint comparisons shared by the
+tests."""
 
 import numpy as np
 
@@ -109,3 +110,18 @@ def make_batch(rng, n_entities, size, lam=2.0):
     z[np.arange(size), gt] = np.where(rng.random(size) < 0.5, lam, -lam)
     periodic = z[np.arange(size), gt] > 0
     return QueryBatch(s, r, t, gt, z, periodic)
+
+
+def assert_same_state(a, b):
+    """Two checkpoints hold the same parameters and Adam states, bit for bit:
+    the same tensor names and Adam names on both sides, then every array and
+    every step count."""
+    ta, tb = a.named_tensors(), b.named_tensors()
+    assert ta.keys() == tb.keys()
+    assert a.adam.keys() == b.adam.keys()
+    for name, t in ta.items():
+        np.testing.assert_array_equal(t.data, tb[name].data, err_msg=name)
+    for name, s in a.adam.items():
+        np.testing.assert_array_equal(s.m, b.adam[name].m, err_msg=f"adam.m.{name}")
+        np.testing.assert_array_equal(s.v, b.adam[name].v, err_msg=f"adam.v.{name}")
+        assert s.t == b.adam[name].t, name

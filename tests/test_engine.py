@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import planted_period_store, quick_config, single_fact_store
+from helpers import (assert_same_state, planted_period_store, quick_config,
+                     single_fact_store)
 from tkgdiff import dpcl as dpcl_mod
 from tkgdiff import engine, evaluate, gndiff
 from tkgdiff import numkit as nk
@@ -120,8 +121,7 @@ def test_determinism_same_seed():
     a = engine.train(cfg, store)
     b = engine.train(cfg, store)
     assert strip_wall(a.metrics) == strip_wall(b.metrics)
-    for name, t in a.named_tensors().items():
-        np.testing.assert_array_equal(t.data, b.named_tensors()[name].data)
+    assert_same_state(a, b)
 
 
 def test_different_seed_differs():
@@ -131,22 +131,25 @@ def test_different_seed_differs():
     assert a.metrics != b.metrics
 
 
-def test_ablation_freezes_excluded_parameters():
+def test_ablation_freezes_excluded_parameters(tmp_path):
+    # the ablated component has no parameters; the trained one starts from
+    # the head of the init stream and moves
     store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
     cfg = quick_config(no_gndiff=True)
-    init_rng = nk.rng_for(cfg.seed, 0)
-    d0 = dpcl_mod.init_params(store.n_entities, store.n_relations, cfg.d_dpcl, init_rng)
-    n0 = gndiff.init_denoiser(store.n_entities, store.n_relations, cfg.d_diff, init_rng)
-    ckpt = engine.train(cfg, store)
-    for name, t in ckpt.denoiser.named().items():
-        np.testing.assert_array_equal(t.data, n0.named()[name].data)
+    d0 = dpcl_mod.init_params(store.n_entities, store.n_relations, cfg.d_dpcl,
+                              nk.rng_for(cfg.seed, 0))
+    ckpt = engine.train(cfg, store, out_dir=tmp_path / "dpcl")
+    loaded = engine.load_checkpoint(tmp_path / "dpcl" / "best.ckpt")
+    assert ckpt.denoiser is None and loaded.denoiser is None
     assert any(not np.array_equal(t.data, d0.named()[name].data)
                for name, t in ckpt.dpcl.named().items())
 
     cfg2 = quick_config(no_dpcl=True)
-    ckpt2 = engine.train(cfg2, store)
-    for name, t in ckpt2.dpcl.named().items():
-        np.testing.assert_array_equal(t.data, d0.named()[name].data)
+    n0 = gndiff.init_denoiser(store.n_entities, store.n_relations, cfg2.d_diff,
+                              nk.rng_for(cfg2.seed, 0))
+    ckpt2 = engine.train(cfg2, store, out_dir=tmp_path / "gndiff")
+    loaded2 = engine.load_checkpoint(tmp_path / "gndiff" / "best.ckpt")
+    assert ckpt2.dpcl is None and loaded2.dpcl is None
     assert any(not np.array_equal(t.data, n0.named()[name].data)
                for name, t in ckpt2.denoiser.named().items())
 
@@ -163,12 +166,7 @@ def test_checkpoint_roundtrip_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.config == cfg
     assert loaded.epoch == ckpt.epoch
-    for name, t in ckpt.named_tensors().items():
-        np.testing.assert_array_equal(t.data, loaded.named_tensors()[name].data)
-    for name, s in ckpt.adam.items():
-        np.testing.assert_array_equal(s.m, loaded.adam[name].m)
-        np.testing.assert_array_equal(s.v, loaded.adam[name].v)
-        assert s.t == loaded.adam[name].t
+    assert_same_state(ckpt, loaded)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -267,9 +265,60 @@ def test_resume_matches_uninterrupted(tmp_path):
     assert resumed.metrics[-1]["loss_total"] == pytest.approx(
         full.metrics[-1]["loss_total"], abs=1e-12)
     assert strip_wall(resumed.metrics) == strip_wall(full.metrics)
-    for name, t in full.named_tensors().items():
-        np.testing.assert_allclose(t.data, resumed.named_tensors()[name].data,
-                                   atol=1e-12)
+    assert_same_state(full, resumed)
+
+
+def test_resumed_run_without_gndiff_matches_uninterrupted(tmp_path):
+    store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
+    full_cfg = quick_config(epochs_stage1=2, epochs_stage2=2, batch=16, no_gndiff=True)
+    full = engine.train(full_cfg, store, out_dir=tmp_path / "full")
+    engine.train(quick_config(epochs_stage1=2, epochs_stage2=0, batch=16, no_gndiff=True),
+                 store, out_dir=tmp_path / "run")
+    resumed = engine.train(full_cfg, store, out_dir=tmp_path / "resumed",
+                           resume_from=tmp_path / "run" / "last.ckpt")
+
+    assert resumed.denoiser is None
+    assert resumed.epoch == full.epoch
+    assert strip_wall(resumed.metrics) == strip_wall(full.metrics)
+    assert_same_state(full, resumed)
+    assert_same_state(engine.load_checkpoint(tmp_path / "full" / "last.ckpt"),
+                      engine.load_checkpoint(tmp_path / "resumed" / "last.ckpt"))
+
+
+@pytest.mark.parametrize("trained, resumed", [
+    ({"no_gndiff": True}, {}),
+    ({"no_dpcl": True}, {}),
+    ({}, {"no_gndiff": True}),
+    ({}, {"d_dpcl": 8}),
+    ({}, {"d_diff": 8}),
+    ({}, {"mapping_strategy": "euc/euc"}),
+], ids=["no_gndiff-to-both", "no_dpcl-to-both", "both-to-no_gndiff", "d_dpcl", "d_diff",
+        "mapping_strategy"])
+def test_resume_refuses_a_checkpoint_of_another_model(tmp_path, trained, resumed):
+    # a no_gndiff checkpoint resumed under a combined config used to train
+    # the denoiser from its init without a word
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=16, **trained),
+                 store, out_dir=tmp_path / "run")
+    key = next(iter({**trained, **resumed}))
+    with pytest.raises(ConfigError, match=f"cannot resume under another {key} "):
+        engine.train(quick_config(epochs_stage1=2, epochs_stage2=0, batch=16, **resumed),
+                     store, out_dir=tmp_path / "resumed",
+                     resume_from=tmp_path / "run" / "last.ckpt")
+    assert not (tmp_path / "resumed").exists()
+
+
+def test_resume_refuses_a_checkpoint_of_another_vocabulary(tmp_path):
+    # it used to fail in the first batch with a DimensionError
+    engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=16),
+                 planted_period_store(n_entities=8, n_relations=2, n_timestamps=30),
+                 out_dir=tmp_path / "run")
+    other = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    with pytest.raises(DataError, match="checkpoint has 8 entities and 2 relations, "
+                                        "the store 6 entities and 2 relations"):
+        engine.train(quick_config(epochs_stage1=2, epochs_stage2=0, batch=16), other,
+                     out_dir=tmp_path / "resumed", resume_from=tmp_path / "run" / "last.ckpt")
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_resumed_run_returns_the_best_before_the_resume(tmp_path):
@@ -287,9 +336,7 @@ def test_resumed_run_returns_the_best_before_the_resume(tmp_path):
     assert resumed.epoch == full.epoch and resumed.config == full_cfg
     assert resumed.best_val_mrr == full.best_val_mrr
     assert strip_wall(resumed.metrics) == strip_wall(full.metrics)
-    for name, t in full.named_tensors().items():
-        np.testing.assert_allclose(t.data, resumed.named_tensors()[name].data,
-                                   atol=1e-12)
+    assert_same_state(full, resumed)
 
 
 def test_best_snapshot_keeps_its_state_through_later_steps(tmp_path):
@@ -376,6 +423,69 @@ def test_every_checkpoint_load_failure_is_a_checkpoint_error(tmp_path, small_ckp
     bad.write_bytes(join_checkpoint(blob, header, records))
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
         engine.load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def ablated_ckpts():
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    return {flag: engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=16,
+                                            **{flag: True}), store)
+            for flag in ("no_gndiff", "no_dpcl")}
+
+
+ABLATIONS = [("no_gndiff", "denoiser", "dpcl"), ("no_dpcl", "dpcl", "denoiser")]
+
+
+@pytest.mark.parametrize("flag, absent, present", ABLATIONS)
+def test_an_ablated_component_has_no_checkpoint_records(tmp_path, ablated_ckpts, flag,
+                                                        absent, present):
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts[flag], path)
+    header, records = split_checkpoint(path.read_bytes())
+    params = {n for n in records if not n.startswith("adam.")}
+    moments = {n.split(".", 2)[2] for n in records if n.startswith("adam.")}
+    assert params and all(n.startswith(present + ".") for n in params)
+    assert moments == params
+    assert set(json.loads(header)["adam"]) == params
+    loaded = engine.load_checkpoint(path)
+    assert getattr(loaded, absent) is None
+    assert_same_state(ablated_ckpts[flag], loaded)
+
+
+@pytest.mark.parametrize("flag, absent, present", ABLATIONS)
+def test_component_records_must_match_what_the_config_trains(tmp_path, small_ckpt,
+                                                             ablated_ckpts, flag,
+                                                             absent, present):
+    def load_with(ckpt, ablated):
+        path = tmp_path / "x.ckpt"
+        engine.save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        header, records = edit_header(
+            lambda h: h["config"].update({flag: ablated}))(*split_checkpoint(blob))
+        path.write_bytes(join_checkpoint(blob, header, records))
+        return engine.load_checkpoint(path)
+
+    # records of a component the header's config ablates
+    with pytest.raises(CheckpointError, match=rf"{absent}\.\* records"):
+        load_with(small_ckpt, True)
+    # no records of a component the header's config trains
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        load_with(ablated_ckpts[flag], False)
+
+
+def test_checkpoint_in_the_format_with_denoiser_meta_is_rejected(tmp_path, small_ckpt):
+    # format 3 headers carried the vocabulary in denoiser_meta, which format 4
+    # replaced by top-level n_entities and n_relations
+    p = tmp_path / "v3.ckpt"
+    engine.save_checkpoint(small_ckpt, p)
+    blob = p.read_bytes()
+    header, records = edit_header(lambda h: h.update(denoiser_meta={
+        "n_entities": h.pop("n_entities"), "n_relations": h.pop("n_relations"),
+        "width": h["config"]["d_diff"]}))(*split_checkpoint(blob))
+    blob = join_checkpoint(blob, header, records)
+    p.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
+    with pytest.raises(CheckpointVersionError, match="version 3 is not supported"):
+        engine.load_checkpoint(p)
 
 
 def test_loaded_parameters_are_read_only_and_adam_moments_writeable(tmp_path, small_ckpt):
@@ -535,17 +645,41 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
 
 
 def test_train_without_validation_returns_final_state(tmp_path, monkeypatch):
+    # each epoch's state is written once, to last.ckpt; the final state is
+    # also the best, and best.ckpt holds the same bytes without a second write
     store = single_fact_store()
     assert len(store.split("valid")) == 0
+    written = []
+    save = engine.save_checkpoint
+
+    def record(ckpt, path):
+        written.append((path.name, ckpt.epoch))
+        save(ckpt, path)
+
+    monkeypatch.setattr(engine, "save_checkpoint", record)
     cfg = quick_config(epochs_stage1=3, epochs_stage2=2, batch=4, steps=4)
     ckpt = engine.train(cfg, store, out_dir=tmp_path / "five")
     assert ckpt.epoch == cfg.total_epochs
+    assert written == [("last.ckpt", epoch) for epoch in range(1, 6)]
     best = engine.load_checkpoint(tmp_path / "five" / "best.ckpt")
-    last = engine.load_checkpoint(tmp_path / "five" / "last.ckpt")
-    assert best.epoch == last.epoch == cfg.total_epochs
-    for name, t in ckpt.named_tensors().items():
-        np.testing.assert_array_equal(t.data, best.named_tensors()[name].data)
+    assert best.epoch == cfg.total_epochs
+    assert_same_state(ckpt, best)
+    assert (tmp_path / "five" / "best.ckpt").read_bytes() == \
+        (tmp_path / "five" / "last.ckpt").read_bytes()
 
+    written.clear()
+    engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=4, steps=4),
+                 store, out_dir=tmp_path / "one")
+    assert written == [("last.ckpt", 1)]
+    assert (tmp_path / "one" / "best.ckpt").read_bytes() == \
+        (tmp_path / "one" / "last.ckpt").read_bytes()
+
+
+def test_an_improving_epoch_is_written_once(tmp_path, monkeypatch):
+    # best.ckpt is a link to the last.ckpt of the epoch that improved; later
+    # last.ckpt writes leave its bytes alone
+    store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
+    cfg = quick_config(epochs_stage1=2, epochs_stage2=3, batch=16, seed=2)
     written = []
     save = engine.save_checkpoint
 
@@ -554,9 +688,12 @@ def test_train_without_validation_returns_final_state(tmp_path, monkeypatch):
         save(ckpt, path)
 
     monkeypatch.setattr(engine, "save_checkpoint", record)
-    engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=4, steps=4),
-                 store, out_dir=tmp_path / "one")
-    assert sorted(written) == ["best.ckpt", "last.ckpt"]
+    best = engine.train(cfg, store, out_dir=tmp_path)
+    assert written == ["last.ckpt"] * cfg.total_epochs
+    assert best.epoch == 1
+    assert engine.load_checkpoint(tmp_path / "best.ckpt").epoch == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "best.ckpt", "last.ckpt", "metrics.jsonl"]
 
 
 def test_evaluate_split_runs_inference_on_one_blas_thread(monkeypatch):
