@@ -55,10 +55,10 @@ def init_params(n_entities: int, n_relations: int, dim: int,
     bound = np.sqrt(6.0 / (3 * dim))
 
     def emb(n):
-        return Tensor(rng.uniform(-half, half, size=(n, dim)))
+        return Tensor(rng.uniform(-half, half, size=(n, dim)), copy=False)
 
     def weight():
-        return Tensor(rng.uniform(-bound, bound, size=(dim, 2 * dim)))
+        return Tensor(rng.uniform(-bound, bound, size=(dim, 2 * dim)), copy=False)
 
     return DpclParams(
         entity_emb=emb(n_entities), relation_emb=emb(n_relations),

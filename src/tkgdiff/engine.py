@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TKGD"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # namespaces for stateless rng derivation
 _NS_INIT = 0
@@ -234,9 +234,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     one record per tensor in name order: u32 name length, the UTF-8 name, u32
     rank, u32 dims, float64 payload. The records are the parameters
     (`dpcl.*`, `denoiser.*`) and their Adam moments (`adam.m.<name>`,
-    `adam.v.<name>`); the component the config ablates has none. This is
-    format version 4; `load_checkpoint` rejects any other version with
-    CheckpointVersionError.
+    `adam.v.<name>`); the component the config ablates has none. The
+    denoiser's output rows are one block per token role (`w2` is
+    (2|E|+|R|, h)). This is format version 5; `load_checkpoint` rejects any
+    other version with CheckpointVersionError.
     """
     arrays = {name: t.data for name, t in ckpt.named_tensors().items()}
     adam_meta = {}
@@ -293,10 +294,10 @@ def load_checkpoint(path) -> Checkpoint:
     the expected JSON, a record that is not 2-D, a missing or unexpected
     tensor record, Adam states that do not match the parameter records,
     parameters that do not cover the header's `n_entities` and
-    `n_relations`, or a non-finite payload. The component the header's
-    config ablates must have no records and loads as None; every other
-    component must have all of its records. The denoiser's width is the
-    config's `d_diff`.
+    `n_relations` (each denoiser record must have the shape those sizes and
+    the config's `d_diff` give it), or a non-finite payload. The component
+    the header's config ablates must have no records and loads as None;
+    every other component must have all of its records.
 
     Parameter tensors are read-only views of the arrays read from the file;
     the Adam moments are those arrays, writeable.
@@ -360,6 +361,13 @@ def _read_body(fh) -> Checkpoint:
     if ckpt.vocabulary != sizes:
         raise ValueError(f"parameters cover {ckpt.vocabulary} (entities, relations), "
                          f"the header says {sizes}")
+    if nparams is not None:
+        expected = nparams.shapes()
+        wrong = {name: t.shape for name, t in nparams.named().items()
+                 if t.shape != expected[name]}
+        if wrong:
+            raise ValueError(f"denoiser records have shapes {wrong}, the header's sizes "
+                             f"and d_diff give {expected}")
     if set(header["adam"]) != set(ckpt.named_tensors()):
         raise ValueError("Adam states do not match the parameter records")
     for name, info in header["adam"].items():

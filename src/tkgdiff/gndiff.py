@@ -8,6 +8,11 @@ process predicts the clean sequence and combines it with the analytic
 posterior, which for the absorbing chain collapses to: unmasked positions stay
 put, masked positions revert to a predicted token with probability
 (alpha_bar[t-1] - alpha_bar[t]) / (1 - alpha_bar[t]).
+
+Each position of a clean sequence holds tokens of one role: an entity at the
+subject and tail, a relation in between, never the mask. So the denoiser
+predicts each position over its role's tokens only, with one block of output
+rows per role, and the training loss is a cross-entropy per role block.
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ from .errors import NumericError
 from .numkit import Tensor
 
 __all__ = [
-    "N_POSITIONS", "NEG_INF", "DenoiserParams", "init_denoiser",
+    "N_POSITIONS", "DenoiserParams", "init_denoiser",
     "denoise_x0_batch", "batch_loss", "p_diff_batch",
 ]
 
 N_POSITIONS = 3
-NEG_INF = -1e30  # finite stand-in for -inf so tensors stay finite
 
 
 def _schedule_arrays(h: np.ndarray, steps: int, mu: float):
@@ -62,13 +66,16 @@ def _schedule_arrays(h: np.ndarray, steps: int, mu: float):
 @dataclass
 class DenoiserParams:
     """Token embeddings plus a two-layer tanh perceptron producing logits for
-    the clean sequence; invalid (position, token) pairs are masked off."""
+    the clean sequence, each position over the tokens of its role. The output
+    rows come in blocks: subject entities, relations, then tail entities
+    (`role_blocks`). A clean token's output column is its combined-vocabulary
+    id, plus |E|+|R| at the tail position."""
 
     token_emb: Tensor   # (K, w)
     w1: Tensor          # (h, 4w): 3 token embeddings + time embedding
     b1: Tensor          # (1, h)
-    w2: Tensor          # (3K, h)
-    b2: Tensor          # (1, 3K)
+    w2: Tensor          # (2|E|+|R|, h): subject, relation, tail blocks
+    b2: Tensor          # (1, 2|E|+|R|)
     n_entities: int
     n_relations: int
     width: int
@@ -77,33 +84,40 @@ class DenoiserParams:
     def vocab_size(self) -> int:
         return self.n_entities + self.n_relations + 1
 
+    @property
+    def n_outputs(self) -> int:
+        return 2 * self.n_entities + self.n_relations
+
     def named(self) -> dict[str, Tensor]:
         return {f: getattr(self, f)
                 for f in ("token_emb", "w1", "b1", "w2", "b2")}
 
-    def role_mask(self) -> np.ndarray:
-        """(3, K) additive mask: 0 for tokens a clean sequence may hold at the
-        position, NEG_INF elsewhere (the mask token is never a clean token)."""
-        k = self.vocab_size
-        m = np.full((N_POSITIONS, k), NEG_INF)
-        m[0, :self.n_entities] = 0.0
-        m[2, :self.n_entities] = 0.0
-        m[1, self.n_entities:self.n_entities + self.n_relations] = 0.0
-        return m
+    def shapes(self) -> dict[str, tuple[int, int]]:
+        """The shape each tensor has for this vocabulary and width."""
+        k, w, n = self.vocab_size, self.width, self.n_outputs
+        return {"token_emb": (k, w), "w1": (w, 4 * w), "b1": (1, w),
+                "w2": (n, w), "b2": (1, n)}
+
+    def role_blocks(self) -> tuple[slice, slice, slice]:
+        """Output columns of the subject, relation and tail positions."""
+        e, r = self.n_entities, self.n_relations
+        return slice(0, e), slice(e, e + r), slice(e + r, 2 * e + r)
 
 
 def init_denoiser(n_entities: int, n_relations: int, width: int,
                   rng: np.random.Generator) -> DenoiserParams:
     k = n_entities + n_relations + 1
+    n_out = 2 * n_entities + n_relations
     hidden = width
 
     def uniform(rows, cols, fan):
-        return Tensor(rng.uniform(-1.0, 1.0, size=(rows, cols)) * np.sqrt(3.0 / fan))
+        return Tensor(rng.uniform(-1.0, 1.0, size=(rows, cols)) * np.sqrt(3.0 / fan),
+                      copy=False)
 
     return DenoiserParams(
         token_emb=uniform(k, width, width),
         w1=uniform(hidden, 4 * width, 4 * width), b1=nk.zeros(1, hidden),
-        w2=uniform(3 * k, hidden, hidden), b2=nk.zeros(1, 3 * k),
+        w2=uniform(n_out, hidden, hidden), b2=nk.zeros(1, n_out),
         n_entities=n_entities, n_relations=n_relations, width=width,
     )
 
@@ -134,13 +148,10 @@ def _hidden(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
 
 def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
     """Clean-sequence logits for a batch: (B, 3) corrupted token ids and (B,)
-    step indices -> (3B, K) logits, rows grouped per sequence; taped."""
+    step indices -> (B, 2|E|+|R|) logits, one row per sequence holding the
+    subject, relation and tail blocks (`DenoiserParams.role_blocks`); taped."""
     h = _hidden(params, xt, ts)
-    b = h.shape[0]
-    logits = nk.add(nk.matmul(h, nk.transpose(params.w2)), params.b2)  # (B, 3K)
-    logits = nk.reshape(logits, N_POSITIONS * b, params.vocab_size)
-    mask = np.tile(params.role_mask(), (b, 1))
-    return nk.add(logits, Tensor(mask))
+    return nk.add(nk.matmul(h, nk.transpose(params.w2)), params.b2)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +164,18 @@ def batch_loss(params: DenoiserParams, entropies: TokenEntropy,
     """Mean single-sample bound over a batch of (B, 3) clean token triples,
     with per-sequence entropy schedules; one batched denoiser call."""
     toks = np.asarray(quad_tokens, dtype=np.int64).reshape(-1, N_POSITIONS)
+    xt, ts, weights = _corrupt(entropies, toks, steps, mu, rng)
+    logits = denoise_x0_batch(params, xt, ts)                    # (B, 2|E|+|R|)
+    cols = toks + np.array([0, 0, params.n_entities + params.n_relations])
+    return _role_cross_entropy(logits, params.role_blocks(), cols, weights)
+
+
+def _corrupt(entropies: TokenEntropy, toks: np.ndarray, steps: int, mu: float,
+             rng: np.random.Generator):
+    """One forward draw per (B, 3) clean triple: a step t uniform in [1, T],
+    x_t from its per-sequence schedule, and each position's loss weight, the
+    revert probability where x_t is masked and 0 elsewhere. Returns (x_t, t,
+    weights)."""
     b = toks.shape[0]
     h = entropies.entropy[toks]                                  # (B, 3)
     _, alpha = _schedule_arrays(h, steps, mu)                    # (T+1, B, 3)
@@ -166,12 +189,48 @@ def batch_loss(params: DenoiserParams, entropies: TokenEntropy,
     denom = 1.0 - a_t
     revert = np.where(denom > 0.0, (a_prev - a_t) / np.where(denom > 0, denom, 1.0), 0.0)
     weights = np.where(xt == entropies.mask_token, revert, 0.0)
+    return xt, ts, weights
 
-    logits = denoise_x0_batch(params, xt, ts)                    # (3B, K)
-    probs = nk.softmax_rows(logits)
-    picked = nk.gather_cols(probs, toks.reshape(-1))
-    weighted = nk.mul(Tensor(weights.reshape(-1, 1)), nk.log(picked))
-    return nk.mul(nk.constant(-1.0 / b), nk.sum_all(weighted))
+
+def _role_cross_entropy(logits: Tensor, blocks: tuple[slice, ...], cols: np.ndarray,
+                        weights: np.ndarray) -> Tensor:
+    """-(1/B) sum of w * log softmax(block)[col] over the (B, 3) positions,
+    each position's softmax over its own block of `logits`; (1, 1), taped as
+    one record.
+
+    Only positions with a nonzero weight are computed. The log-probability is
+    the shifted logit less the log of the block's sum, so a clean token whose
+    probability underflows still gives its exact, finite term. Backward puts
+    (w/B) * (softmax - onehot) into each computed row's block.
+    """
+    z = logits.data
+    b = z.shape[0]
+    terms = np.zeros(cols.shape)
+    parts = []
+    for pos, block in enumerate(blocks):
+        rows = np.flatnonzero(weights[:, pos])
+        if rows.size == 0:
+            continue
+        at = (np.arange(rows.size), cols[rows, pos] - block.start)
+        shifted = z[rows, block]
+        shifted -= shifted.max(axis=1, keepdims=True)
+        probs = np.exp(shifted)
+        total = probs.sum(axis=1)
+        probs /= total[:, None]
+        terms[rows, pos] = weights[rows, pos] * (shifted[at] - np.log(total))
+        parts.append((rows, block, at, probs, weights[rows, pos] / b))
+    out = nk._result(np.array([[(-1.0 / b) * terms.sum()]]), "batch_loss")
+
+    def backward(g):
+        grad = np.zeros_like(z)
+        for rows, block, at, probs, w_over_b in parts:
+            scale = g[0, 0] * w_over_b
+            d = probs * scale[:, None]
+            d[at] -= scale
+            grad[rows, block] = d
+        return (grad,)
+
+    return nk._tape_record(out, (logits,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +241,11 @@ def _tail_probs(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> np.nd
     """Predicted clean-tail distribution over entities for (B, 3) corrupted
     token ids and (B,) step indices; (B, |E|), untaped.
 
-    Applies only rows 2K : 2K+|E| of the output layer (the tail position's
-    entity logits). The role mask is exactly 0 there, so these logits equal
-    the matching slice of denoise_x0_batch.
+    Applies only the tail block of the output layer, rows
+    |E|+|R| : 2|E|+|R|; these logits are that block of denoise_x0_batch.
     """
     h = _hidden(params, xt, ts).data
-    k = params.vocab_size
-    cols = slice(2 * k, 2 * k + params.n_entities)
+    cols = params.role_blocks()[2]
     probs = h @ params.w2.data[cols].T     # the logits, then softmax in place
     probs += params.b2.data[:, cols]
     if not np.all(np.isfinite(probs)):

@@ -18,6 +18,17 @@ Diffusion, one sequence at a time (checks `gndiff.batch_loss` and
   `gndiff.p_diff_batch` must reproduce `p_diff_batch` here while computing
   only the rows it reads.
 
+The role-masked output layer (checks `gndiff.denoise_x0_batch`,
+`gndiff.batch_loss` and `gndiff._tail_probs`):
+- `init_role_masked`, `role_mask`, `role_masked_logits`: a denoiser whose
+  output layer has one K-wide block of rows per position, and whose logits
+  are masked to NEG_INF where a clean sequence cannot hold the token.
+- `role_masked_loss`, `role_masked_tail_probs`: the loss and the tail
+  distribution of that layout, a softmax over all K columns of a position.
+- `live_rows`, `role_sized`: the rows the mask leaves live, which make the
+  role-sized denoiser that gives the same loss, gradients and tail
+  distribution.
+
 Distances, one row pair at a time (checks `geometry.poincare_pairwise` and
 `geometry.euclidean_pairwise`):
 - `PoincarePoint`: a point projected into the ball on construction.
@@ -44,6 +55,7 @@ validation, the clamp-saturation warning of `build_schedule`, and
 `PoincarePoint`.
 """
 
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
@@ -228,7 +240,8 @@ def diffusion_loss(schedule: DiffusionSchedule, params: DenoiserParams,
     from the forward marginal, then scores the reverse step.
 
     For the absorbing chain the step KL collapses per masked position to
-    -revert_prob * log p_hat(x_0 token); at t = 1 the revert probability is 1,
+    -revert_prob * log p_hat(x_0 token), with p_hat the softmax over the
+    position's role block; at t = 1 the revert probability is 1,
     which is exactly the reconstruction term. The terminal prior term is
     identically zero (both sides are the all-mask point mass) and is asserted,
     not computed.
@@ -239,10 +252,15 @@ def diffusion_loss(schedule: DiffusionSchedule, params: DenoiserParams,
     x_t = sample_forward(schedule, x0, t, rng)
     masked = x_t.tokens == x0.mask_token
     weights = np.where(masked, schedule.revert_prob(t), 0.0)
-    logits = gndiff.denoise_x0_batch(params, x_t.tokens[None, :], np.array([t]))
-    probs = nk.softmax_rows(logits)
-    picked = nk.gather_cols(probs, x0.tokens)
-    return nk.neg(nk.sum_all(nk.mul(Tensor(weights.reshape(-1, 1)), nk.log(picked))))
+    logits = gndiff.denoise_x0_batch(params, x_t.tokens[None, :], np.array([t])).data[0]
+    total = 0.0
+    for pos, block in enumerate(params.role_blocks()):
+        if masked[pos]:
+            # a relation token's id counts the entities before it
+            index = x0.tokens[pos] - (params.n_entities if pos == 1 else 0)
+            e = np.exp(logits[block] - logits[block].max())
+            total -= weights[pos] * np.log(e[index] / e.sum())
+    return nk.constant(total)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +268,8 @@ def diffusion_loss(schedule: DiffusionSchedule, params: DenoiserParams,
 # ---------------------------------------------------------------------------
 
 def _entity_dist(params: DenoiserParams, logits_row: np.ndarray) -> np.ndarray:
-    """Softmax of a tail-position logit row restricted to entity ids."""
-    row = logits_row[:params.n_entities]
+    """Softmax of a sequence's logit row over its tail block."""
+    row = logits_row[params.role_blocks()[2]]
     row = row - row.max()
     e = np.exp(row)
     return e / e.sum()
@@ -269,7 +287,7 @@ def sample_conditional(schedule: DiffusionSchedule, params: DenoiserParams,
     tail_dist = None
     for t in range(schedule.steps, 0, -1):
         logits = gndiff.denoise_x0_batch(params, x[None, :], np.array([t])).data
-        tail_dist = _entity_dist(params, logits[2])
+        tail_dist = _entity_dist(params, logits[0])
         if x[2] == mask:
             revert = schedule.revert_prob(t)[2]
             if rng.random() < revert:
@@ -321,7 +339,7 @@ def p_diff_batch(params: DenoiserParams, entropies: TokenEntropy,
     tail_dist = np.zeros((rows, n_e))
     for t in range(steps, 0, -1):
         logits = gndiff.denoise_x0_batch(params, x, np.full(rows, t)).data
-        tail_logits = logits[2::N_POSITIONS, :n_e]
+        tail_logits = logits[:, params.role_blocks()[2]]
         shifted = tail_logits - tail_logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         tail_dist = e / e.sum(axis=1, keepdims=True)
@@ -336,6 +354,96 @@ def p_diff_batch(params: DenoiserParams, entropies: TokenEntropy,
                 picks = (cum < u[:, None]).sum(axis=1).clip(0, n_e - 1)
                 x[do_revert, 2] = picks[do_revert]
     return tail_dist.reshape(b, chains, n_e).mean(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Denoiser: the role-masked output layer
+# ---------------------------------------------------------------------------
+
+NEG_INF = -1e30  # finite stand-in for -inf so tensors stay finite
+
+
+def init_role_masked(n_entities: int, n_relations: int, width: int,
+                     rng: np.random.Generator) -> DenoiserParams:
+    """A denoiser whose `w2` is (3K, h) and `b2` (1, 3K): one K-wide block of
+    output rows per position, drawn like gndiff.init_denoiser's rows."""
+    k = n_entities + n_relations + 1
+
+    def uniform(rows, cols, fan):
+        return Tensor(rng.uniform(-1.0, 1.0, size=(rows, cols)) * np.sqrt(3.0 / fan))
+
+    return DenoiserParams(
+        token_emb=uniform(k, width, width),
+        w1=uniform(width, 4 * width, 4 * width), b1=nk.zeros(1, width),
+        w2=uniform(3 * k, width, width), b2=nk.zeros(1, 3 * k),
+        n_entities=n_entities, n_relations=n_relations, width=width)
+
+
+def role_mask(params: DenoiserParams) -> np.ndarray:
+    """(3, K) additive mask: 0 for tokens a clean sequence may hold at the
+    position, NEG_INF elsewhere (the mask token is never a clean token)."""
+    n_e, n_r = params.n_entities, params.n_relations
+    m = np.full((N_POSITIONS, params.vocab_size), NEG_INF)
+    m[0, :n_e] = 0.0
+    m[2, :n_e] = 0.0
+    m[1, n_e:n_e + n_r] = 0.0
+    return m
+
+
+def role_masked_logits(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
+    """(3B, K) logits of a role-masked denoiser for (B, 3) corrupted token ids
+    and (B,) step indices, rows grouped per sequence; taped."""
+    h = gndiff._hidden(params, xt, ts)
+    b = h.shape[0]
+    logits = nk.add(nk.matmul(h, nk.transpose(params.w2)), params.b2)  # (B, 3K)
+    logits = nk.reshape(logits, N_POSITIONS * b, params.vocab_size)
+    return nk.add(logits, Tensor(np.tile(role_mask(params), (b, 1))))
+
+
+def role_masked_loss(params: DenoiserParams, entropies: TokenEntropy,
+                     quad_tokens: np.ndarray, steps: int, mu: float,
+                     rng: np.random.Generator) -> Tensor:
+    """gndiff.batch_loss of a role-masked denoiser, with the same draws: the
+    log of each position's softmax over all K columns, picked at the clean
+    token; taped."""
+    toks = np.asarray(quad_tokens, dtype=np.int64).reshape(-1, N_POSITIONS)
+    xt, ts, weights = gndiff._corrupt(entropies, toks, steps, mu, rng)
+    probs = nk.softmax_rows(role_masked_logits(params, xt, ts))
+    picked = nk.gather_cols(probs, toks.reshape(-1))
+    weighted = nk.mul(Tensor(weights.reshape(-1, 1)), nk.log(picked))
+    return nk.mul(nk.constant(-1.0 / len(toks)), nk.sum_all(weighted))
+
+
+def role_masked_tail_probs(params: DenoiserParams, xt: np.ndarray,
+                           ts: np.ndarray) -> np.ndarray:
+    """gndiff._tail_probs of a role-masked denoiser: rows 2K : 2K+|E| of its
+    output layer, where the mask is exactly 0."""
+    h = gndiff._hidden(params, xt, ts).data
+    k = params.vocab_size
+    cols = slice(2 * k, 2 * k + params.n_entities)
+    probs = h @ params.w2.data[cols].T
+    probs += params.b2.data[:, cols]
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def live_rows(n_entities: int, n_relations: int) -> np.ndarray:
+    """The rows of a role-masked (3K, h) output layer that the mask leaves
+    live, in the role-sized order: subject entities, relations, tail
+    entities."""
+    k = n_entities + n_relations + 1
+    return np.concatenate([np.arange(n_entities),
+                           k + np.arange(n_entities, n_entities + n_relations),
+                           2 * k + np.arange(n_entities)])
+
+
+def role_sized(params: DenoiserParams) -> DenoiserParams:
+    """The role-sized denoiser made of a role-masked one's live output rows."""
+    rows = live_rows(params.n_entities, params.n_relations)
+    return dataclasses.replace(params, w2=Tensor(params.w2.data[rows]),
+                               b2=Tensor(params.b2.data[:, rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import (assert_same_state, planted_period_store, quick_config,
                      single_fact_store)
 from tkgdiff import dpcl as dpcl_mod
@@ -486,6 +487,61 @@ def test_checkpoint_in_the_format_with_denoiser_meta_is_rejected(tmp_path, small
     p.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
     with pytest.raises(CheckpointVersionError, match="version 3 is not supported"):
         engine.load_checkpoint(p)
+
+
+def pack_record(name, arr):
+    """The bytes of one checkpoint record."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<I{len(encoded)}sI2I", len(encoded), encoded, 2, *arr.shape) + \
+        np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def test_checkpoint_in_the_format_with_role_masked_output_rows_is_rejected(tmp_path,
+                                                                          small_ckpt):
+    # format 4 files held the denoiser's output layer as (3K, h) rows, one
+    # K-wide block per position; format 5 holds one block per token role
+    path = tmp_path / "v4.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    blob = path.read_bytes()
+    header, records = split_checkpoint(blob)
+    n_e, n_r = small_ckpt.denoiser.n_entities, small_ckpt.denoiser.n_relations
+    live = oracles.live_rows(n_e, n_r)
+    k3 = 3 * (n_e + n_r + 1)
+    for name, (_, arr) in records.items():
+        if name.endswith("denoiser.w2"):
+            wide = np.zeros((k3, arr.shape[1]))
+            wide[live] = arr
+        elif name.endswith("denoiser.b2"):
+            wide = np.zeros((1, k3))
+            wide[:, live] = arr
+        else:
+            continue
+        records[name] = (pack_record(name, wide), wide)
+    blob = join_checkpoint(blob, header, records)
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match="denoiser records have shapes"):
+        engine.load_checkpoint(path)
+    path.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
+    with pytest.raises(CheckpointVersionError, match="version 4 is not supported"):
+        engine.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(n_entities=h["n_entities"] + 1),
+    lambda h: h.update(n_relations=h["n_relations"] - 1),
+    lambda h: h["config"].update(d_diff=h["config"]["d_diff"] + 1),
+], ids=["n_entities", "n_relations", "d_diff"])
+def test_denoiser_records_must_have_the_shapes_the_header_gives(tmp_path, ablated_ckpts,
+                                                                 edit):
+    # without DPCL tables nothing else checks the header's sizes: a file of
+    # a 6-entity denoiser would load as a 7-entity model
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts["no_dpcl"], path)
+    blob = path.read_bytes()
+    header, records = edit_header(edit)(*split_checkpoint(blob))
+    path.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match="denoiser records have shapes"):
+        engine.load_checkpoint(path)
 
 
 def test_loaded_parameters_are_read_only_and_adam_moments_writeable(tmp_path, small_ckpt):

@@ -1,7 +1,10 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tkgdiff import corpus, gndiff
@@ -270,38 +273,70 @@ def test_bayes_consistency_chain():
 # Denoiser
 # ---------------------------------------------------------------------------
 
-def test_denoiser_output_shape_and_role_mask():
+def test_denoiser_output_has_one_block_per_role():
+    # each position's block holds the live logits of the role-masked layout
     rng = nk.rng_for(64)
-    params = gndiff.init_denoiser(3, 2, width=8, rng=rng)
-    ent = make_entropies(3, 2)
-    seq = make_sequence(ent, 0, 0, 1)
-    logits = gndiff.denoise_x0_batch(params, seq.tokens[None, :], np.array([2]))
-    assert logits.shape == (3, 6)
-    # relation position: entity and mask tokens are off
-    assert np.all(logits.data[1, :3] <= gndiff.NEG_INF / 2)
-    assert logits.data[1, 5] <= gndiff.NEG_INF / 2
-    # entity positions: relations and mask are off
-    for pos in (0, 2):
-        assert np.all(logits.data[pos, 3:] <= gndiff.NEG_INF / 2)
+    masked = oracles.init_role_masked(3, 2, width=8, rng=rng)
+    masked = dataclasses.replace(masked, b2=nk.tensor(rng.normal(size=masked.b2.shape)))
+    params = oracles.role_sized(masked)
+    assert {n: t.shape for n, t in params.named().items()} == params.shapes()
+    xt = np.array([[0, 3, 5], [5, 5, 1]])            # K = 6, the mask is 5
+    ts = np.array([2, 1])
+    logits = gndiff.denoise_x0_batch(params, xt, ts)
+    assert logits.shape == (2, 2 * 3 + 2)
+    ref = oracles.role_masked_logits(masked, xt, ts).data.reshape(2, 3, 6)
+    live = (slice(0, 3), slice(3, 5), slice(0, 3))    # entities, relations, entities
+    for pos, block in enumerate(params.role_blocks()):
+        np.testing.assert_allclose(logits.data[:, block], ref[:, pos, live[pos]],
+                                   rtol=1e-14, atol=0)
+        assert np.all(np.delete(ref[:, pos], live[pos], axis=1) <= oracles.NEG_INF / 2)
 
 
 def test_denoiser_cross_entropy_gradient():
-    rng = nk.rng_for(65)
-    params = gndiff.init_denoiser(3, 1, width=6, rng=rng)
-    ent = make_entropies(3, 1)
-    seq = make_sequence(ent, 0, 0, 1)
-    xt = seq.with_tokens([seq.mask_token, seq.tokens[1], seq.mask_token])
+    # the per-role record through the denoiser: masked and unmasked positions,
+    # and one sequence whose weights are all zero
+    params = gndiff.init_denoiser(3, 1, width=6, rng=nk.rng_for(65))
+    params = dataclasses.replace(
+        params, b2=nk.tensor(nk.rng_for(65, 1).normal(size=params.b2.shape)))
+    xt = np.array([[4, 3, 4], [0, 4, 4], [2, 3, 1]])  # K = 5, the mask is 4
+    cols = np.array([[0, 3, 1], [0, 3, 2], [2, 3, 1]]) + [0, 0, 4]
+    weights = np.array([[0.5, 0.0, 1.0], [0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
     names = list(params.named())
 
     def f(ps):
         p = dataclasses.replace(params, **dict(zip(names, ps)))
-        logits = gndiff.denoise_x0_batch(p, xt.tokens[None, :], np.array([2]))
-        probs = nk.softmax_rows(logits)
-        picked = nk.gather_cols(probs, seq.tokens)
-        return nk.neg(nk.sum_all(nk.log(picked)))
+        logits = gndiff.denoise_x0_batch(p, xt, np.array([2, 3, 1]))
+        return gndiff._role_cross_entropy(logits, p.role_blocks(), cols, weights)
 
     report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
+
+
+def test_role_cross_entropy_gradient_on_its_logits():
+    rng = nk.rng_for(96)
+    blocks = (slice(0, 4), slice(4, 6), slice(6, 10))
+    logits = nk.tensor(rng.normal(scale=3.0, size=(4, 10)))
+    cols = np.array([[1, 4, 9], [3, 5, 6], [0, 4, 7], [2, 5, 8]])
+    weights = np.array([[1.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.2, 0.7, 0.0], [0.0, 1.0, 1.0]])
+
+    def f(ps):
+        return gndiff._role_cross_entropy(ps[0], blocks, cols, weights)
+
+    report = nk.grad_check(f, [logits], tolerance=1e-6)
+    assert report.ok, report
+    with nk.GradTape() as tape:
+        loss = f([logits])
+    (grad,) = tape.gradient(loss, [logits])
+    expected = np.zeros((4, 10))
+    for pos, block in enumerate(blocks):
+        z = logits.data[:, block]
+        probs = np.exp(z - z.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(4), cols[:, pos] - block.start] -= 1.0
+        expected[:, block] = weights[:, pos, None] / 4 * probs
+    np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+    # a position of zero weight gets exactly zero gradient in its block
+    assert not grad[1].any() and not grad[0, 4:6].any() and not grad[2, 6:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +344,10 @@ def test_denoiser_cross_entropy_gradient():
 # ---------------------------------------------------------------------------
 
 def perfect_logits(seq):
-    """(3, K) logits putting all mass on the clean tokens."""
-    out = np.full((3, seq.vocab_size), gndiff.NEG_INF)
-    for i, tok in enumerate(seq.tokens):
-        out[i, tok] = 0.0
+    """(1, 2|E|+|R|) logits putting all mass on the clean tokens."""
+    n_e, n_r = seq.n_entities, seq.n_relations
+    out = np.full((1, 2 * n_e + n_r), oracles.NEG_INF)
+    out[0, seq.tokens + [0, 0, n_e + n_r]] = 0.0
     return nk.tensor(out)
 
 
@@ -354,12 +389,13 @@ def exhaustive_expected_loss(sched, params, seq):
             if prob == 0.0:
                 continue
             toks = np.where(masked, seq.mask_token, seq.tokens)
-            logits = gndiff.denoise_x0_batch(params, toks[None, :], np.array([t])).data
-            logits = logits - logits.max(axis=1, keepdims=True)
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            picked = p[np.arange(3), seq.tokens]
-            val = -(np.where(masked, revert, 0.0) * np.log(picked)).sum()
+            logits = gndiff.denoise_x0_batch(params, toks[None, :], np.array([t])).data[0]
+            cols = seq.tokens + [0, 0, params.n_entities + params.n_relations]
+            val = 0.0
+            for pos, block in enumerate(params.role_blocks()):
+                p = np.exp(logits[block] - logits[block].max())
+                p /= p.sum()
+                val -= (revert[pos] if masked[pos] else 0.0) * np.log(p[cols[pos] - block.start])
             total += prob * val / steps
     return total
 
@@ -434,6 +470,61 @@ def test_batch_loss_gradient():
     assert report.ok, report
 
 
+def test_batch_loss_is_finite_when_a_clean_token_underflows():
+    # the clean subject's logit is 1000 below its block's maximum, so its
+    # softmax probability underflows to 0; its log-probability is finite
+    n_e, n_r = 4, 2
+    ent = make_entropies(n_e, n_r)
+    params = gndiff.init_denoiser(n_e, n_r, width=6, rng=nk.rng_for(97))
+    b2 = np.zeros(params.b2.shape)
+    b2[0, 2] = -1000.0            # subject 2: the subject block starts at column 0
+    params = dataclasses.replace(params, w2=nk.zeros(*params.w2.shape), b2=nk.tensor(b2))
+    # mu = 0 keeps the schedule linear: at t = 1 draws of 0.999 mask all three
+    # positions, and each reverts with probability 1
+    rng = FakeRng([[1]], [np.full((1, 3), 0.999)])
+    loss = gndiff.batch_loss(params, ent, np.array([[2, n_e, 1]]), 4, 0.0, rng)
+    expected = (1000.0 + np.log(n_e - 1)) + np.log(n_r) + np.log(n_e)
+    assert loss.item() == pytest.approx(expected, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(n_e=st.integers(1, 6), n_r=st.integers(1, 3), width=st.integers(1, 5),
+       batch=st.integers(1, 6), steps=st.integers(2, 6), seed=st.integers(0, 2 ** 16))
+def test_role_sized_denoiser_matches_the_role_masked_layout(n_e, n_r, width, batch,
+                                                            steps, seed):
+    # the role-sized denoiser made of a role-masked one's live rows gives its
+    # loss and live-row gradients to rounding, and the same tail
+    # distributions bit for bit; the masked rows get no gradient at all
+    rng = nk.rng_for(seed)
+    masked = oracles.init_role_masked(n_e, n_r, width, rng)
+    masked = dataclasses.replace(masked, b2=nk.tensor(rng.normal(size=masked.b2.shape)))
+    params = oracles.role_sized(masked)
+    ent = make_entropies(n_e, n_r, seed=seed)
+    queries = np.stack([rng.integers(n_e, size=batch), rng.integers(n_r, size=batch)], 1)
+    toks = np.column_stack([queries[:, 0], n_e + queries[:, 1], rng.integers(n_e, size=batch)])
+
+    def loss_and_grads(loss_fn, p):
+        with nk.GradTape() as tape:
+            loss = loss_fn(p, ent, toks, steps, 0.25, nk.rng_for(seed, 1))
+        return loss.item(), dict(zip(p.named(), tape.gradient(loss, list(p.named().values()))))
+
+    loss, grads = loss_and_grads(gndiff.batch_loss, params)
+    ref, ref_grads = loss_and_grads(oracles.role_masked_loss, masked)
+    np.testing.assert_allclose(loss, ref, rtol=1e-12, atol=0)
+    live = oracles.live_rows(n_e, n_r)
+    for name, axis in (("w2", 0), ("b2", 1)):
+        assert not np.delete(ref_grads[name], live, axis=axis).any()
+        ref_grads[name] = np.take(ref_grads[name], live, axis=axis)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+
+    out = gndiff.p_diff_batch(params, queries, steps, 3, nk.rng_for(seed, 2))
+    with mock.patch.object(gndiff, "_tail_probs", oracles.role_masked_tail_probs):
+        ref_out = gndiff.p_diff_batch(masked, queries, steps, 3, nk.rng_for(seed, 2))
+    np.testing.assert_array_equal(out, ref_out)
+
+
 # ---------------------------------------------------------------------------
 # Reverse sampling
 # ---------------------------------------------------------------------------
@@ -449,11 +540,10 @@ def test_sample_conditional_clamps_and_degenerate_denoiser(monkeypatch):
 
     def fake_denoise(p, xt, ts):
         seen_states.append(xt.copy())
-        out = np.full((3 * len(xt), p.vocab_size), gndiff.NEG_INF)
-        for b in range(len(xt)):
-            out[3 * b + 0, 1] = 0.0
-            out[3 * b + 1, 4 + 0] = 0.0
-            out[3 * b + 2, target] = 0.0
+        out = np.full((len(xt), p.n_outputs), oracles.NEG_INF)
+        out[:, 1] = 0.0             # subject entity 1
+        out[:, 4 + 0] = 0.0         # relation 0; the relation block starts at |E|
+        out[:, 6 + target] = 0.0    # the tail block starts at |E|+|R|
         return nk.tensor(out)
 
     monkeypatch.setattr(gndiff, "denoise_x0_batch", fake_denoise)
@@ -617,7 +707,7 @@ def test_p_diff_batch_raises_on_non_finite_logits(monkeypatch):
     # output rows of 1e308 sums past the float64 range
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(94))
     w2 = params.w2.numpy()
-    w2[2 * params.vocab_size:] = 1e308
+    w2[params.role_blocks()[2]] = 1e308
     params = dataclasses.replace(params, w2=nk.tensor(w2))
     monkeypatch.setattr(gndiff, "_hidden", lambda p, xt, ts: nk.full(len(xt), 6, 1.0))
     with pytest.raises(NumericError, match="non-finite"):
