@@ -1,11 +1,11 @@
 """Quadruple corpora: TSV loading, vocabularies, time-ordered splits, the
-per-(subject, relation) history index with signed frequency values, new-event
-extraction, and token entropies for the diffusion noise schedule.
+sorted (subject, relation, timestamp) history index with signed frequency
+values and batched lookups, and token entropies for the diffusion noise
+schedule.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,9 +14,8 @@ import numpy as np
 from .errors import DataError, ParseError
 
 __all__ = [
-    "QuadStore", "PeriodicIndex", "TokenEntropy",
-    "load_quads", "build_periodic_index", "is_new_event",
-    "extract_new_events", "token_entropies",
+    "QuadStore", "PeriodicIndex", "TokenEntropy", "load_quads", "segments",
+    "build_periodic_index", "is_new_event", "token_entropies",
 ]
 
 SPLITS = ("train", "valid", "test")
@@ -75,6 +74,8 @@ class QuadStore:
                 raise DataError("entity id out of vocabulary range")
             if q[:, 1].max() >= self.n_relations:
                 raise DataError("relation id out of vocabulary range")
+            if q[0, 3] < 0 or q[-1, 3] >= self.n_timestamps:
+                raise DataError("timestamp index out of range")
         for earlier, later in (("train", "valid"), ("valid", "test")):
             a, b = self.split(earlier), self.split(later)
             if len(a) and len(b) and a[:, 3].max() >= b[:, 3].min():
@@ -193,79 +194,80 @@ def _quantile_marks(quads: np.ndarray) -> tuple[int, int]:
     return train_end, valid_end
 
 
+def segments(sorted_keys: np.ndarray, lo_keys, hi_keys) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position) of every position p with lo_keys[i] <= sorted_keys[p]
+    < hi_keys[i], grouped by row i in ascending order, from two searchsorted
+    calls; a caller gathers its values at the positions. Needs
+    lo_keys <= hi_keys."""
+    lo = np.searchsorted(sorted_keys, lo_keys)
+    counts = np.searchsorted(sorted_keys, hi_keys) - lo
+    rows = np.repeat(np.arange(len(counts)), counts)
+    start = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return rows, np.arange(len(rows)) + start
+
+
 @dataclass
 class PeriodicIndex:
-    """Answers, for any (s, r, t): the set of objects seen strictly before t
-    within the indexed scope, and the signed frequency value +lam / -lam."""
+    """The first fact of each (subject, relation, object) in a scope, sorted
+    by (subject, relation, timestamp) key, CSR style.
+
+    A key is `(s * n_relations + r) * stride + t`, so each (s, r) pair's first
+    facts form one run of `keys` in time order. An object is in the history
+    of (s, r) before t iff its first fact with the pair is before t, so that
+    history is the run with keys in [key(s, r, 0), key(s, r, t)), each
+    object once. `objects` holds each key's object. With the signed
+    frequency value `lam`, an object in the history scores +lam and every
+    other object -lam.
+    """
 
     lam: float
     n_entities: int
-    _by_sr: dict[tuple[int, int], tuple[list[int], list[int]]]  # (s,r) -> (ts, objs)
+    n_relations: int
+    stride: int             # n_timestamps + 1: above every timestamp index
+    keys: np.ndarray        # (n,) int64, ascending
+    objects: np.ndarray     # (n,) int64, the object of each key's fact
+
+    def key(self, s, r, t) -> np.ndarray:
+        """(s, r, t) keys. A time is clipped to [0, stride - 1], so a time
+        past every fact keys after all of its pair's facts and before the
+        next pair's."""
+        pair = np.asarray(s, dtype=np.int64) * self.n_relations + r
+        return pair * self.stride + np.minimum(np.maximum(t, 0), self.stride - 1)
+
+    def history_pairs(self, s, r, t) -> tuple[np.ndarray, np.ndarray]:
+        """(row, object) pairs of a batch of queries: for query i, every
+        object seen with (s[i], r[i]) strictly before t[i], once."""
+        hi = self.key(s, r, t)
+        rows, pos = segments(self.keys, hi - hi % self.stride, hi)
+        return rows, self.objects[pos]
 
     def history(self, s: int, r: int, t: int) -> set[int]:
-        entry = self._by_sr.get((int(s), int(r)))
-        if entry is None:
-            return set()
-        ts, objs = entry
-        cut = bisect.bisect_left(ts, t)
-        return set(objs[:cut])
-
-    def z_value(self, s: int, r: int, t: int, o: int) -> float:
-        return self.lam if int(o) in self.history(s, r, t) else -self.lam
-
-    def z_row(self, s: int, r: int, t: int) -> np.ndarray:
-        row = np.full(self.n_entities, -self.lam)
-        hist = self.history(s, r, t)
-        if hist:
-            row[list(hist)] = self.lam
-        return row
+        """The objects seen with (s, r) strictly before t: one query's
+        history_pairs."""
+        return set(self.history_pairs([s], [r], [t])[1].tolist())
 
 
 def build_periodic_index(store: QuadStore, lam: float,
                          scope: tuple[str, ...] = ("train",)) -> PeriodicIndex:
+    """The index of the facts in the scope's splits: one concatenate, one
+    stable sort by (s, r, t) key, and the first fact of each (s, r, o) in
+    that order."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    by_sr: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    for split in scope:
-        for s, r, o, t in store.split(split):
-            key = (int(s), int(r))
-            if key not in by_sr:
-                by_sr[key] = ([], [])
-            by_sr[key][0].append(int(t))
-            by_sr[key][1].append(int(o))
-    for ts, objs in by_sr.values():
-        order = np.argsort(np.asarray(ts), kind="stable")
-        ts[:] = [ts[i] for i in order]
-        objs[:] = [objs[i] for i in order]
-    return PeriodicIndex(float(lam), store.n_entities, by_sr)
+    facts = np.concatenate([store.quads[:0], *(store.split(name) for name in scope)])
+    stride = store.n_timestamps + 1
+    pair = facts[:, 0] * store.n_relations + facts[:, 1]
+    keys = pair * stride + facts[:, 3]
+    order = np.argsort(keys, kind="stable")
+    _, first = np.unique((pair * store.n_entities + facts[:, 2])[order], return_index=True)
+    keep = order[np.sort(first)]
+    return PeriodicIndex(float(lam), store.n_entities, store.n_relations, stride,
+                         keys[keep], facts[keep, 2])
 
 
 def is_new_event(index: PeriodicIndex, s: int, r: int, o: int, t: int) -> bool:
     """True iff object o was never seen with (s, r) strictly before t."""
     return int(o) not in index.history(s, r, t)
-
-
-def extract_new_events(store: QuadStore) -> QuadStore:
-    """Keep only the earliest occurrence of each distinct (s, r, o) triple,
-    re-splitting at the same timestamp boundaries."""
-    seen: set[tuple[int, int, int]] = set()
-    keep = np.zeros(len(store.quads), dtype=bool)
-    for i, (s, r, o, _) in enumerate(store.quads):
-        key = (int(s), int(r), int(o))
-        if key not in seen:
-            seen.add(key)
-            keep[i] = True
-    kept = store.quads[keep]
-
-    train = store.split("train")
-    valid = store.split("valid")
-    t_train_max = int(train[:, 3].max()) if len(train) else -1
-    t_valid_max = int(valid[:, 3].max()) if len(valid) else t_train_max
-    train_end = int(np.searchsorted(kept[:, 3], t_train_max, side="right"))
-    valid_end = int(np.searchsorted(kept[:, 3], t_valid_max, side="right"))
-    return QuadStore(kept, store.entity_names, store.relation_names,
-                     store.timestamps, train_end, valid_end,
-                     dict(store.entity_ids), dict(store.relation_ids))
 
 
 @dataclass

@@ -85,10 +85,12 @@ class QueryBatch:
 
     @classmethod
     def from_quads(cls, quads: np.ndarray, index: PeriodicIndex) -> "QueryBatch":
+        """The z rows are -lam with +lam scattered at the batch's history
+        pairs."""
         s, r, o, t = (quads[:, i].astype(np.int64) for i in range(4))
-        z = np.stack([index.z_row(si, ri, ti) for si, ri, ti in zip(s, r, t)]) \
-            if len(quads) else np.zeros((0, index.n_entities))
-        periodic = z[np.arange(len(quads)), o] > 0 if len(quads) else np.zeros(0, bool)
+        z = np.full((len(quads), index.n_entities), -index.lam)
+        z[index.history_pairs(s, r, t)] = index.lam
+        periodic = z[np.arange(len(quads)), o] > 0
         return cls(s_ids=s, r_ids=r, t_ids=t, gt_ids=o, z_rows=z, periodic=periodic)
 
 

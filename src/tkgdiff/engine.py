@@ -461,7 +461,9 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
           out_dir=None, resume_from=None, log=None) -> Checkpoint:
     """Run the two-stage loop and return the checkpoint with the best
     validation MRR (final state if validation is empty). Its `metrics` hold
-    one line per epoch, including the epochs before a resume. The component
+    one line per epoch, including the epochs before a resume; a line carries
+    the validation MRR overall (`val_mrr`, which selects the best state) and
+    of the new-event and periodic strata. The component
     the config ablates is never initialised or trained, and is None in every
     checkpoint of the run.
 
@@ -581,13 +583,14 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
             sums["total"] += total_t.item()
             n_batches += 1
 
-        val_mrr = 0.0
+        val_mrr = val_mrr_new = val_mrr_periodic = 0.0
         if valid_index is not None:
             seed_eval = int(nk.rng_for(config.seed, _NS_EVAL, epoch).integers(2 ** 31))
             reports = ev.evaluate_split(_model(config, dparams, nparams), store, "valid",
-                                        strata=("all",), seed=seed_eval,
-                                        index=valid_index, lam=config.lam)
+                                        seed=seed_eval, index=valid_index, lam=config.lam)
             val_mrr = reports["all"].mrr
+            val_mrr_new = reports["new-events"].mrr
+            val_mrr_periodic = reports["periodic"].mrr
 
         line = {
             "epoch": epoch,
@@ -596,6 +599,8 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
             "loss_sup": sums["sup"] / max(n_batches, 1),
             "loss_diff": sums["diff"] / max(n_batches, 1),
             "val_mrr": val_mrr,
+            "val_mrr_new": val_mrr_new,
+            "val_mrr_periodic": val_mrr_periodic,
             "wall_seconds": time.perf_counter() - t0,
         }
         metrics.append(line)

@@ -17,14 +17,14 @@ import numpy as np
 from . import dpcl as dpcl_mod
 from . import gndiff
 from . import numkit as nk
-from .corpus import PeriodicIndex, QuadStore, build_periodic_index, is_new_event
+from .corpus import PeriodicIndex, QuadStore, build_periodic_index, segments
 from .dpcl import DpclParams, QueryBatch
 from .errors import ConfigError, DimensionError
 from .gndiff import DenoiserParams
 
 __all__ = [
     "Model", "RankReport", "STRATEGY_DISTANCES", "strategy_distances",
-    "p_dpcl", "combine", "filtered_rank", "raw_rank", "evaluate_split",
+    "p_dpcl", "combine", "ranks", "evaluate_split",
 ]
 
 STRATEGY_DISTANCES = {
@@ -79,22 +79,18 @@ def combine(p_diff: np.ndarray, p_dpcl_: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def filtered_rank(p: np.ndarray, gt: int, same_time_objects) -> int:
-    """1-based rank of the ground truth after removing the other objects that
-    are also true at the same (s, r, t); pessimistic tie-breaking."""
-    p = np.asarray(p).reshape(-1)
-    gt = int(gt)
-    drop = {int(o) for o in same_time_objects} - {gt}
-    score = p[gt]
-    ahead = p >= score
-    ahead[gt] = False
-    if drop:
-        ahead[list(drop)] = False
-    return int(ahead.sum()) + 1
-
-
-def raw_rank(p: np.ndarray, gt: int) -> int:
-    return filtered_rank(p, gt, ())
+def ranks(p: np.ndarray, gt: np.ndarray,
+          same_time: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """1-based (filtered, raw) ranks of each row's ground truth in (B, |E|)
+    probabilities, with pessimistic tie-breaking. `same_time` holds (row,
+    object) pairs: the objects also true at that row's (s, r, t), which the
+    filtered rank removes from the competitors."""
+    rows = np.arange(len(gt))
+    ahead = p >= p[rows, gt][:, None]
+    ahead[rows, gt] = False
+    raw = ahead.sum(axis=1) + 1
+    ahead[same_time] = False
+    return ahead.sum(axis=1) + 1, raw
 
 
 @dataclass
@@ -114,6 +110,8 @@ class RankReport:
             return 0.0
         return float(np.mean([r <= k for r in self.ranks]))
 
+
+CHUNK = 256
 
 _SCOPE_FOR_SPLIT = {
     "train": ("train",),
@@ -145,6 +143,13 @@ def evaluate_split(model: Model, store: QuadStore, split: str,
                    lam: float = 2.0) -> dict[str, RankReport]:
     """Time-filtered rank reports for a split, overall and per stratum.
 
+    The split is scored in chunks of CHUNK queries. Each chunk is ranked with
+    one comparison against its ground-truth probabilities (see `ranks`); a
+    query's same-time objects are one run of the split's facts sorted by
+    (s, r, t) key, and it is a new event when its ground truth is none of
+    its history pairs in `index`. A stratum is a mask over the split's
+    queries.
+
     The candidate distributions are computed with BLAS on one thread, so
     they and their timing do not depend on the process's BLAS thread count
     (see numkit.single_threaded_blas). A model with neither component
@@ -155,25 +160,27 @@ def evaluate_split(model: Model, store: QuadStore, split: str,
     quads = store.split(split)
     if index is None:
         index = build_periodic_index(store, lam, _SCOPE_FOR_SPLIT[split])
-    reports = {name: RankReport(name) for name in strata}
+    # the split's facts sorted by (s, r, t) key: a query's same-time objects
+    # are one run of them
+    split_keys = index.key(quads[:, 0], quads[:, 1], quads[:, 3])
+    by_key = np.argsort(split_keys, kind="stable")
+    sorted_keys, sorted_objects = split_keys[by_key], quads[by_key, 2]
 
-    same_time: dict[tuple[int, int, int], set[int]] = {}
-    for s, r, o, t in quads:
-        same_time.setdefault((int(s), int(r), int(t)), set()).add(int(o))
-
-    chunk = 256
-    for start in range(0, len(quads), chunk):
-        block = quads[start:start + chunk]
+    n = len(quads)
+    filtered, raw = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    new = np.ones(n, dtype=bool)
+    for start in range(0, n, CHUNK):
+        block = quads[start:start + CHUNK]
         with nk.single_threaded_blas():
             probs = _query_distributions(model, block, index, seed + start)
-        for i, (s, r, o, t) in enumerate(block):
-            objs = same_time[(int(s), int(r), int(t))]
-            rank = filtered_rank(probs[i], int(o), objs)
-            rr = raw_rank(probs[i], int(o))
-            new = is_new_event(index, int(s), int(r), int(o), int(t))
-            for name in strata:
-                if name == "all" or (name == "new-events" and new) or \
-                        (name == "periodic" and not new):
-                    reports[name].ranks.append(rank)
-                    reports[name].raw_ranks.append(rr)
-    return reports
+        s, r, o, t = block.T
+        done = slice(start, start + len(block))
+        rows, pos = segments(sorted_keys, split_keys[done], split_keys[done] + 1)
+        filtered[done], raw[done] = ranks(probs, o, (rows, sorted_objects[pos]))
+        rows, objs = index.history_pairs(s, r, t)
+        new[start + rows[objs == o[rows]]] = False
+
+    masks = {"all": np.ones(n, dtype=bool), "new-events": new, "periodic": ~new}
+    return {name: RankReport(name, filtered[masks[name]].tolist(),
+                             raw[masks[name]].tolist())
+            for name in strata}

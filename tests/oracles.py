@@ -45,6 +45,13 @@ Scoring, one head at a time (checks `dpcl.head_scores`):
 - `head_score`: one head's scores with its own subject rows and a row-wise
   distance per (query, candidate) pair, taped.
 
+Ranking, one query at a time (checks `evaluate.ranks` and
+`evaluate.evaluate_split`):
+- `filtered_rank`, `raw_rank`: one query's rank with pessimistic ties, with
+  and without the same-time objects removed.
+- `split_ranks`: the per-query loop over a split, with same-time groups from
+  a dict and new-event flags from a scan of the scoped facts.
+
 The diffusion oracles call `gndiff.denoise_x0_batch` through the module, so
 tests can monkeypatch the denoiser.
 
@@ -573,3 +580,42 @@ def head_score(params: dpcl.DpclParams, batch: dpcl.QueryBatch, head: str,
     rowwise = {"poincare": poincare_distance, "euclidean": euclidean_distance}[distance]
     dist = nk.reshape(rowwise(subjects, candidates), b, n)
     return nk.add(scores, nk.mul(nk.constant(distance_sign), dist))
+
+
+# ---------------------------------------------------------------------------
+# Ranking: one query at a time
+# ---------------------------------------------------------------------------
+
+def filtered_rank(p: np.ndarray, gt: int, same_time_objects) -> int:
+    """1-based rank of the ground truth after removing the other objects that
+    are also true at the same (s, r, t); pessimistic tie-breaking."""
+    p = np.asarray(p).reshape(-1)
+    gt = int(gt)
+    drop = {int(o) for o in same_time_objects} - {gt}
+    score = p[gt]
+    ahead = p >= score
+    ahead[gt] = False
+    if drop:
+        ahead[list(drop)] = False
+    return int(ahead.sum()) + 1
+
+
+def raw_rank(p: np.ndarray, gt: int) -> int:
+    return filtered_rank(p, gt, ())
+
+
+def split_ranks(probs: np.ndarray, quads: np.ndarray,
+                scoped: np.ndarray) -> tuple[list[int], list[int], list[bool]]:
+    """Per query of `quads` (one row of `probs` each): the filtered rank, the
+    raw rank, and whether its object is a new event, i.e. never seen with
+    its (s, r) before its t among the `scoped` facts."""
+    same_time: dict[tuple[int, int, int], set[int]] = {}
+    for s, r, o, t in quads:
+        same_time.setdefault((int(s), int(r), int(t)), set()).add(int(o))
+    ranks, raw, new = [], [], []
+    for i, (s, r, o, t) in enumerate(quads):
+        ranks.append(filtered_rank(probs[i], o, same_time[(int(s), int(r), int(t))]))
+        raw.append(raw_rank(probs[i], o))
+        new.append(not any(ss == s and rr == r and oo == o and tt < t
+                           for ss, rr, oo, tt in scoped))
+    return ranks, raw, new

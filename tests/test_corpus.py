@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tkgdiff import corpus
 from tkgdiff import numkit as nk
+from tkgdiff.dpcl import QueryBatch
 from tkgdiff.errors import DataError, ParseError
 
 
@@ -79,15 +80,20 @@ def test_fifth_column_ignored(tmp_path):
     assert len(st.quads) == 10
 
 
+def z_row(index, s, r, t):
+    """The signed history row of one query (s, r, ?, t): a one-row batch."""
+    return QueryBatch.from_quads(np.array([[s, r, 0, t]], dtype=np.int64), index).z_rows[0]
+
+
 def test_z_values_single_event():
     # one event (A likes B, t=1) queried at t=2 with lam=2
     quads = np.array([[0, 0, 1, 1]] + [[0, 0, 1, t] for t in range(2, 10)], dtype=np.int64)
     st = corpus.QuadStore(quads, ["A", "B", "C"], ["likes"], [str(t) for t in range(10)],
                           train_end=9, valid_end=9)
     idx = corpus.build_periodic_index(st, lam=2.0, scope=("train",))
-    assert idx.z_value(0, 0, 2, 1) == 2.0
-    assert idx.z_value(0, 0, 2, 2) == -2.0
-    row = idx.z_row(0, 0, 2)
+    row = z_row(idx, 0, 0, 2)
+    assert row[1] == 2.0
+    assert row[2] == -2.0
     np.testing.assert_array_equal(row, [-2.0, 2.0, -2.0])
 
 
@@ -95,7 +101,7 @@ def test_history_empty_at_time_zero(small_store):
     idx = corpus.build_periodic_index(small_store, lam=1.5,
                                       scope=("train", "valid", "test"))
     assert idx.history(0, 0, 0) == set()
-    np.testing.assert_array_equal(idx.z_row(0, 0, 0), [-1.5] * 4)
+    np.testing.assert_array_equal(z_row(idx, 0, 0, 0), [-1.5] * 4)
 
 
 def brute_force_history(quads, s, r, t):
@@ -119,9 +125,10 @@ def test_index_matches_brute_force_on_random_fixture():
             for t in range(21):
                 expect = brute_force_history(quads, s, r, t)
                 assert idx.history(s, r, t) == expect
+                row = z_row(idx, s, r, t)
                 for o in range(6):
                     want = 2.0 if o in expect else -2.0
-                    assert idx.z_value(s, r, t, o) == want
+                    assert row[o] == want
 
 
 @st.composite
@@ -149,15 +156,17 @@ def test_periodic_index_matches_brute_force_scan(case, lam):
     store, scope = case
     scoped = np.concatenate([store.split(name) for name in scope])
     idx = corpus.build_periodic_index(store, lam, scope)
-    for s in range(store.n_entities):
-        for r in range(store.n_relations):
-            for t in range(store.n_timestamps + 1):
-                seen = {int(o) for ss, rr, o, tt in scoped if ss == s and rr == r and tt < t}
-                assert idx.history(s, r, t) == seen
-                want = np.where(np.isin(np.arange(store.n_entities), list(seen)), lam, -lam)
-                np.testing.assert_array_equal(idx.z_row(s, r, t), want)
-                for o in range(store.n_entities):
-                    assert corpus.is_new_event(idx, s, r, o, t) == (o not in seen)
+    # every (s, r, t) as one batch, so z rows of different pairs share it
+    grid = [(s, r, t) for s in range(store.n_entities) for r in range(store.n_relations)
+            for t in range(store.n_timestamps + 1)]
+    z = QueryBatch.from_quads(np.array([(s, r, 0, t) for s, r, t in grid]), idx).z_rows
+    for (s, r, t), row in zip(grid, z):
+        seen = {int(o) for ss, rr, o, tt in scoped if ss == s and rr == r and tt < t}
+        assert idx.history(s, r, t) == seen
+        want = np.where(np.isin(np.arange(store.n_entities), list(seen)), lam, -lam)
+        np.testing.assert_array_equal(row, want)
+        for o in range(store.n_entities):
+            assert corpus.is_new_event(idx, s, r, o, t) == (o not in seen)
 
 
 def test_z_two_values_and_sign_flip():
@@ -166,9 +175,9 @@ def test_z_two_values_and_sign_flip():
                           train_end=10, valid_end=10)
     idx = corpus.build_periodic_index(st, lam=3.0)
     # before the event: -lam; after: +lam
-    assert idx.z_value(0, 0, 0, 1) == -3.0
-    assert idx.z_value(0, 0, 1, 1) == 3.0
-    assert set(np.unique(idx.z_row(0, 0, 5))) <= {3.0, -3.0}
+    assert z_row(idx, 0, 0, 0)[1] == -3.0
+    assert z_row(idx, 0, 0, 1)[1] == 3.0
+    assert set(np.unique(z_row(idx, 0, 0, 5))) <= {3.0, -3.0}
 
 
 def test_is_new_event(small_store):
@@ -198,33 +207,78 @@ def test_new_event_fraction_matches_brute_force():
     assert got == want
 
 
-def test_extract_new_events_dedups_by_first_time():
-    quads = np.array([
-        [0, 0, 1, 1], [0, 0, 2, 2], [0, 0, 1, 3],
-    ] + [[1, 0, 0, t] for t in range(4, 11)], dtype=np.int64)
-    st = corpus.QuadStore(quads, ["A", "B", "C"], ["r"], [str(t) for t in range(11)],
-                          train_end=8, valid_end=9)
-    out = corpus.extract_new_events(st)
-    kept = {tuple(q) for q in out.quads}
-    assert (0, 0, 1, 1) in kept and (0, 0, 2, 2) in kept
-    assert (0, 0, 1, 3) not in kept
-    assert len(out.quads) == 3  # (A,r,B), (A,r,C), (B,r,A)
+def adjacent_pairs_store():
+    """Pair (0, 0) fires object 1 at t = 1, 3, 5 and pair (0, 1), whose keys
+    follow right after, object 2 at t = 0 and object 3 at the last timestamp
+    t = 6; pair (1, 0) has no facts."""
+    quads = np.array([[0, 1, 2, 0], [0, 0, 1, 1], [0, 0, 1, 3], [0, 0, 1, 5],
+                      [0, 1, 3, 6]], dtype=np.int64)
+    store = corpus.QuadStore(quads, [f"e{i}" for i in range(4)], ["r0", "r1"],
+                             [str(t) for t in range(7)], train_end=5, valid_end=5)
+    store.check_invariants()
+    return store
 
 
-def test_extract_new_events_identity_and_idempotence(small_store):
-    once = corpus.extract_new_events(small_store)
-    twice = corpus.extract_new_events(once)
-    np.testing.assert_array_equal(once.quads, twice.quads)
-    assert (once.train_end, once.valid_end) == (twice.train_end, twice.valid_end)
-    # a store with no repeats is unchanged
-    n = 40
-    quads = np.column_stack([np.arange(n) % 7, np.zeros(n, dtype=int),
-                             np.arange(n) // 7, np.arange(n)]).astype(np.int64)
-    st = corpus.QuadStore(quads, [f"e{i}" for i in range(7)], ["r"],
-                          [str(t) for t in range(n)], train_end=30, valid_end=35)
-    out = corpus.extract_new_events(st)
-    np.testing.assert_array_equal(out.quads, st.quads)
-    assert (out.train_end, out.valid_end) == (st.train_end, st.valid_end)
+def test_history_past_the_last_timestamp_stays_in_its_pair():
+    idx = corpus.build_periodic_index(adjacent_pairs_store(), lam=1.0)
+    last = 6
+    assert corpus.is_new_event(idx, 0, 1, 3, last)
+    for t in (last, last + 1, last + 2, 10 ** 6):
+        assert idx.history(0, 0, t) == {1}
+        # object 1 fired three times, and is listed once per query
+        rows, objs = idx.history_pairs([0] * 3, [0] * 3, [t] * 3)
+        np.testing.assert_array_equal(rows, [0, 1, 2])
+        np.testing.assert_array_equal(objs, [1, 1, 1])
+    for t in (last + 1, 10 ** 6):
+        assert idx.history(0, 1, t) == {2, 3}
+        assert not corpus.is_new_event(idx, 0, 1, 3, t)
+    # the pair before (0, 1) never reads its segment, whose first fact is at t = 0
+    assert idx.history(0, 0, 0) == set()
+    assert idx.history(0, 0, -5) == set()
+
+
+def test_pair_with_no_history():
+    idx = corpus.build_periodic_index(adjacent_pairs_store(), lam=1.0)
+    assert idx.history(1, 0, 7) == set()
+    assert corpus.is_new_event(idx, 1, 0, 1, 7)
+    rows, objs = idx.history_pairs([0, 1, 0], [0, 0, 1], [7, 7, 7])
+    np.testing.assert_array_equal(rows, [0, 2, 2])
+    np.testing.assert_array_equal(objs, [1, 2, 3])
+    batch = QueryBatch.from_quads(np.array([[1, 0, 1, 7], [0, 0, 1, 7]]), idx)
+    np.testing.assert_array_equal(batch.z_rows, [[-1.0] * 4, [-1.0, 1.0, -1.0, -1.0]])
+    np.testing.assert_array_equal(batch.periodic, [False, True])
+
+
+@pytest.mark.parametrize("scope", [(), ("valid",), ("valid", "test")])
+def test_empty_scope(scope):
+    store = adjacent_pairs_store()
+    idx = corpus.build_periodic_index(store, lam=2.0, scope=scope)
+    assert len(idx.keys) == len(idx.objects) == 0
+    assert idx.history(0, 0, 7) == set()
+    assert corpus.is_new_event(idx, 0, 0, 1, 7)
+    rows, objs = idx.history_pairs([0, 0], [0, 1], [7, 7])
+    assert rows.shape == objs.shape == (0,)
+    batch = QueryBatch.from_quads(store.quads, idx)
+    np.testing.assert_array_equal(batch.z_rows, np.full((5, 4), -2.0))
+    assert not batch.periodic.any()
+
+
+def test_zero_row_batch():
+    store = adjacent_pairs_store()
+    idx = corpus.build_periodic_index(store, lam=2.0)
+    batch = QueryBatch.from_quads(store.quads[:0], idx)
+    assert len(batch) == 0
+    assert batch.z_rows.shape == (0, store.n_entities)
+    assert batch.periodic.shape == (0,)
+    rows, objs = idx.history_pairs([], [], [])
+    assert rows.shape == objs.shape == (0,)
+
+
+def test_timestamp_past_the_vocabulary_rejected():
+    store = adjacent_pairs_store()
+    store.timestamps = store.timestamps[:-1]
+    with pytest.raises(DataError, match="timestamp"):
+        store.check_invariants()
 
 
 def test_entropy_half_frequency():

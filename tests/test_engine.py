@@ -616,8 +616,8 @@ def test_metrics_log_written(tmp_path):
     lines = (tmp_path / "metrics.jsonl").read_text().strip().splitlines()
     assert len(lines) == 2
     rec = json.loads(lines[0])
-    assert set(rec) == {"epoch", "loss_total", "loss_ce", "loss_sup",
-                        "loss_diff", "val_mrr", "wall_seconds"}
+    assert set(rec) == {"epoch", "loss_total", "loss_ce", "loss_sup", "loss_diff",
+                        "val_mrr", "val_mrr_new", "val_mrr_periodic", "wall_seconds"}
     assert (tmp_path / "last.ckpt").exists()
     assert (tmp_path / "best.ckpt").exists()
 

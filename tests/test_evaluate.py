@@ -1,63 +1,139 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_batch, planted_period_store, quick_config
-from tkgdiff import dpcl, engine, evaluate
+import oracles
+from helpers import make_batch, new_event_mix_store, planted_period_store, quick_config
+from tkgdiff import dpcl, engine, evaluate, gndiff
 from tkgdiff import numkit as nk
-from tkgdiff.corpus import build_periodic_index
+from tkgdiff.corpus import SPLITS, QuadStore, build_periodic_index
 
 # ---------------------------------------------------------------------------
-# filtered_rank invariants
+# Batched ranks: invariants and the per-query oracle
 # ---------------------------------------------------------------------------
 
 
 @st.composite
 def rank_cases(draw):
-    """(p, gt, same-time objects): probabilities on a coarse grid, so ties
-    are common."""
+    """(p, gt, same-time objects per row): a few rows of probabilities on a
+    coarse grid, so ties are common."""
     n = draw(st.integers(1, 12))
-    p = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))) / 4.0
-    gt = draw(st.integers(0, n - 1))
-    same_time = draw(st.sets(st.integers(0, n - 1)))
+    b = draw(st.integers(1, 4))
+    p = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                               min_size=b, max_size=b))) / 4.0
+    gt = np.array(draw(st.lists(st.integers(0, n - 1), min_size=b, max_size=b)))
+    same_time = [draw(st.sets(st.integers(0, n - 1))) for _ in range(b)]
     return p, gt, same_time
+
+
+def batched_ranks(p, gt, same_time):
+    """evaluate.ranks with the same-time sets as (row, object) pairs."""
+    rows = np.array([i for i, objs in enumerate(same_time) for _ in objs], dtype=np.int64)
+    objs = np.array([o for objs in same_time for o in objs], dtype=np.int64)
+    return evaluate.ranks(p, gt, (rows, objs))
 
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 @PROPERTY
+@given(case=rank_cases())
+def test_ranks_match_the_per_query_oracle(case):
+    p, gt, same_time = case
+    filtered, raw = batched_ranks(p, gt, same_time)
+    assert filtered.tolist() == [oracles.filtered_rank(p[i], gt[i], same_time[i])
+                                 for i in range(len(gt))]
+    assert raw.tolist() == [oracles.raw_rank(p[i], gt[i]) for i in range(len(gt))]
+
+
+@PROPERTY
 @given(case=rank_cases(), data=st.data())
 def test_filtered_rank_invariant_under_candidate_permutation(case, data):
     p, gt, same_time = case
-    perm = np.array(data.draw(st.permutations(range(len(p)))))
+    perm = np.array(data.draw(st.permutations(range(p.shape[1]))))
     moved = np.empty_like(p)
-    moved[perm] = p
-    assert evaluate.filtered_rank(moved, perm[gt], {perm[o] for o in same_time}) == \
-        evaluate.filtered_rank(p, gt, same_time)
+    moved[:, perm] = p
+    got = batched_ranks(moved, perm[gt], [{perm[o] for o in objs} for objs in same_time])
+    want = batched_ranks(p, gt, same_time)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 @PROPERTY
 @given(case=rank_cases())
 def test_filtered_rank_ties_rank_pessimistically(case):
     p, gt, same_time = case
-    competitors = [j for j in range(len(p)) if j != gt and j not in same_time]
-    assert evaluate.filtered_rank(p, gt, same_time) == \
-        1 + sum(p[j] >= p[gt] for j in competitors)
-    flat = np.full(len(p), 1.0 / len(p))
-    assert evaluate.filtered_rank(flat, gt, same_time) == 1 + len(competitors)
+    n = p.shape[1]
+    competitors = [[j for j in range(n) if j != g and j not in objs]
+                   for g, objs in zip(gt, same_time)]
+    filtered, _ = batched_ranks(p, gt, same_time)
+    assert filtered.tolist() == [1 + sum(p[i, j] >= p[i, gt[i]] for j in competitors[i])
+                                 for i in range(len(gt))]
+    flat = np.full(p.shape, 1.0 / n)
+    filtered, _ = batched_ranks(flat, gt, same_time)
+    assert filtered.tolist() == [1 + len(c) for c in competitors]
 
 
 @PROPERTY
 @given(case=rank_cases())
 def test_filtered_rank_bounded_by_raw_rank(case):
     p, gt, same_time = case
-    filtered = evaluate.filtered_rank(p, gt, same_time)
-    raw = evaluate.raw_rank(p, gt)
-    assert 1 <= filtered <= raw <= len(p)
+    filtered, raw = batched_ranks(p, gt, same_time)
+    assert np.all((1 <= filtered) & (filtered <= raw) & (raw <= p.shape[1]))
+
+
+@st.composite
+def split_cases(draw):
+    """(store, split, probs): a few time-sorted quads over small vocabularies,
+    with some quads repeated so that a split holds duplicate (s, r, o, t)
+    facts, split at arbitrary boundaries; one evaluated split; and one row
+    of coarse-grid probabilities per query of that split. A query's own
+    object is always in its same-time group."""
+    n_ent, n_rel, n_ts = draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    quads = draw(st.lists(st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1),
+                                     st.integers(0, n_ent - 1), st.integers(0, n_ts - 1)),
+                          max_size=24))
+    quads += draw(st.lists(st.sampled_from(quads), max_size=6)) if quads else []
+    arr = np.array(sorted(quads, key=lambda q: q[3]), dtype=np.int64).reshape(-1, 4)
+    train_end = draw(st.integers(0, len(arr)))
+    valid_end = draw(st.integers(train_end, len(arr)))
+    store = QuadStore(arr, [f"e{i}" for i in range(n_ent)], [f"r{i}" for i in range(n_rel)],
+                      [str(t) for t in range(n_ts)], train_end, valid_end)
+    split = draw(st.sampled_from(SPLITS))
+    n = len(store.split(split))
+    probs = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=n_ent, max_size=n_ent),
+                                   min_size=n, max_size=n))).reshape(n, n_ent) / 3.0
+    return store, split, probs
+
+
+@PROPERTY
+@given(case=split_cases(), chunk=st.sampled_from([1, 3, 256]))
+def test_evaluate_split_matches_the_per_query_loop(case, chunk):
+    store, split, probs = case
+    quads = store.split(split)
+    scoped = np.concatenate([store.split(name) for name in evaluate._SCOPE_FOR_SPLIT[split]])
+
+    def drawn(model, block, index, seed):
+        return probs[seed:seed + len(block)]   # evaluate_split passes seed + start
+
+    model = evaluate.Model(dpcl=object(), denoiser=None)
+    with mock.patch.object(evaluate, "_query_distributions", drawn), \
+            mock.patch.object(evaluate, "CHUNK", chunk):
+        reports = evaluate.evaluate_split(model, store, split, seed=0)
+    assert_reports_match(reports, oracles.split_ranks(probs, quads, scoped))
+
+
+def assert_reports_match(reports, oracle):
+    ranks, raw, new = oracle
+    assert reports["all"].ranks == ranks
+    assert reports["all"].raw_ranks == raw
+    for name, member in (("new-events", new), ("periodic", [not x for x in new])):
+        assert reports[name].ranks == [k for k, m in zip(ranks, member) if m]
+        assert reports[name].raw_ranks == [k for k, m in zip(raw, member) if m]
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +163,24 @@ def test_query_distributions_ignore_the_gold_object(trained, component):
     probs = evaluate._query_distributions(model, quads, index, seed=3)
     probs_swapped = evaluate._query_distributions(model, swapped, index, seed=3)
     np.testing.assert_array_equal(probs, probs_swapped)
+
+
+def test_evaluate_split_matches_the_per_query_loop_on_model_scores():
+    store = new_event_mix_store()
+    rng = nk.rng_for(15)
+    model = evaluate.Model(
+        dpcl=dpcl.init_params(store.n_entities, store.n_relations, 8, rng),
+        denoiser=gndiff.init_denoiser(store.n_entities, store.n_relations, 8, rng),
+        steps=4, chains=2)
+    index = build_periodic_index(store, 2.0, evaluate._SCOPE_FOR_SPLIT["test"])
+    quads = store.split("test")
+    with nk.single_threaded_blas():
+        probs = np.concatenate([
+            evaluate._query_distributions(model, quads[i:i + evaluate.CHUNK], index, 5 + i)
+            for i in range(0, len(quads), evaluate.CHUNK)])
+    reports = evaluate.evaluate_split(model, store, "test", seed=5)
+    assert_reports_match(reports, oracles.split_ranks(probs, quads, store.quads))
+    assert 0 < len(reports["new-events"].ranks) < len(quads)
 
 
 def test_a_model_with_no_component_is_refused_before_any_work(trained, monkeypatch):

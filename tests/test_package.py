@@ -2,9 +2,12 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tkgdiff
+from tkgdiff import corpus, evaluate
+from tkgdiff.dpcl import QueryBatch
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tkgdiff.__path__))
@@ -28,3 +31,16 @@ def test_every_console_script_resolves():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"script {name} -> {target} does not resolve"
+
+
+def test_the_benchmark_calls_resolve_with_their_signatures():
+    # bench/run.py and bench/corpora.py call these by name and position; a
+    # rename or a new required argument would crash every workload
+    quads = np.array([[0, 0, 1, 0], [0, 0, 2, 1], [1, 0, 1, 2]], dtype=np.int64)
+    store = corpus.QuadStore(quads, ["a", "b", "c"], ["r"], ["0", "1", "2"],
+                             train_end=1, valid_end=2)
+    assert evaluate._SCOPE_FOR_SPLIT["test"] == ("train", "valid", "test")
+    index = corpus.build_periodic_index(store, 2.0, evaluate._SCOPE_FOR_SPLIT["test"])
+    assert corpus.is_new_event(index, 0, 0, 2, 1) is True
+    assert corpus.is_new_event(index, 0, 0, 1, 1) is False
+    assert len(QueryBatch.from_quads(store.split("test"), index)) == 1
