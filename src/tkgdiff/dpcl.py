@@ -22,8 +22,8 @@ from .errors import ConfigError, DimensionError
 from .numkit import Tensor
 
 __all__ = [
-    "DpclParams", "QueryBatch", "init_params", "query_code", "head_scores",
-    "ce_loss", "supcon_loss",
+    "DpclParams", "QueryBatch", "init_params", "head_scores", "ce_loss",
+    "supcon_loss",
 ]
 
 DISTANCE_KINDS = ("poincare", "euclidean")
@@ -102,31 +102,22 @@ def _query_input(params: DpclParams, batch: QueryBatch) -> tuple[Tensor, Tensor]
 
 
 def _code(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A query code tanh(W x + b), shape (B, d), from the code input x of
+    _query_input; taped."""
     return nk.tanh(nk.add(nk.matmul(x, nk.transpose(w)), b))
 
 
-def query_code(params: DpclParams, batch: QueryBatch, head: str) -> Tensor:
-    """tanh(W (s concat r) + b) for the chosen head, shape (B, d); taped."""
-    w, b = {
-        "periodic": (params.w_per, params.b_per),
-        "nonperiodic": (params.w_nonper, params.b_nonper),
-        "contrastive": (params.w_ctr, params.b_ctr),
-    }[head]
-    return _code(_query_input(params, batch)[1], w, b)
-
-
 def head_scores(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare",
-                distance_nonper: str = "euclidean",
-                distance_sign: float = 1.0) -> tuple[Tensor, Tensor]:
+                distance_nonper: str = "euclidean") -> tuple[Tensor, Tensor]:
     """(periodic, non-periodic) dependency scores per candidate, each
     (B, |E|); taped.
 
     A head's score is its affine-code match against the entity table, plus
-    (periodic) or minus (non-periodic) the signed history row, plus
-    `distance_sign` times the subject-candidate distance of the kind the head
-    is given. Both distances come from one subject x entity squared-distance
-    block, and a kind both heads use is computed once. A Poincare distance
-    needs every entity row inside the ball (geometry.poincare_from_sqdist).
+    (periodic) or minus (non-periodic) the signed history row, plus the
+    subject-candidate distance of the kind the head is given. Both distances
+    come from one subject x entity squared-distance block, and a kind both
+    heads use is computed once. A Poincare distance needs every entity row
+    inside the ball (geometry.poincare_from_sqdist).
     """
     for kind in (distance_per, distance_nonper):
         if kind not in DISTANCE_KINDS:
@@ -139,11 +130,10 @@ def head_scores(params: DpclParams, batch: QueryBatch, distance_per: str = "poin
             for kind in dict.fromkeys((distance_per, distance_nonper))}
     entities_t = nk.transpose(entities)
     z = Tensor(batch.z_rows)
-    sign = nk.constant(distance_sign)
 
     def head(w, b, history, kind):
         affine = nk.matmul(_code(x, w, b), entities_t)
-        return nk.add(history(affine, z), nk.mul(sign, dist[kind]))
+        return nk.add(history(affine, z), dist[kind])
 
     return (head(params.w_per, params.b_per, nk.add, distance_per),
             head(params.w_nonper, params.b_nonper, nk.sub, distance_nonper))
@@ -173,7 +163,7 @@ def supcon_loss(params: DpclParams, batch: QueryBatch, tau: float) -> Tensor:
     n = len(batch)
     if n < 2:
         raise ConfigError("supcon_loss needs at least 2 queries in the batch")
-    code = query_code(params, batch, "contrastive")
+    code = _code(_query_input(params, batch)[1], params.w_ctr, params.b_ctr)
     norms = nk.sqrt(nk.sum_cols(nk.mul(code, code)))
     z = nk.div(code, norms)
     sim = nk.mul(nk.constant(1.0 / tau), nk.matmul(z, nk.transpose(z)))

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TKGD"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 # namespaces for stateless rng derivation
 _NS_INIT = 0
@@ -49,7 +49,14 @@ _NS_EVAL = 2
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """All knobs of a run; defaults follow the reference setup."""
+    """Every setting a run sets; defaults follow the reference setup.
+
+    `alpha` lies strictly between 0 and 1: to drop a component, set
+    `no_gndiff` or `no_dpcl`, which leaves its parameters out of the run.
+    `mapping_strategy` is one of evaluate.STRATEGY_DISTANCES's keys, spelled
+    exactly. Adam's decay rates and offset are numkit's constants; `lr` is
+    the step size of every Adam step, also after a resume.
+    """
 
     d_dpcl: int = 200          # scoring embedding width
     d_diff: int = 128          # denoiser embedding width
@@ -57,21 +64,21 @@ class TrainConfig:
     lr: float = 0.001
     epochs_stage1: int = 30    # blended objective without the contrastive term
     epochs_stage2: int = 20    # contrastive term joins
-    alpha: float = 0.2         # weight of the diffusion loss in the blend
+    alpha: float = 0.2         # weight of the diffusion loss in the blend, in (0, 1)
     lam: float = 2.0           # magnitude of the signed history values
     tau: float = 0.1           # contrastive temperature
     steps: int = 50            # diffusion steps T
     mu: float = 0.25           # schedule amplitude
     chains: int = 8            # reverse chains averaged at inference
     seed: int = 0
-    distance_sign: float = 1.0
     mapping_strategy: str = "hyp/euc"
     no_gndiff: bool = False
     no_dpcl: bool = False
 
     def validate(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}; set no_gndiff "
+                              f"or no_dpcl to drop a component")
         for name in ("lam", "tau", "lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -159,29 +166,18 @@ def apply_overrides(values: dict, overrides) -> dict:
 # Joint objective
 # ---------------------------------------------------------------------------
 
-def joint_loss(config: TrainConfig, ce: Tensor | None, sup: Tensor | None,
-               diff: Tensor | None, stage: int = 2) -> Tensor:
-    """Blend: alpha * diffusion + (1 - alpha) * (ce + sup). Stage 1 replaces
-    the contrastive term with 0; ablations pin alpha to 0 or 1."""
-    alpha = config.alpha
-    if config.no_gndiff:
-        alpha = 0.0
-    if config.no_dpcl:
-        alpha = 1.0
-    parts = []
-    if alpha > 0.0:
-        if diff is None:
-            raise ValueError("diffusion loss required while its weight is nonzero")
-        parts.append(nk.mul(nk.constant(alpha), diff))
-    if alpha < 1.0:
-        if ce is None:
-            raise ValueError("scoring losses required while their weight is nonzero")
-        dp = ce if (stage == 1 or sup is None) else nk.add(ce, sup)
-        parts.append(nk.mul(nk.constant(1.0 - alpha), dp))
-    total = parts[0]
-    for p in parts[1:]:
-        total = nk.add(total, p)
-    return total
+def joint_loss(alpha: float, ce: Tensor | None, sup: Tensor | None,
+               diff: Tensor | None) -> Tensor:
+    """Blend: alpha * diff + (1 - alpha) * (ce + sup). A term passed as None
+    is left out: `sup` in stage 1 and in a batch too small to contrast, the
+    losses of the component a run ablates. With one component's loss only,
+    that loss is the objective, unweighted."""
+    if ce is None:
+        return diff
+    dp = ce if sup is None else nk.add(ce, sup)
+    if diff is None:
+        return dp
+    return nk.add(nk.mul(nk.constant(alpha), diff), nk.mul(nk.constant(1.0 - alpha), dp))
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +224,26 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     write changes the bytes of a file that shares the old inode of `path`.
 
     Layout (little-endian): the magic `TKGD`; u32 format version; u32 header
-    length; a JSON header with sorted keys (`config`, `epoch`, `adam` step
-    counts and hyperparameters, `best_val_mrr`, the vocabulary sizes
-    `n_entities` and `n_relations`, and the per-epoch `metrics` lines); then
-    one record per tensor in name order: u32 name length, the UTF-8 name, u32
-    rank, u32 dims, float64 payload. The records are the parameters
+    length; a JSON header with sorted keys (`config`, `epoch`, `adam`, which
+    maps each parameter name to its Adam step count, `best_val_mrr`, the
+    vocabulary sizes `n_entities` and `n_relations`, and the per-epoch
+    `metrics` lines); then one record per tensor in name order: u32 name
+    length, the UTF-8 name, u32 rank, u32 dims, float64 payload. The records are the parameters
     (`dpcl.*`, `denoiser.*`) and their Adam moments (`adam.m.<name>`,
     `adam.v.<name>`); the component the config ablates has none. The
     denoiser's output rows are one block per token role (`w2` is
-    (2|E|+|R|, h)). This is format version 5; `load_checkpoint` rejects any
+    (2|E|+|R|, h)). This is format version 6; `load_checkpoint` rejects any
     other version with CheckpointVersionError.
     """
     arrays = {name: t.data for name, t in ckpt.named_tensors().items()}
-    adam_meta = {}
     for name, state in ckpt.adam.items():
         arrays[f"adam.m.{name}"] = state.m
         arrays[f"adam.v.{name}"] = state.v
-        adam_meta[name] = {"t": state.t, "lr": state.lr, "beta1": state.beta1,
-                           "beta2": state.beta2, "eps": state.eps}
     n_entities, n_relations = ckpt.vocabulary
     header = {
         "config": ckpt.config.to_dict(),
         "epoch": ckpt.epoch,
-        "adam": adam_meta,
+        "adam": {name: state.t for name, state in ckpt.adam.items()},
         "best_val_mrr": ckpt.best_val_mrr,
         "n_entities": n_entities,
         "n_relations": n_relations,
@@ -370,12 +363,10 @@ def _read_body(fh) -> Checkpoint:
                              f"and d_diff give {expected}")
     if set(header["adam"]) != set(ckpt.named_tensors()):
         raise ValueError("Adam states do not match the parameter records")
-    for name, info in header["adam"].items():
+    for name, t in header["adam"].items():
         m, v = arrays.pop(f"adam.m.{name}"), arrays.pop(f"adam.v.{name}")
-        state = AdamState(m.shape, lr=info["lr"], beta1=info["beta1"],
-                          beta2=info["beta2"], eps=info["eps"])
-        state.m, state.v, state.t = m, v, info["t"]
-        ckpt.adam[name] = state
+        state = ckpt.adam[name] = AdamState(m.shape)
+        state.m, state.v, state.t = m, v, t
     if arrays:
         raise ValueError(f"unexpected tensor records {sorted(arrays)}")
     return ckpt
@@ -399,7 +390,7 @@ def _model(config: TrainConfig, dparams: DpclParams | None,
     return ev.Model(
         dpcl=dparams, denoiser=nparams,
         distance_per=dist_per, distance_nonper=dist_nonper,
-        distance_sign=config.distance_sign, steps=config.steps, chains=config.chains)
+        steps=config.steps, chains=config.chains)
 
 
 def _check_vocabulary(ckpt: Checkpoint, store: QuadStore) -> None:
@@ -426,11 +417,8 @@ def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
 def _copy_adam(states: dict[str, AdamState]) -> dict[str, AdamState]:
     out = {}
     for name, s in states.items():
-        c = AdamState(s.m.shape, lr=s.lr, beta1=s.beta1, beta2=s.beta2, eps=s.eps)
-        c.m = s.m.copy()
-        c.v = s.v.copy()
-        c.t = s.t
-        out[name] = c
+        c = out[name] = AdamState(s.m.shape)
+        c.m, c.v, c.t = s.m.copy(), s.v.copy(), s.t
     return out
 
 
@@ -515,7 +503,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
             store.n_entities, store.n_relations, config.d_dpcl, init_rng)
         nparams = None if config.no_gndiff else gndiff.init_denoiser(
             store.n_entities, store.n_relations, config.d_diff, init_rng)
-        adam = {name: AdamState(p.shape, lr=config.lr)
+        adam = {name: AdamState(p.shape)
                 for name, p in _named_tensors(dparams, nparams).items()}
         start_epoch = 0
         best_mrr = -1.0
@@ -544,8 +532,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                 with nk.GradTape() as tape:
                     if not config.no_dpcl:
                         batch = QueryBatch.from_quads(quads, index)
-                        sp, snp = dpcl_mod.head_scores(dparams, batch, dist_per, dist_nonper,
-                                                       config.distance_sign)
+                        sp, snp = dpcl_mod.head_scores(dparams, batch, dist_per, dist_nonper)
                         ce_t = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
                         if stage == 2 and len(batch) >= 2:
                             sup_t = dpcl_mod.supcon_loss(dparams, batch, config.tau)
@@ -553,7 +540,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                         toks = entropies.quad_tokens(quads)
                         diff_t = gndiff.batch_loss(nparams, entropies, toks,
                                                    config.steps, config.mu, erng)
-                    total_t = joint_loss(config, ce_t, sup_t, diff_t, stage)
+                    total_t = joint_loss(config.alpha, ce_t, sup_t, diff_t)
             except NumericError as e:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}: "
@@ -562,7 +549,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
 
             trainable = _named_tensors(dparams, nparams)
             grads = tape.gradient(total_t, list(trainable.values()))
-            updated = {n: nk.adam_step(adam[n], p, g)
+            updated = {n: nk.adam_step(adam[n], p, g, config.lr)
                        for (n, p), g in zip(trainable.items(), grads)}
             if not config.no_dpcl:
                 dpcl_updates = {k.split(".", 1)[1]: v for k, v in updated.items()

@@ -34,16 +34,14 @@ STRATEGY_DISTANCES = {
     "euc/euc": ("euclidean", "euclidean"),
 }
 
-STRATA = ("all", "new-events", "periodic")
-
 
 def strategy_distances(name: str) -> tuple[str, str]:
-    """Distance kinds feeding the (periodic, non-periodic) heads."""
-    key = name.strip().lower()
-    if key not in STRATEGY_DISTANCES:
+    """Distance kinds feeding the (periodic, non-periodic) heads. `name` is
+    one of the STRATEGY_DISTANCES keys, spelled exactly."""
+    if name not in STRATEGY_DISTANCES:
         raise ConfigError(f"unknown mapping strategy '{name}'; "
                           f"expected one of {sorted(STRATEGY_DISTANCES)}")
-    return STRATEGY_DISTANCES[key]
+    return STRATEGY_DISTANCES[name]
 
 
 @dataclass
@@ -56,18 +54,16 @@ class Model:
     denoiser: DenoiserParams | None
     distance_per: str = "poincare"
     distance_nonper: str = "euclidean"
-    distance_sign: float = 1.0
     steps: int = 50
     chains: int = 8
 
 
 def p_dpcl(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare",
-           distance_nonper: str = "euclidean", distance_sign: float = 1.0) -> np.ndarray:
+           distance_nonper: str = "euclidean") -> np.ndarray:
     """The distribution dpcl.ce_loss trains: the mean of the two heads'
     softmaxes, 0.5 * (softmax(S_per) + softmax(S_nonper)); (B, |E|) rows sum
     to 1, and -log(2 p[gt]) is a query's term of the loss."""
-    sp, snp = dpcl_mod.head_scores(params, batch, distance_per, distance_nonper,
-                                   distance_sign)
+    sp, snp = dpcl_mod.head_scores(params, batch, distance_per, distance_nonper)
     return 0.5 * (nk.softmax_rows(sp).data + nk.softmax_rows(snp).data)
 
 
@@ -126,8 +122,7 @@ def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
     pd = pg = None
     if model.dpcl is not None:
         batch = QueryBatch.from_quads(quads, index)
-        pd = p_dpcl(model.dpcl, batch, model.distance_per, model.distance_nonper,
-                    model.distance_sign)
+        pd = p_dpcl(model.dpcl, batch, model.distance_per, model.distance_nonper)
     if model.denoiser is not None:
         pg = gndiff.p_diff_batch(model.denoiser, quads[:, :2], model.steps,
                                  model.chains, nk.rng_for(seed, 9))
@@ -138,10 +133,11 @@ def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
     return combine(pg, pd)
 
 
-def evaluate_split(model: Model, store: QuadStore, split: str,
-                   strata=STRATA, seed: int = 0, index: PeriodicIndex | None = None,
+def evaluate_split(model: Model, store: QuadStore, split: str, seed: int = 0,
+                   index: PeriodicIndex | None = None,
                    lam: float = 2.0) -> dict[str, RankReport]:
-    """Time-filtered rank reports for a split, overall and per stratum.
+    """Time-filtered rank reports for a split, keyed by stratum: "all",
+    "new-events" and "periodic".
 
     The split is scored in chunks of CHUNK queries. Each chunk is ranked with
     one comparison against its ground-truth probabilities (see `ranks`); a
@@ -181,6 +177,5 @@ def evaluate_split(model: Model, store: QuadStore, split: str,
         new[start + rows[objs == o[rows]]] = False
 
     masks = {"all": np.ones(n, dtype=bool), "new-events": new, "periodic": ~new}
-    return {name: RankReport(name, filtered[masks[name]].tolist(),
-                             raw[masks[name]].tolist())
-            for name in strata}
+    return {name: RankReport(name, filtered[mask].tolist(), raw[mask].tolist())
+            for name, mask in masks.items()}

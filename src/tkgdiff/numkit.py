@@ -2,10 +2,13 @@
 Adam, finite-difference gradient checking, a one-thread BLAS scope, and
 seeded counter-based RNG.
 
-Tensors are immutable 2-D float64 arrays. Primitive operations record
-themselves on the innermost active GradTape (if any); backward replays the
-records in exact reverse order of the forward pass, so gradient accumulation
-order is fixed and runs are reproducible.
+Tensors are immutable 2-D float64 arrays. Each primitive operation is one
+function with its own forward and backward (the binary elementwise ops
+broadcast length-1 axes); it records itself on the innermost active GradTape
+(if any). Backward replays the records in exact reverse order of the forward
+pass, so gradient accumulation order is fixed and runs are reproducible.
+Adam's decay rates and offset are the module constants ADAM_BETA1,
+ADAM_BETA2 and ADAM_EPS; the caller passes the learning rate to each step.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .errors import DimensionError, NumericError
 __all__ = [
     "Tensor", "GradTape", "AdamState", "GradCheckReport",
     "tensor", "zeros", "full", "constant",
-    "matmul", "elementwise", "add", "sub", "mul", "div", "tanh", "exp",
-    "log", "neg", "sqrt", "acosh", "clamp_min", "softmax_rows",
+    "matmul", "add", "sub", "mul", "div", "tanh", "exp", "log",
+    "sqrt", "acosh", "clamp_min", "softmax_rows",
     "sum_all", "sum_cols", "transpose", "reshape",
     "concat_cols", "take_rows", "gather_cols",
     "adam_step", "grad_check", "single_threaded_blas", "rng_for",
@@ -177,14 +180,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _tape_record(out, (a, b), backward)
 
 
-def _broadcast_shape(sa, sb):
-    shape = []
+def _check_broadcast(sa, sb) -> None:
     for da, db in zip(sa, sb):
-        if da == db or da == 1 or db == 1:
-            shape.append(max(da, db))
-        else:
+        if da != db and da != 1 and db != 1:
             raise DimensionError(f"shapes {sa} and {sb} do not broadcast")
-    return tuple(shape)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -196,121 +195,84 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return g
 
 
-_BINARY_KINDS = ("add", "sub", "mul", "div")
-_UNARY_KINDS = ("tanh", "exp", "log", "neg")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b; length-1 axes broadcast, as in every binary op below."""
+    _check_broadcast(a.shape, b.shape)
+    out = _result(a.data + b.data, "add")
 
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-def elementwise(kind: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Elementwise op. Binary kinds broadcast length-1 axes; div rejects zero
-    divisors and log rejects non-positive inputs."""
-    if kind in _BINARY_KINDS:
-        if b is None:
-            raise DimensionError(f"elementwise '{kind}' needs two operands")
-        return _binary(kind, a, b)
-    if kind in _UNARY_KINDS:
-        if b is not None:
-            raise DimensionError(f"elementwise '{kind}' takes one operand")
-        return _unary(kind, a)
-    raise DimensionError(f"unknown elementwise kind '{kind}'")
-
-
-def _binary(kind: str, a: Tensor, b: Tensor) -> Tensor:
-    shape = _broadcast_shape(a.shape, b.shape)
-    ad, bd = a.data, b.data
-    if kind == "add":
-        out = _result(ad + bd, kind)
-
-        def backward(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    elif kind == "sub":
-        out = _result(ad - bd, kind)
-
-        def backward(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    elif kind == "mul":
-        out = _result(ad * bd, kind)
-
-        def backward(g):
-            return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
-
-    else:  # div
-        if np.any(bd == 0.0):
-            raise NumericError("division by zero")
-        out = _result(ad / bd, kind)
-
-        def backward(g):
-            return (_unbroadcast(g / bd, a.shape),
-                    _unbroadcast(-g * ad / (bd * bd), b.shape))
-
-    assert out.shape == shape
     return _tape_record(out, (a, b), backward)
 
 
-def _unary(kind: str, a: Tensor) -> Tensor:
-    ad = a.data
-    if kind == "tanh":
-        out = _result(np.tanh(ad), kind)
-        y = out.data
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast(a.shape, b.shape)
+    out = _result(a.data - b.data, "sub")
 
-        def backward(g):
-            return (g * (1.0 - y * y),)
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    elif kind == "exp":
-        out = _result(np.exp(ad), kind)
-        y = out.data
+    return _tape_record(out, (a, b), backward)
 
-        def backward(g):
-            return (g * y,)
 
-    elif kind == "log":
-        if np.any(ad <= 0.0):
-            raise NumericError("log of non-positive value")
-        out = _result(np.log(ad), kind)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast(a.shape, b.shape)
+    ad, bd = a.data, b.data
+    out = _result(ad * bd, "mul")
 
-        def backward(g):
-            return (g / ad,)
+    def backward(g):
+        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
-    else:  # neg
-        out = _result(-ad, kind)
+    return _tape_record(out, (a, b), backward)
 
-        def backward(g):
-            return (-g,)
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    """a / b; a zero divisor raises NumericError."""
+    _check_broadcast(a.shape, b.shape)
+    ad, bd = a.data, b.data
+    if np.any(bd == 0.0):
+        raise NumericError("division by zero")
+    out = _result(ad / bd, "div")
+
+    def backward(g):
+        return (_unbroadcast(g / bd, a.shape),
+                _unbroadcast(-g * ad / (bd * bd), b.shape))
+
+    return _tape_record(out, (a, b), backward)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = _result(np.tanh(a.data), "tanh")
+    y = out.data
+
+    def backward(g):
+        return (g * (1.0 - y * y),)
 
     return _tape_record(out, (a,), backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("add", a, b)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("sub", a, b)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("mul", a, b)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("div", a, b)
-
-
-def tanh(a: Tensor) -> Tensor:
-    return elementwise("tanh", a)
-
-
 def exp(a: Tensor) -> Tensor:
-    return elementwise("exp", a)
+    out = _result(np.exp(a.data), "exp")
+    y = out.data
+
+    def backward(g):
+        return (g * y,)
+
+    return _tape_record(out, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
-    return elementwise("log", a)
+    """Natural log; a non-positive input raises NumericError."""
+    ad = a.data
+    if np.any(ad <= 0.0):
+        raise NumericError("log of non-positive value")
+    out = _result(np.log(ad), "log")
 
+    def backward(g):
+        return (g / ad,)
 
-def neg(a: Tensor) -> Tensor:
-    return elementwise("neg", a)
+    return _tape_record(out, (a,), backward)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -452,22 +414,25 @@ def gather_cols(a: Tensor, cols) -> Tensor:
 # Adam
 # ---------------------------------------------------------------------------
 
-class AdamState:
-    """Adam moment accumulators for one parameter tensor."""
+# Adam's decay rates and denominator offset: the defaults of Kingma & Ba
+# (2015), which every run uses. The learning rate comes from the caller.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, shape: tuple[int, int], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class AdamState:
+    """Adam moment accumulators and step count for one parameter tensor."""
+
+    def __init__(self, shape: tuple[int, int]):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
-def adam_step(state: AdamState, params: Tensor, grads) -> Tensor:
-    """One bias-corrected Adam update; returns the updated parameter tensor.
+def adam_step(state: AdamState, params: Tensor, grads, lr: float) -> Tensor:
+    """One bias-corrected Adam update with learning rate `lr`; returns the
+    updated parameter tensor.
 
     Updates `state.m` and `state.v` in place and builds the step in one
     scratch array, with the operations and their order of the textbook
@@ -480,18 +445,18 @@ def adam_step(state: AdamState, params: Tensor, grads) -> Tensor:
         raise DimensionError(f"optimizer state shape {state.m.shape} != parameter shape {params.shape}")
     state.t += 1
     m, v = state.m, state.v
-    step = np.multiply(g, 1.0 - state.beta1)
-    m *= state.beta1
+    step = np.multiply(g, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += step
     np.multiply(g, g, out=step)
-    step *= 1.0 - state.beta2
-    v *= state.beta2
+    step *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += step
-    out = np.divide(v, 1.0 - state.beta2 ** state.t)     # v_hat
+    out = np.divide(v, 1.0 - ADAM_BETA2 ** state.t)     # v_hat
     np.sqrt(out, out=out)
-    out += state.eps
-    np.divide(m, 1.0 - state.beta1 ** state.t, out=step)  # m_hat
-    step *= state.lr
+    out += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=step)  # m_hat
+    step *= lr
     step /= out
     np.subtract(params.data, step, out=out)
     return _result(out, "adam_step")

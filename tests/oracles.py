@@ -545,19 +545,21 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def adam_step(state: nk.AdamState, params: Tensor, grads) -> Tensor:
-    """One bias-corrected Adam update; returns the updated parameter tensor."""
+def adam_step(state: nk.AdamState, params: Tensor, grads, lr: float) -> Tensor:
+    """One bias-corrected Adam update with numkit's decay rates and offset;
+    returns the updated parameter tensor."""
     g = grads.data if isinstance(grads, Tensor) else np.asarray(grads, dtype=np.float64)
     if g.shape != params.data.shape:
         raise DimensionError(f"gradient shape {g.shape} != parameter shape {params.shape}")
     if state.m.shape != params.data.shape:
         raise DimensionError(f"optimizer state shape {state.m.shape} != parameter shape {params.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return nk._result(params.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps), "adam_step")
+    beta1, beta2 = nk.ADAM_BETA1, nk.ADAM_BETA2
+    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
+    m_hat = state.m / (1.0 - beta1 ** state.t)
+    v_hat = state.v / (1.0 - beta2 ** state.t)
+    return nk._result(params.data - lr * m_hat / (np.sqrt(v_hat) + nk.ADAM_EPS), "adam_step")
 
 
 # ---------------------------------------------------------------------------
@@ -565,21 +567,26 @@ def adam_step(state: nk.AdamState, params: Tensor, grads) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def head_score(params: dpcl.DpclParams, batch: dpcl.QueryBatch, head: str,
-               distance: str, distance_sign: float = 1.0) -> Tensor:
+               distance: str) -> Tensor:
     """One head's dependency scores, (B, |E|), computed apart from the other
     head: affine-code match, plus (periodic) or minus (non-periodic) the
-    history row, plus the signed row-wise distance of every (subject,
-    candidate) pair; taped."""
-    history = {"periodic": nk.add, "nonperiodic": nk.sub}[head]
+    history row, plus the row-wise distance of every (subject, candidate)
+    pair; taped."""
+    history, weight, bias = {
+        "periodic": (nk.add, params.w_per, params.b_per),
+        "nonperiodic": (nk.sub, params.w_nonper, params.b_nonper),
+    }[head]
     entities = params.entity_emb
-    code = dpcl.query_code(params, batch, head)
+    x = nk.concat_cols(nk.take_rows(entities, batch.s_ids),
+                       nk.take_rows(params.relation_emb, batch.r_ids))
+    code = nk.tanh(nk.add(nk.matmul(x, nk.transpose(weight)), bias))
     scores = history(nk.matmul(code, nk.transpose(entities)), Tensor(batch.z_rows))
     n, b = entities.shape[0], len(batch)
     subjects = nk.take_rows(entities, np.repeat(batch.s_ids, n))
     candidates = nk.take_rows(entities, np.tile(np.arange(n), b))
     rowwise = {"poincare": poincare_distance, "euclidean": euclidean_distance}[distance]
     dist = nk.reshape(rowwise(subjects, candidates), b, n)
-    return nk.add(scores, nk.mul(nk.constant(distance_sign), dist))
+    return nk.add(scores, dist)
 
 
 # ---------------------------------------------------------------------------

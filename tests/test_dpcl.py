@@ -13,8 +13,8 @@ from tkgdiff.errors import ConfigError
 from tkgdiff.geometry import project_array_to_ball
 
 
-def periodic(params, batch, distance_sign=1.0):
-    return dpcl.head_scores(params, batch, distance_sign=distance_sign)[0]
+def periodic(params, batch):
+    return dpcl.head_scores(params, batch)[0]
 
 
 def nonperiodic(params, batch):
@@ -123,18 +123,6 @@ def test_nonperiodic_self_distance_zero(setup):
     scores = nonperiodic(params, batch).data
     s0 = int(batch.s_ids[0])
     assert scores[0, s0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_distance_sign_flag(setup):
-    params, batch, _ = setup
-    plus = periodic(params, batch, distance_sign=1.0).data
-    minus = periodic(params, batch, distance_sign=-1.0).data
-    affine_only = (plus + minus) / 2.0
-    dist = (plus - minus) / 2.0
-    assert np.all(dist >= -1e-12)
-    # affine+z part identical under both signs
-    zeroed = periodic(params, batch, distance_sign=0.0).data
-    np.testing.assert_allclose(affine_only, zeroed, atol=1e-12)
 
 
 def test_permutation_equivariance(setup):
@@ -333,8 +321,7 @@ def test_full_dpcl_gradient_suite(setup):
 
 
 @pytest.mark.parametrize("strategy", sorted(ev.STRATEGY_DISTANCES))
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_head_scores_match_per_head_oracle(setup, strategy, sign):
+def test_head_scores_match_per_head_oracle(setup, strategy):
     # one shared squared-distance block gives each head what it would get
     # from its own subject rows and its own distances, values and gradients
     params, _, rng = setup
@@ -348,12 +335,12 @@ def test_head_scores_match_per_head_oracle(setup, strategy, sign):
         return nk.add(nk.sum_all(nk.mul(sp, weights[0])), nk.sum_all(nk.mul(snp, weights[1])))
 
     with nk.GradTape() as tape:
-        sp, snp = dpcl.head_scores(params, batch, per, nonper, sign)
+        sp, snp = dpcl.head_scores(params, batch, per, nonper)
         shared = objective(sp, snp)
     got = tape.gradient(shared, sources)
     with nk.GradTape() as tape:
-        osp = oracles.head_score(params, batch, "periodic", per, sign)
-        osnp = oracles.head_score(params, batch, "nonperiodic", nonper, sign)
+        osp = oracles.head_score(params, batch, "periodic", per)
+        osnp = oracles.head_score(params, batch, "nonperiodic", nonper)
         apart = objective(osp, osnp)
     want = tape.gradient(apart, sources)
     np.testing.assert_allclose(sp.data, osp.data, rtol=0, atol=1e-12)
@@ -450,7 +437,7 @@ def test_one_difference_block_per_eval_chunk(monkeypatch):
     params = dpcl.init_params(store.n_entities, store.n_relations, 8, nk.rng_for(46))
     model = ev.Model(dpcl=params, denoiser=None)
     calls = _count_sqdist_calls(monkeypatch)
-    ev.evaluate_split(model, store, "test", strata=("all",))
+    ev.evaluate_split(model, store, "test")
     assert calls == [256] * (n_test // 256) + [n_test % 256] * bool(n_test % 256)
 
 

@@ -27,30 +27,30 @@ def strip_wall(metrics):
 
 
 def test_joint_loss_endpoints():
+    # an ablated component's losses are None; the other component's loss is
+    # then the objective, unweighted, whatever alpha is
     ce = nk.constant(0.5)
     sup = nk.constant(0.25)
     diff = nk.constant(1.0)
-    cfg0 = engine.TrainConfig(alpha=0.0)
-    assert engine.joint_loss(cfg0, ce, sup, diff).item() == pytest.approx(0.75)
-    cfg1 = engine.TrainConfig(alpha=1.0)
-    assert engine.joint_loss(cfg1, ce, sup, diff).item() == pytest.approx(1.0)
+    for alpha in (0.2, 0.9):
+        assert engine.joint_loss(alpha, ce, None, None) is ce
+        assert engine.joint_loss(alpha, ce, sup, None).item() == pytest.approx(0.75)
+        assert engine.joint_loss(alpha, None, None, diff) is diff
 
 
 def test_joint_loss_hand_value():
-    cfg = engine.TrainConfig(alpha=0.2)
-    out = engine.joint_loss(cfg, nk.constant(0.5), nk.constant(0.25), nk.constant(1.0))
+    out = engine.joint_loss(0.2, nk.constant(0.5), nk.constant(0.25), nk.constant(1.0))
     assert out.item() == pytest.approx(0.2 * 1.0 + 0.8 * 0.75, abs=1e-12)
 
 
 def test_joint_loss_stage_and_ablation_semantics():
-    cfg = engine.TrainConfig(alpha=0.2)
+    # stage 1 computes no contrastive loss: sup is None
     ce, sup, diff = nk.constant(0.5), nk.constant(0.25), nk.constant(1.0)
-    stage1 = engine.joint_loss(cfg, ce, sup, diff, stage=1)
+    stage1 = engine.joint_loss(0.2, ce, None, diff)
     assert stage1.item() == pytest.approx(0.2 + 0.8 * 0.5)
-    no_gn = dataclasses.replace(cfg, no_gndiff=True)
-    assert engine.joint_loss(no_gn, ce, sup, None).item() == pytest.approx(0.75)
-    no_dp = dataclasses.replace(cfg, no_dpcl=True)
-    assert engine.joint_loss(no_dp, None, None, diff).item() == pytest.approx(1.0)
+    # an ablated component's losses are None
+    assert engine.joint_loss(0.2, ce, sup, None).item() == pytest.approx(0.75)
+    assert engine.joint_loss(0.2, None, None, diff).item() == pytest.approx(1.0)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -78,6 +78,27 @@ def test_config_validation_errors():
         engine.TrainConfig.from_dict({"unknown_key": "1"})
     with pytest.raises(ConfigError):
         engine.TrainConfig.from_dict({"alpha": "abc"})
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_alpha_at_an_endpoint_is_rejected(alpha):
+    # alpha 0 used to run the denoiser forward on every batch and train
+    # nothing into it, and evaluation still averaged its untrained
+    # distribution in; alpha 1 did the same with DPCL
+    with pytest.raises(ConfigError, match="set no_gndiff or no_dpcl to drop a component"):
+        engine.TrainConfig(alpha=alpha).validate()
+    with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)"):
+        engine.train(quick_config(alpha=alpha), single_fact_store())
+
+
+@pytest.mark.parametrize("spelling", ["HYP/EUC", "Euc/Euc"])
+def test_mapping_strategy_is_spelled_exactly(spelling):
+    # "HYP/EUC" used to train the "hyp/euc" model, and its checkpoint then
+    # refused to resume under "hyp/euc"
+    with pytest.raises(ConfigError, match="unknown mapping strategy"):
+        engine.TrainConfig(mapping_strategy=spelling).validate()
+    with pytest.raises(ConfigError, match="unknown mapping strategy"):
+        engine.TrainConfig.from_dict({"mapping_strategy": spelling})
 
 
 def test_memorize_single_fact():
@@ -267,6 +288,36 @@ def test_resume_matches_uninterrupted(tmp_path):
         full.metrics[-1]["loss_total"], abs=1e-12)
     assert strip_wall(resumed.metrics) == strip_wall(full.metrics)
     assert_same_state(full, resumed)
+
+
+def test_a_resumed_run_steps_with_the_lr_of_its_config(tmp_path, monkeypatch):
+    # checkpoints used to carry each Adam state's lr, and a resumed run
+    # stepped with it instead of the lr of its config
+    store = planted_period_store(n_entities=8, n_relations=2, n_timestamps=30)
+    engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=16, lr=0.001),
+                 store, out_dir=tmp_path / "run")
+
+    def resume(lr, name):
+        out = tmp_path / name
+        engine.train(quick_config(epochs_stage1=2, epochs_stage2=0, batch=16, lr=lr), store,
+                     out_dir=out, resume_from=tmp_path / "run" / "last.ckpt")
+        return engine.load_checkpoint(out / "last.ckpt")
+
+    slow, fast = resume(0.001, "slow"), resume(0.05, "fast")
+    assert fast.config.lr == 0.05
+    assert any(not np.array_equal(t.data, fast.named_tensors()[name].data)
+               for name, t in slow.named_tensors().items())
+
+    seen = []
+    step = nk.adam_step
+
+    def record(state, params, grads, lr):
+        seen.append(lr)
+        return step(state, params, grads, lr)
+
+    monkeypatch.setattr(nk, "adam_step", record)
+    resume(0.05, "recorded")
+    assert seen and set(seen) == {0.05}
 
 
 def test_resumed_run_without_gndiff_matches_uninterrupted(tmp_path):
@@ -489,6 +540,30 @@ def test_checkpoint_in_the_format_with_denoiser_meta_is_rejected(tmp_path, small
         engine.load_checkpoint(p)
 
 
+def test_checkpoint_header_holds_each_adam_state_as_its_step_count(tmp_path, small_ckpt):
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    header, _ = split_checkpoint(path.read_bytes())
+    assert json.loads(header)["adam"] == {name: state.t
+                                          for name, state in small_ckpt.adam.items()}
+
+
+def test_checkpoint_in_the_format_with_adam_hyperparameters_is_rejected(tmp_path,
+                                                                       small_ckpt):
+    # format 5 headers carried each Adam state's lr, beta1, beta2 and eps
+    # beside its step count t; format 6 keeps t only
+    p = tmp_path / "v5.ckpt"
+    engine.save_checkpoint(small_ckpt, p)
+    blob = p.read_bytes()
+    header, records = edit_header(lambda h: h.update(adam={
+        name: {"t": t, "lr": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+        for name, t in h["adam"].items()}))(*split_checkpoint(blob))
+    blob = join_checkpoint(blob, header, records)
+    p.write_bytes(blob[:4] + struct.pack("<I", 5) + blob[8:])
+    with pytest.raises(CheckpointVersionError, match="version 5 is not supported"):
+        engine.load_checkpoint(p)
+
+
 def pack_record(name, arr):
     """The bytes of one checkpoint record."""
     encoded = name.encode("utf-8")
@@ -590,7 +665,7 @@ def test_checkpoint_roundtrip_bytes_on_random_shapes(n_entities, n_relations, d_
     params = engine.Checkpoint(engine.TrainConfig(), dparams, nparams, adam={},
                                epoch=0).named_tensors()
     for name, p in params.items():
-        state = nk.AdamState(p.shape, lr=0.01)
+        state = nk.AdamState(p.shape)
         state.m = rng.normal(size=p.shape)
         state.v = rng.random(p.shape)
         state.t = int(rng.integers(0, 100))
@@ -657,7 +732,7 @@ def test_joint_gradient_through_everything():
         sup = dpcl_mod.supcon_loss(dp, batch, cfg.tau)
         diff = gndiff.batch_loss(np_, entropies, toks, cfg.steps, cfg.mu,
                                  nk.rng_for(6))
-        return engine.joint_loss(cfg, ce, sup, diff)
+        return engine.joint_loss(cfg.alpha, ce, sup, diff)
 
     params = list(dparams.named().values()) + list(nparams.named().values())
     report = nk.grad_check(f, params, tolerance=1e-4)
@@ -671,8 +746,7 @@ def test_planted_pattern_quick_recovery():
                        epochs_stage2=2, steps=10, chains=2)
     ckpt = engine.train(cfg, store)
     model = engine.model_from_checkpoint(ckpt, store)
-    reports = evaluate.evaluate_split(model, store, "test", strata=("all",),
-                                      seed=3, lam=cfg.lam)
+    reports = evaluate.evaluate_split(model, store, "test", seed=3, lam=cfg.lam)
     random_mrr = np.mean([1.0 / r for r in range(1, store.n_entities + 1)])
     assert reports["all"].mrr > 2 * random_mrr
 

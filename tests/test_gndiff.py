@@ -596,7 +596,7 @@ def test_overfit_single_fact_dominates_p_diff():
     ent = make_entropies(n_entities=n_e, n_relations=n_r)
     params = gndiff.init_denoiser(n_e, n_r, width=16, rng=nk.rng_for(82))
     toks = np.tile([1, n_e + 0, 3], (8, 1))
-    states = {name: nk.AdamState(p.shape, lr=0.01)
+    states = {name: nk.AdamState(p.shape)
               for name, p in params.named().items()}
     for step in range(300):
         with nk.GradTape() as tape:
@@ -604,7 +604,7 @@ def test_overfit_single_fact_dominates_p_diff():
                                      rng=nk.rng_for(83, step))
         tensors = params.named()
         grads = tape.gradient(loss, list(tensors.values()))
-        updates = {name: nk.adam_step(states[name], tensors[name], g)
+        updates = {name: nk.adam_step(states[name], tensors[name], g, lr=0.01)
                    for name, g in zip(tensors, grads)}
         params = dataclasses.replace(params, **updates)
     sched = oracles.inference_schedule(ent, 1, 0, steps=8, mu=0.25)

@@ -49,16 +49,15 @@ def test_elementwise_mul_gradient():
     assert report.ok, report
 
 
-@pytest.mark.parametrize("kind", ["add", "sub", "div", "tanh", "exp", "log", "neg"])
+@pytest.mark.parametrize("kind", ["add", "sub", "div", "tanh", "exp", "log"])
 def test_elementwise_gradients_all_kinds(kind):
     rng = nk.rng_for(9)
     a = nk.tensor(rng.random((2, 4)) + 0.5)
     b = nk.tensor(rng.random((2, 4)) + 0.5)
+    op = getattr(nk, kind)
 
     def f(ps):
-        if kind in ("add", "sub", "div"):
-            return nk.sum_all(nk.elementwise(kind, ps[0], ps[1]))
-        return nk.sum_all(nk.elementwise(kind, ps[0]))
+        return nk.sum_all(op(*ps))
 
     params = [a, b] if kind in ("add", "sub", "div") else [a]
     report = nk.grad_check(f, params, tolerance=1e-6)
@@ -81,8 +80,9 @@ def test_elementwise_broadcast_length_one_axis():
 
 
 def test_elementwise_shape_mismatch():
-    with pytest.raises(DimensionError):
-        nk.add(nk.zeros(2, 3), nk.zeros(3, 2))
+    for op in (nk.add, nk.sub, nk.mul, nk.div):
+        with pytest.raises(DimensionError):
+            op(nk.zeros(2, 3), nk.full(3, 2, 1.0))
 
 
 def test_div_by_zero_raises():
@@ -104,15 +104,11 @@ def test_overflowing_results_raise_with_the_op_name():
         for op, call in (("exp", lambda: nk.exp(nk.tensor([[1000.0]]))),
                          ("mul", lambda: nk.mul(big, big)),
                          ("matmul", lambda: nk.matmul(big, big)),
-                         ("adam_step", lambda: nk.adam_step(nk.AdamState((1, 1), lr=1e308),
-                                                            nk.tensor([[-1e308]]), [[1.0]]))):
+                         ("adam_step", lambda: nk.adam_step(nk.AdamState((1, 1)),
+                                                            nk.tensor([[-1e308]]), [[1.0]],
+                                                            lr=1e308))):
             with pytest.raises(NumericError, match=op):
                 call()
-
-
-def test_elementwise_rejects_unknown_kind():
-    with pytest.raises(DimensionError):
-        nk.elementwise("pow", nk.tensor([1.0]))
 
 
 def test_softmax_uniform():
@@ -195,37 +191,37 @@ def test_acosh_values_and_clamp():
 
 def test_adam_zero_gradient_is_fixed_point():
     p = nk.tensor([[1.0, -2.0], [0.5, 3.0]])
-    state = nk.AdamState(p.shape, lr=0.001)
+    state = nk.AdamState(p.shape)
     out = p
     for _ in range(5):
-        out = nk.adam_step(state, out, np.zeros(p.shape))
+        out = nk.adam_step(state, out, np.zeros(p.shape), lr=0.001)
     np.testing.assert_array_equal(out.data, p.data)
 
 
 def test_adam_first_step_magnitude():
     # constant gradient 1, lr=0.001: bias-corrected first step is lr * 1/(1+eps)
     p = nk.tensor([[0.0]])
-    state = nk.AdamState(p.shape, lr=0.001)
-    out = nk.adam_step(state, p, np.array([[1.0]]))
+    state = nk.AdamState(p.shape)
+    out = nk.adam_step(state, p, np.array([[1.0]]), lr=0.001)
     assert out.item() == pytest.approx(-0.001, rel=1e-6)
 
 
 def test_adam_shape_mismatch():
     state = nk.AdamState((2, 2))
     with pytest.raises(DimensionError):
-        nk.adam_step(state, nk.zeros(2, 2), np.zeros((2, 3)))
+        nk.adam_step(state, nk.zeros(2, 2), np.zeros((2, 3)), lr=0.001)
 
 
 def test_adam_deterministic_runs():
     def run():
         rng = nk.rng_for(55)
         p = nk.tensor(rng.normal(size=(4, 3)))
-        state = nk.AdamState(p.shape, lr=0.01)
+        state = nk.AdamState(p.shape)
         for _ in range(100):
             with nk.GradTape() as tape:
                 loss = nk.sum_all(nk.mul(p, p))
             (g,) = tape.gradient(loss, [p])
-            p = nk.adam_step(state, p, g)
+            p = nk.adam_step(state, p, g, lr=0.01)
         return p.data
 
     a, b = run(), run()
@@ -236,12 +232,12 @@ def test_adam_deterministic_runs():
 def test_adam_in_place_matches_the_textbook_form(shape):
     rng = nk.rng_for(56, *shape)
     p = q = nk.tensor(rng.normal(size=shape))
-    state, ref = nk.AdamState(shape, lr=0.01), nk.AdamState(shape, lr=0.01)
+    state, ref = nk.AdamState(shape), nk.AdamState(shape)
     m, v = state.m, state.v
     for _ in range(100):
         g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 3, size=shape)
-        p = nk.adam_step(state, p, g)
-        q = oracles.adam_step(ref, q, g)
+        p = nk.adam_step(state, p, g, lr=0.01)
+        q = oracles.adam_step(ref, q, g, lr=0.01)
         np.testing.assert_array_equal(p.data, q.data)
         np.testing.assert_array_equal(state.m, ref.m)
         np.testing.assert_array_equal(state.v, ref.v)

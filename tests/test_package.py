@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 import tkgdiff
-from tkgdiff import corpus, evaluate
+from tkgdiff import corpus, dpcl, engine, evaluate, gndiff, numkit
 from tkgdiff.dpcl import QueryBatch
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tkgdiff.__path__))
+
+# the TrainConfig fields of each workload in bench/run.py's WORKLOADS
+# (icews14, icews14-dpcl, dense-history); the bench adds seed
+BENCH_CONFIGS = [
+    dict(epochs_stage1=0, epochs_stage2=1),
+    dict(epochs_stage1=0, epochs_stage2=1, no_gndiff=True),
+    dict(d_dpcl=16, d_diff=16, epochs_stage1=2, epochs_stage2=2, steps=10),
+]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,3 +52,11 @@ def test_the_benchmark_calls_resolve_with_their_signatures():
     assert corpus.is_new_event(index, 0, 0, 2, 1) is True
     assert corpus.is_new_event(index, 0, 0, 1, 1) is False
     assert len(QueryBatch.from_quads(store.split("test"), index)) == 1
+    assert isinstance(engine._NS_INIT, int)
+    for values in BENCH_CONFIGS:
+        cfg = engine.TrainConfig(**values, seed=1)
+        cfg.validate()
+        # time_setup's parameter init, positional as it calls it
+        init_rng = numkit.rng_for(cfg.seed, engine._NS_INIT)
+        dpcl.init_params(store.n_entities, store.n_relations, cfg.d_dpcl, init_rng)
+        gndiff.init_denoiser(store.n_entities, store.n_relations, cfg.d_diff, init_rng)
