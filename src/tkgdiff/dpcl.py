@@ -115,9 +115,10 @@ def head_scores(params: DpclParams, batch: QueryBatch, distance_per: str = "poin
     A head's score is its affine-code match against the entity table, plus
     (periodic) or minus (non-periodic) the signed history row, plus the
     subject-candidate distance of the kind the head is given. Both distances
-    come from one subject x entity squared-distance block, and a kind both
-    heads use is computed once. A Poincare distance needs every entity row
-    inside the ball (geometry.poincare_from_sqdist).
+    come from one subject x entity squared-distance block, one matrix
+    product over the batch's distinct subjects (geometry.pairwise_sqdist),
+    and a kind both heads use is computed once. A Poincare distance needs
+    every entity row inside the ball (geometry.poincare_from_sqdist).
     """
     for kind in (distance_per, distance_nonper):
         if kind not in DISTANCE_KINDS:

@@ -284,13 +284,15 @@ def load_checkpoint(path) -> Checkpoint:
     Every way the file can fail to decode raises CheckpointError: a bad
     magic, an unknown version (CheckpointVersionError), truncation (also
     dims that claim more bytes than the file has left), a header that is not
-    the expected JSON, a record that is not 2-D, a missing or unexpected
-    tensor record, Adam states that do not match the parameter records,
-    parameters that do not cover the header's `n_entities` and
-    `n_relations` (each denoiser record must have the shape those sizes and
-    the config's `d_diff` give it), or a non-finite payload. The component
-    the header's config ablates must have no records and loads as None;
-    every other component must have all of its records.
+    the expected JSON, an `epoch` or Adam step count that is not a
+    non-negative int, a `best_val_mrr` that is not a finite number, a record
+    that is not 2-D, a missing or unexpected tensor record, Adam states that
+    do not match the parameter records, parameters that do not cover the
+    header's `n_entities` and `n_relations` (each denoiser record must have
+    the shape those sizes and the config's `d_diff` give it), or a
+    non-finite payload. The component the header's config ablates must have
+    no records and loads as None; every other component must have all of
+    its records.
 
     Parameter tensors are read-only views of the arrays read from the file;
     the Adam moments are those arrays, writeable.
@@ -328,6 +330,13 @@ def _read_array(fh, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def _count(value, what: str) -> int:
+    """A header count: an int (not a bool) that is at least 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _read_body(fh) -> Checkpoint:
     size = os.fstat(fh.fileno()).st_size
     (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
@@ -348,8 +357,11 @@ def _read_body(fh) -> Checkpoint:
     dparams = _component(arrays, "dpcl", config.no_dpcl, DpclParams)
     nparams = _component(arrays, "denoiser", config.no_gndiff, DenoiserParams,
                          n_entities=sizes[0], n_relations=sizes[1], width=config.d_diff)
+    best = header["best_val_mrr"]
+    if type(best) not in (int, float) or not math.isfinite(best):
+        raise ValueError(f"best_val_mrr must be a finite number, got {best!r}")
     ckpt = Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam={},
-                      epoch=header["epoch"], best_val_mrr=header["best_val_mrr"],
+                      epoch=_count(header["epoch"], "epoch"), best_val_mrr=best,
                       metrics=header["metrics"])
     if ckpt.vocabulary != sizes:
         raise ValueError(f"parameters cover {ckpt.vocabulary} (entities, relations), "
@@ -366,7 +378,7 @@ def _read_body(fh) -> Checkpoint:
     for name, t in header["adam"].items():
         m, v = arrays.pop(f"adam.m.{name}"), arrays.pop(f"adam.v.{name}")
         state = ckpt.adam[name] = AdamState(m.shape)
-        state.m, state.v, state.t = m, v, t
+        state.m, state.v, state.t = m, v, _count(t, f"Adam step count of '{name}'")
     if arrays:
         raise ValueError(f"unexpected tensor records {sorted(arrays)}")
     return ckpt

@@ -5,15 +5,15 @@ so the distance denominator (1 - |x|^2) never collapses; the distance gradient
 at coincident points is defined as zero.
 
 Both distances are functions of the all-pairs squared difference |a_i - b_j|^2,
-so `pairwise_sqdist` computes it once and `euclidean_from_sqdist` /
-`poincare_from_sqdist` derive either distance from it. It forms the
-differences explicitly: the expansion |a|^2 + |b|^2 - 2 a.b loses about eight
-digits to cancellation between close points, which the ball distance divides
-by (1 - |a|^2)(1 - |b|^2) and magnifies near the boundary. The differences
-are formed once per distinct row of `a`: scoring passes one subject row per
-query, and a few subjects make most queries. The (rows, chunk, d) difference
-block is sized to BLOCK_BYTES, half of a 2 MiB per-core L2 cache, so it stays
-in cache between the subtraction that writes it and the sum that reads it.
+so `pairwise_sqdist` computes it once, as |a|^2 + |b|^2 - 2 a.b with one
+matrix product over the distinct rows of `a` (scoring passes one subject row
+per query, and a few subjects make most queries), and `euclidean_from_sqdist`
+/ `poincare_from_sqdist` derive either distance from it. The expansion's
+error is a few ulps of |a|^2 + |b|^2, large only relative to close pairs,
+whose distance the ball divides by (1 - |a|^2)(1 - |b|^2) and magnifies near
+the boundary. So every entry at or below CLOSE * (|a|^2 + |b|^2) is
+recomputed from its explicit difference: the rest keep a relative error of a
+few ulps / CLOSE, no entry is negative, and identical rows give exactly 0.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .errors import DimensionError
 from .numkit import Tensor
 
 BALL_MARGIN = 1e-5  # rows are kept at norm <= 1 - BALL_MARGIN
-BLOCK_BYTES = 1 << 20  # bytes of the (m, chunk, d) difference block
+CLOSE = 1e-6  # entries at or below CLOSE * (|a|^2 + |b|^2) are recomputed exactly
 
 __all__ = [
-    "BALL_MARGIN", "BLOCK_BYTES", "project_array_to_ball", "pairwise_sqdist",
+    "BALL_MARGIN", "CLOSE", "project_array_to_ball", "pairwise_sqdist",
     "euclidean_from_sqdist", "poincare_from_sqdist",
     "poincare_pairwise", "euclidean_pairwise",
 ]
@@ -64,28 +64,27 @@ def _row_sqnorm(x: Tensor) -> Tensor:
 
 def _sqdist_rows(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     """|a_i - b_j|^2 for every row of `ad` against every row of `bd`, shape
-    (m, n), in column chunks whose (m, chunk, d) block fits BLOCK_BYTES."""
-    (m, d), n = ad.shape, bd.shape[0]
-    chunk = max(1, BLOCK_BYTES // (8 * max(m * d, 1)))
-    out = np.empty((m, n))
-    block = np.empty((m, min(chunk, n), d))
-    for j0 in range(0, n, chunk):
-        cols = bd[j0:j0 + chunk]
-        diff = block[:, :len(cols)]
-        np.subtract(ad[:, None, :], cols[None, :, :], out=diff)
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[:, j0:j0 + len(cols)])
+    (m, n): the expansion, with the close pairs recomputed from differences."""
+    scale = np.add.outer(np.einsum("ij,ij->i", ad, ad), np.einsum("ij,ij->i", bd, bd))
+    out = ad @ bd.T
+    out *= -2.0
+    out += scale
+    scale *= CLOSE
+    close = np.flatnonzero(out <= scale)
+    i, j = np.divmod(close, out.shape[1])
+    diff = ad[i] - bd[j]
+    np.put(out, close, np.einsum("ij,ij->i", diff, diff))
     return out
 
 
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs |a_i - b_j|^2, shape (m, n); taped.
 
-    Forms the differences explicitly (the module docstring says why), once
-    per distinct row of `a`; repeated rows share that row of distances.
-    Equal rows give equal differences up to the sign of zero, which squaring
-    removes, and each entry sums over d alone, so the result depends neither
-    on the sharing nor on the chunk size. The closed-form backward never
-    materializes the (m, n, d) block and uses every row of `a`.
+    One expansion row per distinct row of `a`, which repeated rows share,
+    with the close pairs recomputed exactly (the module docstring says why):
+    no entry is negative and identical rows give 0. The closed-form backward
+    never materializes the (m, n, d) difference block and uses every row of
+    `a`.
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")

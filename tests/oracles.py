@@ -33,9 +33,10 @@ Distances, one row pair at a time (checks `geometry.poincare_pairwise` and
 `geometry.euclidean_pairwise`):
 - `PoincarePoint`: a point projected into the ball on construction.
 - `poincare_distance`, `euclidean_distance`: row-wise distances, taped.
-- `pairwise_sqdist`: the all-pairs squared distances with one difference row
-  per row of `a`, repeated rows included; `geometry.pairwise_sqdist` must
-  reproduce it bit for bit while forming one row per distinct row.
+- `pairwise_sqdist`: the all-pairs squared distances from explicit
+  differences, one row per row of `a`, repeated rows included;
+  `geometry.pairwise_sqdist` must reproduce it to rounding with one matrix
+  product over the distinct rows, and bit for bit on close pairs.
 
 Optimizer (checks `numkit.adam_step`):
 - `adam_step`: the textbook Adam update, which rebinds fresh moment arrays;
@@ -72,8 +73,7 @@ from tkgdiff import dpcl, gndiff
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import TokenEntropy
 from tkgdiff.errors import DimensionError
-from tkgdiff.geometry import (BLOCK_BYTES, _check_inside, _row_sqnorm,
-                              project_array_to_ball)
+from tkgdiff.geometry import _check_inside, _row_sqnorm, project_array_to_ball
 from tkgdiff.gndiff import N_POSITIONS, DenoiserParams
 from tkgdiff.numkit import Tensor
 
@@ -512,23 +512,14 @@ def poincare_distance(a, b) -> Tensor:
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs |a_i - b_j|^2, shape (m, n); taped.
 
-    Forms the differences explicitly, in column chunks whose (m, chunk, d)
-    block fits BLOCK_BYTES (the `geometry` module docstring says why). Each
-    entry sums over d alone, so the result does not depend on the chunk size.
-    The closed-form backward never materializes the (m, n, d) block.
+    Forms every difference explicitly, in one (m, n, d) block; the
+    closed-form backward never materializes it.
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    (m, d), n = ad.shape, bd.shape[0]
-    chunk = max(1, BLOCK_BYTES // (8 * max(m * d, 1)))
-    out = np.empty((m, n))
-    block = np.empty((m, min(chunk, n), d))
-    for j0 in range(0, n, chunk):
-        cols = bd[j0:j0 + chunk]
-        diff = block[:, :len(cols)]
-        np.subtract(ad[:, None, :], cols[None, :, :], out=diff)
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[:, j0:j0 + len(cols)])
+    diff = ad[:, None, :] - bd[None, :, :]
+    out = np.einsum("ijk,ijk->ij", diff, diff)
     result = nk._result(out, "pairwise_sqdist")
 
     def backward(g):

@@ -477,6 +477,29 @@ def test_every_checkpoint_load_failure_is_a_checkpoint_error(tmp_path, small_ckp
         engine.load_checkpoint(bad)
 
 
+def each_adam_step_count(value):
+    return edit_header(lambda h: h["adam"].update(dict.fromkeys(h["adam"], value)))
+
+
+@pytest.mark.parametrize("corrupt", [
+    *(each_adam_step_count(value) for value in ("3", -5, 2.5, True)),
+    edit_header(lambda h: h.update(epoch="1")),
+    edit_header(lambda h: h.update(best_val_mrr=None)),
+], ids=["t-string", "t-negative", "t-fractional", "t-bool", "epoch-string",
+        "best-val-mrr-null"])
+def test_a_malformed_header_count_is_a_checkpoint_error(tmp_path, small_ckpt, corrupt):
+    # each of these loaded at format 6 before its fields were checked; a
+    # resume then failed in its first Adam step, or stepped with a
+    # fractional bias correction
+    good = tmp_path / "good.ckpt"
+    engine.save_checkpoint(small_ckpt, good)
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(join_checkpoint(blob, *corrupt(*split_checkpoint(blob))))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        engine.load_checkpoint(bad)
+
+
 @pytest.fixture(scope="module")
 def ablated_ckpts():
     store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import make_batch, new_event_mix_store, planted_period_store, quick_config
 from tkgdiff import dpcl, engine, evaluate, gndiff
+from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import SPLITS, QuadStore, build_periodic_index
 
@@ -231,3 +232,31 @@ def test_p_dpcl_is_the_distribution_ce_loss_trains(strategy):
         term = dpcl.ce_loss(*dpcl.head_scores(params, one, per, nonper), one.gt_ids)
         assert abs(terms[i] - term.item()) <= 1e-12
 
+
+# ---------------------------------------------------------------------------
+# The Gram-form distance block ranks as the explicit differences do
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", ["hyp/euc", "hyp/hyp"])
+def test_ranks_are_those_of_the_explicit_difference_block(strategy, monkeypatch):
+    store = planted_period_store()
+    cfg = quick_config(no_gndiff=True, mapping_strategy=strategy)
+    model = engine.model_from_checkpoint(engine.train(cfg, store), store)
+    probs = []
+    real = evaluate.p_dpcl
+
+    def recorded(*args):
+        probs.append(real(*args))
+        return probs[-1]
+
+    monkeypatch.setattr(evaluate, "p_dpcl", recorded)
+    gram = evaluate.evaluate_split(model, store, "test")
+    n_chunks = len(probs)
+    monkeypatch.setattr(geo, "pairwise_sqdist", oracles.pairwise_sqdist)
+    explicit = evaluate.evaluate_split(model, store, "test")
+    assert n_chunks > 0 and len(probs) == 2 * n_chunks
+    for name, report in gram.items():
+        assert report.ranks == explicit[name].ranks, name
+        assert report.raw_ranks == explicit[name].raw_ranks, name
+    for got, want in zip(probs[:n_chunks], probs[n_chunks:]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

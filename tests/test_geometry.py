@@ -168,34 +168,6 @@ def test_poincare_point_projects_on_construction():
     assert oracles.poincare_distance(p, p).item() == 0.0
 
 
-def _one_block(a, b):
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-@pytest.mark.parametrize("m, n, d", [(3, 10, 4), (5, 9, 7), (1, 6, 1)])
-@pytest.mark.parametrize("cols", [1, 4, 9, 15])
-def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, n, d, cols):
-    # a budget of `cols` (m, d) slabs, plus bytes short of one more, gives
-    # chunks of `cols` columns (chunk = 1, chunk < n, chunk >= n), and every
-    # chunking equals one unchunked block bit for bit
-    widths = []
-    real = np.subtract
-
-    def spy(x, y, out):
-        widths.append(out.shape[1])
-        return real(x, y, out=out)
-
-    monkeypatch.setattr(geo.np, "subtract", spy)
-    monkeypatch.setattr(geo, "BLOCK_BYTES", 8 * m * d * cols + 7)
-    rng = nk.rng_for(30, m, d)
-    a, b = rng.normal(size=(m, d)), rng.normal(size=(n, d))
-    got = geo.pairwise_sqdist(nk.tensor(a), nk.tensor(b)).data
-    full, last = divmod(n, cols)
-    assert widths == [cols] * full + [last] * bool(last)
-    np.testing.assert_array_equal(got, _one_block(a, b))
-
-
 def test_pairwise_sqdist_rejects_mismatched_dims():
     with pytest.raises(DimensionError):
         geo.pairwise_sqdist(nk.tensor(np.zeros((2, 3))), nk.tensor(np.zeros((2, 4))))
@@ -227,7 +199,8 @@ def test_pairwise_sqdist_matches_the_one_row_per_query_oracle(m, distinct, d):
             loss = nk.sum_all(nk.mul(out, weights))
         values.append(out.data)
         grads.append(tape.gradient(loss, [a, b]))
-    np.testing.assert_array_equal(values[0], values[1])
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=0)
+    # the backward reads only a, b and the upstream gradient
     for got, want in zip(*grads):
         np.testing.assert_array_equal(got, want)
 
@@ -238,12 +211,12 @@ def test_pairwise_sqdist_signed_zero_rows_match_the_oracle():
     a = nk.tensor([[0.0, 0.5, -0.0], [-0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [-0.0, -0.0, -0.0]])
     b = nk.tensor([[0.0, 0.5, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
     got = geo.pairwise_sqdist(a, b).data
-    np.testing.assert_array_equal(got, oracles.pairwise_sqdist(a, b).data)
+    np.testing.assert_allclose(got, oracles.pairwise_sqdist(a, b).data, rtol=1e-12, atol=0)
     assert not np.signbit(got).any()
 
 
 @pytest.mark.parametrize("m, distinct", [(192, 43), (64, 28), (5, 5), (6, 1)])
-def test_difference_block_has_one_row_per_distinct_row(monkeypatch, m, distinct):
+def test_gram_product_has_one_row_per_distinct_row(monkeypatch, m, distinct):
     rows = []
     real = geo._sqdist_rows
 
@@ -256,3 +229,109 @@ def test_difference_block_has_one_row_per_distinct_row(monkeypatch, m, distinct)
     a = nk.tensor(_rows_with(rng, m, distinct, 6))
     geo.pairwise_sqdist(a, nk.tensor(rng.normal(size=(50, 6))))
     assert rows == [distinct]
+
+
+# ---------------------------------------------------------------------------
+# The Gram form against the explicit differences, where cancellation bites
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def at_margin(rng, n, d):
+    """n random rows of width d at norm 1 - BALL_MARGIN."""
+    x = rng.normal(size=(n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True) * (1.0 - geo.BALL_MARGIN)
+
+
+def moved(rng, x, distance):
+    """Each row of x moved by `distance` in a random direction."""
+    step = rng.normal(size=x.shape)
+    return x + step / np.linalg.norm(step, axis=1, keepdims=True) * distance
+
+
+def assert_matches_the_oracle(a, b):
+    """geometry.pairwise_sqdist(a, b) against the explicit differences: no
+    entry negative, each within 16 ulps of |a_i|^2 + |b_j|^2, and the close
+    pairs bit for bit; returns (got, want, close)."""
+    got = geo.pairwise_sqdist(nk.tensor(a), nk.tensor(b)).data
+    want = oracles.pairwise_sqdist(nk.tensor(a), nk.tensor(b)).data
+    scale = np.add.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
+    assert (got >= 0.0).all()
+    assert np.all(np.abs(got - want) <= 16 * EPS * scale)
+    close = want <= 0.5 * geo.CLOSE * scale
+    np.testing.assert_array_equal(got[close], want[close])
+    return got, want, close
+
+
+@pytest.mark.parametrize("d", [2, 16, 200])
+def test_pairwise_sqdist_rows_at_the_ball_margin_match_the_oracle(d):
+    rng = nk.rng_for(33, d)
+    got, want, _ = assert_matches_the_oracle(at_margin(rng, 24, d), at_margin(rng, 40, d))
+    apart = want > 1e-2
+    np.testing.assert_allclose(got[apart], want[apart], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", [2, 16, 200])
+def test_pairwise_sqdist_near_duplicates_are_bit_equal_to_the_oracle(d):
+    # pairs 1e-9 apart near the boundary: the expansion would keep none of
+    # their digits, so each is one of the close pairs recomputed exactly
+    rng = nk.rng_for(34, d)
+    subjects = at_margin(rng, 12, d)
+    picks = rng.integers(0, 12, 30)
+    a = subjects[picks]
+    b = np.vstack([moved(rng, subjects, 1e-9), at_margin(rng, 5, d)])
+    got, want, close = assert_matches_the_oracle(a, b)
+    assert close[np.arange(30), picks].all()
+
+
+def test_pairwise_sqdist_repeated_subjects_share_the_oracles_rows():
+    rng = nk.rng_for(35)
+    pool = at_margin(rng, 3, 16)
+    ids = rng.permutation(np.arange(64) % 3)
+    b = np.vstack([moved(rng, pool, 1e-7), at_margin(rng, 20, 16)])
+    got, _, close = assert_matches_the_oracle(pool[ids], b)
+    assert close[np.arange(64), ids].all()
+    for k in range(3):
+        assert (got[ids == k] == got[ids == k][0]).all()
+
+
+@pytest.mark.parametrize("distance, kind", [
+    (geo.poincare_pairwise, "poincare"), (geo.euclidean_pairwise, "euclidean")])
+def test_identical_rows_give_exact_zeros_and_the_oracles_gradients(distance, kind):
+    rng = nk.rng_for(36)
+    shared = np.vstack([at_margin(rng, 3, 8), random_ball_points(rng, 3, 8)])
+    a = nk.tensor(np.vstack([shared, random_ball_points(rng, 4, 8)]))
+    b = nk.tensor(np.vstack([random_ball_points(rng, 5, 8), shared]))
+    sq = geo.pairwise_sqdist(a, b).data
+    np.testing.assert_array_equal(np.diag(sq[:6, 5:]), 0.0)
+    assert not np.signbit(sq).any()
+    weights = nk.tensor(rng.normal(size=(10, 11)))
+
+    def oracle(x, y):
+        sq = oracles.pairwise_sqdist(x, y)
+        if kind == "poincare":
+            return geo.poincare_from_sqdist(sq, x, y)
+        return geo.euclidean_from_sqdist(sq)
+
+    values, grads = [], []
+    for pairwise in (distance, oracle):
+        with nk.GradTape() as tape:
+            out = pairwise(a, b)
+            loss = nk.sum_all(nk.mul(out, weights))
+        values.append(out.data)
+        grads.append(tape.gradient(loss, [a, b]))
+    np.testing.assert_array_equal(np.diag(values[0][:6, 5:]), 0.0)
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=0)
+    for got, want in zip(*grads):
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_pairwise_sqdist_separation_sweep_near_the_boundary():
+    # the expansion's error is absolute, a few ulps of |a|^2 + |b|^2, at
+    # every separation; the close pairs it would cancel are recomputed
+    rng = nk.rng_for(37)
+    a = at_margin(rng, 16, 200)
+    for distance in np.logspace(-9, 0, 28):
+        assert_matches_the_oracle(a, geo.project_array_to_ball(moved(rng, a, distance)))
