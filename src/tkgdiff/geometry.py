@@ -26,10 +26,11 @@ from .numkit import Tensor
 
 BALL_MARGIN = 1e-5  # rows are kept at norm <= 1 - BALL_MARGIN
 CLOSE = 1e-6  # entries at or below CLOSE * (|a|^2 + |b|^2) are recomputed exactly
+RECOMPUTE_BYTES = 1 << 20  # bytes of the (pairs, d) difference block of the recompute
 
 __all__ = [
-    "BALL_MARGIN", "CLOSE", "project_array_to_ball", "pairwise_sqdist",
-    "euclidean_from_sqdist", "poincare_from_sqdist",
+    "BALL_MARGIN", "CLOSE", "RECOMPUTE_BYTES", "project_array_to_ball",
+    "pairwise_sqdist", "euclidean_from_sqdist", "poincare_from_sqdist",
     "poincare_pairwise", "euclidean_pairwise",
 ]
 
@@ -64,7 +65,9 @@ def _row_sqnorm(x: Tensor) -> Tensor:
 
 def _sqdist_rows(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     """|a_i - b_j|^2 for every row of `ad` against every row of `bd`, shape
-    (m, n): the expansion, with the close pairs recomputed from differences."""
+    (m, n): the expansion, with the close pairs recomputed from differences
+    in chunks whose (pairs, d) block fits RECOMPUTE_BYTES: where the rows of
+    `ad` and `bd` all coincide, every pair is close."""
     scale = np.add.outer(np.einsum("ij,ij->i", ad, ad), np.einsum("ij,ij->i", bd, bd))
     out = ad @ bd.T
     out *= -2.0
@@ -72,8 +75,10 @@ def _sqdist_rows(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     scale *= CLOSE
     close = np.flatnonzero(out <= scale)
     i, j = np.divmod(close, out.shape[1])
-    diff = ad[i] - bd[j]
-    np.put(out, close, np.einsum("ij,ij->i", diff, diff))
+    chunk = max(1, RECOMPUTE_BYTES // (8 * max(ad.shape[1], 1)))
+    for k in range(0, close.size, chunk):
+        diff = np.subtract(ad[i[k:k + chunk]], bd[j[k:k + chunk]])
+        np.put(out, close[k:k + chunk], np.einsum("ij,ij->i", diff, diff))
     return out
 
 

@@ -168,6 +168,32 @@ def test_poincare_point_projects_on_construction():
     assert oracles.poincare_distance(p, p).item() == 0.0
 
 
+@pytest.mark.parametrize("m, n, d", [(3, 10, 4), (5, 9, 7), (1, 6, 1)])
+@pytest.mark.parametrize("cols", [1, 4, 9, 15])
+def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, n, d, cols):
+    # rows 1e-9 apart make all m * n pairs close; a budget of `cols` d-wide
+    # difference rows, plus bytes short of one more, recomputes them `cols`
+    # pairs at a time (chunk = 1, chunk < m * n, chunk >= m * n), and every
+    # chunking equals the one explicit-difference block bit for bit
+    widths = []
+    real = np.subtract
+
+    def spy(x, y):
+        widths.append(x.shape[0])
+        return real(x, y)
+
+    monkeypatch.setattr(geo.np, "subtract", spy)
+    monkeypatch.setattr(geo, "RECOMPUTE_BYTES", 8 * d * cols + 7)
+    rng = nk.rng_for(30, m, d)
+    base = rng.normal(size=d) * 0.1
+    a = nk.tensor(base + rng.normal(size=(m, d)) * 1e-9)
+    b = nk.tensor(base + rng.normal(size=(n, d)) * 1e-9)
+    got = geo.pairwise_sqdist(a, b).data
+    full, last = divmod(m * n, cols)
+    assert widths == [cols] * full + [last] * bool(last)
+    np.testing.assert_array_equal(got, oracles.pairwise_sqdist(a, b).data)
+
+
 def test_pairwise_sqdist_rejects_mismatched_dims():
     with pytest.raises(DimensionError):
         geo.pairwise_sqdist(nk.tensor(np.zeros((2, 3))), nk.tensor(np.zeros((2, 4))))
@@ -216,7 +242,7 @@ def test_pairwise_sqdist_signed_zero_rows_match_the_oracle():
 
 
 @pytest.mark.parametrize("m, distinct", [(192, 43), (64, 28), (5, 5), (6, 1)])
-def test_gram_product_has_one_row_per_distinct_row(monkeypatch, m, distinct):
+def test_difference_block_has_one_row_per_distinct_row(monkeypatch, m, distinct):
     rows = []
     real = geo._sqdist_rows
 
