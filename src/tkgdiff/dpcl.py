@@ -2,11 +2,13 @@
 
 A query (s, r, ?, t) gets one score per candidate object from each of two
 heads. Both heads share one entity table; the periodic head adds the signed
-history value and a ball distance between the query subject and each
-candidate, the non-periodic head subtracts the history value and uses the
-Euclidean distance. The cross-entropy objective sums the two heads' softmax
-probabilities of the ground truth; a supervised contrastive objective pulls
-together query codes whose ground truth is / is not already in the history.
+history value and the non-periodic head subtracts it, and each adds a
+distance between the query subject and each candidate. The mapping strategy
+(STRATEGY_DISTANCES) names the space of each head's distance: the Poincare
+ball or Euclidean space. `mixture` is the scored distribution, the mean of
+the two heads' softmaxes; the cross-entropy objective is -log of twice its
+ground-truth entry, and a supervised contrastive objective pulls together
+query codes whose ground truth is / is not already in the history.
 """
 
 from __future__ import annotations
@@ -22,11 +24,26 @@ from .errors import ConfigError, DimensionError
 from .numkit import Tensor
 
 __all__ = [
-    "DpclParams", "QueryBatch", "init_params", "head_scores", "ce_loss",
+    "STRATEGY_DISTANCES", "strategy_distances", "DpclParams", "QueryBatch",
+    "param_shapes", "init_params", "head_scores", "mixture", "ce_loss",
     "supcon_loss",
 ]
 
-DISTANCE_KINDS = ("poincare", "euclidean")
+STRATEGY_DISTANCES = {
+    "hyp/euc": ("poincare", "euclidean"),
+    "euc/hyp": ("euclidean", "poincare"),
+    "hyp/hyp": ("poincare", "poincare"),
+    "euc/euc": ("euclidean", "euclidean"),
+}
+
+
+def strategy_distances(name: str) -> tuple[str, str]:
+    """Distance kinds feeding the (periodic, non-periodic) heads. `name` is
+    one of the STRATEGY_DISTANCES keys, spelled exactly."""
+    if name not in STRATEGY_DISTANCES:
+        raise ConfigError(f"unknown mapping strategy '{name}'; "
+                          f"expected one of {sorted(STRATEGY_DISTANCES)}")
+    return STRATEGY_DISTANCES[name]
 
 
 @dataclass
@@ -45,6 +62,14 @@ class DpclParams:
 
     def named(self) -> dict[str, Tensor]:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
+
+
+def param_shapes(n_entities: int, n_relations: int, dim: int) -> dict[str, tuple[int, int]]:
+    """The shape of each DpclParams tensor for this vocabulary and width."""
+    weight, bias = (dim, 2 * dim), (1, dim)
+    return {"entity_emb": (n_entities, dim), "relation_emb": (n_relations, dim),
+            "w_per": weight, "b_per": bias, "w_nonper": weight, "b_nonper": bias,
+            "w_ctr": weight, "b_ctr": bias}
 
 
 def init_params(n_entities: int, n_relations: int, dim: int,
@@ -107,28 +132,26 @@ def _code(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return nk.tanh(nk.add(nk.matmul(x, nk.transpose(w)), b))
 
 
-def head_scores(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare",
-                distance_nonper: str = "euclidean") -> tuple[Tensor, Tensor]:
+def head_scores(params: DpclParams, batch: QueryBatch, strategy: str) -> tuple[Tensor, Tensor]:
     """(periodic, non-periodic) dependency scores per candidate, each
     (B, |E|); taped.
 
     A head's score is its affine-code match against the entity table, plus
     (periodic) or minus (non-periodic) the signed history row, plus the
-    subject-candidate distance of the kind the head is given. Both distances
+    subject-candidate distance of the kind `strategy` gives the head
+    (strategy_distances; ConfigError for an unknown name). Both distances
     come from one subject x entity squared-distance block, one matrix
     product over the batch's distinct subjects (geometry.pairwise_sqdist),
     and a kind both heads use is computed once. A Poincare distance needs
     every entity row inside the ball (geometry.poincare_from_sqdist).
     """
-    for kind in (distance_per, distance_nonper):
-        if kind not in DISTANCE_KINDS:
-            raise ConfigError(f"distance kind must be one of {DISTANCE_KINDS}, got '{kind}'")
+    kinds = strategy_distances(strategy)
     entities = params.entity_emb
     s_emb, x = _query_input(params, batch)
     sqdist = geo.pairwise_sqdist(s_emb, entities)
     dist = {kind: geo.poincare_from_sqdist(sqdist, s_emb, entities) if kind == "poincare"
             else geo.euclidean_from_sqdist(sqdist)
-            for kind in dict.fromkeys((distance_per, distance_nonper))}
+            for kind in dict.fromkeys(kinds)}
     entities_t = nk.transpose(entities)
     z = Tensor(batch.z_rows)
 
@@ -136,19 +159,26 @@ def head_scores(params: DpclParams, batch: QueryBatch, distance_per: str = "poin
         affine = nk.matmul(_code(x, w, b), entities_t)
         return nk.add(history(affine, z), dist[kind])
 
-    return (head(params.w_per, params.b_per, nk.add, distance_per),
-            head(params.w_nonper, params.b_nonper, nk.sub, distance_nonper))
+    return (head(params.w_per, params.b_per, nk.add, kinds[0]),
+            head(params.w_nonper, params.b_nonper, nk.sub, kinds[1]))
+
+
+def mixture(s_per: Tensor, s_nonper: Tensor) -> Tensor:
+    """The scored distribution 0.5 * (softmax(S_per) + softmax(S_nonper)),
+    (B, |E|) rows that sum to 1; taped."""
+    if s_per.shape != s_nonper.shape:
+        raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
+    return nk.mul(nk.constant(0.5), nk.add(nk.softmax_rows(s_per), nk.softmax_rows(s_nonper)))
 
 
 def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:
-    """-log(softmax(S_per)[gt] + softmax(S_nonper)[gt]), averaged over the
-    batch. The sum of two probabilities can exceed 1, so the loss can go
-    below -log 2; that is the objective as defined."""
-    if s_per.shape != s_nonper.shape:
-        raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
-    p1 = nk.gather_cols(nk.softmax_rows(s_per), gt_ids)
-    p2 = nk.gather_cols(nk.softmax_rows(s_nonper), gt_ids)
-    per_query = nk.log(nk.add(p1, p2))
+    """-log(2 * mixture[gt]) = -log(softmax(S_per)[gt] + softmax(S_nonper)[gt]),
+    averaged over the batch; the halving and doubling are exact while that
+    sum is no subnormal (a query's term below 707). The sum of two
+    probabilities can exceed 1, so the loss can go below -log 2; that is the
+    objective as defined."""
+    p = nk.gather_cols(mixture(s_per, s_nonper), gt_ids)
+    per_query = nk.log(nk.mul(nk.constant(2.0), p))
     batch = s_per.shape[0]
     return nk.mul(nk.constant(-1.0 / batch), nk.sum_all(per_query))
 

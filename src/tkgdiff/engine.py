@@ -24,7 +24,7 @@ from . import dpcl as dpcl_mod
 from . import evaluate as ev
 from . import gndiff
 from . import numkit as nk
-from .corpus import PeriodicIndex, QuadStore, build_periodic_index, token_entropies
+from .corpus import QuadStore, build_periodic_index, token_entropies
 from .dpcl import DpclParams, QueryBatch
 from .errors import (CheckpointError, CheckpointVersionError, ConfigError,
                      DataError, NumericError)
@@ -47,15 +47,23 @@ _NS_EPOCH = 1
 _NS_EVAL = 2
 
 
+# the values a TrainConfig field of each declared type takes; a bool is
+# taken only by a bool field
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Every setting a run sets; defaults follow the reference setup.
 
     `alpha` lies strictly between 0 and 1: to drop a component, set
     `no_gndiff` or `no_dpcl`, which leaves its parameters out of the run.
-    `mapping_strategy` is one of evaluate.STRATEGY_DISTANCES's keys, spelled
-    exactly. Adam's decay rates and offset are numkit's constants; `lr` is
-    the step size of every Adam step, also after a resume.
+    `mapping_strategy` is one of dpcl.STRATEGY_DISTANCES's keys, spelled
+    exactly. `validate` checks each value's type too: an int field takes an
+    int and a float field an int or a float, neither a bool; a bool field
+    takes a bool and `mapping_strategy` a str. Adam's decay rates and offset
+    are numkit's constants; `lr` is the step size of every Adam step, also
+    after a resume.
     """
 
     d_dpcl: int = 200          # scoring embedding width
@@ -76,6 +84,11 @@ class TrainConfig:
     no_dpcl: bool = False
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or \
+                    (isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}; set no_gndiff "
                               f"or no_dpcl to drop a component")
@@ -93,7 +106,7 @@ class TrainConfig:
             raise ConfigError("epoch counts must be nonnegative")
         if self.no_gndiff and self.no_dpcl:
             raise ConfigError("cannot ablate both components")
-        ev.strategy_distances(self.mapping_strategy)
+        dpcl_mod.strategy_distances(self.mapping_strategy)
 
     @property
     def total_epochs(self) -> int:
@@ -284,15 +297,15 @@ def load_checkpoint(path) -> Checkpoint:
     Every way the file can fail to decode raises CheckpointError: a bad
     magic, an unknown version (CheckpointVersionError), truncation (also
     dims that claim more bytes than the file has left), a header that is not
-    the expected JSON, an `epoch` or Adam step count that is not a
+    the expected JSON, a config that TrainConfig.from_dict refuses (also a
+    value of the wrong type), an `epoch` or Adam step count that is not a
     non-negative int, a `best_val_mrr` that is not a finite number, a record
     that is not 2-D, a missing or unexpected tensor record, Adam states that
-    do not match the parameter records, parameters that do not cover the
-    header's `n_entities` and `n_relations` (each denoiser record must have
-    the shape those sizes and the config's `d_diff` give it), or a
-    non-finite payload. The component the header's config ablates must have
-    no records and loads as None; every other component must have all of
-    its records.
+    do not match the parameter records, a parameter record whose shape is
+    not the one the header's `n_entities` and `n_relations` and the config's
+    `d_dpcl` (dpcl.param_shapes) or `d_diff` give it, or a non-finite
+    payload. The component the header's config ablates must have no records
+    and loads as None; every other component must have all of its records.
 
     Parameter tensors are read-only views of the arrays read from the file;
     the Adam moments are those arrays, writeable.
@@ -363,16 +376,10 @@ def _read_body(fh) -> Checkpoint:
     ckpt = Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam={},
                       epoch=_count(header["epoch"], "epoch"), best_val_mrr=best,
                       metrics=header["metrics"])
-    if ckpt.vocabulary != sizes:
-        raise ValueError(f"parameters cover {ckpt.vocabulary} (entities, relations), "
-                         f"the header says {sizes}")
+    if dparams is not None:
+        _check_shapes("dpcl", dparams, dpcl_mod.param_shapes(*sizes, config.d_dpcl), "d_dpcl")
     if nparams is not None:
-        expected = nparams.shapes()
-        wrong = {name: t.shape for name, t in nparams.named().items()
-                 if t.shape != expected[name]}
-        if wrong:
-            raise ValueError(f"denoiser records have shapes {wrong}, the header's sizes "
-                             f"and d_diff give {expected}")
+        _check_shapes("denoiser", nparams, nparams.shapes(), "d_diff")
     if set(header["adam"]) != set(ckpt.named_tensors()):
         raise ValueError("Adam states do not match the parameter records")
     for name, t in header["adam"].items():
@@ -382,6 +389,15 @@ def _read_body(fh) -> Checkpoint:
     if arrays:
         raise ValueError(f"unexpected tensor records {sorted(arrays)}")
     return ckpt
+
+
+def _check_shapes(prefix: str, params, expected: dict, width: str) -> None:
+    """Refuse a component whose records do not have the shapes that the
+    header's sizes and its width `width` give them."""
+    wrong = {name: t.shape for name, t in params.named().items() if t.shape != expected[name]}
+    if wrong:
+        raise ValueError(f"{prefix} records have shapes {wrong}, the header's sizes "
+                         f"and {width} give {expected}")
 
 
 def _component(arrays: dict[str, np.ndarray], prefix: str, ablated: bool, cls, **meta):
@@ -398,11 +414,8 @@ def _component(arrays: dict[str, np.ndarray], prefix: str, ablated: bool, cls, *
 def _model(config: TrainConfig, dparams: DpclParams | None,
            nparams: DenoiserParams | None) -> ev.Model:
     """The evaluation view of a run's parameters."""
-    dist_per, dist_nonper = ev.strategy_distances(config.mapping_strategy)
-    return ev.Model(
-        dpcl=dparams, denoiser=nparams,
-        distance_per=dist_per, distance_nonper=dist_nonper,
-        steps=config.steps, chains=config.chains)
+    return ev.Model(dpcl=dparams, denoiser=nparams, mapping_strategy=config.mapping_strategy,
+                    steps=config.steps, chains=config.chains)
 
 
 def _check_vocabulary(ckpt: Checkpoint, store: QuadStore) -> None:
@@ -457,15 +470,17 @@ def _link(src: Path, dst: Path) -> None:
     os.replace(tmp, dst)
 
 
-def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = None,
-          out_dir=None, resume_from=None, log=None) -> Checkpoint:
+def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None) -> Checkpoint:
     """Run the two-stage loop and return the checkpoint with the best
-    validation MRR (final state if validation is empty). Its `metrics` hold
-    one line per epoch, including the epochs before a resume; a line carries
-    the validation MRR overall (`val_mrr`, which selects the best state) and
-    of the new-event and periodic strata. The component
-    the config ablates is never initialised or trained, and is None in every
-    checkpoint of the run.
+    validation MRR (final state if validation is empty). Training batches
+    take their history from the train split's periodic index, and each
+    validation from the train and valid splits', both built at `config.lam`.
+    DPCL scores with `config.mapping_strategy`. The component the config
+    ablates is never initialised or trained, and is None in every checkpoint
+    of the run. The returned `metrics` hold one line per epoch, including
+    the epochs before a resume; a line carries the validation MRR overall
+    (`val_mrr`, which selects the best state) and of the new-event and
+    periodic strata.
 
     With `out_dir`, every epoch writes its state to `last.ckpt` and appends
     its line to `metrics.jsonl`. `best.ckpt` holds the best state; when that
@@ -487,11 +502,10 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
     train_quads = store.split("train")
     if len(train_quads) == 0:
         raise DataError("training split is empty")
-    dist_per, dist_nonper = ev.strategy_distances(config.mapping_strategy)
-    needs_ball = (not config.no_dpcl) and "poincare" in (dist_per, dist_nonper)
+    needs_ball = (not config.no_dpcl) and \
+        "poincare" in dpcl_mod.strategy_distances(config.mapping_strategy)
     entropies = None if config.no_gndiff else token_entropies(store)
-    if index is None:
-        index = build_periodic_index(store, config.lam, ("train",))
+    index = build_periodic_index(store, config.lam, ("train",))
     valid_quads = store.split("valid")
     valid_index = build_periodic_index(store, config.lam, ("train", "valid")) \
         if len(valid_quads) else None
@@ -544,7 +558,7 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
                 with nk.GradTape() as tape:
                     if not config.no_dpcl:
                         batch = QueryBatch.from_quads(quads, index)
-                        sp, snp = dpcl_mod.head_scores(dparams, batch, dist_per, dist_nonper)
+                        sp, snp = dpcl_mod.head_scores(dparams, batch, config.mapping_strategy)
                         ce_t = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
                         if stage == 2 and len(batch) >= 2:
                             sup_t = dpcl_mod.supcon_loss(dparams, batch, config.tau)
@@ -603,8 +617,6 @@ def train(config: TrainConfig, store: QuadStore, index: PeriodicIndex | None = N
             "wall_seconds": time.perf_counter() - t0,
         }
         metrics.append(line)
-        if log is not None:
-            log(line)
         if out_path is not None:
             with open(out_path / "metrics.jsonl", "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(line) + "\n")

@@ -1,11 +1,12 @@
 """Inference-time probability combination and time-filtered ranking metrics.
 
-A model scores with the components whose parameters it holds: the mean of
-the two DPCL heads' softmaxes, the diffusion-chain distribution (GNDiff), or,
-with both, the average of the two. Ranks are time-filtered: other objects
-that are also true for the same (s, r, t) within the evaluated split are
-removed, and ties break pessimistically (the ground truth ranks behind
-equal-probability competitors).
+A model scores with the components whose parameters it holds: the DPCL
+mixture under its mapping strategy (dpcl.mixture, the mean of the two heads'
+softmaxes), the diffusion-chain distribution (GNDiff), or, with both, the
+average of the two. Ranks are time-filtered: other objects that are also
+true for the same (s, r, t) within the evaluated split are removed, and ties
+break pessimistically (the ground truth ranks behind equal-probability
+competitors).
 """
 
 from __future__ import annotations
@@ -19,52 +20,31 @@ from . import gndiff
 from . import numkit as nk
 from .corpus import PeriodicIndex, QuadStore, build_periodic_index, segments
 from .dpcl import DpclParams, QueryBatch
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .gndiff import DenoiserParams
 
-__all__ = [
-    "Model", "RankReport", "STRATEGY_DISTANCES", "strategy_distances",
-    "p_dpcl", "combine", "ranks", "evaluate_split",
-]
-
-STRATEGY_DISTANCES = {
-    "hyp/euc": ("poincare", "euclidean"),
-    "euc/hyp": ("euclidean", "poincare"),
-    "hyp/hyp": ("poincare", "poincare"),
-    "euc/euc": ("euclidean", "euclidean"),
-}
-
-
-def strategy_distances(name: str) -> tuple[str, str]:
-    """Distance kinds feeding the (periodic, non-periodic) heads. `name` is
-    one of the STRATEGY_DISTANCES keys, spelled exactly."""
-    if name not in STRATEGY_DISTANCES:
-        raise ConfigError(f"unknown mapping strategy '{name}'; "
-                          f"expected one of {sorted(STRATEGY_DISTANCES)}")
-    return STRATEGY_DISTANCES[name]
+__all__ = ["Model", "RankReport", "p_dpcl", "combine", "ranks", "evaluate_split"]
 
 
 @dataclass
 class Model:
-    """Everything evaluation needs from a trained run. A component scores iff
-    its parameters are set; to evaluate one component alone, replace the
-    other's with None (`dataclasses.replace(model, denoiser=None)`)."""
+    """Everything evaluation needs from a trained run: its parameters and the
+    config values they score with. A component scores iff its parameters are
+    set; to evaluate one component alone, replace the other's with None
+    (`dataclasses.replace(model, denoiser=None)`)."""
 
     dpcl: DpclParams | None
     denoiser: DenoiserParams | None
-    distance_per: str = "poincare"
-    distance_nonper: str = "euclidean"
-    steps: int = 50
-    chains: int = 8
+    mapping_strategy: str
+    steps: int
+    chains: int
 
 
-def p_dpcl(params: DpclParams, batch: QueryBatch, distance_per: str = "poincare",
-           distance_nonper: str = "euclidean") -> np.ndarray:
-    """The distribution dpcl.ce_loss trains: the mean of the two heads'
-    softmaxes, 0.5 * (softmax(S_per) + softmax(S_nonper)); (B, |E|) rows sum
-    to 1, and -log(2 p[gt]) is a query's term of the loss."""
-    sp, snp = dpcl_mod.head_scores(params, batch, distance_per, distance_nonper)
-    return 0.5 * (nk.softmax_rows(sp).data + nk.softmax_rows(snp).data)
+def p_dpcl(params: DpclParams, batch: QueryBatch, strategy: str) -> np.ndarray:
+    """The distribution dpcl.ce_loss trains, dpcl.mixture of the heads that
+    `strategy` maps: (B, |E|) rows sum to 1, and -log(2 p[gt]) is a query's
+    term of the loss."""
+    return dpcl_mod.mixture(*dpcl_mod.head_scores(params, batch, strategy)).data
 
 
 def combine(p_diff: np.ndarray, p_dpcl_: np.ndarray) -> np.ndarray:
@@ -122,7 +102,7 @@ def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
     pd = pg = None
     if model.dpcl is not None:
         batch = QueryBatch.from_quads(quads, index)
-        pd = p_dpcl(model.dpcl, batch, model.distance_per, model.distance_nonper)
+        pd = p_dpcl(model.dpcl, batch, model.mapping_strategy)
     if model.denoiser is not None:
         pg = gndiff.p_diff_batch(model.denoiser, quads[:, :2], model.steps,
                                  model.chains, nk.rng_for(seed, 9))

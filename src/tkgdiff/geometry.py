@@ -13,7 +13,8 @@ error is a few ulps of |a|^2 + |b|^2, large only relative to close pairs,
 whose distance the ball divides by (1 - |a|^2)(1 - |b|^2) and magnifies near
 the boundary. So every entry at or below CLOSE * (|a|^2 + |b|^2) is
 recomputed from its explicit difference: the rest keep a relative error of a
-few ulps / CLOSE, no entry is negative, and identical rows give exactly 0.
+few ulps / CLOSE, no entry is negative, and identical rows give exactly 0,
+where numkit's sqrt and acosh pass a zero gradient: neither distance clamps.
 """
 
 from __future__ import annotations
@@ -109,8 +110,10 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
 
 
 def euclidean_from_sqdist(sqdist: Tensor) -> Tensor:
-    """L2 distances from squared distances; taped."""
-    return nk.sqrt(nk.clamp_min(sqdist, 0.0))
+    """L2 distances from `sqdist = pairwise_sqdist(a, b)`; taped. Its entries
+    are never negative and identical rows give +0, where sqrt's gradient is
+    0 (numkit.sqrt), so no clamp is needed."""
+    return nk.sqrt(sqdist)
 
 
 def poincare_from_sqdist(sqdist: Tensor, a: Tensor, b: Tensor) -> Tensor:

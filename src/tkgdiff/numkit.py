@@ -27,7 +27,7 @@ __all__ = [
     "Tensor", "GradTape", "AdamState", "GradCheckReport",
     "tensor", "zeros", "full", "constant",
     "matmul", "add", "sub", "mul", "div", "tanh", "exp", "log",
-    "sqrt", "acosh", "clamp_min", "softmax_rows",
+    "sqrt", "acosh", "softmax_rows",
     "sum_all", "sum_cols", "transpose", "reshape",
     "concat_cols", "take_rows", "gather_cols",
     "adam_step", "grad_check", "single_threaded_blas", "rng_for",
@@ -302,17 +302,6 @@ def acosh(a: Tensor) -> Tensor:
     return _tape_record(out, (a,), backward)
 
 
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); entries at or below the floor get zero gradient."""
-    out = _result(np.maximum(a.data, floor), "clamp_min")
-    active = a.data > floor
-
-    def backward(g):
-        return (np.where(active, g, 0.0),)
-
-    return _tape_record(out, (a,), backward)
-
-
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax, computed with row-max subtraction for stability."""
     shifted = a.data - a.data.max(axis=1, keepdims=True)
@@ -336,11 +325,12 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def sum_cols(a: Tensor) -> Tensor:
-    """Sum along axis 1, keeping a column: (m, n) -> (m, 1)."""
+    """Sum along axis 1, keeping a column: (m, n) -> (m, 1). The backward
+    passes on a read-only broadcast view of the upstream gradient."""
     out = _result(a.data.sum(axis=1, keepdims=True), "sum_cols")
 
     def backward(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return _tape_record(out, (a,), backward)
 

@@ -42,9 +42,12 @@ Optimizer (checks `numkit.adam_step`):
 - `adam_step`: the textbook Adam update, which rebinds fresh moment arrays;
   `numkit.adam_step` must reproduce it bit for bit while updating in place.
 
-Scoring, one head at a time (checks `dpcl.head_scores`):
+Scoring, one head at a time (checks `dpcl.head_scores` and `dpcl.ce_loss`):
 - `head_score`: one head's scores with its own subject rows and a row-wise
   distance per (query, candidate) pair, taped.
+- `ce_loss`: the cross-entropy from each head's own ground-truth
+  probability, -log(softmax(S_per)[gt] + softmax(S_nonper)[gt]), without
+  the mixture; `dpcl.ce_loss` must reproduce it bit for bit.
 
 Ranking, one query at a time (checks `evaluate.ranks` and
 `evaluate.evaluate_split`):
@@ -490,7 +493,7 @@ def euclidean_distance(a, b) -> Tensor:
     a, b = _as_rows(a), _as_rows(b)
     if a.shape != b.shape:
         raise DimensionError(f"euclidean_distance needs equal shapes: {a.shape} vs {b.shape}")
-    return nk.sqrt(nk.clamp_min(_rowwise_sqdist(a, b), 0.0))
+    return nk.sqrt(_rowwise_sqdist(a, b))
 
 
 def poincare_distance(a, b) -> Tensor:
@@ -578,6 +581,15 @@ def head_score(params: dpcl.DpclParams, batch: dpcl.QueryBatch, head: str,
     rowwise = {"poincare": poincare_distance, "euclidean": euclidean_distance}[distance]
     dist = nk.reshape(rowwise(subjects, candidates), b, n)
     return nk.add(scores, dist)
+
+
+def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:
+    """-log(softmax(S_per)[gt] + softmax(S_nonper)[gt]), averaged over the
+    batch, from one gather per head; taped."""
+    p1 = nk.gather_cols(nk.softmax_rows(s_per), gt_ids)
+    p2 = nk.gather_cols(nk.softmax_rows(s_nonper), gt_ids)
+    per_query = nk.log(nk.add(p1, p2))
+    return nk.mul(nk.constant(-1.0 / s_per.shape[0]), nk.sum_all(per_query))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import make_batch, planted_period_store, quick_config
@@ -9,16 +11,16 @@ from tkgdiff import dpcl, engine
 from tkgdiff import evaluate as ev
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
-from tkgdiff.errors import ConfigError
+from tkgdiff.errors import ConfigError, DimensionError
 from tkgdiff.geometry import project_array_to_ball
 
 
 def periodic(params, batch):
-    return dpcl.head_scores(params, batch)[0]
+    return dpcl.head_scores(params, batch, "hyp/euc")[0]
 
 
 def nonperiodic(params, batch):
-    return dpcl.head_scores(params, batch)[1]
+    return dpcl.head_scores(params, batch, "hyp/euc")[1]
 
 
 @pytest.fixture
@@ -185,6 +187,60 @@ def test_ce_loss_decreases_with_gt_score():
     assert losses[0] > losses[1] > losses[2]
 
 
+PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@PROPERTY
+@given(b=st.integers(1, 24), n=st.integers(1, 60), scale=st.sampled_from([0.1, 1.0, 10.0, 40.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ce_loss_is_bit_equal_to_the_two_gather_form(b, n, scale, seed):
+    # the mixture halves the summed softmaxes and ce_loss doubles its
+    # ground-truth entry; both scalings are exact while the sum is no
+    # subnormal, as here, so the value and both gradients keep the bits of
+    # one gather per head
+    rng = nk.rng_for(seed)
+    sp, snp = (nk.tensor(rng.normal(size=(b, n)) * scale) for _ in range(2))
+    gt = rng.integers(0, n, b)
+    values, grads = [], []
+    for loss in (dpcl.ce_loss, oracles.ce_loss):
+        with nk.GradTape() as tape:
+            out = loss(sp, snp, gt)
+        values.append(out.data)
+        grads.append(tape.gradient(out, [sp, snp]))
+    np.testing.assert_array_equal(values[0], values[1])
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
+
+
+@PROPERTY
+@given(b=st.integers(1, 12), n=st.integers(1, 30), dim=st.integers(1, 8),
+       strategy=st.sampled_from(sorted(dpcl.STRATEGY_DISTANCES)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_p_dpcl_is_bit_equal_to_the_mean_of_the_head_softmaxes(b, n, dim, strategy, seed):
+    rng = nk.rng_for(seed)
+    params = dpcl.init_params(n, 2, dim, rng)
+    batch = make_batch(rng, n, b)
+    sp, snp = dpcl.head_scores(params, batch, strategy)
+    want = 0.5 * (nk.softmax_rows(sp).data + nk.softmax_rows(snp).data)
+    np.testing.assert_array_equal(ev.p_dpcl(params, batch, strategy), want)
+
+
+def test_mixture_and_ce_loss_reject_scores_of_different_shapes():
+    # a (B, 1) score column would broadcast against the other head's rows
+    for s_nonper in (nk.zeros(2, 1), nk.zeros(3, 4)):
+        with pytest.raises(DimensionError, match="score shapes differ"):
+            dpcl.mixture(nk.zeros(2, 4), s_nonper)
+        with pytest.raises(DimensionError, match="score shapes differ"):
+            dpcl.ce_loss(nk.zeros(2, 4), s_nonper, [0, 1])
+
+
+@pytest.mark.parametrize("n_entities, n_relations, dim", [(5, 2, 4), (1, 1, 1), (9, 3, 16)])
+def test_param_shapes_are_those_init_params_draws(n_entities, n_relations, dim):
+    params = dpcl.init_params(n_entities, n_relations, dim, nk.rng_for(47))
+    assert {name: t.shape for name, t in params.named().items()} == \
+        dpcl.param_shapes(n_entities, n_relations, dim)
+
+
 def scalar_supcon(z, labels, tau, batch_avg=True):
     """Independent plain-float evaluation of the contrastive objective."""
     n = len(labels)
@@ -311,7 +367,7 @@ def test_full_dpcl_gradient_suite(setup):
 
     def f(ps):
         p = dpcl.DpclParams(**dict(zip(names, ps)))
-        sp, snp = dpcl.head_scores(p, batch)
+        sp, snp = dpcl.head_scores(p, batch, "hyp/euc")
         ce = dpcl.ce_loss(sp, snp, batch.gt_ids)
         sup = dpcl.supcon_loss(p, batch, tau=0.1)
         return nk.add(ce, sup)
@@ -320,13 +376,13 @@ def test_full_dpcl_gradient_suite(setup):
     assert report.ok, report
 
 
-@pytest.mark.parametrize("strategy", sorted(ev.STRATEGY_DISTANCES))
+@pytest.mark.parametrize("strategy", sorted(dpcl.STRATEGY_DISTANCES))
 def test_head_scores_match_per_head_oracle(setup, strategy):
     # one shared squared-distance block gives each head what it would get
     # from its own subject rows and its own distances, values and gradients
     params, _, rng = setup
     batch = make_batch(rng, 5, 4)
-    per, nonper = ev.STRATEGY_DISTANCES[strategy]
+    per, nonper = dpcl.STRATEGY_DISTANCES[strategy]
     names = list(params.named())
     sources = list(params.named().values())
     weights = nk.tensor(rng.normal(size=(4, 5))), nk.tensor(rng.normal(size=(4, 5)))
@@ -335,7 +391,7 @@ def test_head_scores_match_per_head_oracle(setup, strategy):
         return nk.add(nk.sum_all(nk.mul(sp, weights[0])), nk.sum_all(nk.mul(snp, weights[1])))
 
     with nk.GradTape() as tape:
-        sp, snp = dpcl.head_scores(params, batch, per, nonper)
+        sp, snp = dpcl.head_scores(params, batch, strategy)
         shared = objective(sp, snp)
     got = tape.gradient(shared, sources)
     with nk.GradTape() as tape:
@@ -349,23 +405,22 @@ def test_head_scores_match_per_head_oracle(setup, strategy):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("strategy", sorted(ev.STRATEGY_DISTANCES))
+@pytest.mark.parametrize("strategy", sorted(dpcl.STRATEGY_DISTANCES))
 def test_head_scores_gradient(setup, strategy):
     params, _, rng = setup
     batch = make_batch(rng, 5, 3)
     names = list(params.named())
-    kinds = ev.STRATEGY_DISTANCES[strategy]
 
     def f(ps):
         p = dpcl.DpclParams(**dict(zip(names, ps)))
-        sp, snp = dpcl.head_scores(p, batch, *kinds)
+        sp, snp = dpcl.head_scores(p, batch, strategy)
         return dpcl.ce_loss(sp, snp, batch.gt_ids)
 
     report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
 
 
-@pytest.mark.parametrize("strategy", sorted(ev.STRATEGY_DISTANCES))
+@pytest.mark.parametrize("strategy", sorted(dpcl.STRATEGY_DISTANCES))
 def test_each_distance_kind_is_derived_once(monkeypatch, setup, strategy):
     params, batch, _ = setup
     derived = []
@@ -377,9 +432,9 @@ def test_each_distance_kind_is_derived_once(monkeypatch, setup, strategy):
             return _real(*args)
 
         monkeypatch.setattr(geo, name, counted)
-    kinds = ev.STRATEGY_DISTANCES[strategy]
-    dpcl.head_scores(params, batch, *kinds)
-    assert sorted(derived) == sorted(f"{kind}_from_sqdist" for kind in set(kinds))
+    dpcl.head_scores(params, batch, strategy)
+    kinds = set(dpcl.STRATEGY_DISTANCES[strategy])
+    assert sorted(derived) == sorted(f"{kind}_from_sqdist" for kind in kinds)
 
 
 def test_head_scores_reject_rows_past_the_ball_margin(setup):
@@ -390,17 +445,17 @@ def test_head_scores_reject_rows_past_the_ball_margin(setup):
     emb[3] = 0.0
     emb[3, 0] = 1.0 - geo.BALL_MARGIN / 2
     params = dataclasses.replace(params, entity_emb=nk.tensor(emb))
-    for kinds in (("poincare", "euclidean"), ("euclidean", "poincare")):
+    for strategy in ("hyp/euc", "euc/hyp"):
         with pytest.raises(ValueError, match="unit ball"):
-            dpcl.head_scores(params, batch, *kinds)
-    sp, snp = dpcl.head_scores(params, batch, "euclidean", "euclidean")
+            dpcl.head_scores(params, batch, strategy)
+    sp, snp = dpcl.head_scores(params, batch, "euc/euc")
     assert np.isfinite(sp.data).all() and np.isfinite(snp.data).all()
 
 
 def test_head_scores_reject_unknown_distance(setup):
     params, batch, _ = setup
-    with pytest.raises(ConfigError):
-        dpcl.head_scores(params, batch, "poincare", "manhattan")
+    with pytest.raises(ConfigError, match="unknown mapping strategy"):
+        dpcl.head_scores(params, batch, "hyp/manhattan")
 
 
 def _count_sqdist_calls(monkeypatch) -> list:
@@ -435,7 +490,8 @@ def test_one_difference_block_per_eval_chunk(monkeypatch):
     n_test = len(store.split("test"))
     assert n_test > 256
     params = dpcl.init_params(store.n_entities, store.n_relations, 8, nk.rng_for(46))
-    model = ev.Model(dpcl=params, denoiser=None)
+    model = ev.Model(dpcl=params, denoiser=None, mapping_strategy="hyp/euc", steps=50,
+                     chains=8)
     calls = _count_sqdist_calls(monkeypatch)
     ev.evaluate_split(model, store, "test")
     assert calls == [256] * (n_test // 256) + [n_test % 256] * bool(n_test % 256)

@@ -110,8 +110,7 @@ def test_memorize_single_fact():
     model = engine.model_from_checkpoint(ckpt, store)
     index = build_periodic_index(store, cfg.lam, ("train",))
     batch = dpcl_mod.QueryBatch.from_quads(store.quads, index)
-    pd = evaluate.p_dpcl(model.dpcl, batch, model.distance_per,
-                         model.distance_nonper)
+    pd = evaluate.p_dpcl(model.dpcl, batch, model.mapping_strategy)
     pg = gndiff.p_diff_batch(model.denoiser, store.quads[:, :2], cfg.steps, 4,
                              nk.rng_for(0, 99))
     combined = evaluate.combine(pg, pd)
@@ -642,6 +641,58 @@ def test_denoiser_records_must_have_the_shapes_the_header_gives(tmp_path, ablate
         engine.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: h["config"].update(d_dpcl=h["config"]["d_dpcl"] + 3),
+    lambda h: h.update(n_relations=h["n_relations"] + 1),
+    "w_per",
+], ids=["d_dpcl", "n_relations", "w_per-width"])
+def test_dpcl_records_must_have_the_shapes_the_header_gives(tmp_path, ablated_ckpts, edit):
+    # 16-wide tables under a header saying d_dpcl=19 loaded, evaluated, and
+    # resumed under d_dpcl=19 while training the 16-wide tables; so did a
+    # w_per record of another width
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts["no_gndiff"], path)
+    blob = path.read_bytes()
+    header, records = split_checkpoint(blob)
+    if edit == "w_per":
+        rows, cols = records["dpcl.w_per"][1].shape
+        wide = np.zeros((rows, cols + 3))
+        records["dpcl.w_per"] = (pack_record("dpcl.w_per", wide), wide)
+    else:
+        header, records = edit_header(edit)(header, records)
+    path.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match="dpcl records have shapes"):
+        engine.load_checkpoint(path)
+
+
+WRONG_TYPES = {"steps": 50.5, "batch": True, "lr": True, "d_dpcl": 16.0, "no_gndiff": 1}
+
+
+@pytest.mark.parametrize("key", WRONG_TYPES)
+def test_a_config_value_of_the_wrong_type_is_refused(tmp_path, ablated_ckpts, key):
+    # each of these loaded from a checkpoint header and evaluated: a bool
+    # batch size of 1, a float step count, an int ablation flag
+    value = WRONG_TYPES[key]
+    with pytest.raises(ConfigError, match=f"{key} must be of type"):
+        engine.TrainConfig(**{key: value}).validate()
+    with pytest.raises(ConfigError, match=f"{key} must be of type"):
+        engine.TrainConfig.from_dict({key: value})
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts["no_gndiff"], path)
+    blob = path.read_bytes()
+    header, records = edit_header(lambda h: h["config"].update({key: value}))(
+        *split_checkpoint(blob))
+    path.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint.*{key} must be of type"):
+        engine.load_checkpoint(path)
+
+
+def test_a_float_field_takes_an_int():
+    cfg = engine.TrainConfig.from_dict({"lr": 1, "lam": 4, "tau": 2, "mu": 0})
+    assert (cfg.lr, cfg.lam, cfg.tau, cfg.mu) == (1, 4, 2, 0)
+    engine.TrainConfig(lr=1, lam=4).validate()
+
+
 def test_loaded_parameters_are_read_only_and_adam_moments_writeable(tmp_path, small_ckpt):
     path = tmp_path / "a.ckpt"
     engine.save_checkpoint(small_ckpt, path)
@@ -750,7 +801,7 @@ def test_joint_gradient_through_everything():
     def f(ps):
         dp = dpcl_mod.DpclParams(**dict(zip(d_names, ps[:len(d_names)])))
         np_ = dataclasses.replace(nparams, **dict(zip(n_names, ps[len(d_names):])))
-        sp, snp = dpcl_mod.head_scores(dp, batch)
+        sp, snp = dpcl_mod.head_scores(dp, batch, cfg.mapping_strategy)
         ce = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
         sup = dpcl_mod.supcon_loss(dp, batch, cfg.tau)
         diff = gndiff.batch_loss(np_, entropies, toks, cfg.steps, cfg.mu,

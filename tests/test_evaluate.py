@@ -121,7 +121,8 @@ def test_evaluate_split_matches_the_per_query_loop(case, chunk):
     def drawn(model, block, index, seed):
         return probs[seed:seed + len(block)]   # evaluate_split passes seed + start
 
-    model = evaluate.Model(dpcl=object(), denoiser=None)
+    model = evaluate.Model(dpcl=object(), denoiser=None, mapping_strategy="hyp/euc",
+                           steps=50, chains=8)
     with mock.patch.object(evaluate, "_query_distributions", drawn), \
             mock.patch.object(evaluate, "CHUNK", chunk):
         reports = evaluate.evaluate_split(model, store, split, seed=0)
@@ -172,7 +173,7 @@ def test_evaluate_split_matches_the_per_query_loop_on_model_scores():
     model = evaluate.Model(
         dpcl=dpcl.init_params(store.n_entities, store.n_relations, 8, rng),
         denoiser=gndiff.init_denoiser(store.n_entities, store.n_relations, 8, rng),
-        steps=4, chains=2)
+        mapping_strategy="hyp/euc", steps=4, chains=2)
     index = build_periodic_index(store, 2.0, evaluate._SCOPE_FOR_SPLIT["test"])
     quads = store.split("test")
     with nk.single_threaded_blas():
@@ -210,26 +211,25 @@ def test_p_dpcl_rises_with_a_candidates_history_value():
     batch.z_rows[:] = -lam
     seen = dataclasses.replace(batch, z_rows=batch.z_rows.copy())
     seen.z_rows[rows, batch.gt_ids] = lam
-    before = evaluate.p_dpcl(params, batch)[rows, batch.gt_ids]
-    after = evaluate.p_dpcl(params, seen)[rows, batch.gt_ids]
+    before = evaluate.p_dpcl(params, batch, "hyp/euc")[rows, batch.gt_ids]
+    after = evaluate.p_dpcl(params, seen, "hyp/euc")[rows, batch.gt_ids]
     assert np.all(after > 3.0 * before)
 
 
 @pytest.mark.parametrize("strategy", ["hyp/euc", "euc/hyp"])
 def test_p_dpcl_is_the_distribution_ce_loss_trains(strategy):
-    per, nonper = evaluate.strategy_distances(strategy)
     params = dpcl.init_params(7, 2, 6, nk.rng_for(14))
     batch = make_batch(nk.rng_for(12), 7, 6)
     rows = np.arange(len(batch))
-    p = evaluate.p_dpcl(params, batch, per, nonper)
+    p = evaluate.p_dpcl(params, batch, strategy)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     terms = -np.log(2.0 * p[rows, batch.gt_ids])
-    loss = dpcl.ce_loss(*dpcl.head_scores(params, batch, per, nonper), batch.gt_ids)
+    loss = dpcl.ce_loss(*dpcl.head_scores(params, batch, strategy), batch.gt_ids)
     assert abs(terms.mean() - loss.item()) <= 1e-12
     for i in rows:
         one = dpcl.QueryBatch(*(getattr(batch, f.name)[i:i + 1]
                                 for f in dataclasses.fields(batch)))
-        term = dpcl.ce_loss(*dpcl.head_scores(params, one, per, nonper), one.gt_ids)
+        term = dpcl.ce_loss(*dpcl.head_scores(params, one, strategy), one.gt_ids)
         assert abs(terms[i] - term.item()) <= 1e-12
 
 

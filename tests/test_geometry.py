@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tkgdiff import geometry as geo
@@ -361,3 +363,46 @@ def test_pairwise_sqdist_separation_sweep_near_the_boundary():
     a = at_margin(rng, 16, 200)
     for distance in np.logspace(-9, 0, 28):
         assert_matches_the_oracle(a, geo.project_array_to_ball(moved(rng, a, distance)))
+
+
+# ---------------------------------------------------------------------------
+# The Euclidean distance needs no clamp below zero
+# ---------------------------------------------------------------------------
+
+def clamped_euclidean(sqdist):
+    """sqrt(max(sqdist, 0)), the clamp passing no gradient where it is
+    active: the form euclidean_from_sqdist had before pairwise_sqdist
+    ruled out negative entries; taped."""
+    active = sqdist.data > 0.0
+    clamped = nk._result(np.maximum(sqdist.data, 0.0), "clamp")
+
+    def backward(g):
+        return (np.where(active, g, 0.0),)
+
+    return nk.sqrt(nk._tape_record(clamped, (sqdist,), backward))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), d=st.integers(1, 9),
+       shared=st.integers(0, 4), margin=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_euclidean_from_sqdist_is_bit_equal_to_the_clamped_form(m, n, d, shared, margin,
+                                                                  seed):
+    # rows both sides hold, and rows repeated within a side, give exact +0
+    # entries, where sqrt passes no gradient just as the clamp did
+    rng = nk.rng_for(seed)
+    draw = at_margin if margin else (lambda rng, k, d: random_ball_points(rng, k, d))
+    pool = draw(rng, shared + 3, d)
+    a = nk.tensor(np.vstack([pool[:shared], pool[rng.integers(0, len(pool), m)]]))
+    b = nk.tensor(np.vstack([pool[:shared], draw(rng, n, d)]))
+    weights = nk.tensor(rng.normal(size=(m + shared, n + shared)))
+    values, grads = [], []
+    for distance in (geo.euclidean_from_sqdist, clamped_euclidean):
+        with nk.GradTape() as tape:
+            out = distance(geo.pairwise_sqdist(a, b))
+            loss = nk.sum_all(nk.mul(out, weights))
+        values.append(out.data)
+        grads.append(tape.gradient(loss, [a, b]))
+    np.testing.assert_array_equal(values[0], values[1])
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
+    assert (np.diag(values[0][:shared, :shared]) == 0.0).all()
