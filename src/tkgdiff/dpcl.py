@@ -163,22 +163,25 @@ def head_scores(params: DpclParams, batch: QueryBatch, strategy: str) -> tuple[T
             head(params.w_nonper, params.b_nonper, nk.sub, kinds[1]))
 
 
+def _softmax_sum(s_per: Tensor, s_nonper: Tensor) -> Tensor:
+    """softmax(S_per) + softmax(S_nonper), (B, |E|); taped."""
+    if s_per.shape != s_nonper.shape:
+        raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
+    return nk.add(nk.softmax_rows(s_per), nk.softmax_rows(s_nonper))
+
+
 def mixture(s_per: Tensor, s_nonper: Tensor) -> Tensor:
     """The scored distribution 0.5 * (softmax(S_per) + softmax(S_nonper)),
     (B, |E|) rows that sum to 1; taped."""
-    if s_per.shape != s_nonper.shape:
-        raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
-    return nk.mul(nk.constant(0.5), nk.add(nk.softmax_rows(s_per), nk.softmax_rows(s_nonper)))
+    return nk.mul(nk.constant(0.5), _softmax_sum(s_per, s_nonper))
 
 
 def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:
     """-log(2 * mixture[gt]) = -log(softmax(S_per)[gt] + softmax(S_nonper)[gt]),
-    averaged over the batch; the halving and doubling are exact while that
-    sum is no subnormal (a query's term below 707). The sum of two
-    probabilities can exceed 1, so the loss can go below -log 2; that is the
-    objective as defined."""
-    p = nk.gather_cols(mixture(s_per, s_nonper), gt_ids)
-    per_query = nk.log(nk.mul(nk.constant(2.0), p))
+    averaged over the batch, read from the un-halved sum of the two
+    softmaxes. The sum of two probabilities can exceed 1, so the loss can go
+    below -log 2; that is the objective as defined."""
+    per_query = nk.log(nk.gather_cols(_softmax_sum(s_per, s_nonper), gt_ids))
     batch = s_per.shape[0]
     return nk.mul(nk.constant(-1.0 / batch), nk.sum_all(per_query))
 

@@ -128,11 +128,10 @@ class TrainConfig:
         return cfg
 
 
-def _coerce(key: str, raw, type_name):
+def _coerce(key: str, raw, kind: str):
     if isinstance(raw, (int, float, bool)):
         return raw
     text = str(raw).strip()
-    kind = type_name if isinstance(type_name, str) else type_name.__name__
     try:
         if kind == "bool":
             if text.lower() in ("true", "1", "yes", "on"):
@@ -298,14 +297,16 @@ def load_checkpoint(path) -> Checkpoint:
     magic, an unknown version (CheckpointVersionError), truncation (also
     dims that claim more bytes than the file has left), a header that is not
     the expected JSON, a config that TrainConfig.from_dict refuses (also a
-    value of the wrong type), an `epoch` or Adam step count that is not a
-    non-negative int, a `best_val_mrr` that is not a finite number, a record
-    that is not 2-D, a missing or unexpected tensor record, Adam states that
-    do not match the parameter records, a parameter record whose shape is
-    not the one the header's `n_entities` and `n_relations` and the config's
-    `d_dpcl` (dpcl.param_shapes) or `d_diff` give it, or a non-finite
-    payload. The component the header's config ablates must have no records
-    and loads as None; every other component must have all of its records.
+    value of the wrong type), an `epoch`, Adam step count, `n_entities` or
+    `n_relations` that is not a non-negative int, a `best_val_mrr` that is
+    not a finite number, a record that is not 2-D, a missing or unexpected
+    tensor record, Adam states that do not match the parameter records, an
+    Adam moment of another shape than its parameter, a parameter record
+    whose shape is not the one the header's `n_entities` and `n_relations`
+    and the config's `d_dpcl` (dpcl.param_shapes) or `d_diff` give it, or a
+    non-finite payload. The component the header's config ablates must have
+    no records and loads as None; every other component must have all of its
+    records.
 
     Parameter tensors are read-only views of the arrays read from the file;
     the Adam moments are those arrays, writeable.
@@ -366,7 +367,7 @@ def _read_body(fh) -> Checkpoint:
         arrays[name] = _read_array(fh, size, name)
 
     config = TrainConfig.from_dict(header["config"])
-    sizes = (header["n_entities"], header["n_relations"])
+    sizes = tuple(_count(header[key], key) for key in ("n_entities", "n_relations"))
     dparams = _component(arrays, "dpcl", config.no_dpcl, DpclParams)
     nparams = _component(arrays, "denoiser", config.no_gndiff, DenoiserParams,
                          n_entities=sizes[0], n_relations=sizes[1], width=config.d_diff)
@@ -380,10 +381,14 @@ def _read_body(fh) -> Checkpoint:
         _check_shapes("dpcl", dparams, dpcl_mod.param_shapes(*sizes, config.d_dpcl), "d_dpcl")
     if nparams is not None:
         _check_shapes("denoiser", nparams, nparams.shapes(), "d_diff")
-    if set(header["adam"]) != set(ckpt.named_tensors()):
+    params = ckpt.named_tensors()
+    if set(header["adam"]) != set(params):
         raise ValueError("Adam states do not match the parameter records")
     for name, t in header["adam"].items():
         m, v = arrays.pop(f"adam.m.{name}"), arrays.pop(f"adam.v.{name}")
+        if not m.shape == v.shape == params[name].shape:
+            raise ValueError(f"Adam moments of '{name}' have shapes {m.shape} and {v.shape}, "
+                             f"its parameter {params[name].shape}")
         state = ckpt.adam[name] = AdamState(m.shape)
         state.m, state.v, state.t = m, v, _count(t, f"Adam step count of '{name}'")
     if arrays:

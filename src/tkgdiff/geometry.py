@@ -41,15 +41,12 @@ _TARGET = (1.0 - BALL_MARGIN) * (1.0 - 1e-12)
 
 
 def project_array_to_ball(x: np.ndarray) -> np.ndarray:
-    """Plain-array projection: rows with norm >= 1 - margin rescale onto it."""
-    arr = np.asarray(x, dtype=np.float64)
-    vec_in = arr.ndim == 1
-    rows = arr.reshape(1, -1) if vec_in else arr
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    """Plain-array projection of the rows of a 2-D array: rows with norm
+    >= 1 - margin rescale onto it."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
     limit = 1.0 - BALL_MARGIN
     factor = np.where(norms >= limit, _TARGET / np.maximum(norms, limit), 1.0)
-    out = rows * factor
-    return out[0] if vec_in else out
+    return x * factor
 
 
 def _check_inside(rows: Tensor, name: str) -> None:

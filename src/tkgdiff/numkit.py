@@ -1,6 +1,5 @@
 """Minimal dense-tensor kernel: float64 matrices, a reverse-mode gradient tape,
-Adam, finite-difference gradient checking, a one-thread BLAS scope, and
-seeded counter-based RNG.
+Adam, a one-thread BLAS scope, and seeded counter-based RNG.
 
 Tensors are immutable 2-D float64 arrays. Each primitive operation is one
 function with its own forward and backward (the binary elementwise ops
@@ -24,28 +23,24 @@ import numpy as np
 from .errors import DimensionError, NumericError
 
 __all__ = [
-    "Tensor", "GradTape", "AdamState", "GradCheckReport",
-    "tensor", "zeros", "full", "constant",
+    "Tensor", "GradTape", "AdamState", "zeros", "constant",
     "matmul", "add", "sub", "mul", "div", "tanh", "exp", "log",
     "sqrt", "acosh", "softmax_rows",
     "sum_all", "sum_cols", "transpose", "reshape",
     "concat_cols", "take_rows", "gather_cols",
-    "adam_step", "grad_check", "single_threaded_blas", "rng_for",
+    "adam_step", "single_threaded_blas", "rng_for",
 ]
 
 
 class Tensor:
-    """Immutable 2-D matrix of 64-bit floats (scalars are 1x1, vectors 1xn)."""
+    """Immutable 2-D matrix of 64-bit floats (a scalar is 1x1). It takes 2-D
+    input only: any other rank raises DimensionError."""
 
     __slots__ = ("data",)
 
     def __init__(self, data, copy: bool = True):
         arr = np.array(data, dtype=np.float64, copy=copy, order="C")
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
+        if arr.ndim != 2:
             raise DimensionError(f"tensors are 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise NumericError("tensor contains non-finite values")
@@ -65,23 +60,12 @@ class Tensor:
             raise DimensionError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data.copy()
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
 
-def tensor(data) -> Tensor:
-    return Tensor(data)
-
-
 def zeros(rows: int, cols: int) -> Tensor:
     return Tensor(np.zeros((rows, cols)), copy=False)
-
-
-def full(rows: int, cols: int, value: float) -> Tensor:
-    return Tensor(np.full((rows, cols), float(value)), copy=False)
 
 
 def constant(value: float) -> Tensor:
@@ -151,7 +135,10 @@ def _wrap(values: np.ndarray) -> Tensor:
     """A Tensor over a 2-D C-ordered float64 array that an operation or a
     checkpoint load just made (or a view of an immutable tensor's array),
     without Tensor()'s copy and scan: nothing else writes the array, and its
-    values come from checked tensors or from the maker's own scan."""
+    values come from checked tensors, from the maker's own scan, or from a
+    map that takes finite input to finite output (tanh; log and sqrt past
+    their domain checks; acosh of an input clamped to at least 1; a softmax
+    whose row sums are at least 1)."""
     values.flags.writeable = False
     out = Tensor.__new__(Tensor)
     out.data = values
@@ -243,7 +230,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = _result(np.tanh(a.data), "tanh")
+    out = _wrap(np.tanh(a.data))
     y = out.data
 
     def backward(g):
@@ -267,7 +254,7 @@ def log(a: Tensor) -> Tensor:
     ad = a.data
     if np.any(ad <= 0.0):
         raise NumericError("log of non-positive value")
-    out = _result(np.log(ad), "log")
+    out = _wrap(np.log(ad))
 
     def backward(g):
         return (g / ad,)
@@ -279,7 +266,7 @@ def sqrt(a: Tensor) -> Tensor:
     """Elementwise square root; gradient at 0 is defined as 0."""
     if np.any(a.data < 0.0):
         raise NumericError("sqrt of negative value")
-    out = _result(np.sqrt(a.data), "sqrt")
+    out = _wrap(np.sqrt(a.data))
     y = out.data
 
     def backward(g):
@@ -292,7 +279,7 @@ def acosh(a: Tensor) -> Tensor:
     """Inverse hyperbolic cosine; inputs below 1 are clamped to 1 and receive
     zero gradient there."""
     clamped = np.maximum(a.data, 1.0)
-    out = _result(np.arccosh(clamped), "acosh")
+    out = _wrap(np.arccosh(clamped))
     active = a.data > 1.0
 
     def backward(g):
@@ -306,7 +293,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax, computed with row-max subtraction for stability."""
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = _result(e / e.sum(axis=1, keepdims=True), "softmax_rows")
+    out = _wrap(e / e.sum(axis=1, keepdims=True))
     p = out.data
 
     def backward(g):
@@ -450,53 +437,6 @@ def adam_step(state: AdamState, params: Tensor, grads, lr: float) -> Tensor:
     step /= out
     np.subtract(params.data, step, out=out)
     return _result(out, "adam_step")
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    """Tape-vs-finite-difference comparison. Errors are |a-b| / max(1, |a|, |b|)."""
-
-    max_rel_err: float
-    per_param: list[float]
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_rel_err <= self.tolerance
-
-
-def grad_check(f, params: Sequence[Tensor], tolerance: float = 1e-4,
-               step: float = 1e-5) -> GradCheckReport:
-    """Compare tape gradients of a scalar-valued `f(params)` against central
-    finite differences. Disagreement is reported, never raised."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    params = list(params)
-    with GradTape() as tape:
-        out = f(params)
-    analytic = tape.gradient(out, params)
-
-    def eval_at(i: int, flat_j: int, delta: float) -> float:
-        perturbed = list(params)
-        d = params[i].data.copy()
-        d.flat[flat_j] += delta
-        perturbed[i] = Tensor(d, copy=False)
-        return f(perturbed).item()
-
-    per_param = []
-    for i, p in enumerate(params):
-        worst = 0.0
-        for j in range(p.size):
-            fd = (eval_at(i, j, step) - eval_at(i, j, -step)) / (2.0 * step)
-            a = analytic[i].flat[j]
-            err = abs(a - fd) / max(1.0, abs(a), abs(fd))
-            worst = max(worst, err)
-        per_param.append(worst)
-    return GradCheckReport(max(per_param, default=0.0), per_param, tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Synthetic corpora, query batches and checkpoint comparisons shared by the
-tests."""
+"""Synthetic corpora, query batches, checkpoint comparisons, a lenient tensor
+constructor and finite-difference gradient checking shared by the tests."""
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from tkgdiff.corpus import QuadStore
 from tkgdiff.dpcl import QueryBatch
+from tkgdiff.numkit import GradTape, Tensor
 
 
 def store_from_quads(quads, n_entities, n_relations, n_timestamps,
@@ -125,3 +129,53 @@ def assert_same_state(a, b):
         np.testing.assert_array_equal(s.m, b.adam[name].m, err_msg=f"adam.m.{name}")
         np.testing.assert_array_equal(s.v, b.adam[name].v, err_msg=f"adam.v.{name}")
         assert s.t == b.adam[name].t, name
+
+
+def tensor(data) -> Tensor:
+    """A Tensor from 0-D, 1-D or 2-D data: a scalar becomes 1x1 and a vector
+    1xn, where Tensor itself takes 2-D input only."""
+    arr = np.asarray(data, dtype=np.float64)
+    return Tensor(arr.reshape(1, -1) if arr.ndim < 2 else arr)
+
+
+@dataclass
+class GradCheckReport:
+    """Tape-vs-finite-difference comparison. Errors are |a-b| / max(1, |a|, |b|)."""
+
+    max_rel_err: float
+    per_param: list[float]
+    tolerance: float
+
+    @property
+    def ok(self) -> bool:
+        return self.max_rel_err <= self.tolerance
+
+
+def grad_check(f, params: Sequence[Tensor], tolerance: float = 1e-4,
+               step: float = 1e-5) -> GradCheckReport:
+    """Compare tape gradients of a scalar-valued `f(params)` against central
+    finite differences. Disagreement is reported, never raised."""
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    params = list(params)
+    with GradTape() as tape:
+        out = f(params)
+    analytic = tape.gradient(out, params)
+
+    def eval_at(i: int, flat_j: int, delta: float) -> float:
+        perturbed = list(params)
+        d = params[i].data.copy()
+        d.flat[flat_j] += delta
+        perturbed[i] = Tensor(d, copy=False)
+        return f(perturbed).item()
+
+    per_param = []
+    for i, p in enumerate(params):
+        worst = 0.0
+        for j in range(p.size):
+            fd = (eval_at(i, j, step) - eval_at(i, j, -step)) / (2.0 * step)
+            a = analytic[i].flat[j]
+            err = abs(a - fd) / max(1.0, abs(a), abs(fd))
+            worst = max(worst, err)
+        per_param.append(worst)
+    return GradCheckReport(max(per_param, default=0.0), per_param, tolerance)

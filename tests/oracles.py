@@ -63,7 +63,11 @@ Some items check no production function; their tests check only the oracle:
 `transition_matrix`, `forward_marginal` and `posterior` (the forward chain
 and its posterior, which `batch_loss` never forms), `NodeSequence`'s role
 validation, the clamp-saturation warning of `build_schedule`, and
-`PoincarePoint`.
+`PoincarePoint`. They stay because together they derive what the batched
+code takes as given: the posterior's weight on reverting to the clean token
+is the revert weight `batch_loss` computes in closed form, over validated
+sequences, from a schedule whose clamp is visible, and `PoincarePoint` is
+the ball projection the row-pair distances start from.
 """
 
 import dataclasses
@@ -467,8 +471,8 @@ class PoincarePoint:
     coords: np.ndarray = field()
 
     def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "coords", project_array_to_ball(arr))
+        arr = np.asarray(self.coords, dtype=np.float64).reshape(1, -1)
+        object.__setattr__(self, "coords", project_array_to_ball(arr)[0])
 
     @property
     def dim(self) -> int:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import make_batch, planted_period_store, quick_config
+from helpers import grad_check, make_batch, planted_period_store, quick_config, tensor
 from tkgdiff import dpcl, engine
 from tkgdiff import evaluate as ev
 from tkgdiff import geometry as geo
@@ -45,8 +45,8 @@ def scalar_score(params, batch, i, j, head, distance):
         z = -batch.z_rows[i, j]
     affine = float(code @ e[j])
     if distance == "poincare":
-        a = project_array_to_ball(s)
-        b = project_array_to_ball(e[j])
+        a = project_array_to_ball(s.reshape(1, -1))[0]
+        b = project_array_to_ball(e[j].reshape(1, -1))[0]
         num = np.sum((a - b) ** 2)
         dist = np.arccosh(max(1.0, 1.0 + 2.0 * num /
                               ((1 - a @ a) * (1 - b @ b))))
@@ -77,13 +77,13 @@ def test_zeroed_affine_isolates_distance(setup):
     params, batch, _ = setup
     params = dataclasses.replace(params, w_per=nk.zeros(4, 8), b_per=nk.zeros(1, 4))
     # subject at the origin, empty history row
-    emb = params.entity_emb.numpy()
+    emb = params.entity_emb.data.copy()
     emb[batch.s_ids[0]] = 0.0
-    params = dataclasses.replace(params, entity_emb=nk.tensor(emb))
+    params = dataclasses.replace(params, entity_emb=tensor(emb))
     batch.z_rows[:] = 0.0
     scores = periodic(params, batch).data
     for j in range(5):
-        b = project_array_to_ball(emb[j])
+        b = project_array_to_ball(emb[j].reshape(1, -1))[0]
         want = np.arccosh(1.0 + 2.0 * (b @ b) / (1.0 - b @ b))
         assert scores[0, j] == pytest.approx(want, abs=1e-10)
 
@@ -96,10 +96,10 @@ def test_score_additivity_in_distance(setup):
     batch.z_rows[:] = 0.0
     scores = periodic(params, batch).data
     e = params.entity_emb.data
-    s = project_array_to_ball(e[batch.s_ids[0]])
+    s = project_array_to_ball(e[batch.s_ids[0]].reshape(1, -1))[0]
 
     def dist(j):
-        b = project_array_to_ball(e[j])
+        b = project_array_to_ball(e[j].reshape(1, -1))[0]
         return np.arccosh(1 + 2 * np.sum((s - b) ** 2) / ((1 - s @ s) * (1 - b @ b)))
 
     assert scores[0, 1] - scores[0, 2] == pytest.approx(dist(1) - dist(2), abs=1e-10)
@@ -132,7 +132,7 @@ def test_permutation_equivariance(setup):
     perm = np.array([2, 0, 4, 1, 3])          # new id of each old entity
     inv = np.argsort(perm)
     scores = periodic(params, batch).data
-    pparams = dataclasses.replace(params, entity_emb=nk.tensor(params.entity_emb.data[inv]))
+    pparams = dataclasses.replace(params, entity_emb=tensor(params.entity_emb.data[inv]))
     pbatch = dpcl.QueryBatch(perm[batch.s_ids], batch.r_ids, batch.t_ids,
                              perm[batch.gt_ids], batch.z_rows[:, inv],
                              batch.periodic)
@@ -149,18 +149,18 @@ def test_ce_loss_uniform_rows():
 
 def test_ce_loss_dominant_limit():
     # ground truth far ahead in both heads: loss approaches -log 2
-    sp = nk.tensor([[100.0, 0.0, 0.0]])
-    snp = nk.tensor([[100.0, 0.0, 0.0]])
+    sp = tensor([[100.0, 0.0, 0.0]])
+    snp = tensor([[100.0, 0.0, 0.0]])
     loss = dpcl.ce_loss(sp, snp, [0])
     assert loss.item() == pytest.approx(-np.log(2.0), abs=1e-9)
 
 
 def test_ce_loss_gradient():
     rng = nk.rng_for(42)
-    sp = nk.tensor(rng.normal(size=(2, 5)))
-    snp = nk.tensor(rng.normal(size=(2, 5)))
+    sp = tensor(rng.normal(size=(2, 5)))
+    snp = tensor(rng.normal(size=(2, 5)))
     gt = [1, 4]
-    report = nk.grad_check(lambda ps: dpcl.ce_loss(ps[0], ps[1], gt), [sp, snp],
+    report = grad_check(lambda ps: dpcl.ce_loss(ps[0], ps[1], gt), [sp, snp],
                            tolerance=1e-4)
     assert report.ok, report
 
@@ -170,8 +170,8 @@ def test_ce_loss_shift_invariance(setup):
     sp = rng.normal(size=(3, 6))
     snp = rng.normal(size=(3, 6))
     gt = [0, 2, 5]
-    base = dpcl.ce_loss(nk.tensor(sp), nk.tensor(snp), gt).item()
-    shifted = dpcl.ce_loss(nk.tensor(sp + 7.5), nk.tensor(snp - 3.25), gt).item()
+    base = dpcl.ce_loss(tensor(sp), tensor(snp), gt).item()
+    shifted = dpcl.ce_loss(tensor(sp + 7.5), tensor(snp - 3.25), gt).item()
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -183,7 +183,7 @@ def test_ce_loss_decreases_with_gt_score():
     for bump in (0.0, 0.5, 1.0):
         s = sp.copy()
         s[0, 2] += bump
-        losses.append(dpcl.ce_loss(nk.tensor(s), nk.tensor(snp), [2]).item())
+        losses.append(dpcl.ce_loss(tensor(s), tensor(snp), [2]).item())
     assert losses[0] > losses[1] > losses[2]
 
 
@@ -199,7 +199,7 @@ def test_ce_loss_is_bit_equal_to_the_two_gather_form(b, n, scale, seed):
     # subnormal, as here, so the value and both gradients keep the bits of
     # one gather per head
     rng = nk.rng_for(seed)
-    sp, snp = (nk.tensor(rng.normal(size=(b, n)) * scale) for _ in range(2))
+    sp, snp = (tensor(rng.normal(size=(b, n)) * scale) for _ in range(2))
     gt = rng.integers(0, n, b)
     values, grads = [], []
     for loss in (dpcl.ce_loss, oracles.ce_loss):
@@ -264,8 +264,8 @@ def hand_placed_params():
     r = np.zeros((1, 2))
     zero_w = nk.zeros(2, 4)
     zero_b = nk.zeros(1, 2)
-    return dpcl.DpclParams(nk.tensor(e), nk.tensor(r), zero_w, zero_b,
-                           zero_w, zero_b, nk.tensor(w), nk.zeros(1, 2))
+    return dpcl.DpclParams(tensor(e), tensor(r), zero_w, zero_b,
+                           zero_w, zero_b, tensor(w), nk.zeros(1, 2))
 
 
 def test_supcon_two_identical_same_label():
@@ -347,7 +347,7 @@ def test_supcon_gradient(setup):
         p = dpcl.DpclParams(**dict(zip(names, ps)))
         return dpcl.supcon_loss(p, batch, tau=0.1)
 
-    report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
+    report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
 
 
@@ -372,7 +372,7 @@ def test_full_dpcl_gradient_suite(setup):
         sup = dpcl.supcon_loss(p, batch, tau=0.1)
         return nk.add(ce, sup)
 
-    report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
+    report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
 
 
@@ -385,7 +385,7 @@ def test_head_scores_match_per_head_oracle(setup, strategy):
     per, nonper = dpcl.STRATEGY_DISTANCES[strategy]
     names = list(params.named())
     sources = list(params.named().values())
-    weights = nk.tensor(rng.normal(size=(4, 5))), nk.tensor(rng.normal(size=(4, 5)))
+    weights = tensor(rng.normal(size=(4, 5))), tensor(rng.normal(size=(4, 5)))
 
     def objective(sp, snp):
         return nk.add(nk.sum_all(nk.mul(sp, weights[0])), nk.sum_all(nk.mul(snp, weights[1])))
@@ -416,7 +416,7 @@ def test_head_scores_gradient(setup, strategy):
         sp, snp = dpcl.head_scores(p, batch, strategy)
         return dpcl.ce_loss(sp, snp, batch.gt_ids)
 
-    report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
+    report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
 
 
@@ -441,10 +441,10 @@ def test_head_scores_reject_rows_past_the_ball_margin(setup):
     # a row between 1 - BALL_MARGIN and the unit sphere is an error for a
     # Poincare head, not something scoring re-projects
     params, batch, _ = setup
-    emb = params.entity_emb.numpy()
+    emb = params.entity_emb.data.copy()
     emb[3] = 0.0
     emb[3, 0] = 1.0 - geo.BALL_MARGIN / 2
-    params = dataclasses.replace(params, entity_emb=nk.tensor(emb))
+    params = dataclasses.replace(params, entity_emb=tensor(emb))
     for strategy in ("hyp/euc", "euc/hyp"):
         with pytest.raises(ValueError, match="unit ball"):
             dpcl.head_scores(params, batch, strategy)

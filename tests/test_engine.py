@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import (assert_same_state, planted_period_store, quick_config,
+from helpers import (assert_same_state, grad_check, planted_period_store, quick_config,
                      single_fact_store)
 from tkgdiff import dpcl as dpcl_mod
 from tkgdiff import engine, evaluate, gndiff
@@ -480,16 +480,26 @@ def each_adam_step_count(value):
     return edit_header(lambda h: h["adam"].update(dict.fromkeys(h["adam"], value)))
 
 
+SIZE_FORMS = {"float": float, "string": str, "bool": lambda n: True, "negative": lambda n: -1}
+
+
+def size_as(key, form):
+    return edit_header(lambda h: h.update({key: SIZE_FORMS[form](h[key])}))
+
+
 @pytest.mark.parametrize("corrupt", [
     *(each_adam_step_count(value) for value in ("3", -5, 2.5, True)),
     edit_header(lambda h: h.update(epoch="1")),
     edit_header(lambda h: h.update(best_val_mrr=None)),
+    *(size_as(key, form) for key in ("n_entities", "n_relations") for form in SIZE_FORMS),
 ], ids=["t-string", "t-negative", "t-fractional", "t-bool", "epoch-string",
-        "best-val-mrr-null"])
+        "best-val-mrr-null",
+        *(f"{key}-{form}" for key in ("n_entities", "n_relations") for form in SIZE_FORMS)])
 def test_a_malformed_header_count_is_a_checkpoint_error(tmp_path, small_ckpt, corrupt):
     # each of these loaded at format 6 before its fields were checked; a
     # resume then failed in its first Adam step, or stepped with a
-    # fractional bias correction
+    # fractional bias correction; a size of 6.0 evaluated with a float
+    # vocabulary
     good = tmp_path / "good.ckpt"
     engine.save_checkpoint(small_ckpt, good)
     blob = good.read_bytes()
@@ -665,6 +675,24 @@ def test_dpcl_records_must_have_the_shapes_the_header_gives(tmp_path, ablated_ck
         engine.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("moment", ["m", "v"])
+@pytest.mark.parametrize("flag", ["no_gndiff", "no_dpcl"])
+def test_adam_moments_must_have_their_parameters_shape(tmp_path, ablated_ckpts, flag, moment):
+    # a moment one column wider than its parameter (m), or a v that differs
+    # from m, loaded, and the resume failed in its first Adam step
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts[flag], path)
+    blob = path.read_bytes()
+    header, records = split_checkpoint(blob)
+    name = next(n for n in records if n.startswith(f"adam.{moment}."))
+    rows, cols = records[name][1].shape
+    wide = np.zeros((rows, cols + 1))
+    records[name] = (pack_record(name, wide), wide)
+    path.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match="Adam moments of"):
+        engine.load_checkpoint(path)
+
+
 WRONG_TYPES = {"steps": 50.5, "batch": True, "lr": True, "d_dpcl": 16.0, "no_gndiff": 1}
 
 
@@ -809,7 +837,7 @@ def test_joint_gradient_through_everything():
         return engine.joint_loss(cfg.alpha, ce, sup, diff)
 
     params = list(dparams.named().values()) + list(nparams.named().values())
-    report = nk.grad_check(f, params, tolerance=1e-4)
+    report = grad_check(f, params, tolerance=1e-4)
     assert report.ok, report
 
 

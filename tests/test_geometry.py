@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import grad_check, tensor
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
 from tkgdiff.errors import DimensionError
@@ -36,7 +37,7 @@ def test_project_idempotent():
 
 def test_poincare_distance_zero_on_self():
     rng = nk.rng_for(23)
-    x = nk.tensor(random_ball_points(rng, 8, 5))
+    x = tensor(random_ball_points(rng, 8, 5))
     d = oracles.poincare_distance(x, x)
     np.testing.assert_allclose(d.data, 0.0, atol=1e-12)
     for pairwise in (geo.poincare_pairwise, geo.euclidean_pairwise):
@@ -51,8 +52,8 @@ def test_poincare_origin_to_half():
 
 def test_poincare_symmetry_100_pairs():
     rng = nk.rng_for(24)
-    a = nk.tensor(random_ball_points(rng, 100, 4))
-    b = nk.tensor(random_ball_points(rng, 100, 4))
+    a = tensor(random_ball_points(rng, 100, 4))
+    b = tensor(random_ball_points(rng, 100, 4))
     dab = oracles.poincare_distance(a, b)
     dba = oracles.poincare_distance(b, a)
     np.testing.assert_allclose(dab.data, dba.data, atol=1e-12)
@@ -77,8 +78,8 @@ def test_euclidean_triangle_inequality():
 def test_small_radius_limit():
     # near the origin the ball metric is conformal with factor 2
     rng = nk.rng_for(26)
-    a = nk.tensor(random_ball_points(rng, 50, 3, max_norm=0.01))
-    b = nk.tensor(random_ball_points(rng, 50, 3, max_norm=0.01))
+    a = tensor(random_ball_points(rng, 50, 3, max_norm=0.01))
+    b = tensor(random_ball_points(rng, 50, 3, max_norm=0.01))
     dp = oracles.poincare_distance(a, b).data
     de = oracles.euclidean_distance(a, b).data
     nonzero = de > 1e-9
@@ -91,24 +92,24 @@ def test_poincare_monotone_toward_boundary():
     radii = np.linspace(0.05, 1.0 - geo.BALL_MARGIN, 40, endpoint=False)
     dists = [oracles.poincare_distance(np.zeros(3), r * u).item() for r in radii]
     assert all(b > a for a, b in zip(dists, dists[1:]))
-    row = geo.poincare_pairwise(nk.tensor(np.zeros((1, 3))), nk.tensor(radii[:, None] * u))
+    row = geo.poincare_pairwise(tensor(np.zeros((1, 3))), tensor(radii[:, None] * u))
     assert np.all(np.diff(row.data[0]) > 0)
 
 
 def test_distance_gradients_away_from_coincidence():
     rng = nk.rng_for(27)
-    a = nk.tensor(random_ball_points(rng, 4, 3, max_norm=0.8))
-    b = nk.tensor(random_ball_points(rng, 4, 3, max_norm=0.8))
-    rp = nk.grad_check(lambda ps: nk.sum_all(oracles.poincare_distance(ps[0], ps[1])),
+    a = tensor(random_ball_points(rng, 4, 3, max_norm=0.8))
+    b = tensor(random_ball_points(rng, 4, 3, max_norm=0.8))
+    rp = grad_check(lambda ps: nk.sum_all(oracles.poincare_distance(ps[0], ps[1])),
                        [a, b], tolerance=1e-4)
     assert rp.ok, rp
-    re = nk.grad_check(lambda ps: nk.sum_all(oracles.euclidean_distance(ps[0], ps[1])),
+    re = grad_check(lambda ps: nk.sum_all(oracles.euclidean_distance(ps[0], ps[1])),
                        [a, b], tolerance=1e-4)
     assert re.ok, re
 
 
 def test_coincident_gradient_is_zero_not_nan():
-    x = nk.tensor([[0.2, 0.1]])
+    x = tensor([[0.2, 0.1]])
     for distance in (oracles.poincare_distance, geo.poincare_pairwise,
                      geo.euclidean_pairwise):
         with nk.GradTape() as tape:
@@ -119,8 +120,8 @@ def test_coincident_gradient_is_zero_not_nan():
 
 def test_pairwise_matches_rowwise():
     rng = nk.rng_for(28)
-    a = nk.tensor(random_ball_points(rng, 3, 4))
-    b = nk.tensor(random_ball_points(rng, 5, 4))
+    a = tensor(random_ball_points(rng, 3, 4))
+    b = tensor(random_ball_points(rng, 5, 4))
     pw_p = geo.poincare_pairwise(a, b).data
     pw_e = geo.euclidean_pairwise(a, b).data
     for i in range(3):
@@ -133,13 +134,13 @@ def test_pairwise_matches_rowwise():
 
 def test_pairwise_gradients():
     rng = nk.rng_for(29)
-    a = nk.tensor(random_ball_points(rng, 3, 3, max_norm=0.7))
-    b = nk.tensor(random_ball_points(rng, 4, 3, max_norm=0.7))
-    w = nk.tensor(rng.normal(size=(3, 4)))
-    rp = nk.grad_check(lambda ps: nk.sum_all(nk.mul(geo.poincare_pairwise(ps[0], ps[1]), w)),
+    a = tensor(random_ball_points(rng, 3, 3, max_norm=0.7))
+    b = tensor(random_ball_points(rng, 4, 3, max_norm=0.7))
+    w = tensor(rng.normal(size=(3, 4)))
+    rp = grad_check(lambda ps: nk.sum_all(nk.mul(geo.poincare_pairwise(ps[0], ps[1]), w)),
                        [a, b], tolerance=1e-4)
     assert rp.ok, rp
-    re = nk.grad_check(lambda ps: nk.sum_all(nk.mul(geo.euclidean_pairwise(ps[0], ps[1]), w)),
+    re = grad_check(lambda ps: nk.sum_all(nk.mul(geo.euclidean_pairwise(ps[0], ps[1]), w)),
                        [a, b], tolerance=1e-4)
     assert re.ok, re
 
@@ -147,14 +148,14 @@ def test_pairwise_gradients():
 def test_outside_ball_rejected():
     with pytest.raises(ValueError, match="unit ball"):
         oracles.poincare_distance([1.5, 0.0], [0.0, 0.0])
-    inside, outside = nk.tensor([[0.0, 0.0]]), nk.tensor([[0.0, 0.0], [1.5, 0.0]])
+    inside, outside = tensor([[0.0, 0.0]]), tensor([[0.0, 0.0], [1.5, 0.0]])
     with pytest.raises(ValueError, match="unit ball"):
         geo.poincare_pairwise(outside, inside)
     with pytest.raises(ValueError, match="unit ball"):
         geo.poincare_pairwise(inside, outside)
     # inside the unit sphere but past the margin that training keeps rows within
-    past = nk.tensor([[0.0, 1.0 - geo.BALL_MARGIN / 2]])
-    at = nk.tensor([[0.0, 1.0 - geo.BALL_MARGIN]])
+    past = tensor([[0.0, 1.0 - geo.BALL_MARGIN / 2]])
+    at = tensor([[0.0, 1.0 - geo.BALL_MARGIN]])
     assert np.isfinite(geo.poincare_pairwise(at, inside).data).all()
     with pytest.raises(ValueError, match="unit ball"):
         geo.poincare_pairwise(past, inside)
@@ -188,8 +189,8 @@ def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, 
     monkeypatch.setattr(geo, "RECOMPUTE_BYTES", 8 * d * cols + 7)
     rng = nk.rng_for(30, m, d)
     base = rng.normal(size=d) * 0.1
-    a = nk.tensor(base + rng.normal(size=(m, d)) * 1e-9)
-    b = nk.tensor(base + rng.normal(size=(n, d)) * 1e-9)
+    a = tensor(base + rng.normal(size=(m, d)) * 1e-9)
+    b = tensor(base + rng.normal(size=(n, d)) * 1e-9)
     got = geo.pairwise_sqdist(a, b).data
     full, last = divmod(m * n, cols)
     assert widths == [cols] * full + [last] * bool(last)
@@ -198,10 +199,10 @@ def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, 
 
 def test_pairwise_sqdist_rejects_mismatched_dims():
     with pytest.raises(DimensionError):
-        geo.pairwise_sqdist(nk.tensor(np.zeros((2, 3))), nk.tensor(np.zeros((2, 4))))
-    sq = geo.pairwise_sqdist(nk.tensor(np.zeros((2, 3))), nk.tensor(np.zeros((4, 3))))
+        geo.pairwise_sqdist(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 4))))
+    sq = geo.pairwise_sqdist(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 3))))
     with pytest.raises(DimensionError):
-        geo.poincare_from_sqdist(sq, nk.tensor(np.zeros((4, 3))), nk.tensor(np.zeros((2, 3))))
+        geo.poincare_from_sqdist(sq, tensor(np.zeros((4, 3))), tensor(np.zeros((2, 3))))
 
 
 def _rows_with(rng, m, distinct, d):
@@ -217,9 +218,9 @@ def _rows_with(rng, m, distinct, d):
 ])
 def test_pairwise_sqdist_matches_the_one_row_per_query_oracle(m, distinct, d):
     rng = nk.rng_for(31, m, distinct, d)
-    a = nk.tensor(_rows_with(rng, m, distinct, d))
-    b = nk.tensor(rng.normal(size=(37, d)) * 0.1)
-    weights = nk.tensor(rng.normal(size=(m, 37)))
+    a = tensor(_rows_with(rng, m, distinct, d))
+    b = tensor(rng.normal(size=(37, d)) * 0.1)
+    weights = tensor(rng.normal(size=(m, 37)))
     values, grads = [], []
     for pairwise in (geo.pairwise_sqdist, oracles.pairwise_sqdist):
         with nk.GradTape() as tape:
@@ -236,8 +237,8 @@ def test_pairwise_sqdist_matches_the_one_row_per_query_oracle(m, distinct, d):
 def test_pairwise_sqdist_signed_zero_rows_match_the_oracle():
     # 0.0 and -0.0 rows count as one distinct row; their differences differ
     # only in the sign of zero, which squaring removes
-    a = nk.tensor([[0.0, 0.5, -0.0], [-0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [-0.0, -0.0, -0.0]])
-    b = nk.tensor([[0.0, 0.5, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
+    a = tensor([[0.0, 0.5, -0.0], [-0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [-0.0, -0.0, -0.0]])
+    b = tensor([[0.0, 0.5, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
     got = geo.pairwise_sqdist(a, b).data
     np.testing.assert_allclose(got, oracles.pairwise_sqdist(a, b).data, rtol=1e-12, atol=0)
     assert not np.signbit(got).any()
@@ -254,8 +255,8 @@ def test_difference_block_has_one_row_per_distinct_row(monkeypatch, m, distinct)
 
     monkeypatch.setattr(geo, "_sqdist_rows", count)
     rng = nk.rng_for(32, m)
-    a = nk.tensor(_rows_with(rng, m, distinct, 6))
-    geo.pairwise_sqdist(a, nk.tensor(rng.normal(size=(50, 6))))
+    a = tensor(_rows_with(rng, m, distinct, 6))
+    geo.pairwise_sqdist(a, tensor(rng.normal(size=(50, 6))))
     assert rows == [distinct]
 
 
@@ -282,8 +283,8 @@ def assert_matches_the_oracle(a, b):
     """geometry.pairwise_sqdist(a, b) against the explicit differences: no
     entry negative, each within 16 ulps of |a_i|^2 + |b_j|^2, and the close
     pairs bit for bit; returns (got, want, close)."""
-    got = geo.pairwise_sqdist(nk.tensor(a), nk.tensor(b)).data
-    want = oracles.pairwise_sqdist(nk.tensor(a), nk.tensor(b)).data
+    got = geo.pairwise_sqdist(tensor(a), tensor(b)).data
+    want = oracles.pairwise_sqdist(tensor(a), tensor(b)).data
     scale = np.add.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
     assert (got >= 0.0).all()
     assert np.all(np.abs(got - want) <= 16 * EPS * scale)
@@ -329,12 +330,12 @@ def test_pairwise_sqdist_repeated_subjects_share_the_oracles_rows():
 def test_identical_rows_give_exact_zeros_and_the_oracles_gradients(distance, kind):
     rng = nk.rng_for(36)
     shared = np.vstack([at_margin(rng, 3, 8), random_ball_points(rng, 3, 8)])
-    a = nk.tensor(np.vstack([shared, random_ball_points(rng, 4, 8)]))
-    b = nk.tensor(np.vstack([random_ball_points(rng, 5, 8), shared]))
+    a = tensor(np.vstack([shared, random_ball_points(rng, 4, 8)]))
+    b = tensor(np.vstack([random_ball_points(rng, 5, 8), shared]))
     sq = geo.pairwise_sqdist(a, b).data
     np.testing.assert_array_equal(np.diag(sq[:6, 5:]), 0.0)
     assert not np.signbit(sq).any()
-    weights = nk.tensor(rng.normal(size=(10, 11)))
+    weights = tensor(rng.normal(size=(10, 11)))
 
     def oracle(x, y):
         sq = oracles.pairwise_sqdist(x, y)
@@ -392,9 +393,9 @@ def test_euclidean_from_sqdist_is_bit_equal_to_the_clamped_form(m, n, d, shared,
     rng = nk.rng_for(seed)
     draw = at_margin if margin else (lambda rng, k, d: random_ball_points(rng, k, d))
     pool = draw(rng, shared + 3, d)
-    a = nk.tensor(np.vstack([pool[:shared], pool[rng.integers(0, len(pool), m)]]))
-    b = nk.tensor(np.vstack([pool[:shared], draw(rng, n, d)]))
-    weights = nk.tensor(rng.normal(size=(m + shared, n + shared)))
+    a = tensor(np.vstack([pool[:shared], pool[rng.integers(0, len(pool), m)]]))
+    b = tensor(np.vstack([pool[:shared], draw(rng, n, d)]))
+    weights = tensor(rng.normal(size=(m + shared, n + shared)))
     values, grads = [], []
     for distance in (geo.euclidean_from_sqdist, clamped_euclidean):
         with nk.GradTape() as tape:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import grad_check, tensor
 from tkgdiff import corpus, gndiff
 from tkgdiff import numkit as nk
 from tkgdiff.errors import NumericError
@@ -277,7 +278,7 @@ def test_denoiser_output_has_one_block_per_role():
     # each position's block holds the live logits of the role-masked layout
     rng = nk.rng_for(64)
     masked = oracles.init_role_masked(3, 2, width=8, rng=rng)
-    masked = dataclasses.replace(masked, b2=nk.tensor(rng.normal(size=masked.b2.shape)))
+    masked = dataclasses.replace(masked, b2=tensor(rng.normal(size=masked.b2.shape)))
     params = oracles.role_sized(masked)
     assert {n: t.shape for n, t in params.named().items()} == params.shapes()
     xt = np.array([[0, 3, 5], [5, 5, 1]])            # K = 6, the mask is 5
@@ -297,7 +298,7 @@ def test_denoiser_cross_entropy_gradient():
     # and one sequence whose weights are all zero
     params = gndiff.init_denoiser(3, 1, width=6, rng=nk.rng_for(65))
     params = dataclasses.replace(
-        params, b2=nk.tensor(nk.rng_for(65, 1).normal(size=params.b2.shape)))
+        params, b2=tensor(nk.rng_for(65, 1).normal(size=params.b2.shape)))
     xt = np.array([[4, 3, 4], [0, 4, 4], [2, 3, 1]])  # K = 5, the mask is 4
     cols = np.array([[0, 3, 1], [0, 3, 2], [2, 3, 1]]) + [0, 0, 4]
     weights = np.array([[0.5, 0.0, 1.0], [0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
@@ -308,21 +309,21 @@ def test_denoiser_cross_entropy_gradient():
         logits = gndiff.denoise_x0_batch(p, xt, np.array([2, 3, 1]))
         return gndiff._role_cross_entropy(logits, p.role_blocks(), cols, weights)
 
-    report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
+    report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
 
 
 def test_role_cross_entropy_gradient_on_its_logits():
     rng = nk.rng_for(96)
     blocks = (slice(0, 4), slice(4, 6), slice(6, 10))
-    logits = nk.tensor(rng.normal(scale=3.0, size=(4, 10)))
+    logits = tensor(rng.normal(scale=3.0, size=(4, 10)))
     cols = np.array([[1, 4, 9], [3, 5, 6], [0, 4, 7], [2, 5, 8]])
     weights = np.array([[1.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.2, 0.7, 0.0], [0.0, 1.0, 1.0]])
 
     def f(ps):
         return gndiff._role_cross_entropy(ps[0], blocks, cols, weights)
 
-    report = nk.grad_check(f, [logits], tolerance=1e-6)
+    report = grad_check(f, [logits], tolerance=1e-6)
     assert report.ok, report
     with nk.GradTape() as tape:
         loss = f([logits])
@@ -348,7 +349,7 @@ def perfect_logits(seq):
     n_e, n_r = seq.n_entities, seq.n_relations
     out = np.full((1, 2 * n_e + n_r), oracles.NEG_INF)
     out[0, seq.tokens + [0, 0, n_e + n_r]] = 0.0
-    return nk.tensor(out)
+    return tensor(out)
 
 
 def test_loss_zero_for_perfect_denoiser(monkeypatch):
@@ -466,7 +467,7 @@ def test_batch_loss_gradient():
         p = dataclasses.replace(params, **dict(zip(names, ps)))
         return gndiff.batch_loss(p, ent, toks, steps=5, mu=0.25, rng=nk.rng_for(73))
 
-    report = nk.grad_check(f, list(params.named().values()), tolerance=1e-4)
+    report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
 
 
@@ -478,7 +479,7 @@ def test_batch_loss_is_finite_when_a_clean_token_underflows():
     params = gndiff.init_denoiser(n_e, n_r, width=6, rng=nk.rng_for(97))
     b2 = np.zeros(params.b2.shape)
     b2[0, 2] = -1000.0            # subject 2: the subject block starts at column 0
-    params = dataclasses.replace(params, w2=nk.zeros(*params.w2.shape), b2=nk.tensor(b2))
+    params = dataclasses.replace(params, w2=nk.zeros(*params.w2.shape), b2=tensor(b2))
     # mu = 0 keeps the schedule linear: at t = 1 draws of 0.999 mask all three
     # positions, and each reverts with probability 1
     rng = FakeRng([[1]], [np.full((1, 3), 0.999)])
@@ -497,7 +498,7 @@ def test_role_sized_denoiser_matches_the_role_masked_layout(n_e, n_r, width, bat
     # distributions bit for bit; the masked rows get no gradient at all
     rng = nk.rng_for(seed)
     masked = oracles.init_role_masked(n_e, n_r, width, rng)
-    masked = dataclasses.replace(masked, b2=nk.tensor(rng.normal(size=masked.b2.shape)))
+    masked = dataclasses.replace(masked, b2=tensor(rng.normal(size=masked.b2.shape)))
     params = oracles.role_sized(masked)
     ent = make_entropies(n_e, n_r, seed=seed)
     queries = np.stack([rng.integers(n_e, size=batch), rng.integers(n_r, size=batch)], 1)
@@ -544,7 +545,7 @@ def test_sample_conditional_clamps_and_degenerate_denoiser(monkeypatch):
         out[:, 1] = 0.0             # subject entity 1
         out[:, 4 + 0] = 0.0         # relation 0; the relation block starts at |E|
         out[:, 6 + target] = 0.0    # the tail block starts at |E|+|R|
-        return nk.tensor(out)
+        return tensor(out)
 
     monkeypatch.setattr(gndiff, "denoise_x0_batch", fake_denoise)
     o_id, dist = oracles.sample_conditional(sched, params, 1, 0, nk.rng_for(75))
@@ -706,10 +707,10 @@ def test_p_diff_batch_raises_on_non_finite_logits(monkeypatch):
     # finite weights whose tail logits overflow: a hidden layer of ones times
     # output rows of 1e308 sums past the float64 range
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(94))
-    w2 = params.w2.numpy()
+    w2 = params.w2.data.copy()
     w2[params.role_blocks()[2]] = 1e308
-    params = dataclasses.replace(params, w2=nk.tensor(w2))
-    monkeypatch.setattr(gndiff, "_hidden", lambda p, xt, ts: nk.full(len(xt), 6, 1.0))
+    params = dataclasses.replace(params, w2=tensor(w2))
+    monkeypatch.setattr(gndiff, "_hidden", lambda p, xt, ts: nk.Tensor(np.full((len(xt), 6), 1.0)))
     with pytest.raises(NumericError, match="non-finite"):
         gndiff.p_diff_batch(params, np.array([[0, 0]]), 4, 2, nk.rng_for(95))
 

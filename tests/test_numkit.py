@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import grad_check, tensor
 from tkgdiff import numkit as nk
 from tkgdiff.errors import DimensionError, NumericError
 
 
 def test_matmul_identity():
-    i2 = nk.tensor(np.eye(2))
-    a = nk.tensor([[1.0, 2.0], [3.0, 4.0]])
+    i2 = tensor(np.eye(2))
+    a = tensor([[1.0, 2.0], [3.0, 4.0]])
     out = nk.matmul(i2, a)
     np.testing.assert_array_equal(out.data, a.data)
 
 
 def test_matmul_hand_case():
-    a = nk.tensor([[1.0, 2.0]])
-    b = nk.tensor([[3.0], [4.0]])
+    a = tensor([[1.0, 2.0]])
+    b = tensor([[3.0], [4.0]])
     assert nk.matmul(a, b).item() == 11.0
 
 
@@ -26,25 +27,25 @@ def test_matmul_shape_error_names_shapes():
 
 def test_matmul_gradient_matches_finite_differences():
     rng = nk.rng_for(7)
-    a = nk.tensor(rng.random((5, 4)))
-    b = nk.tensor(rng.random((4, 3)))
+    a = tensor(rng.random((5, 4)))
+    b = tensor(rng.random((4, 3)))
 
-    report = nk.grad_check(lambda ps: nk.sum_all(nk.matmul(ps[0], ps[1])), [a, b],
+    report = grad_check(lambda ps: nk.sum_all(nk.matmul(ps[0], ps[1])), [a, b],
                            tolerance=1e-6)
     assert report.ok, report
 
 
 def test_elementwise_trivial_values():
-    assert nk.tanh(nk.tensor([0.0])).item() == 0.0
-    out = nk.exp(nk.tensor([0.0, 1.0]))
+    assert nk.tanh(tensor([0.0])).item() == 0.0
+    out = nk.exp(tensor([0.0, 1.0]))
     np.testing.assert_allclose(out.data, [[1.0, np.e]], rtol=1e-12)
 
 
 def test_elementwise_mul_gradient():
     rng = nk.rng_for(8)
-    a = nk.tensor(rng.random((3, 3)) + 0.1)
-    b = nk.tensor(rng.random((3, 3)) + 0.1)
-    report = nk.grad_check(lambda ps: nk.sum_all(nk.mul(ps[0], ps[1])), [a, b],
+    a = tensor(rng.random((3, 3)) + 0.1)
+    b = tensor(rng.random((3, 3)) + 0.1)
+    report = grad_check(lambda ps: nk.sum_all(nk.mul(ps[0], ps[1])), [a, b],
                            tolerance=1e-6)
     assert report.ok, report
 
@@ -52,29 +53,29 @@ def test_elementwise_mul_gradient():
 @pytest.mark.parametrize("kind", ["add", "sub", "div", "tanh", "exp", "log"])
 def test_elementwise_gradients_all_kinds(kind):
     rng = nk.rng_for(9)
-    a = nk.tensor(rng.random((2, 4)) + 0.5)
-    b = nk.tensor(rng.random((2, 4)) + 0.5)
+    a = tensor(rng.random((2, 4)) + 0.5)
+    b = tensor(rng.random((2, 4)) + 0.5)
     op = getattr(nk, kind)
 
     def f(ps):
         return nk.sum_all(op(*ps))
 
     params = [a, b] if kind in ("add", "sub", "div") else [a]
-    report = nk.grad_check(f, params, tolerance=1e-6)
+    report = grad_check(f, params, tolerance=1e-6)
     assert report.ok, (kind, report)
 
 
 def test_elementwise_broadcast_length_one_axis():
-    a = nk.tensor(np.ones((3, 4)))
-    col = nk.tensor(np.arange(3.0).reshape(3, 1))
-    row = nk.tensor(np.arange(4.0).reshape(1, 4))
+    a = tensor(np.ones((3, 4)))
+    col = tensor(np.arange(3.0).reshape(3, 1))
+    row = tensor(np.arange(4.0).reshape(1, 4))
     out = nk.add(nk.add(a, col), row)
     assert out.shape == (3, 4)
     assert out.data[2, 3] == 1.0 + 2.0 + 3.0
     # gradients reduce over the broadcast axes
-    report = nk.grad_check(
+    report = grad_check(
         lambda ps: nk.sum_all(nk.mul(nk.add(ps[0], ps[1]), ps[2])),
-        [col, row, nk.tensor(np.random.default_rng(0).random((3, 4)))],
+        [col, row, tensor(np.random.default_rng(0).random((3, 4)))],
         tolerance=1e-6)
     assert report.ok, report
 
@@ -82,47 +83,65 @@ def test_elementwise_broadcast_length_one_axis():
 def test_elementwise_shape_mismatch():
     for op in (nk.add, nk.sub, nk.mul, nk.div):
         with pytest.raises(DimensionError):
-            op(nk.zeros(2, 3), nk.full(3, 2, 1.0))
+            op(nk.zeros(2, 3), nk.Tensor(np.full((3, 2), 1.0)))
 
 
 def test_div_by_zero_raises():
     with pytest.raises(NumericError):
-        nk.div(nk.tensor([1.0]), nk.tensor([0.0]))
+        nk.div(tensor([1.0]), tensor([0.0]))
 
 
 def test_log_of_nonpositive_raises():
     with pytest.raises(NumericError):
-        nk.log(nk.tensor([0.0]))
+        nk.log(tensor([0.0]))
     with pytest.raises(NumericError):
-        nk.log(nk.tensor([-1.0]))
+        nk.log(tensor([-1.0]))
 
 
 def test_overflowing_results_raise_with_the_op_name():
     # op results are scanned once, in _result, not again when wrapped
-    big = nk.tensor([[1e200]])
+    big = tensor([[1e200]])
     with np.errstate(over="ignore"):
-        for op, call in (("exp", lambda: nk.exp(nk.tensor([[1000.0]]))),
+        for op, call in (("exp", lambda: nk.exp(tensor([[1000.0]]))),
                          ("mul", lambda: nk.mul(big, big)),
                          ("matmul", lambda: nk.matmul(big, big)),
                          ("adam_step", lambda: nk.adam_step(nk.AdamState((1, 1)),
-                                                            nk.tensor([[-1e308]]), [[1.0]],
+                                                            tensor([[-1e308]]), [[1.0]],
                                                             lr=1e308))):
             with pytest.raises(NumericError, match=op):
                 call()
 
 
+BIG, TINY = 1.79e308, 5e-324
+
+
+@pytest.mark.parametrize("op, rows", [
+    (nk.tanh, [[BIG, -BIG, TINY, -TINY]]),
+    (nk.log, [[BIG, TINY]]),
+    (nk.sqrt, [[BIG, TINY, 0.0]]),
+    (nk.acosh, [[BIG, -BIG, TINY]]),
+    (nk.softmax_rows, [[BIG, -BIG, TINY], [-BIG, TINY, BIG], [TINY, -TINY, 0.0]]),
+], ids=["tanh", "log", "sqrt", "acosh", "softmax_rows"])
+def test_unscanned_ops_give_finite_outputs_for_extreme_finite_inputs(op, rows):
+    # these ops return without a finiteness scan: for finite input their
+    # output is finite (the softmax rows span more than the largest float)
+    with np.errstate(over="ignore"):
+        out = op(nk.Tensor(np.array(rows)))
+    assert np.isfinite(out.data).all()
+
+
 def test_softmax_uniform():
-    out = nk.softmax_rows(nk.tensor([[0.0, 0.0, 0.0, 0.0]]))
+    out = nk.softmax_rows(tensor([[0.0, 0.0, 0.0, 0.0]]))
     np.testing.assert_allclose(out.data, [[0.25] * 4], atol=1e-12)
 
 
 def test_softmax_log_odds():
-    out = nk.softmax_rows(nk.tensor([[np.log(1.0), np.log(3.0)]]))
+    out = nk.softmax_rows(tensor([[np.log(1.0), np.log(3.0)]]))
     np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_softmax_large_offsets_stable():
-    out = nk.softmax_rows(nk.tensor([[1e4, 1e4 + 1.0, 1e4 - 2.0]]))
+    out = nk.softmax_rows(tensor([[1e4, 1e4 + 1.0, 1e4 - 2.0]]))
     assert abs(out.data.sum() - 1.0) < 1e-9
     assert np.all(np.isfinite(out.data))
 
@@ -130,17 +149,17 @@ def test_softmax_large_offsets_stable():
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = nk.rng_for(11)
     a = rng.normal(size=(6, 9)) * 3.0
-    p = nk.softmax_rows(nk.tensor(a))
+    p = nk.softmax_rows(tensor(a))
     np.testing.assert_allclose(p.data.sum(axis=1), np.ones(6), atol=1e-9)
-    p_shift = nk.softmax_rows(nk.tensor(a + 123.456))
+    p_shift = nk.softmax_rows(tensor(a + 123.456))
     np.testing.assert_allclose(p.data, p_shift.data, atol=1e-9)
 
 
 def test_softmax_gradient():
     rng = nk.rng_for(12)
-    a = nk.tensor(rng.normal(size=(3, 5)))
-    w = nk.tensor(rng.normal(size=(3, 5)))
-    report = nk.grad_check(
+    a = tensor(rng.normal(size=(3, 5)))
+    w = tensor(rng.normal(size=(3, 5)))
+    report = grad_check(
         lambda ps: nk.sum_all(nk.mul(nk.softmax_rows(ps[0]), w)), [a],
         tolerance=1e-6)
     assert report.ok, report
@@ -148,8 +167,8 @@ def test_softmax_gradient():
 
 def test_structural_op_gradients():
     rng = nk.rng_for(13)
-    a = nk.tensor(rng.random((3, 4)) + 0.2)
-    b = nk.tensor(rng.random((3, 2)) + 0.2)
+    a = tensor(rng.random((3, 4)) + 0.2)
+    b = tensor(rng.random((3, 2)) + 0.2)
 
     def f(ps):
         x = nk.concat_cols(ps[0], ps[1])          # (3, 6)
@@ -158,13 +177,13 @@ def test_structural_op_gradients():
         x = nk.sqrt(x)
         return nk.sum_all(nk.sum_cols(x))
 
-    report = nk.grad_check(f, [a, b], tolerance=1e-5)
+    report = grad_check(f, [a, b], tolerance=1e-5)
     assert report.ok, report
 
 
 def test_take_rows_and_gather_cols_gradients():
     rng = nk.rng_for(14)
-    table = nk.tensor(rng.random((5, 3)))
+    table = tensor(rng.random((5, 3)))
     ids = [0, 2, 2, 4]
 
     def f(ps):
@@ -172,7 +191,7 @@ def test_take_rows_and_gather_cols_gradients():
         picked = nk.gather_cols(rows, [0, 1, 2, 1])
         return nk.sum_all(picked)
 
-    report = nk.grad_check(f, [table], tolerance=1e-6)
+    report = grad_check(f, [table], tolerance=1e-6)
     assert report.ok, report
     # repeated ids accumulate
     with nk.GradTape() as tape:
@@ -183,14 +202,14 @@ def test_take_rows_and_gather_cols_gradients():
 
 
 def test_acosh_values_and_clamp():
-    out = nk.acosh(nk.tensor([[1.0, 5.0 / 3.0]]))
+    out = nk.acosh(tensor([[1.0, 5.0 / 3.0]]))
     np.testing.assert_allclose(out.data, [[0.0, np.log(3.0)]], atol=1e-12)
     # below-domain input clamps to 1 instead of failing
-    assert nk.acosh(nk.tensor([[0.5]])).item() == 0.0
+    assert nk.acosh(tensor([[0.5]])).item() == 0.0
 
 
 def test_adam_zero_gradient_is_fixed_point():
-    p = nk.tensor([[1.0, -2.0], [0.5, 3.0]])
+    p = tensor([[1.0, -2.0], [0.5, 3.0]])
     state = nk.AdamState(p.shape)
     out = p
     for _ in range(5):
@@ -200,7 +219,7 @@ def test_adam_zero_gradient_is_fixed_point():
 
 def test_adam_first_step_magnitude():
     # constant gradient 1, lr=0.001: bias-corrected first step is lr * 1/(1+eps)
-    p = nk.tensor([[0.0]])
+    p = tensor([[0.0]])
     state = nk.AdamState(p.shape)
     out = nk.adam_step(state, p, np.array([[1.0]]), lr=0.001)
     assert out.item() == pytest.approx(-0.001, rel=1e-6)
@@ -215,7 +234,7 @@ def test_adam_shape_mismatch():
 def test_adam_deterministic_runs():
     def run():
         rng = nk.rng_for(55)
-        p = nk.tensor(rng.normal(size=(4, 3)))
+        p = tensor(rng.normal(size=(4, 3)))
         state = nk.AdamState(p.shape)
         for _ in range(100):
             with nk.GradTape() as tape:
@@ -231,7 +250,7 @@ def test_adam_deterministic_runs():
 @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (37, 11), (200, 2)])
 def test_adam_in_place_matches_the_textbook_form(shape):
     rng = nk.rng_for(56, *shape)
-    p = q = nk.tensor(rng.normal(size=shape))
+    p = q = tensor(rng.normal(size=shape))
     state, ref = nk.AdamState(shape), nk.AdamState(shape)
     m, v = state.m, state.v
     for _ in range(100):
@@ -245,8 +264,8 @@ def test_adam_in_place_matches_the_textbook_form(shape):
 
 
 def test_grad_check_quadratic():
-    x = nk.tensor([[3.0]])
-    report = nk.grad_check(lambda ps: nk.mul(ps[0], ps[0]), [x], tolerance=1e-6)
+    x = tensor([[3.0]])
+    report = grad_check(lambda ps: nk.mul(ps[0], ps[0]), [x], tolerance=1e-6)
     assert report.ok
     with nk.GradTape() as tape:
         y = nk.mul(x, x)
@@ -256,7 +275,7 @@ def test_grad_check_quadratic():
 
 def test_backward_order_is_reverse_of_forward():
     # gradient through a chain reusing one tensor twice accumulates both paths
-    x = nk.tensor([[2.0]])
+    x = tensor([[2.0]])
     with nk.GradTape() as tape:
         y = nk.mul(x, x)        # x^2
         z = nk.mul(y, x)        # x^3
@@ -265,14 +284,20 @@ def test_backward_order_is_reverse_of_forward():
 
 
 def test_tensor_invariants():
-    t = nk.tensor([[1.0, 2.0], [3.0, 4.0]])
+    t = tensor([[1.0, 2.0], [3.0, 4.0]])
     assert t.size == 4 and t.shape == (2, 2)
     with pytest.raises(NumericError):
-        nk.tensor([[np.nan]])
+        tensor([[np.nan]])
     with pytest.raises(NumericError):
-        nk.tensor([[np.inf]])
+        tensor([[np.inf]])
     with pytest.raises(DimensionError):
         nk.Tensor(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("data", [np.zeros(3), 1.0], ids=["1-D", "0-D"])
+def test_tensor_takes_2d_input_only(data):
+    with pytest.raises(DimensionError, match="tensors are 2-D"):
+        nk.Tensor(data)
 
 
 def test_rng_for_is_stable_and_splits():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -28,6 +29,26 @@ def test_every_public_name_resolves(name):
     assert len(set(public)) == len(public), f"duplicates in tkgdiff.{name}.__all__"
     missing = [attr for attr in public if not hasattr(module, attr)]
     assert not missing, f"tkgdiff.{name}.__all__ names undefined {missing}"
+
+
+def test_every_numkit_name_has_a_caller_in_the_package():
+    # numkit is the kernel the package runs on; test tooling lives in tests/
+    used = set()
+    for name in MODULES:
+        if name == "numkit":
+            continue
+        tree = ast.parse(Path(tkgdiff.__path__[0], f"{name}.py").read_text(encoding="utf-8"))
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                   for a in node.names if a.name == "numkit"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "numkit":
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                used.add(node.attr)
+    unused = [attr for attr in numkit.__all__ if attr not in used]
+    assert not unused, f"numkit names no other tkgdiff module uses: {unused}"
 
 
 def test_every_console_script_resolves():
