@@ -100,7 +100,6 @@ class QueryBatch:
 
     s_ids: np.ndarray       # (B,)
     r_ids: np.ndarray       # (B,)
-    t_ids: np.ndarray       # (B,)
     gt_ids: np.ndarray      # (B,)
     z_rows: np.ndarray      # (B, |E|), entries in {+lam, -lam}
     periodic: np.ndarray    # (B,) bool: ground truth already in history
@@ -116,7 +115,7 @@ class QueryBatch:
         z = np.full((len(quads), index.n_entities), -index.lam)
         z[index.history_pairs(s, r, t)] = index.lam
         periodic = z[np.arange(len(quads)), o] > 0
-        return cls(s_ids=s, r_ids=r, t_ids=t, gt_ids=o, z_rows=z, periodic=periodic)
+        return cls(s_ids=s, r_ids=r, gt_ids=o, z_rows=z, periodic=periodic)
 
 
 def _query_input(params: DpclParams, batch: QueryBatch) -> tuple[Tensor, Tensor]:

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,7 +61,7 @@ class TrainConfig:
     `no_gndiff` or `no_dpcl`, which leaves its parameters out of the run.
     `mapping_strategy` is one of dpcl.STRATEGY_DISTANCES's keys, spelled
     exactly. `validate` checks each value's type too: an int field takes an
-    int and a float field an int or a float, neither a bool; a bool field
+    int and a float field a finite int or float, neither a bool; a bool field
     takes a bool and `mapping_strategy` a str. Adam's decay rates and offset
     are numkit's constants; `lr` is the step size of every Adam step, also
     after a resume.
@@ -89,6 +90,8 @@ class TrainConfig:
             if not isinstance(value, _FIELD_TYPES[f.type]) or \
                     (isinstance(value, bool) and f.type != "bool"):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}; set no_gndiff "
                               f"or no_dpcl to drop a component")
@@ -293,20 +296,21 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    Every way the file can fail to decode raises CheckpointError: a bad
-    magic, an unknown version (CheckpointVersionError), truncation (also
-    dims that claim more bytes than the file has left), a header that is not
-    the expected JSON, a config that TrainConfig.from_dict refuses (also a
-    value of the wrong type), an `epoch`, Adam step count, `n_entities` or
-    `n_relations` that is not a non-negative int, a `best_val_mrr` that is
-    not a finite number, a record that is not 2-D, a missing or unexpected
-    tensor record, Adam states that do not match the parameter records, an
-    Adam moment of another shape than its parameter, a parameter record
-    whose shape is not the one the header's `n_entities` and `n_relations`
-    and the config's `d_dpcl` (dpcl.param_shapes) or `d_diff` give it, or a
-    non-finite payload. The component the header's config ablates must have
-    no records and loads as None; every other component must have all of its
-    records.
+    One rule fixes the records: the header's config, `n_entities` and
+    `n_relations` give the name and shape of each parameter the config
+    trains (`_param_shapes`), and the file holds exactly those records and
+    each one's two Adam moments of its shape, once each. The header's `adam`
+    names the same parameters. So the component the config ablates has no
+    records and loads as None. Each record is checked before its payload is
+    read.
+
+    CheckpointError for any breach of the rule, and for a bad magic, an
+    unknown version (CheckpointVersionError), truncation (also dims that
+    claim more bytes than the file has left), a non-finite payload, a header
+    that is not the expected JSON, a config that TrainConfig.from_dict
+    refuses, an `epoch`, Adam step count, `n_entities` or `n_relations` that
+    is not a non-negative int, a `best_val_mrr` that is not a finite number,
+    or `metrics` that are not a list of JSON objects.
 
     Parameter tensors are read-only views of the arrays read from the file;
     the Adam moments are those arrays, writeable.
@@ -326,24 +330,6 @@ def load_checkpoint(path) -> Checkpoint:
                 f"corrupt checkpoint {path}: {type(e).__name__}: {e}") from e
 
 
-def _read_array(fh, size: int, name: str) -> np.ndarray:
-    """One record's float64 payload, read straight into a fresh array. The
-    dims are checked against the bytes left in the file before anything is
-    allocated."""
-    (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-    if rank != 2:
-        raise ValueError(f"tensor '{name}' has rank {rank}, expected 2")
-    dims = struct.unpack("<2I", _read_exact(fh, 8, "dims"))
-    if 8 * math.prod(dims) > size - fh.tell():
-        raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
-    arr = np.empty(dims, dtype="<f8")
-    if fh.readinto(arr) != arr.nbytes:
-        raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
-    if not np.isfinite(arr).all():
-        raise NumericError(f"tensor '{name}' contains non-finite values")
-    return arr
-
-
 def _count(value, what: str) -> int:
     """A header count: an int (not a bool) that is at least 0."""
     if type(value) is not int or value < 0:
@@ -351,69 +337,79 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _param_shapes(config: TrainConfig, n_entities: int,
+                  n_relations: int) -> dict[str, tuple[int, int]]:
+    """The shape of each parameter that a run of `config` trains on this
+    vocabulary, by record name."""
+    components = (
+        ("dpcl", config.no_dpcl, dpcl_mod.param_shapes(n_entities, n_relations, config.d_dpcl)),
+        ("denoiser", config.no_gndiff,
+         gndiff.param_shapes(n_entities, n_relations, config.d_diff)))
+    return {f"{prefix}.{name}": shape for prefix, ablated, shapes in components
+            if not ablated for name, shape in shapes.items()}
+
+
+def _unprefixed(named: dict, prefix: str) -> dict:
+    """The entries of `named` under `<prefix>.`, keyed by the rest of the name."""
+    cut = len(prefix) + 1
+    return {name[cut:]: v for name, v in named.items() if name.startswith(prefix + ".")}
+
+
 def _read_body(fh) -> Checkpoint:
     size = os.fstat(fh.fileno()).st_size
     (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
     header = json.loads(_read_exact(fh, hlen, "header"))
-    arrays: dict[str, np.ndarray] = {}
-    while True:
-        raw = fh.read(4)
-        if not raw:
-            break
-        if len(raw) != 4:
-            raise CheckpointError("truncated checkpoint while reading record")
-        (nlen,) = struct.unpack("<I", raw)
-        name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
-        arrays[name] = _read_array(fh, size, name)
-
     config = TrainConfig.from_dict(header["config"])
-    sizes = tuple(_count(header[key], key) for key in ("n_entities", "n_relations"))
-    dparams = _component(arrays, "dpcl", config.no_dpcl, DpclParams)
-    nparams = _component(arrays, "denoiser", config.no_gndiff, DenoiserParams,
-                         n_entities=sizes[0], n_relations=sizes[1], width=config.d_diff)
+    n_entities, n_relations = (_count(header[key], key) for key in ("n_entities", "n_relations"))
+    epoch = _count(header["epoch"], "epoch")
     best = header["best_val_mrr"]
     if type(best) not in (int, float) or not math.isfinite(best):
         raise ValueError(f"best_val_mrr must be a finite number, got {best!r}")
-    ckpt = Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam={},
-                      epoch=_count(header["epoch"], "epoch"), best_val_mrr=best,
-                      metrics=header["metrics"])
-    if dparams is not None:
-        _check_shapes("dpcl", dparams, dpcl_mod.param_shapes(*sizes, config.d_dpcl), "d_dpcl")
-    if nparams is not None:
-        _check_shapes("denoiser", nparams, nparams.shapes(), "d_diff")
-    params = ckpt.named_tensors()
-    if set(header["adam"]) != set(params):
-        raise ValueError("Adam states do not match the parameter records")
-    for name, t in header["adam"].items():
-        m, v = arrays.pop(f"adam.m.{name}"), arrays.pop(f"adam.v.{name}")
-        if not m.shape == v.shape == params[name].shape:
-            raise ValueError(f"Adam moments of '{name}' have shapes {m.shape} and {v.shape}, "
-                             f"its parameter {params[name].shape}")
-        state = ckpt.adam[name] = AdamState(m.shape)
-        state.m, state.v, state.t = m, v, _count(t, f"Adam step count of '{name}'")
-    if arrays:
-        raise ValueError(f"unexpected tensor records {sorted(arrays)}")
-    return ckpt
+    metrics = header["metrics"]
+    if type(metrics) is not list or any(type(line) is not dict for line in metrics):
+        raise ValueError(f"metrics must be a list of JSON objects, got {metrics!r}")
+    steps = {name: _count(t, f"Adam step count of '{name}'") for name, t in header["adam"].items()}
+    params = _param_shapes(config, n_entities, n_relations)
+    if steps.keys() != params.keys():
+        raise ValueError(f"the header's Adam states and the parameters its config trains "
+                         f"differ in {sorted(steps.keys() ^ params.keys())}")
+    expected = {kind + name: shape for name, shape in params.items()
+                for kind in ("", "adam.m.", "adam.v.")}
 
+    arrays: dict[str, np.ndarray] = {}
+    while fh.tell() < size:
+        (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "record"))
+        name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
+        shape = expected.pop(name, None)
+        if shape is None:
+            raise ValueError(f"record '{name}' " + ("appears twice" if name in arrays
+                                                    else "is not one the header implies"))
+        rank, *dims = struct.unpack("<3I", _read_exact(fh, 12, f"dims of '{name}'"))
+        if (rank, *dims) != (2, *shape):
+            raise ValueError(f"record '{name}' has rank {rank} and dims {tuple(dims)}, "
+                             f"the header implies {shape}")
+        if 8 * math.prod(dims) > size - fh.tell():
+            raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
+        arr = np.empty(dims, dtype="<f8")
+        if fh.readinto(arr) != arr.nbytes:
+            raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
+        if not np.isfinite(arr).all():
+            raise NumericError(f"tensor '{name}' contains non-finite values")
+        arrays[name] = arr
+    if expected:
+        raise ValueError(f"missing records {sorted(expected)}")
 
-def _check_shapes(prefix: str, params, expected: dict, width: str) -> None:
-    """Refuse a component whose records do not have the shapes that the
-    header's sizes and its width `width` give them."""
-    wrong = {name: t.shape for name, t in params.named().items() if t.shape != expected[name]}
-    if wrong:
-        raise ValueError(f"{prefix} records have shapes {wrong}, the header's sizes "
-                         f"and {width} give {expected}")
-
-
-def _component(arrays: dict[str, np.ndarray], prefix: str, ablated: bool, cls, **meta):
-    """The parameters of one component, taking its records out of `arrays`:
-    None when the config ablates it, which then must have no records."""
-    names = [k for k in arrays if k.startswith(prefix + ".")]
-    if ablated:
-        if names:
-            raise ValueError(f"{prefix}.* records in a checkpoint whose config ablates {prefix}")
-        return None
-    return cls(**{k[len(prefix) + 1:]: nk._wrap(arrays.pop(k)) for k in names}, **meta)
+    tensors = {name: nk._wrap(arrays[name]) for name in params}
+    dparams = None if config.no_dpcl else DpclParams(**_unprefixed(tensors, "dpcl"))
+    nparams = None if config.no_gndiff else DenoiserParams(
+        **_unprefixed(tensors, "denoiser"), n_entities=n_entities, n_relations=n_relations,
+        width=config.d_diff)
+    adam = {}
+    for name, t in steps.items():
+        state = adam[name] = AdamState(params[name])
+        state.m, state.v, state.t = arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"], t
+    return Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam=adam, epoch=epoch,
+                      best_val_mrr=best, metrics=metrics)
 
 
 def _model(config: TrainConfig, dparams: DpclParams | None,
@@ -534,8 +530,8 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
             store.n_entities, store.n_relations, config.d_dpcl, init_rng)
         nparams = None if config.no_gndiff else gndiff.init_denoiser(
             store.n_entities, store.n_relations, config.d_diff, init_rng)
-        adam = {name: AdamState(p.shape)
-                for name, p in _named_tensors(dparams, nparams).items()}
+        adam = {name: AdamState(shape) for name, shape in
+                _param_shapes(config, store.n_entities, store.n_relations).items()}
         start_epoch = 0
         best_mrr = -1.0
         metrics = []
@@ -583,17 +579,14 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
             updated = {n: nk.adam_step(adam[n], p, g, config.lr)
                        for (n, p), g in zip(trainable.items(), grads)}
             if not config.no_dpcl:
-                dpcl_updates = {k.split(".", 1)[1]: v for k, v in updated.items()
-                                if k.startswith("dpcl.")}
+                dpcl_updates = _unprefixed(updated, "dpcl")
                 if needs_ball:
                     emb = dpcl_updates["entity_emb"]
                     dpcl_updates["entity_emb"] = Tensor(
                         project_array_to_ball(emb.data), copy=False)
                 dparams = dataclasses.replace(dparams, **dpcl_updates)
             if not config.no_gndiff:
-                den_updates = {k.split(".", 1)[1]: v for k, v in updated.items()
-                               if k.startswith("denoiser.")}
-                nparams = dataclasses.replace(nparams, **den_updates)
+                nparams = dataclasses.replace(nparams, **_unprefixed(updated, "denoiser"))
 
             sums["ce"] += _maybe(ce_t) or 0.0
             sums["sup"] += _maybe(sup_t) or 0.0

@@ -28,7 +28,7 @@ from .errors import NumericError
 from .numkit import Tensor
 
 __all__ = [
-    "N_POSITIONS", "DenoiserParams", "init_denoiser",
+    "N_POSITIONS", "DenoiserParams", "param_shapes", "init_denoiser",
     "denoise_x0_batch", "batch_loss", "p_diff_batch",
 ]
 
@@ -84,19 +84,9 @@ class DenoiserParams:
     def vocab_size(self) -> int:
         return self.n_entities + self.n_relations + 1
 
-    @property
-    def n_outputs(self) -> int:
-        return 2 * self.n_entities + self.n_relations
-
     def named(self) -> dict[str, Tensor]:
         return {f: getattr(self, f)
                 for f in ("token_emb", "w1", "b1", "w2", "b2")}
-
-    def shapes(self) -> dict[str, tuple[int, int]]:
-        """The shape each tensor has for this vocabulary and width."""
-        k, w, n = self.vocab_size, self.width, self.n_outputs
-        return {"token_emb": (k, w), "w1": (w, 4 * w), "b1": (1, w),
-                "w2": (n, w), "b2": (1, n)}
 
     def role_blocks(self) -> tuple[slice, slice, slice]:
         """Output columns of the subject, relation and tail positions."""
@@ -104,20 +94,27 @@ class DenoiserParams:
         return slice(0, e), slice(e, e + r), slice(e + r, 2 * e + r)
 
 
+def param_shapes(n_entities: int, n_relations: int, width: int) -> dict[str, tuple[int, int]]:
+    """The shape of each DenoiserParams tensor for this vocabulary and width:
+    K = |E|+|R|+1 token rows, a hidden layer as wide as the embeddings, and
+    2|E|+|R| output rows."""
+    k, n_out = n_entities + n_relations + 1, 2 * n_entities + n_relations
+    return {"token_emb": (k, width), "w1": (width, 4 * width), "b1": (1, width),
+            "w2": (n_out, width), "b2": (1, n_out)}
+
+
 def init_denoiser(n_entities: int, n_relations: int, width: int,
                   rng: np.random.Generator) -> DenoiserParams:
-    k = n_entities + n_relations + 1
-    n_out = 2 * n_entities + n_relations
-    hidden = width
+    shapes = param_shapes(n_entities, n_relations, width)
 
-    def uniform(rows, cols, fan):
-        return Tensor(rng.uniform(-1.0, 1.0, size=(rows, cols)) * np.sqrt(3.0 / fan),
+    def uniform(name, fan):
+        return Tensor(rng.uniform(-1.0, 1.0, size=shapes[name]) * np.sqrt(3.0 / fan),
                       copy=False)
 
     return DenoiserParams(
-        token_emb=uniform(k, width, width),
-        w1=uniform(hidden, 4 * width, 4 * width), b1=nk.zeros(1, hidden),
-        w2=uniform(n_out, hidden, hidden), b2=nk.zeros(1, n_out),
+        token_emb=uniform("token_emb", width),
+        w1=uniform("w1", 4 * width), b1=nk.zeros(*shapes["b1"]),
+        w2=uniform("w2", width), b2=nk.zeros(*shapes["b2"]),
         n_entities=n_entities, n_relations=n_relations, width=width,
     )
 

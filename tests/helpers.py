@@ -108,12 +108,12 @@ def make_batch(rng, n_entities, size, lam=2.0):
     and the ground truth is in the history half of the time."""
     s = rng.integers(0, n_entities, size)
     r = rng.integers(0, 2, size)
-    t = rng.integers(1, 10, size)
+    rng.integers(1, 10, size)   # the timestamps; drawn so the later draws keep their values
     gt = rng.integers(0, n_entities, size)
     z = np.where(rng.random((size, n_entities)) < 0.3, lam, -lam)
     z[np.arange(size), gt] = np.where(rng.random(size) < 0.5, lam, -lam)
     periodic = z[np.arange(size), gt] > 0
-    return QueryBatch(s, r, t, gt, z, periodic)
+    return QueryBatch(s, r, gt, z, periodic)
 
 
 def assert_same_state(a, b):

@@ -133,9 +133,8 @@ def test_permutation_equivariance(setup):
     inv = np.argsort(perm)
     scores = periodic(params, batch).data
     pparams = dataclasses.replace(params, entity_emb=tensor(params.entity_emb.data[inv]))
-    pbatch = dpcl.QueryBatch(perm[batch.s_ids], batch.r_ids, batch.t_ids,
-                             perm[batch.gt_ids], batch.z_rows[:, inv],
-                             batch.periodic)
+    pbatch = dpcl.QueryBatch(perm[batch.s_ids], batch.r_ids, perm[batch.gt_ids],
+                             batch.z_rows[:, inv], batch.periodic)
     pscores = periodic(pparams, pbatch).data
     np.testing.assert_allclose(pscores[:, perm], scores, atol=1e-12)
 
@@ -271,8 +270,8 @@ def hand_placed_params():
 def test_supcon_two_identical_same_label():
     params = hand_placed_params()
     z = np.zeros((2, 2))
-    batch = dpcl.QueryBatch(np.array([0, 0]), np.array([0, 0]), np.array([1, 1]),
-                            np.array([0, 0]), z, np.array([True, True]))
+    batch = dpcl.QueryBatch(np.array([0, 0]), np.array([0, 0]), np.array([0, 0]), z,
+                            np.array([True, True]))
     loss = dpcl.supcon_loss(params, batch, tau=0.1)
     assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
@@ -282,8 +281,8 @@ def test_supcon_all_same_label_identical_codes():
     # terms, so each anchor contributes log(B-1); zero only at B=2
     params = hand_placed_params()
     b = 4
-    batch = dpcl.QueryBatch(np.zeros(b, int), np.zeros(b, int), np.ones(b, int),
-                            np.zeros(b, int), np.zeros((b, 2)), np.ones(b, bool))
+    batch = dpcl.QueryBatch(np.zeros(b, int), np.zeros(b, int), np.zeros(b, int),
+                            np.zeros((b, 2)), np.ones(b, bool))
     loss = dpcl.supcon_loss(params, batch, tau=0.1)
     z = np.tile([1.0, 0.0], (b, 1))
     assert loss.item() == pytest.approx(scalar_supcon(z, [0] * b, 0.1), abs=1e-12)
@@ -293,9 +292,8 @@ def test_supcon_all_same_label_identical_codes():
 def test_supcon_hand_placed_antipodal():
     # codes at 0 deg / 0 deg / 180 deg on the unit circle, labels {A, A, B}
     params = hand_placed_params()
-    batch = dpcl.QueryBatch(np.array([0, 0, 1]), np.zeros(3, int), np.ones(3, int),
-                            np.zeros(3, int), np.zeros((3, 5)),
-                            np.array([True, True, False]))
+    batch = dpcl.QueryBatch(np.array([0, 0, 1]), np.zeros(3, int), np.zeros(3, int),
+                            np.zeros((3, 5)), np.array([True, True, False]))
     loss = dpcl.supcon_loss(params, batch, tau=0.1)
     z = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
     want = scalar_supcon(z, [0, 0, 1], 0.1)
@@ -332,9 +330,8 @@ def test_supcon_rotation_invariance(setup):
 
 def test_supcon_no_positive_pairs_is_zero():
     params = hand_placed_params()
-    batch = dpcl.QueryBatch(np.array([0, 1]), np.zeros(2, int), np.ones(2, int),
-                            np.zeros(2, int), np.zeros((2, 2)),
-                            np.array([True, False]))
+    batch = dpcl.QueryBatch(np.array([0, 1]), np.zeros(2, int), np.zeros(2, int),
+                            np.zeros((2, 2)), np.array([True, False]))
     assert dpcl.supcon_loss(params, batch, tau=0.1).item() == 0.0
 
 

@@ -457,15 +457,25 @@ def drop_record(header, records):
     return header, records
 
 
+def stray_record(header, records):
+    records["other.x"] = (pack_record("other.x", np.zeros((1, 1))), np.zeros((1, 1)))
+    return header, records
+
+
 @pytest.mark.parametrize("corrupt", [
     nan_payload,
     lambda header, records: (b"{not json", records),
     edit_header(lambda h: h.pop("epoch")),
     edit_header(lambda h: h["config"].update(bogus=1)),
     drop_record,
+    stray_record,
+    *(edit_header(lambda h, m=metrics: h.update(metrics=m)) for metrics in (5, "x", [1, 2])),
 ], ids=["non-finite-payload", "header-not-json", "header-missing-key",
-        "unknown-config-key", "missing-tensor-record"])
+        "unknown-config-key", "missing-tensor-record", "unexpected-tensor-record",
+        "metrics-number", "metrics-string", "metrics-not-objects"])
 def test_every_checkpoint_load_failure_is_a_checkpoint_error(tmp_path, small_ckpt, corrupt):
+    # metrics of 5 or "x" used to load and fail the resume after its first
+    # epoch; [1, 2] resumed and was written into every later checkpoint
     good = tmp_path / "good.ckpt"
     engine.save_checkpoint(small_ckpt, good)
     blob = good.read_bytes()
@@ -550,7 +560,7 @@ def test_component_records_must_match_what_the_config_trains(tmp_path, small_ckp
         return engine.load_checkpoint(path)
 
     # records of a component the header's config ablates
-    with pytest.raises(CheckpointError, match=rf"{absent}\.\* records"):
+    with pytest.raises(CheckpointError, match=rf"differ in \['{absent}\."):
         load_with(small_ckpt, True)
     # no records of a component the header's config trains
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
@@ -626,7 +636,7 @@ def test_checkpoint_in_the_format_with_role_masked_output_rows_is_rejected(tmp_p
         records[name] = (pack_record(name, wide), wide)
     blob = join_checkpoint(blob, header, records)
     path.write_bytes(blob)
-    with pytest.raises(CheckpointError, match="denoiser records have shapes"):
+    with pytest.raises(CheckpointError, match=r"denoiser\.b2' has rank 2 and dims \(1, 27\)"):
         engine.load_checkpoint(path)
     path.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
     with pytest.raises(CheckpointVersionError, match="version 4 is not supported"):
@@ -647,7 +657,7 @@ def test_denoiser_records_must_have_the_shapes_the_header_gives(tmp_path, ablate
     blob = path.read_bytes()
     header, records = edit_header(edit)(*split_checkpoint(blob))
     path.write_bytes(join_checkpoint(blob, header, records))
-    with pytest.raises(CheckpointError, match="denoiser records have shapes"):
+    with pytest.raises(CheckpointError, match=r"denoiser\.\w+' has rank 2 and dims"):
         engine.load_checkpoint(path)
 
 
@@ -671,7 +681,7 @@ def test_dpcl_records_must_have_the_shapes_the_header_gives(tmp_path, ablated_ck
     else:
         header, records = edit_header(edit)(header, records)
     path.write_bytes(join_checkpoint(blob, header, records))
-    with pytest.raises(CheckpointError, match="dpcl records have shapes"):
+    with pytest.raises(CheckpointError, match=r"dpcl\.\w+' has rank 2 and dims"):
         engine.load_checkpoint(path)
 
 
@@ -689,7 +699,7 @@ def test_adam_moments_must_have_their_parameters_shape(tmp_path, ablated_ckpts, 
     wide = np.zeros((rows, cols + 1))
     records[name] = (pack_record(name, wide), wide)
     path.write_bytes(join_checkpoint(blob, header, records))
-    with pytest.raises(CheckpointError, match="Adam moments of"):
+    with pytest.raises(CheckpointError, match=rf"'adam\.{moment}\.\w+\.\w+' has rank 2 and dims"):
         engine.load_checkpoint(path)
 
 
@@ -734,18 +744,71 @@ def test_loaded_parameters_are_read_only_and_adam_moments_writeable(tmp_path, sm
 
 
 def test_record_dims_past_the_end_of_the_file_are_truncation(tmp_path, small_ckpt):
+    # the header's sizes give the record the dims it claims, and the record
+    # comes first, before any whose shape those sizes change; so only the
+    # bytes left in the file tell the dims false
     good = tmp_path / "good.ckpt"
     engine.save_checkpoint(small_ckpt, good)
     blob = good.read_bytes()
-    header, records = split_checkpoint(blob)
-    rec, arr = records["dpcl.entity_emb"]
+    header, records = edit_header(lambda h: (h.update(n_entities=2 ** 30),
+                                             h["config"].update(d_dpcl=2 ** 30)))(
+        *split_checkpoint(blob))
+    rec, arr = records.pop("dpcl.entity_emb")
     dims_at = len(rec) - arr.nbytes - 8
-    records["dpcl.entity_emb"] = (rec[:dims_at] + struct.pack("<2I", 2 ** 30, 2 ** 30)
-                                  + rec[dims_at + 8:], arr)
+    records = {"dpcl.entity_emb": (rec[:dims_at] + struct.pack("<2I", 2 ** 30, 2 ** 30)
+                                   + rec[dims_at + 8:], arr), **records}
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(join_checkpoint(blob, header, records))
     with pytest.raises(CheckpointError, match="truncated"):
         engine.load_checkpoint(bad)
+
+
+def test_a_wrong_shaped_record_cut_off_mid_payload_reports_its_shape(tmp_path,
+                                                                     ablated_ckpts):
+    # the dims are checked against the header before the payload is read
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts["no_gndiff"], path)
+    blob = path.read_bytes()
+    header, records = split_checkpoint(blob)
+    rows, cols = records["dpcl.w_per"][1].shape
+    wide = np.zeros((rows, cols + 3))
+    records["dpcl.w_per"] = (pack_record("dpcl.w_per", wide), wide)
+    names = list(records)
+    start = 12 + len(header) + sum(len(records[n][0]) for n in names[:names.index("dpcl.w_per")])
+    cut = start + len(records["dpcl.w_per"][0]) - wide.nbytes // 2
+    path.write_bytes(join_checkpoint(blob, header, records)[:cut])
+    with pytest.raises(CheckpointError, match=rf"'dpcl\.w_per' has rank 2 and dims "
+                                              rf"\({rows}, {cols + 3}\)"):
+        engine.load_checkpoint(path)
+
+
+def test_a_record_that_appears_twice_is_refused(tmp_path, small_ckpt):
+    # the later copy used to win
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    again = small_ckpt.dpcl.w_per.data + 1.0
+    path.write_bytes(path.read_bytes() + pack_record("dpcl.w_per", again))
+    with pytest.raises(CheckpointError, match="record 'dpcl.w_per' appears twice"):
+        engine.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["lam", "lr", "mu", "tau"])
+def test_a_non_finite_config_float_is_refused(tmp_path, ablated_ckpts, key, value):
+    # each of these loaded from a checkpoint header, and training stopped at
+    # batch 0 with a non-finite loss that named no term
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        engine.TrainConfig(**{key: float(value)}).validate()
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        engine.TrainConfig.from_dict({key: value})
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts["no_gndiff"], path)
+    blob = path.read_bytes()
+    header, records = edit_header(lambda h: h["config"].update({key: float(value)}))(
+        *split_checkpoint(blob))
+    path.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint.*{key} must be finite"):
+        engine.load_checkpoint(path)
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)

@@ -280,7 +280,7 @@ def test_denoiser_output_has_one_block_per_role():
     masked = oracles.init_role_masked(3, 2, width=8, rng=rng)
     masked = dataclasses.replace(masked, b2=tensor(rng.normal(size=masked.b2.shape)))
     params = oracles.role_sized(masked)
-    assert {n: t.shape for n, t in params.named().items()} == params.shapes()
+    assert {n: t.shape for n, t in params.named().items()} == gndiff.param_shapes(3, 2, 8)
     xt = np.array([[0, 3, 5], [5, 5, 1]])            # K = 6, the mask is 5
     ts = np.array([2, 1])
     logits = gndiff.denoise_x0_batch(params, xt, ts)
@@ -291,6 +291,13 @@ def test_denoiser_output_has_one_block_per_role():
         np.testing.assert_allclose(logits.data[:, block], ref[:, pos, live[pos]],
                                    rtol=1e-14, atol=0)
         assert np.all(np.delete(ref[:, pos], live[pos], axis=1) <= oracles.NEG_INF / 2)
+
+
+@pytest.mark.parametrize("n_entities, n_relations, width", [(5, 2, 4), (1, 1, 1), (9, 3, 16)])
+def test_param_shapes_are_those_init_denoiser_draws(n_entities, n_relations, width):
+    params = gndiff.init_denoiser(n_entities, n_relations, width, nk.rng_for(47))
+    assert {name: t.shape for name, t in params.named().items()} == \
+        gndiff.param_shapes(n_entities, n_relations, width)
 
 
 def test_denoiser_cross_entropy_gradient():
@@ -541,7 +548,7 @@ def test_sample_conditional_clamps_and_degenerate_denoiser(monkeypatch):
 
     def fake_denoise(p, xt, ts):
         seen_states.append(xt.copy())
-        out = np.full((len(xt), p.n_outputs), oracles.NEG_INF)
+        out = np.full((len(xt), p.b2.shape[1]), oracles.NEG_INF)
         out[:, 1] = 0.0             # subject entity 1
         out[:, 4 + 0] = 0.0         # relation 0; the relation block starts at |E|
         out[:, 6 + target] = 0.0    # the tail block starts at |E|+|R|
