@@ -251,9 +251,9 @@ def build_periodic_index(store: QuadStore, lam: float,
                          scope: tuple[str, ...] = ("train",)) -> PeriodicIndex:
     """The index of the facts in the scope's splits: one concatenate, one
     stable sort by (s, r, t) key, and the first fact of each (s, r, o) in
-    that order."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    that order. `lam` must be positive and finite (ValueError)."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     facts = np.concatenate([store.quads[:0], *(store.split(name) for name in scope)])
     stride = store.n_timestamps + 1
     pair = facts[:, 0] * store.n_relations + facts[:, 1]

@@ -80,10 +80,10 @@ def init_params(n_entities: int, n_relations: int, dim: int,
     bound = np.sqrt(6.0 / (3 * dim))
 
     def emb(n):
-        return Tensor(rng.uniform(-half, half, size=(n, dim)), copy=False)
+        return Tensor(rng.uniform(-half, half, size=(n, dim)))
 
     def weight():
-        return Tensor(rng.uniform(-bound, bound, size=(dim, 2 * dim)), copy=False)
+        return Tensor(rng.uniform(-bound, bound, size=(dim, 2 * dim)))
 
     return DpclParams(
         entity_emb=emb(n_entities), relation_emb=emb(n_relations),

@@ -98,6 +98,8 @@ class TrainConfig:
         for name in ("lam", "tau", "lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for name in ("d_dpcl", "d_diff", "batch", "chains"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
@@ -307,7 +309,8 @@ def load_checkpoint(path) -> Checkpoint:
     CheckpointError for any breach of the rule, and for a bad magic, an
     unknown version (CheckpointVersionError), truncation (also dims that
     claim more bytes than the file has left), a non-finite payload, a header
-    that is not the expected JSON, a config that TrainConfig.from_dict
+    that is not the expected JSON or repeats a key within one of its
+    objects, a config that TrainConfig.from_dict
     refuses, an `epoch`, Adam step count, `n_entities` or `n_relations` that
     is not a non-negative int, a `best_val_mrr` that is not a finite number,
     or `metrics` that are not a list of JSON objects.
@@ -337,6 +340,17 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object of the header as a dict; a key it repeats raises
+    ValueError, where json.loads alone would keep the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"header repeats the key '{key}' in one object")
+        out[key] = value
+    return out
+
+
 def _param_shapes(config: TrainConfig, n_entities: int,
                   n_relations: int) -> dict[str, tuple[int, int]]:
     """The shape of each parameter that a run of `config` trains on this
@@ -358,7 +372,7 @@ def _unprefixed(named: dict, prefix: str) -> dict:
 def _read_body(fh) -> Checkpoint:
     size = os.fstat(fh.fileno()).st_size
     (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-    header = json.loads(_read_exact(fh, hlen, "header"))
+    header = json.loads(_read_exact(fh, hlen, "header"), object_pairs_hook=_unique_keys)
     config = TrainConfig.from_dict(header["config"])
     n_entities, n_relations = (_count(header[key], key) for key in ("n_entities", "n_relations"))
     epoch = _count(header["epoch"], "epoch")
@@ -568,6 +582,8 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
                         diff_t = gndiff.batch_loss(nparams, entropies, toks,
                                                    config.steps, config.mu, erng)
                     total_t = joint_loss(config.alpha, ce_t, sup_t, diff_t)
+                if not math.isfinite(total_t.item()):
+                    raise NumericError("the total loss is not finite")
             except NumericError as e:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}: "
@@ -582,8 +598,7 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
                 dpcl_updates = _unprefixed(updated, "dpcl")
                 if needs_ball:
                     emb = dpcl_updates["entity_emb"]
-                    dpcl_updates["entity_emb"] = Tensor(
-                        project_array_to_ball(emb.data), copy=False)
+                    dpcl_updates["entity_emb"] = Tensor(project_array_to_ball(emb.data))
                 dparams = dataclasses.replace(dparams, **dpcl_updates)
             if not config.no_gndiff:
                 nparams = dataclasses.replace(nparams, **_unprefixed(updated, "denoiser"))

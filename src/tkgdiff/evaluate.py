@@ -20,7 +20,7 @@ from . import gndiff
 from . import numkit as nk
 from .corpus import PeriodicIndex, QuadStore, build_periodic_index, segments
 from .dpcl import DpclParams, QueryBatch
-from .errors import DimensionError
+from .errors import DimensionError, NumericError
 from .gndiff import DenoiserParams
 
 __all__ = ["Model", "RankReport", "p_dpcl", "combine", "ranks", "evaluate_split"]
@@ -98,7 +98,8 @@ _SCOPE_FOR_SPLIT = {
 
 def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
                          seed: int) -> np.ndarray:
-    """(B, |E|) candidate distribution per query from the model's components."""
+    """(B, |E|) candidate distribution per query from the model's components,
+    scanned once: a NaN would rank every gold answer first (NumericError)."""
     pd = pg = None
     if model.dpcl is not None:
         batch = QueryBatch.from_quads(quads, index)
@@ -106,11 +107,10 @@ def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
     if model.denoiser is not None:
         pg = gndiff.p_diff_batch(model.denoiser, quads[:, :2], model.steps,
                                  model.chains, nk.rng_for(seed, 9))
-    if pd is None:
-        return pg
-    if pg is None:
-        return pd
-    return combine(pg, pd)
+    p = pg if pd is None else pd if pg is None else combine(pg, pd)
+    if not np.isfinite(p).all():
+        raise NumericError("candidate distributions contain non-finite values")
+    return p
 
 
 def evaluate_split(model: Model, store: QuadStore, split: str, seed: int = 0,
@@ -129,7 +129,7 @@ def evaluate_split(model: Model, store: QuadStore, split: str, seed: int = 0,
     The candidate distributions are computed with BLAS on one thread, so
     they and their timing do not depend on the process's BLAS thread count
     (see numkit.single_threaded_blas). A model with neither component
-    raises ValueError.
+    raises ValueError, a non-finite distribution NumericError.
     """
     if model.dpcl is None and model.denoiser is None:
         raise ValueError("model has neither scoring parameters nor a denoiser")

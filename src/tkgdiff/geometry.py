@@ -94,7 +94,7 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     rows, inverse = np.unique(ad, axis=0, return_inverse=True)
     # numpy 2.0.x returns the inverse with a trailing axis
-    result = nk._result(_sqdist_rows(rows, bd)[inverse.reshape(-1)], "pairwise_sqdist")
+    result = nk._wrap(_sqdist_rows(rows, bd)[inverse.reshape(-1)])
 
     def backward(g):
         row = g.sum(axis=1, keepdims=True)

@@ -108,8 +108,7 @@ def init_denoiser(n_entities: int, n_relations: int, width: int,
     shapes = param_shapes(n_entities, n_relations, width)
 
     def uniform(name, fan):
-        return Tensor(rng.uniform(-1.0, 1.0, size=shapes[name]) * np.sqrt(3.0 / fan),
-                      copy=False)
+        return Tensor(rng.uniform(-1.0, 1.0, size=shapes[name]) * np.sqrt(3.0 / fan))
 
     return DenoiserParams(
         token_emb=uniform("token_emb", width),
@@ -216,7 +215,7 @@ def _role_cross_entropy(logits: Tensor, blocks: tuple[slice, ...], cols: np.ndar
         probs /= total[:, None]
         terms[rows, pos] = weights[rows, pos] * (shifted[at] - np.log(total))
         parts.append((rows, block, at, probs, weights[rows, pos] / b))
-    out = nk._result(np.array([[(-1.0 / b) * terms.sum()]]), "batch_loss")
+    out = nk._wrap(np.array([[(-1.0 / b) * terms.sum()]]))
 
     def backward(g):
         grad = np.zeros_like(z)

@@ -8,6 +8,12 @@ broadcast length-1 axes); it records itself on the innermost active GradTape
 pass, so gradient accumulation order is fixed and runs are reproducible.
 Adam's decay rates and offset are the module constants ADAM_BETA1,
 ADAM_BETA2 and ADAM_EPS; the caller passes the learning rate to each step.
+
+Finiteness has one rule. Tensor() scans the data it is given; an op checks
+only shapes and the domains of div, log and sqrt, and passes an overflow on
+as inf or NaN (a NaN softmax row, NaN sums) to where values leave the
+kernel, which scans them: the training loss (engine.train), each Adam
+update, and the candidate distribution evaluation ranks.
 """
 
 from __future__ import annotations
@@ -33,13 +39,15 @@ __all__ = [
 
 
 class Tensor:
-    """Immutable 2-D matrix of 64-bit floats (a scalar is 1x1). It takes 2-D
-    input only: any other rank raises DimensionError."""
+    """Immutable 2-D matrix of 64-bit floats (a scalar is 1x1). Other ranks
+    raise DimensionError, non-finite values NumericError. A C-ordered float64
+    array is kept uncopied and frozen: the Tensor owns it, so pass one that
+    nothing else writes. Other data is converted first."""
 
     __slots__ = ("data",)
 
-    def __init__(self, data, copy: bool = True):
-        arr = np.array(data, dtype=np.float64, copy=copy, order="C")
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise DimensionError(f"tensors are 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -65,11 +73,11 @@ class Tensor:
 
 
 def zeros(rows: int, cols: int) -> Tensor:
-    return Tensor(np.zeros((rows, cols)), copy=False)
+    return Tensor(np.zeros((rows, cols)))
 
 
 def constant(value: float) -> Tensor:
-    return Tensor(np.array([[float(value)]]), copy=False)
+    return Tensor(np.array([[float(value)]]))
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +140,12 @@ def _tape_record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def _wrap(values: np.ndarray) -> Tensor:
-    """A Tensor over a 2-D C-ordered float64 array that an operation or a
-    checkpoint load just made (or a view of an immutable tensor's array),
-    without Tensor()'s copy and scan: nothing else writes the array, and its
-    values come from checked tensors, from the maker's own scan, or from a
-    map that takes finite input to finite output (tanh; log and sqrt past
-    their domain checks; acosh of an input clamped to at least 1; a softmax
-    whose row sums are at least 1)."""
+    """A frozen Tensor over an array an op or a load just made (or a view of
+    a tensor's), unscanned: an op's inf or NaN is checked at the exits."""
     values.flags.writeable = False
     out = Tensor.__new__(Tensor)
     out.data = values
     return out
-
-
-def _result(values: np.ndarray, op: str) -> Tensor:
-    """Wrap an operation's fresh result after one finiteness scan."""
-    if not np.isfinite(values).all():
-        raise NumericError(f"{op} produced non-finite values")
-    return _wrap(values)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +155,7 @@ def _result(values: np.ndarray, op: str) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul needs inner dims to agree: {a.shape} x {b.shape}")
-    out = _result(a.data @ b.data, "matmul")
+    out = _wrap(a.data @ b.data)
 
     def backward(g):
         return g @ b.data.T, a.data.T @ g
@@ -185,7 +181,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b; length-1 axes broadcast, as in every binary op below."""
     _check_broadcast(a.shape, b.shape)
-    out = _result(a.data + b.data, "add")
+    out = _wrap(a.data + b.data)
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -195,7 +191,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.shape, b.shape)
-    out = _result(a.data - b.data, "sub")
+    out = _wrap(a.data - b.data)
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -206,7 +202,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.shape, b.shape)
     ad, bd = a.data, b.data
-    out = _result(ad * bd, "mul")
+    out = _wrap(ad * bd)
 
     def backward(g):
         return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
@@ -220,7 +216,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if np.any(bd == 0.0):
         raise NumericError("division by zero")
-    out = _result(ad / bd, "div")
+    out = _wrap(ad / bd)
 
     def backward(g):
         return (_unbroadcast(g / bd, a.shape),
@@ -240,7 +236,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = _result(np.exp(a.data), "exp")
+    out = _wrap(np.exp(a.data))
     y = out.data
 
     def backward(g):
@@ -303,7 +299,7 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = _result(np.array([[a.data.sum()]]), "sum_all")
+    out = _wrap(np.array([[a.data.sum()]]))
 
     def backward(g):
         return (np.full_like(a.data, g[0, 0]),)
@@ -314,7 +310,7 @@ def sum_all(a: Tensor) -> Tensor:
 def sum_cols(a: Tensor) -> Tensor:
     """Sum along axis 1, keeping a column: (m, n) -> (m, 1). The backward
     passes on a read-only broadcast view of the upstream gradient."""
-    out = _result(a.data.sum(axis=1, keepdims=True), "sum_cols")
+    out = _wrap(a.data.sum(axis=1, keepdims=True))
 
     def backward(g):
         return (np.broadcast_to(g, a.shape),)
@@ -436,7 +432,9 @@ def adam_step(state: AdamState, params: Tensor, grads, lr: float) -> Tensor:
     step *= lr
     step /= out
     np.subtract(params.data, step, out=out)
-    return _result(out, "adam_step")
+    if not np.isfinite(out).all():
+        raise NumericError("adam_step produced non-finite values")
+    return _wrap(out)
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,10 @@ def assert_same_state(a, b):
 
 
 def tensor(data) -> Tensor:
-    """A Tensor from 0-D, 1-D or 2-D data: a scalar becomes 1x1 and a vector
-    1xn, where Tensor itself takes 2-D input only."""
-    arr = np.asarray(data, dtype=np.float64)
+    """A Tensor over a copy of 0-D, 1-D or 2-D data: a scalar becomes 1x1
+    and a vector 1xn, where Tensor itself takes 2-D input only and keeps
+    (and freezes) a C-ordered float64 array as it is."""
+    arr = np.array(data, dtype=np.float64)
     return Tensor(arr.reshape(1, -1) if arr.ndim < 2 else arr)
 
 
@@ -166,7 +167,7 @@ def grad_check(f, params: Sequence[Tensor], tolerance: float = 1e-4,
         perturbed = list(params)
         d = params[i].data.copy()
         d.flat[flat_j] += delta
-        perturbed[i] = Tensor(d, copy=False)
+        perturbed[i] = Tensor(d)
         return f(perturbed).item()
 
     per_param = []

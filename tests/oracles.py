@@ -527,7 +527,7 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     diff = ad[:, None, :] - bd[None, :, :]
     out = np.einsum("ijk,ijk->ij", diff, diff)
-    result = nk._result(out, "pairwise_sqdist")
+    result = Tensor(out)
 
     def backward(g):
         row = g.sum(axis=1, keepdims=True)
@@ -557,7 +557,7 @@ def adam_step(state: nk.AdamState, params: Tensor, grads, lr: float) -> Tensor:
     state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
     m_hat = state.m / (1.0 - beta1 ** state.t)
     v_hat = state.v / (1.0 - beta2 ** state.t)
-    return nk._result(params.data - lr * m_hat / (np.sqrt(v_hat) + nk.ADAM_EPS), "adam_step")
+    return Tensor(params.data - lr * m_hat / (np.sqrt(v_hat) + nk.ADAM_EPS))
 
 
 # ---------------------------------------------------------------------------

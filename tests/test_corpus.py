@@ -104,6 +104,13 @@ def test_history_empty_at_time_zero(small_store):
     np.testing.assert_array_equal(z_row(idx, 0, 0, 0), [-1.5] * 4)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_a_non_finite_lambda_is_refused(small_store, lam):
+    # `lam <= 0` let both through, and the index made z rows of +-nan or +-inf
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        corpus.build_periodic_index(small_store, lam)
+
+
 def brute_force_history(quads, s, r, t):
     return {int(o) for (ss, rr, o, k) in quads if ss == s and rr == r and k < t}
 

@@ -111,7 +111,10 @@ def test_z_sign_opposition(setup):
     sp0 = periodic(params, batch).data.copy()
     snp0 = nonperiodic(params, batch).data.copy()
     o = int(batch.gt_ids[0])
-    batch.z_rows[0, o] += 2 * lam
+    # scoring froze the batch's z rows, which its tensor owns
+    z = batch.z_rows.copy()
+    z[0, o] += 2 * lam
+    batch = dataclasses.replace(batch, z_rows=z)
     sp1 = periodic(params, batch).data
     snp1 = nonperiodic(params, batch).data
     assert sp1[0, o] - sp0[0, o] == pytest.approx(2 * lam, abs=1e-12)

@@ -811,6 +811,41 @@ def test_a_non_finite_config_float_is_refused(tmp_path, ablated_ckpts, key, valu
         engine.load_checkpoint(path)
 
 
+def test_a_negative_seed_is_refused(tmp_path, ablated_ckpts):
+    # it passed validation and loaded from a header, and training then
+    # failed inside numkit.rng_for with numpy's ValueError
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        engine.TrainConfig(seed=-3).validate()
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        engine.TrainConfig.from_dict({"seed": "-3"})
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts["no_gndiff"], path)
+    blob = path.read_bytes()
+    header, records = edit_header(lambda h: h["config"].update(seed=-3))(
+        *split_checkpoint(blob))
+    path.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint.*seed must be nonnegative"):
+        engine.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value, twin", [("epoch", 1, 7), ("seed", 0, 5)],
+                         ids=["top-level", "config"])
+def test_a_header_key_repeated_within_one_object_is_refused(tmp_path, ablated_ckpts,
+                                                            key, value, twin):
+    # json.loads keeps the last of two equal keys: the file loaded with the
+    # repeat's value and no error, at the top level and inside the config
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts["no_gndiff"], path)
+    blob = path.read_bytes()
+    header, records = split_checkpoint(blob)
+    pair = f'"{key}": {value}'.encode()
+    assert header.count(pair) == 1
+    header = header.replace(pair, pair + f', "{key}": {twin}'.encode())
+    path.write_bytes(join_checkpoint(blob, header, records))
+    with pytest.raises(CheckpointError, match=f"header repeats the key '{key}'"):
+        engine.load_checkpoint(path)
+
+
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -871,6 +906,17 @@ def test_nan_abort_has_diagnostics(monkeypatch):
 
     monkeypatch.setattr(engine.dpcl_mod, "ce_loss", explode)
     with pytest.raises(NumericError, match="epoch 0, batch 0"):
+        engine.train(cfg, store)
+
+
+def test_a_supcon_overflow_stops_training_naming_its_term():
+    # exp(sim / tau) overflows on the diagonal of the similarity block at
+    # tau = 1e-4; exp used to raise inside supcon_loss, so the message read
+    # sup=None. The overflow now travels to the total loss, which is checked
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    cfg = quick_config(epochs_stage1=0, epochs_stage2=1, batch=16, tau=1e-4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match=r"epoch 0, batch 0: ce=\S+, sup=nan, diff=\S+"):
         engine.train(cfg, store)
 
 

@@ -12,6 +12,7 @@ from tkgdiff import dpcl, engine, evaluate, gndiff
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import SPLITS, QuadStore, build_periodic_index
+from tkgdiff.errors import NumericError
 
 # ---------------------------------------------------------------------------
 # Batched ranks: invariants and the per-query oracle
@@ -194,6 +195,41 @@ def test_a_model_with_no_component_is_refused_before_any_work(trained, monkeypat
     with pytest.raises(ValueError, match="neither"):
         evaluate.evaluate_split(empty, store, "test")
     assert built == []
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_evaluate_split_refuses_a_non_finite_lambda(trained, lam):
+    # the index it built held z rows of +-nan or +-inf, and scoring failed
+    # far from the cause, on "tensor contains non-finite values"
+    store, model, _ = trained
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        evaluate.evaluate_split(model, store, "test", lam=lam)
+
+
+# ---------------------------------------------------------------------------
+# The ranked distribution is where evaluation checks finiteness
+# ---------------------------------------------------------------------------
+
+def test_a_non_finite_candidate_distribution_is_refused_not_ranked(trained, monkeypatch):
+    # a NaN compares false with every competitor, so each gold answer ranked
+    # first and the split reported MRR 1.0
+    store, model, _ = trained
+    monkeypatch.setattr(evaluate, "p_dpcl",
+                        lambda params, batch, strategy: np.full(batch.z_rows.shape, np.nan))
+    with pytest.raises(NumericError, match="candidate distributions contain non-finite"):
+        evaluate.evaluate_split(dataclasses.replace(model, denoiser=None), store, "test")
+
+
+def test_an_overflow_in_scoring_surfaces_at_the_ranked_distribution(trained):
+    # entity rows past 1e154 overflow their squared norms; no op scans its
+    # result, and the NaN scores reach the distribution's check
+    store, model, _ = trained
+    huge = nk.Tensor(model.dpcl.entity_emb.data * 1e300)
+    model = dataclasses.replace(model, dpcl=dataclasses.replace(model.dpcl, entity_emb=huge),
+                                denoiser=None, mapping_strategy="euc/euc")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="candidate distributions contain non-finite"):
+        evaluate.evaluate_split(model, store, "test")
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,7 @@ def clamped_euclidean(sqdist):
     active: the form euclidean_from_sqdist had before pairwise_sqdist
     ruled out negative entries; taped."""
     active = sqdist.data > 0.0
-    clamped = nk._result(np.maximum(sqdist.data, 0.0), "clamp")
+    clamped = nk.Tensor(np.maximum(sqdist.data, 0.0))
 
     def backward(g):
         return (np.where(active, g, 0.0),)
