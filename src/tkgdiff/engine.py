@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TKGD"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 # namespaces for stateless rng derivation
 _NS_INIT = 0
@@ -210,6 +210,7 @@ class Checkpoint:
     dpcl: DpclParams | None
     denoiser: DenoiserParams | None
     adam: dict[str, AdamState]
+    adam_steps: int              # Adam steps taken, one per batch, each over every tensor
     epoch: int                   # next epoch to run
     best_val_mrr: float = -1.0
     metrics: list = field(default_factory=list, repr=False)  # one line per epoch run
@@ -234,6 +235,13 @@ def _named_tensors(dparams: DpclParams | None,
     return out
 
 
+def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """The bytes before a record's payload: u32 name length, name, rank, dims."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<I{len(encoded)}sI{len(shape)}I", len(encoded), encoded,
+                       len(shape), *shape)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the checkpoint atomically: records stream into `<name>.tmp` in
     the same directory, which is flushed, synced and renamed over `path`. A
@@ -241,16 +249,16 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     write changes the bytes of a file that shares the old inode of `path`.
 
     Layout (little-endian): the magic `TKGD`; u32 format version; u32 header
-    length; a JSON header with sorted keys (`config`, `epoch`, `adam`, which
-    maps each parameter name to its Adam step count, `best_val_mrr`, the
-    vocabulary sizes `n_entities` and `n_relations`, and the per-epoch
-    `metrics` lines); then one record per tensor in name order: u32 name
-    length, the UTF-8 name, u32 rank, u32 dims, float64 payload. The records are the parameters
-    (`dpcl.*`, `denoiser.*`) and their Adam moments (`adam.m.<name>`,
-    `adam.v.<name>`); the component the config ablates has none. The
-    denoiser's output rows are one block per token role (`w2` is
-    (2|E|+|R|, h)). This is format version 6; `load_checkpoint` rejects any
-    other version with CheckpointVersionError.
+    length; a JSON header with sorted keys (`config`, `epoch`, `adam_steps`,
+    the run's one Adam step count, `best_val_mrr`, the vocabulary sizes
+    `n_entities` and `n_relations`, and the per-epoch `metrics` lines); then
+    one record per tensor in name order: its head (`_record_head`) and its
+    float64 payload. The records are the parameters (`dpcl.*`, `denoiser.*`)
+    and their Adam moments (`adam.m.<name>`, `adam.v.<name>`); the component
+    the config ablates has none. The denoiser's output rows are one block per
+    token role (`w2` is (2|E|+|R|, h)). This is format version 7, whose
+    records are format 6's byte for byte; `load_checkpoint` rejects any other
+    version with CheckpointVersionError.
     """
     arrays = {name: t.data for name, t in ckpt.named_tensors().items()}
     for name, state in ckpt.adam.items():
@@ -260,7 +268,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = {
         "config": ckpt.config.to_dict(),
         "epoch": ckpt.epoch,
-        "adam": {name: state.t for name, state in ckpt.adam.items()},
+        "adam_steps": ckpt.adam_steps,
         "best_val_mrr": ckpt.best_val_mrr,
         "n_entities": n_entities,
         "n_relations": n_relations,
@@ -276,9 +284,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(blob)
             for name in sorted(arrays):
                 data = np.ascontiguousarray(arrays[name], dtype="<f8")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack(f"<I{len(encoded)}sI{data.ndim}I", len(encoded),
-                                     encoded, data.ndim, *data.shape))
+                fh.write(_record_head(name, data.shape))
                 fh.write(memoryview(data).cast("B"))
             fh.flush()
             os.fsync(fh.fileno())
@@ -298,22 +304,23 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    One rule fixes the records: the header's config, `n_entities` and
+    The header is the file's only schema. Its config, `n_entities` and
     `n_relations` give the name and shape of each parameter the config
-    trains (`_param_shapes`), and the file holds exactly those records and
-    each one's two Adam moments of its shape, once each. The header's `adam`
-    names the same parameters. So the component the config ablates has no
-    records and loads as None. Each record is checked before its payload is
-    read.
+    trains (`_param_shapes`); the records are those parameters and each
+    one's two Adam moments of its shape, in the name order save_checkpoint
+    writes. So the header fixes the size of the rest of the file and every
+    record head in it. A file of another size is refused before any payload
+    is read or allocated: a shorter one as truncated. Each record head is
+    then compared with the one the header implies before its payload is
+    read. The component the config ablates has no records and loads as None.
 
-    CheckpointError for any breach of the rule, and for a bad magic, an
-    unknown version (CheckpointVersionError), truncation (also dims that
-    claim more bytes than the file has left), a non-finite payload, a header
-    that is not the expected JSON or repeats a key within one of its
-    objects, a config that TrainConfig.from_dict
-    refuses, an `epoch`, Adam step count, `n_entities` or `n_relations` that
-    is not a non-negative int, a `best_val_mrr` that is not a finite number,
-    or `metrics` that are not a list of JSON objects.
+    CheckpointError for a bad magic, an unknown version
+    (CheckpointVersionError), truncation, a size or a record head other than
+    the header implies, a non-finite payload, a header that is not the
+    expected JSON or repeats a key within one of its objects, a config that
+    TrainConfig.from_dict refuses, an `epoch`, `adam_steps`, `n_entities` or
+    `n_relations` that is not a non-negative int, a `best_val_mrr` that is
+    not a finite number, or `metrics` that are not a list of JSON objects.
 
     Parameter tensors are read-only views of the arrays read from the file;
     the Adam moments are those arrays, writeable.
@@ -328,7 +335,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})")
         try:
             return _read_body(fh)
-        except (KeyError, TypeError, ValueError, AttributeError, NumericError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, NumericError, struct.error) as e:
             raise CheckpointError(
                 f"corrupt checkpoint {path}: {type(e).__name__}: {e}") from e
 
@@ -374,56 +381,45 @@ def _read_body(fh) -> Checkpoint:
     (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
     header = json.loads(_read_exact(fh, hlen, "header"), object_pairs_hook=_unique_keys)
     config = TrainConfig.from_dict(header["config"])
-    n_entities, n_relations = (_count(header[key], key) for key in ("n_entities", "n_relations"))
-    epoch = _count(header["epoch"], "epoch")
+    n_entities, n_relations, epoch, adam_steps = (
+        _count(header[key], key) for key in ("n_entities", "n_relations", "epoch", "adam_steps"))
     best = header["best_val_mrr"]
     if type(best) not in (int, float) or not math.isfinite(best):
         raise ValueError(f"best_val_mrr must be a finite number, got {best!r}")
     metrics = header["metrics"]
     if type(metrics) is not list or any(type(line) is not dict for line in metrics):
         raise ValueError(f"metrics must be a list of JSON objects, got {metrics!r}")
-    steps = {name: _count(t, f"Adam step count of '{name}'") for name, t in header["adam"].items()}
     params = _param_shapes(config, n_entities, n_relations)
-    if steps.keys() != params.keys():
-        raise ValueError(f"the header's Adam states and the parameters its config trains "
-                         f"differ in {sorted(steps.keys() ^ params.keys())}")
-    expected = {kind + name: shape for name, shape in params.items()
-                for kind in ("", "adam.m.", "adam.v.")}
+    records = sorted((kind + name, shape) for name, shape in params.items()
+                     for kind in ("", "adam.m.", "adam.v."))
+    heads = [_record_head(name, shape) for name, shape in records]
+    body = sum(len(head) + 8 * math.prod(shape) for head, (_, shape) in zip(heads, records))
+    left = size - fh.tell()
+    if left != body:
+        sizes = f"the header implies {body} bytes of records, the file holds {left}"
+        if left < body:
+            raise CheckpointError(f"truncated checkpoint: {sizes}")
+        raise ValueError(sizes)
 
     arrays: dict[str, np.ndarray] = {}
-    while fh.tell() < size:
-        (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "record"))
-        name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
-        shape = expected.pop(name, None)
-        if shape is None:
-            raise ValueError(f"record '{name}' " + ("appears twice" if name in arrays
-                                                    else "is not one the header implies"))
-        rank, *dims = struct.unpack("<3I", _read_exact(fh, 12, f"dims of '{name}'"))
-        if (rank, *dims) != (2, *shape):
-            raise ValueError(f"record '{name}' has rank {rank} and dims {tuple(dims)}, "
-                             f"the header implies {shape}")
-        if 8 * math.prod(dims) > size - fh.tell():
-            raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
-        arr = np.empty(dims, dtype="<f8")
-        if fh.readinto(arr) != arr.nbytes:
-            raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
+    for (name, shape), head in zip(records, heads):
+        if fh.read(len(head)) != head:
+            raise ValueError(f"the next record is not '{name}' of shape {shape}, "
+                             f"as the header implies")
+        arr = arrays[name] = np.empty(shape, dtype="<f8")
+        fh.readinto(arr)
         if not np.isfinite(arr).all():
             raise NumericError(f"tensor '{name}' contains non-finite values")
-        arrays[name] = arr
-    if expected:
-        raise ValueError(f"missing records {sorted(expected)}")
 
     tensors = {name: nk._wrap(arrays[name]) for name in params}
     dparams = None if config.no_dpcl else DpclParams(**_unprefixed(tensors, "dpcl"))
     nparams = None if config.no_gndiff else DenoiserParams(
         **_unprefixed(tensors, "denoiser"), n_entities=n_entities, n_relations=n_relations,
         width=config.d_diff)
-    adam = {}
-    for name, t in steps.items():
-        state = adam[name] = AdamState(params[name])
-        state.m, state.v, state.t = arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"], t
-    return Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam=adam, epoch=epoch,
-                      best_val_mrr=best, metrics=metrics)
+    adam = {name: AdamState(arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"])
+            for name in params}
+    return Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam=adam,
+                      adam_steps=adam_steps, epoch=epoch, best_val_mrr=best, metrics=metrics)
 
 
 def _model(config: TrainConfig, dparams: DpclParams | None,
@@ -453,14 +449,6 @@ def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-def _copy_adam(states: dict[str, AdamState]) -> dict[str, AdamState]:
-    out = {}
-    for name, s in states.items():
-        c = out[name] = AdamState(s.m.shape)
-        c.m, c.v, c.t = s.m.copy(), s.v.copy(), s.t
-    return out
-
 
 # The config fields a checkpoint's parameters are shaped or trained by: a run
 # resumes a checkpoint only under the same values.
@@ -497,12 +485,14 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
     (`val_mrr`, which selects the best state) and of the new-event and
     periodic strata.
 
-    With `out_dir`, every epoch writes its state to `last.ckpt` and appends
-    its line to `metrics.jsonl`. `best.ckpt` holds the best state; when that
-    is the state just written to `last.ckpt` (an epoch that improves the
-    validation MRR, or the final state when validation is empty), it is a
-    hard link to that file, which the next `last.ckpt` write replaces by a
-    new file and leaves as it is.
+    With `out_dir`, `metrics.jsonl` starts as the run's `metrics` (none for
+    a fresh run, the resumed checkpoint's lines for a resume), so it never
+    holds another run's lines or an epoch twice; every epoch appends its line
+    and writes its state to `last.ckpt`. `best.ckpt` holds the best state;
+    when that is the state just written to `last.ckpt` (an epoch that
+    improves the validation MRR, or the final state when validation is
+    empty), it is a hard link to that file, which the next `last.ckpt` write
+    replaces by a new file and leaves as it is.
 
     A resumed run first checks that `resume_from` was trained with the same
     components, widths and mapping strategy as `config` (ConfigError) and on
@@ -529,7 +519,7 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         _check_resumable(ckpt, config, store)
-        dparams, nparams, adam = ckpt.dpcl, ckpt.denoiser, ckpt.adam
+        dparams, nparams, adam, adam_steps = ckpt.dpcl, ckpt.denoiser, ckpt.adam, ckpt.adam_steps
         start_epoch = ckpt.epoch
         best_mrr = ckpt.best_val_mrr
         metrics = ckpt.metrics
@@ -544,8 +534,9 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
             store.n_entities, store.n_relations, config.d_dpcl, init_rng)
         nparams = None if config.no_gndiff else gndiff.init_denoiser(
             store.n_entities, store.n_relations, config.d_diff, init_rng)
-        adam = {name: AdamState(shape) for name, shape in
+        adam = {name: AdamState.zeros(shape) for name, shape in
                 _param_shapes(config, store.n_entities, store.n_relations).items()}
+        adam_steps = 0
         start_epoch = 0
         best_mrr = -1.0
         metrics = []
@@ -553,11 +544,14 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        with open(out_path / "metrics.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(line) + "\n" for line in metrics)
 
     def state(epoch_next: int) -> Checkpoint:
         """The live state; the next Adam step updates its moments in place."""
         return Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam=adam,
-                          epoch=epoch_next, best_val_mrr=best_mrr, metrics=list(metrics))
+                          adam_steps=adam_steps, epoch=epoch_next, best_val_mrr=best_mrr,
+                          metrics=list(metrics))
 
     for epoch in range(start_epoch, config.total_epochs):
         t0 = time.perf_counter()
@@ -592,13 +586,14 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
 
             trainable = _named_tensors(dparams, nparams)
             grads = tape.gradient(total_t, list(trainable.values()))
-            updated = {n: nk.adam_step(adam[n], p, g, config.lr)
+            adam_steps += 1
+            updated = {n: nk.adam_step(adam[n], p, g, adam_steps, config.lr)
                        for (n, p), g in zip(trainable.items(), grads)}
             if not config.no_dpcl:
                 dpcl_updates = _unprefixed(updated, "dpcl")
                 if needs_ball:
                     emb = dpcl_updates["entity_emb"]
-                    dpcl_updates["entity_emb"] = Tensor(project_array_to_ball(emb.data))
+                    dpcl_updates["entity_emb"] = nk._wrap(project_array_to_ball(emb.data))
                 dparams = dataclasses.replace(dparams, **dpcl_updates)
             if not config.no_gndiff:
                 nparams = dataclasses.replace(nparams, **_unprefixed(updated, "denoiser"))
@@ -645,7 +640,8 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
         if improved:
             # only a best that later epochs would step keeps its own moments
             best = current if epoch + 1 == config.total_epochs else \
-                dataclasses.replace(current, adam=_copy_adam(adam))
+                dataclasses.replace(current, adam={
+                    name: AdamState(s.m.copy(), s.v.copy()) for name, s in adam.items()})
 
     final = state(config.total_epochs)
     if out_path is not None:

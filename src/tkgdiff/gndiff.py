@@ -36,13 +36,11 @@ N_POSITIONS = 3
 
 
 def _schedule_arrays(h: np.ndarray, steps: int, mu: float):
-    """Survival probabilities for token entropies h, shape (..., n).
-
-    Returns (raw, clamped): raw = 1 - t/T - G(t) * h_tilde with
-    G(t) = mu sin(pi t / T) and h_tilde = 1 - mean(h)/h; clamped is confined
-    to [0, 1] and forced non-increasing in t. The t=0 and t=T endpoints are
-    exactly 1 and 0 (sin vanishes there; float sin(pi) does not, so they are
-    pinned explicitly).
+    """Survival probabilities for token entropies h, shape (T+1, ..., n):
+    1 - t/T - G(t) * h_tilde with G(t) = mu sin(pi t / T) and
+    h_tilde = 1 - mean(h)/h, confined to [0, 1] and forced non-increasing in
+    t. The t=0 and t=T endpoints are exactly 1 and 0 (sin vanishes there;
+    float sin(pi) does not, so they are pinned explicitly).
     """
     n = h.shape[-1]
     h = np.maximum(h, 1e-12)  # a zero-entropy token would divide by zero
@@ -56,7 +54,7 @@ def _schedule_arrays(h: np.ndarray, steps: int, mu: float):
     clamped = np.minimum.accumulate(np.clip(raw, 0.0, 1.0), axis=0)
     clamped[0] = 1.0
     clamped[steps] = 0.0
-    return raw, clamped
+    return clamped
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +172,7 @@ def _corrupt(entropies: TokenEntropy, toks: np.ndarray, steps: int, mu: float,
     weights)."""
     b = toks.shape[0]
     h = entropies.entropy[toks]                                  # (B, 3)
-    _, alpha = _schedule_arrays(h, steps, mu)                    # (T+1, B, 3)
+    alpha = _schedule_arrays(h, steps, mu)                       # (T+1, B, 3)
     ts = rng.integers(1, steps + 1, size=b)
     rows_ix = np.arange(b)[:, None]
     cols_ix = np.arange(N_POSITIONS)[None, :]

@@ -7,7 +7,7 @@ broadcast length-1 axes); it records itself on the innermost active GradTape
 (if any). Backward replays the records in exact reverse order of the forward
 pass, so gradient accumulation order is fixed and runs are reproducible.
 Adam's decay rates and offset are the module constants ADAM_BETA1,
-ADAM_BETA2 and ADAM_EPS; the caller passes the learning rate to each step.
+ADAM_BETA2 and ADAM_EPS; the caller passes each step its number and learning rate.
 
 Finiteness has one rule. Tensor() scans the data it is given; an op checks
 only shapes and the domains of div, log and sqrt, and passes an overflow on
@@ -117,7 +117,8 @@ class GradTape:
         return len(self._records)
 
     def gradient(self, output: Tensor, sources: Sequence[Tensor]) -> list[np.ndarray]:
-        """Gradients of a scalar output w.r.t. each source tensor."""
+        """Gradients of a scalar output w.r.t. each source tensor; zeros for
+        a source the output does not reach."""
         if output.size != 1:
             raise DimensionError("gradient() expects a scalar (1x1) output")
         grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
@@ -130,7 +131,7 @@ class GradTape:
                     continue
                 acc = grads.get(id(tin))
                 grads[id(tin)] = g_in if acc is None else acc + g_in
-        return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
+        return [grads[id(s)] if id(s) in grads else np.zeros_like(s.data) for s in sources]
 
 
 def _tape_record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
@@ -394,41 +395,44 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+@dataclass(eq=False)
 class AdamState:
-    """Adam moment accumulators and step count for one parameter tensor."""
+    """Adam's moment accumulators for one parameter tensor. The step count
+    is the run's, one for every tensor: each batch steps them all."""
 
-    def __init__(self, shape: tuple[int, int]):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
+    m: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def zeros(cls, shape: tuple[int, int]) -> "AdamState":
+        return cls(np.zeros(shape), np.zeros(shape))
 
 
-def adam_step(state: AdamState, params: Tensor, grads, lr: float) -> Tensor:
-    """One bias-corrected Adam update with learning rate `lr`; returns the
+def adam_step(state: AdamState, params: Tensor, grads: np.ndarray, t: int, lr: float) -> Tensor:
+    """Adam update number `t` (from 1) with learning rate `lr`; returns the
     updated parameter tensor.
 
     Updates `state.m` and `state.v` in place and builds the step in one
-    scratch array, with the operations and their order of the textbook
-    form, `p - lr * m_hat / (sqrt(v_hat) + eps)`, so the bits are the same.
+    C-ordered scratch array, also from a transposed gradient, with the
+    operations and their order of the textbook form,
+    `p - lr * m_hat / (sqrt(v_hat) + eps)`, so the bits are the same.
     """
-    g = grads.data if isinstance(grads, Tensor) else np.asarray(grads, dtype=np.float64)
-    if g.shape != params.data.shape:
-        raise DimensionError(f"gradient shape {g.shape} != parameter shape {params.shape}")
+    if grads.shape != params.data.shape:
+        raise DimensionError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     if state.m.shape != params.data.shape:
         raise DimensionError(f"optimizer state shape {state.m.shape} != parameter shape {params.shape}")
-    state.t += 1
     m, v = state.m, state.v
-    step = np.multiply(g, 1.0 - ADAM_BETA1)
+    step = np.multiply(grads, 1.0 - ADAM_BETA1, order="C")
     m *= ADAM_BETA1
     m += step
-    np.multiply(g, g, out=step)
+    np.multiply(grads, grads, out=step)
     step *= 1.0 - ADAM_BETA2
     v *= ADAM_BETA2
     v += step
-    out = np.divide(v, 1.0 - ADAM_BETA2 ** state.t)     # v_hat
+    out = np.divide(v, 1.0 - ADAM_BETA2 ** t)      # v_hat
     np.sqrt(out, out=out)
     out += ADAM_EPS
-    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=step)  # m_hat
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)  # m_hat
     step *= lr
     step /= out
     np.subtract(params.data, step, out=out)

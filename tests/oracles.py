@@ -9,6 +9,8 @@ Diffusion, one sequence at a time (checks `gndiff.batch_loss` and
 - `DiffusionSchedule`, `build_schedule`, `inference_schedule`: per-sequence
   survival and step-mask probabilities, from the same
   `gndiff._schedule_arrays` that `batch_loss` uses.
+- `raw_schedule`: the survival probabilities before the clamp;
+  `gndiff._schedule_arrays` must be their clamp, bit for bit.
 - `transition_matrix`, `forward_marginal`, `sample_forward`, `posterior`:
   the forward chain and its Bayes posterior, as explicit distributions.
 - `diffusion_loss`: the single-sample bound of one sequence; the mean of
@@ -149,6 +151,20 @@ class DiffusionSchedule:
         return np.where(denom > 0.0, (a_prev - a_t) / np.where(denom > 0, denom, 1.0), 0.0)
 
 
+def raw_schedule(h: np.ndarray, steps: int, mu: float) -> np.ndarray:
+    """1 - t/T - G(t) * h_tilde, (T+1, ..., n), before `_schedule_arrays`
+    confines it to [0, 1], makes it non-increasing and pins its endpoints."""
+    n = h.shape[-1]
+    h = np.maximum(h, 1e-12)
+    h_tilde = 1.0 - h.sum(axis=-1, keepdims=True) / (n * h)
+    t = np.arange(steps + 1, dtype=np.float64)
+    g = mu * np.sin(np.pi * t / steps)
+    g[0] = 0.0
+    g[steps] = 0.0
+    shape = (steps + 1,) + (1,) * h.ndim
+    return 1.0 - (t / steps).reshape(shape) - g.reshape(shape) * h_tilde[None, ...]
+
+
 def build_schedule(entropies: TokenEntropy, sequence: NodeSequence,
                    steps: int, mu: float) -> DiffusionSchedule:
     """Entropy-informed schedule for one sequence.
@@ -161,7 +177,7 @@ def build_schedule(entropies: TokenEntropy, sequence: NodeSequence,
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     h = entropies.entropy[sequence.tokens]
-    raw, clamped = gndiff._schedule_arrays(h, steps, mu)
+    raw, clamped = raw_schedule(h, steps, mu), gndiff._schedule_arrays(h, steps, mu)
     interior = np.arange(1, steps)
     if interior.size:
         touched = np.any(np.abs(clamped[interior] - raw[interior]) > 0, axis=1)
@@ -183,7 +199,7 @@ def inference_schedule(entropies: TokenEntropy, s: int, r: int,
     hs = entropies.entropy[int(s)]
     hr = entropies.entropy[entropies.n_entities + int(r)]
     h = np.array([hs, hr, 0.5 * (hs + hr)])
-    raw, clamped = gndiff._schedule_arrays(h, steps, mu)
+    raw, clamped = raw_schedule(h, steps, mu), gndiff._schedule_arrays(h, steps, mu)
     beta = np.zeros_like(clamped)
     prev = clamped[:-1]
     beta[1:] = np.where(prev > 0.0, 1.0 - clamped[1:] / np.where(prev > 0, prev, 1.0), 1.0)
@@ -543,20 +559,19 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def adam_step(state: nk.AdamState, params: Tensor, grads, lr: float) -> Tensor:
-    """One bias-corrected Adam update with numkit's decay rates and offset;
-    returns the updated parameter tensor."""
-    g = grads.data if isinstance(grads, Tensor) else np.asarray(grads, dtype=np.float64)
+def adam_step(state: nk.AdamState, params: Tensor, g: np.ndarray, t: int,
+              lr: float) -> Tensor:
+    """Adam update number `t` with numkit's decay rates and offset; returns
+    the updated parameter tensor."""
     if g.shape != params.data.shape:
         raise DimensionError(f"gradient shape {g.shape} != parameter shape {params.shape}")
     if state.m.shape != params.data.shape:
         raise DimensionError(f"optimizer state shape {state.m.shape} != parameter shape {params.shape}")
-    state.t += 1
     beta1, beta2 = nk.ADAM_BETA1, nk.ADAM_BETA2
     state.m = beta1 * state.m + (1.0 - beta1) * g
     state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
+    m_hat = state.m / (1.0 - beta1 ** t)
+    v_hat = state.v / (1.0 - beta2 ** t)
     return Tensor(params.data - lr * m_hat / (np.sqrt(v_hat) + nk.ADAM_EPS))
 
 

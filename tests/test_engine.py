@@ -310,9 +310,9 @@ def test_a_resumed_run_steps_with_the_lr_of_its_config(tmp_path, monkeypatch):
     seen = []
     step = nk.adam_step
 
-    def record(state, params, grads, lr):
+    def record(state, params, grads, t, lr):
         seen.append(lr)
-        return step(state, params, grads, lr)
+        return step(state, params, grads, t, lr)
 
     monkeypatch.setattr(nk, "adam_step", record)
     resume(0.05, "recorded")
@@ -403,7 +403,10 @@ def test_best_snapshot_keeps_its_state_through_later_steps(tmp_path):
     for name, state in best.adam.items():
         np.testing.assert_array_equal(state.m, saved.adam[name].m)
         np.testing.assert_array_equal(state.v, saved.adam[name].v)
-        assert state.t == saved.adam[name].t < last.adam[name].t
+    assert best.adam_steps == saved.adam_steps < last.adam_steps
+
+
+SIZES = r"the header implies \d+ bytes of records, the file holds \d+"
 
 
 def split_checkpoint(blob):
@@ -482,12 +485,14 @@ def test_every_checkpoint_load_failure_is_a_checkpoint_error(tmp_path, small_ckp
     header, records = corrupt(*split_checkpoint(blob))
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(join_checkpoint(blob, header, records))
-    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+    # a file shorter than its header implies is truncated
+    message = "truncated checkpoint" if corrupt is drop_record else "corrupt checkpoint"
+    with pytest.raises(CheckpointError, match=message):
         engine.load_checkpoint(bad)
 
 
-def each_adam_step_count(value):
-    return edit_header(lambda h: h["adam"].update(dict.fromkeys(h["adam"], value)))
+def adam_steps_as(value):
+    return edit_header(lambda h: h.update(adam_steps=value))
 
 
 SIZE_FORMS = {"float": float, "string": str, "bool": lambda n: True, "negative": lambda n: -1}
@@ -498,7 +503,7 @@ def size_as(key, form):
 
 
 @pytest.mark.parametrize("corrupt", [
-    *(each_adam_step_count(value) for value in ("3", -5, 2.5, True)),
+    *(adam_steps_as(value) for value in ("3", -5, 2.5, True)),
     edit_header(lambda h: h.update(epoch="1")),
     edit_header(lambda h: h.update(best_val_mrr=None)),
     *(size_as(key, form) for key in ("n_entities", "n_relations") for form in SIZE_FORMS),
@@ -540,7 +545,7 @@ def test_an_ablated_component_has_no_checkpoint_records(tmp_path, ablated_ckpts,
     moments = {n.split(".", 2)[2] for n in records if n.startswith("adam.")}
     assert params and all(n.startswith(present + ".") for n in params)
     assert moments == params
-    assert set(json.loads(header)["adam"]) == params
+    assert json.loads(header)["adam_steps"] == ablated_ckpts[flag].adam_steps
     loaded = engine.load_checkpoint(path)
     assert getattr(loaded, absent) is None
     assert_same_state(ablated_ckpts[flag], loaded)
@@ -560,10 +565,10 @@ def test_component_records_must_match_what_the_config_trains(tmp_path, small_ckp
         return engine.load_checkpoint(path)
 
     # records of a component the header's config ablates
-    with pytest.raises(CheckpointError, match=rf"differ in \['{absent}\."):
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint.*{SIZES}"):
         load_with(small_ckpt, True)
     # no records of a component the header's config trains
-    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+    with pytest.raises(CheckpointError, match=f"truncated checkpoint: {SIZES}"):
         load_with(ablated_ckpts[flag], False)
 
 
@@ -582,12 +587,36 @@ def test_checkpoint_in_the_format_with_denoiser_meta_is_rejected(tmp_path, small
         engine.load_checkpoint(p)
 
 
-def test_checkpoint_header_holds_each_adam_state_as_its_step_count(tmp_path, small_ckpt):
+def test_checkpoint_header_holds_one_adam_step_count_per_run(tmp_path, small_ckpt):
+    # one per batch of the one epoch small_ckpt trains
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
     path = tmp_path / "a.ckpt"
     engine.save_checkpoint(small_ckpt, path)
-    header, _ = split_checkpoint(path.read_bytes())
-    assert json.loads(header)["adam"] == {name: state.t
-                                          for name, state in small_ckpt.adam.items()}
+    values = json.loads(split_checkpoint(path.read_bytes())[0])
+    assert "adam" not in values
+    assert values["adam_steps"] == small_ckpt.adam_steps == -(-len(store.split("train")) // 16)
+
+
+def per_tensor_step_counts(h, records):
+    """A format 7 header edited to format 6's `adam`, one step count per
+    parameter, in place of `adam_steps`."""
+    h["adam"] = dict.fromkeys((n for n in records if not n.startswith("adam.")),
+                              h.pop("adam_steps"))
+
+
+def test_checkpoint_in_the_format_with_per_tensor_adam_step_counts_is_rejected(tmp_path,
+                                                                              small_ckpt):
+    # format 6 headers held the same step count once per parameter, under
+    # `adam`; format 7 holds it once, as `adam_steps`
+    p = tmp_path / "v6.ckpt"
+    engine.save_checkpoint(small_ckpt, p)
+    blob = p.read_bytes()
+    header, records = split_checkpoint(blob)
+    header, records = edit_header(lambda h: per_tensor_step_counts(h, records))(header, records)
+    blob = join_checkpoint(blob, header, records)
+    p.write_bytes(blob[:4] + struct.pack("<I", 6) + blob[8:])
+    with pytest.raises(CheckpointVersionError, match="version 6 is not supported"):
+        engine.load_checkpoint(p)
 
 
 def test_checkpoint_in_the_format_with_adam_hyperparameters_is_rejected(tmp_path,
@@ -597,9 +626,14 @@ def test_checkpoint_in_the_format_with_adam_hyperparameters_is_rejected(tmp_path
     p = tmp_path / "v5.ckpt"
     engine.save_checkpoint(small_ckpt, p)
     blob = p.read_bytes()
-    header, records = edit_header(lambda h: h.update(adam={
-        name: {"t": t, "lr": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-        for name, t in h["adam"].items()}))(*split_checkpoint(blob))
+    header, records = split_checkpoint(blob)
+
+    def format5(h):
+        per_tensor_step_counts(h, records)
+        h["adam"] = {name: {"t": t, "lr": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+                     for name, t in h["adam"].items()}
+
+    header, records = edit_header(format5)(header, records)
     blob = join_checkpoint(blob, header, records)
     p.write_bytes(blob[:4] + struct.pack("<I", 5) + blob[8:])
     with pytest.raises(CheckpointVersionError, match="version 5 is not supported"):
@@ -636,7 +670,7 @@ def test_checkpoint_in_the_format_with_role_masked_output_rows_is_rejected(tmp_p
         records[name] = (pack_record(name, wide), wide)
     blob = join_checkpoint(blob, header, records)
     path.write_bytes(blob)
-    with pytest.raises(CheckpointError, match=r"denoiser\.b2' has rank 2 and dims \(1, 27\)"):
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint.*{SIZES}"):
         engine.load_checkpoint(path)
     path.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
     with pytest.raises(CheckpointVersionError, match="version 4 is not supported"):
@@ -657,7 +691,7 @@ def test_denoiser_records_must_have_the_shapes_the_header_gives(tmp_path, ablate
     blob = path.read_bytes()
     header, records = edit_header(edit)(*split_checkpoint(blob))
     path.write_bytes(join_checkpoint(blob, header, records))
-    with pytest.raises(CheckpointError, match=r"denoiser\.\w+' has rank 2 and dims"):
+    with pytest.raises(CheckpointError, match=SIZES):
         engine.load_checkpoint(path)
 
 
@@ -681,7 +715,7 @@ def test_dpcl_records_must_have_the_shapes_the_header_gives(tmp_path, ablated_ck
     else:
         header, records = edit_header(edit)(header, records)
     path.write_bytes(join_checkpoint(blob, header, records))
-    with pytest.raises(CheckpointError, match=r"dpcl\.\w+' has rank 2 and dims"):
+    with pytest.raises(CheckpointError, match=SIZES):
         engine.load_checkpoint(path)
 
 
@@ -699,7 +733,7 @@ def test_adam_moments_must_have_their_parameters_shape(tmp_path, ablated_ckpts, 
     wide = np.zeros((rows, cols + 1))
     records[name] = (pack_record(name, wide), wide)
     path.write_bytes(join_checkpoint(blob, header, records))
-    with pytest.raises(CheckpointError, match=rf"'adam\.{moment}\.\w+\.\w+' has rank 2 and dims"):
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint.*{SIZES}"):
         engine.load_checkpoint(path)
 
 
@@ -746,7 +780,8 @@ def test_loaded_parameters_are_read_only_and_adam_moments_writeable(tmp_path, sm
 def test_record_dims_past_the_end_of_the_file_are_truncation(tmp_path, small_ckpt):
     # the header's sizes give the record the dims it claims, and the record
     # comes first, before any whose shape those sizes change; so only the
-    # bytes left in the file tell the dims false
+    # bytes left in the file tell the dims false, and the size check that
+    # precedes every record refuses them
     good = tmp_path / "good.ckpt"
     engine.save_checkpoint(small_ckpt, good)
     blob = good.read_bytes()
@@ -763,32 +798,91 @@ def test_record_dims_past_the_end_of_the_file_are_truncation(tmp_path, small_ckp
         engine.load_checkpoint(bad)
 
 
-def test_a_wrong_shaped_record_cut_off_mid_payload_reports_its_shape(tmp_path,
-                                                                     ablated_ckpts):
-    # the dims are checked against the header before the payload is read
-    path = tmp_path / "a.ckpt"
-    engine.save_checkpoint(ablated_ckpts["no_gndiff"], path)
-    blob = path.read_bytes()
-    header, records = split_checkpoint(blob)
-    rows, cols = records["dpcl.w_per"][1].shape
-    wide = np.zeros((rows, cols + 3))
-    records["dpcl.w_per"] = (pack_record("dpcl.w_per", wide), wide)
-    names = list(records)
-    start = 12 + len(header) + sum(len(records[n][0]) for n in names[:names.index("dpcl.w_per")])
-    cut = start + len(records["dpcl.w_per"][0]) - wide.nbytes // 2
-    path.write_bytes(join_checkpoint(blob, header, records)[:cut])
-    with pytest.raises(CheckpointError, match=rf"'dpcl\.w_per' has rank 2 and dims "
-                                              rf"\({rows}, {cols + 3}\)"):
-        engine.load_checkpoint(path)
-
-
 def test_a_record_that_appears_twice_is_refused(tmp_path, small_ckpt):
     # the later copy used to win
     path = tmp_path / "a.ckpt"
     engine.save_checkpoint(small_ckpt, path)
     again = small_ckpt.dpcl.w_per.data + 1.0
     path.write_bytes(path.read_bytes() + pack_record("dpcl.w_per", again))
-    with pytest.raises(CheckpointError, match="record 'dpcl.w_per' appears twice"):
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint.*{SIZES}"):
+        engine.load_checkpoint(path)
+
+
+def test_a_trailing_byte_is_refused(tmp_path, small_ckpt):
+    # it used to be read as the start of one more record, and refused as
+    # truncation
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint.*{SIZES}"):
+        engine.load_checkpoint(path)
+
+
+def swap_names(header, records):
+    """The heads of the Adam moments m and v of one parameter exchanged,
+    each payload left in its place."""
+    m, v = "adam.m.dpcl.entity_emb", "adam.v.dpcl.entity_emb"
+    (_, m_arr), (_, v_arr) = records[m], records[v]
+    records[m], records[v] = (pack_record(v, m_arr), m_arr), (pack_record(m, v_arr), v_arr)
+    return header, records
+
+
+def transpose_dims(header, records):
+    _, arr = records["adam.m.dpcl.entity_emb"]
+    records["adam.m.dpcl.entity_emb"] = (pack_record("adam.m.dpcl.entity_emb", arr.T), arr.T)
+    return header, records
+
+
+@pytest.mark.parametrize("corrupt", [swap_names, transpose_dims],
+                         ids=["swapped-names", "transposed-dims"])
+def test_a_record_head_other_than_the_header_implies_is_refused(tmp_path, ablated_ckpts,
+                                                                 corrupt):
+    # the file keeps its size, so only the record heads tell it wrong; with
+    # swapped names, m loaded as v and v as m without an error
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(ablated_ckpts["no_gndiff"], path)
+    blob = path.read_bytes()
+    header, records = split_checkpoint(blob)
+    shape = records["adam.m.dpcl.entity_emb"][1].shape
+    path.write_bytes(join_checkpoint(blob, *corrupt(header, records)))
+    assert len(path.read_bytes()) == len(blob)
+    with pytest.raises(CheckpointError, match=rf"the next record is not "
+                                              rf"'adam\.m\.dpcl\.entity_emb' of shape "
+                                              rf"\({shape[0]}, {shape[1]}\), as the header"):
+        engine.load_checkpoint(path)
+
+
+def test_a_body_larger_than_the_file_is_truncation_before_any_payload_is_allocated(
+        tmp_path, small_ckpt, monkeypatch):
+    # the first record's head used to be read and its payload allocated
+    # before the file's size was compared with what the header implies
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    blob = path.read_bytes()
+    path.write_bytes(join_checkpoint(blob, *edit_header(
+        lambda h: h.update(n_entities=h["n_entities"] + 10 ** 6))(*split_checkpoint(blob))))
+    allocated = []
+    empty = np.empty
+
+    def record(*args, **kwargs):
+        allocated.append(args)
+        return empty(*args, **kwargs)
+
+    monkeypatch.setattr(engine.np, "empty", record)
+    with pytest.raises(CheckpointError, match=f"truncated checkpoint: {SIZES}"):
+        engine.load_checkpoint(path)
+    monkeypatch.undo()
+    assert allocated == []
+
+
+def test_a_header_size_beyond_the_u32_dims_is_refused(tmp_path, small_ckpt):
+    # no record head can hold the dims it implies
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    blob = path.read_bytes()
+    path.write_bytes(join_checkpoint(blob, *edit_header(
+        lambda h: h.update(n_entities=2 ** 32))(*split_checkpoint(blob))))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
         engine.load_checkpoint(path)
 
 
@@ -863,17 +957,13 @@ def test_checkpoint_roundtrip_bytes_on_random_shapes(n_entities, n_relations, d_
     nparams = gndiff.init_denoiser(n_entities, n_relations, d_diff, rng)
     adam = {}
     params = engine.Checkpoint(engine.TrainConfig(), dparams, nparams, adam={},
-                               epoch=0).named_tensors()
+                               adam_steps=0, epoch=0).named_tensors()
     for name, p in params.items():
-        state = nk.AdamState(p.shape)
-        state.m = rng.normal(size=p.shape)
-        state.v = rng.random(p.shape)
-        state.t = int(rng.integers(0, 100))
-        adam[name] = state
+        adam[name] = nk.AdamState(rng.normal(size=p.shape), rng.random(p.shape))
     ckpt = engine.Checkpoint(
         config=engine.TrainConfig(d_dpcl=d_dpcl, d_diff=d_diff, seed=seed),
-        dpcl=dparams, denoiser=nparams, adam=adam, epoch=epoch,
-        best_val_mrr=best, metrics=metrics)
+        dpcl=dparams, denoiser=nparams, adam=adam, adam_steps=int(rng.integers(0, 100)),
+        epoch=epoch, best_val_mrr=best, metrics=metrics)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
         engine.save_checkpoint(ckpt, first)
@@ -881,6 +971,7 @@ def test_checkpoint_roundtrip_bytes_on_random_shapes(n_entities, n_relations, d_
         engine.save_checkpoint(loaded, second)
         assert first.read_bytes() == second.read_bytes()
     assert loaded.metrics == metrics and loaded.epoch == epoch
+    assert loaded.adam_steps == ckpt.adam_steps
     assert loaded.best_val_mrr == best and loaded.config == ckpt.config
 
 
@@ -895,6 +986,46 @@ def test_metrics_log_written(tmp_path):
                         "val_mrr", "val_mrr_new", "val_mrr_periodic", "wall_seconds"}
     assert (tmp_path / "last.ckpt").exists()
     assert (tmp_path / "best.ckpt").exists()
+
+
+def read_log(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_a_fresh_run_replaces_the_metrics_log_of_an_earlier_run(tmp_path):
+    # the second run used to append its line to the first run's two
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    engine.train(quick_config(epochs_stage1=2, epochs_stage2=0, batch=16), store,
+                 out_dir=tmp_path)
+    engine.train(quick_config(epochs_stage1=1, epochs_stage2=0, batch=16, seed=1), store,
+                 out_dir=tmp_path)
+    last = engine.load_checkpoint(tmp_path / "last.ckpt")
+    assert len(last.metrics) == 1
+    assert read_log(tmp_path / "metrics.jsonl") == last.metrics
+
+
+def test_the_metrics_log_after_a_crash_and_a_resume_matches_the_checkpoint(tmp_path,
+                                                                          monkeypatch):
+    # a crash between an epoch's log line and its checkpoint used to leave
+    # that line in the log, and the resume appended the epoch again
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    cfg = quick_config(epochs_stage1=3, epochs_stage2=0, batch=16)
+    save = engine.save_checkpoint
+
+    def crash_at_epoch_2(ckpt, path):
+        if ckpt.epoch == 3:
+            raise OSError("disk full")
+        save(ckpt, path)
+
+    monkeypatch.setattr(engine, "save_checkpoint", crash_at_epoch_2)
+    with pytest.raises(OSError, match="disk full"):
+        engine.train(cfg, store, out_dir=tmp_path)
+    monkeypatch.undo()
+    assert len(read_log(tmp_path / "metrics.jsonl")) == 3
+    engine.train(cfg, store, out_dir=tmp_path, resume_from=tmp_path / "last.ckpt")
+    last = engine.load_checkpoint(tmp_path / "last.ckpt")
+    assert [line["epoch"] for line in last.metrics] == [0, 1, 2]
+    assert read_log(tmp_path / "metrics.jsonl") == last.metrics
 
 
 def test_nan_abort_has_diagnostics(monkeypatch):

@@ -74,6 +74,16 @@ def test_schedule_identity_preclamp():
         np.testing.assert_allclose(lhs, rhs, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.25, 5.0])
+def test_the_schedule_is_the_clamped_raw_schedule(mu):
+    h = np.random.default_rng(7).random((4, 3)) * 3.0
+    h[0, 1] = 0.0
+    raw = oracles.raw_schedule(h, 12, mu)
+    clamped = np.minimum.accumulate(np.clip(raw, 0.0, 1.0), axis=0)
+    clamped[0], clamped[12] = 1.0, 0.0
+    np.testing.assert_array_equal(gndiff._schedule_arrays(h, 12, mu), clamped)
+
+
 def test_schedule_boundaries_exact():
     ent = make_entropies()
     sched = oracles.build_schedule(ent, make_sequence(ent), steps=50, mu=0.25)
@@ -604,7 +614,7 @@ def test_overfit_single_fact_dominates_p_diff():
     ent = make_entropies(n_entities=n_e, n_relations=n_r)
     params = gndiff.init_denoiser(n_e, n_r, width=16, rng=nk.rng_for(82))
     toks = np.tile([1, n_e + 0, 3], (8, 1))
-    states = {name: nk.AdamState(p.shape)
+    states = {name: nk.AdamState.zeros(p.shape)
               for name, p in params.named().items()}
     for step in range(300):
         with nk.GradTape() as tape:
@@ -612,7 +622,7 @@ def test_overfit_single_fact_dominates_p_diff():
                                      rng=nk.rng_for(83, step))
         tensors = params.named()
         grads = tape.gradient(loss, list(tensors.values()))
-        updates = {name: nk.adam_step(states[name], tensors[name], g, lr=0.01)
+        updates = {name: nk.adam_step(states[name], tensors[name], g, t=step + 1, lr=0.01)
                    for name, g in zip(tensors, grads)}
         params = dataclasses.replace(params, **updates)
     sched = oracles.inference_schedule(ent, 1, 0, steps=8, mu=0.25)

@@ -102,7 +102,8 @@ def test_overflowing_results_raise_with_the_op_name():
     # forward ops pass an overflow on unscanned; an Adam update is one of
     # the kernel's exits, scanned once
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="adam_step"):
-        nk.adam_step(nk.AdamState((1, 1)), tensor([[-1e308]]), [[1.0]], lr=1e308)
+        nk.adam_step(nk.AdamState.zeros((1, 1)), tensor([[-1e308]]), np.ones((1, 1)),
+                     t=1, lr=1e308)
 
 
 BIG, TINY = 1.79e308, 5e-324
@@ -203,37 +204,37 @@ def test_acosh_values_and_clamp():
 
 def test_adam_zero_gradient_is_fixed_point():
     p = tensor([[1.0, -2.0], [0.5, 3.0]])
-    state = nk.AdamState(p.shape)
+    state = nk.AdamState.zeros(p.shape)
     out = p
-    for _ in range(5):
-        out = nk.adam_step(state, out, np.zeros(p.shape), lr=0.001)
+    for t in range(1, 6):
+        out = nk.adam_step(state, out, np.zeros(p.shape), t=t, lr=0.001)
     np.testing.assert_array_equal(out.data, p.data)
 
 
 def test_adam_first_step_magnitude():
     # constant gradient 1, lr=0.001: bias-corrected first step is lr * 1/(1+eps)
     p = tensor([[0.0]])
-    state = nk.AdamState(p.shape)
-    out = nk.adam_step(state, p, np.array([[1.0]]), lr=0.001)
+    state = nk.AdamState.zeros(p.shape)
+    out = nk.adam_step(state, p, np.array([[1.0]]), t=1, lr=0.001)
     assert out.item() == pytest.approx(-0.001, rel=1e-6)
 
 
 def test_adam_shape_mismatch():
-    state = nk.AdamState((2, 2))
+    state = nk.AdamState.zeros((2, 2))
     with pytest.raises(DimensionError):
-        nk.adam_step(state, nk.zeros(2, 2), np.zeros((2, 3)), lr=0.001)
+        nk.adam_step(state, nk.zeros(2, 2), np.zeros((2, 3)), t=1, lr=0.001)
 
 
 def test_adam_deterministic_runs():
     def run():
         rng = nk.rng_for(55)
         p = tensor(rng.normal(size=(4, 3)))
-        state = nk.AdamState(p.shape)
-        for _ in range(100):
+        state = nk.AdamState.zeros(p.shape)
+        for t in range(1, 101):
             with nk.GradTape() as tape:
                 loss = nk.sum_all(nk.mul(p, p))
             (g,) = tape.gradient(loss, [p])
-            p = nk.adam_step(state, p, g, lr=0.01)
+            p = nk.adam_step(state, p, g, t=t, lr=0.01)
         return p.data
 
     a, b = run(), run()
@@ -244,16 +245,33 @@ def test_adam_deterministic_runs():
 def test_adam_in_place_matches_the_textbook_form(shape):
     rng = nk.rng_for(56, *shape)
     p = q = tensor(rng.normal(size=shape))
-    state, ref = nk.AdamState(shape), nk.AdamState(shape)
+    state, ref = nk.AdamState.zeros(shape), nk.AdamState.zeros(shape)
     m, v = state.m, state.v
-    for _ in range(100):
+    for t in range(1, 101):
         g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 3, size=shape)
-        p = nk.adam_step(state, p, g, lr=0.01)
-        q = oracles.adam_step(ref, q, g, lr=0.01)
+        p = nk.adam_step(state, p, g, t=t, lr=0.01)
+        q = oracles.adam_step(ref, q, g, t=t, lr=0.01)
         np.testing.assert_array_equal(p.data, q.data)
         np.testing.assert_array_equal(state.m, ref.m)
         np.testing.assert_array_equal(state.v, ref.v)
-    assert state.m is m and state.v is v and state.t == ref.t == 100
+    assert state.m is m and state.v is v
+
+
+def test_adam_steps_a_transposed_gradient_as_its_c_ordered_copy():
+    # the gradient of a transposed parameter reaches Adam as a transposed
+    # view; the update and the moments keep the bits and the C order
+    rng = nk.rng_for(57)
+    p = tensor(rng.normal(size=(5, 3)))
+    g = rng.normal(size=(3, 5)).T
+    assert not g.flags.c_contiguous
+    a, b = nk.AdamState.zeros(p.shape), nk.AdamState.zeros(p.shape)
+    for t in (1, 2):
+        out = nk.adam_step(a, p, g, t=t, lr=0.01)
+        ref = nk.adam_step(b, p, np.ascontiguousarray(g), t=t, lr=0.01)
+        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_array_equal(a.m, b.m)
+        np.testing.assert_array_equal(a.v, b.v)
+        assert out.data.flags.c_contiguous and a.m.flags.c_contiguous
 
 
 def test_grad_check_quadratic():
