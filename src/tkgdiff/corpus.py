@@ -248,7 +248,7 @@ class PeriodicIndex:
 
 
 def build_periodic_index(store: QuadStore, lam: float,
-                         scope: tuple[str, ...] = ("train",)) -> PeriodicIndex:
+                         scope: tuple[str, ...]) -> PeriodicIndex:
     """The index of the facts in the scope's splits: one concatenate, one
     stable sort by (s, r, t) key, and the first fact of each (s, r, o) in
     that order. `lam` must be positive and finite (ValueError)."""

@@ -154,8 +154,11 @@ def _coerce(key: str, raw, kind: str):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment."""
+    """Flat `key = value` lines; '#' starts a comment. A key set on two lines
+    is refused (ConfigError), as a checkpoint header refuses a repeated key;
+    `apply_overrides` is where a value is replaced."""
     out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -163,8 +166,12 @@ def parse_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in text:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = text.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key in set_on:
+                raise ConfigError(f"{path}:{line_no}: key '{key}' is already set on "
+                                  f"line {set_on[key]}")
+            set_on[key] = line_no
+            out[key] = value
     return out
 
 
@@ -216,7 +223,12 @@ class Checkpoint:
     metrics: list = field(default_factory=list, repr=False)  # one line per epoch run
 
     def named_tensors(self) -> dict[str, Tensor]:
-        return _named_tensors(self.dpcl, self.denoiser)
+        """The parameters by record name (`dpcl.*`, `denoiser.*`)."""
+        out = {}
+        for prefix, params in (("dpcl", self.dpcl), ("denoiser", self.denoiser)):
+            if params is not None:
+                out.update({f"{prefix}.{k}": v for k, v in params.named().items()})
+        return out
 
     @property
     def vocabulary(self) -> tuple[int, int]:
@@ -224,15 +236,6 @@ class Checkpoint:
         if self.dpcl is not None:
             return self.dpcl.entity_emb.shape[0], self.dpcl.relation_emb.shape[0]
         return self.denoiser.n_entities, self.denoiser.n_relations
-
-
-def _named_tensors(dparams: DpclParams | None,
-                   nparams: DenoiserParams | None) -> dict[str, Tensor]:
-    out = {}
-    for prefix, params in (("dpcl", dparams), ("denoiser", nparams)):
-        if params is not None:
-            out.update({f"{prefix}.{k}": v for k, v in params.named().items()})
-    return out
 
 
 def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
@@ -422,13 +425,6 @@ def _read_body(fh) -> Checkpoint:
                       adam_steps=adam_steps, epoch=epoch, best_val_mrr=best, metrics=metrics)
 
 
-def _model(config: TrainConfig, dparams: DpclParams | None,
-           nparams: DenoiserParams | None) -> ev.Model:
-    """The evaluation view of a run's parameters."""
-    return ev.Model(dpcl=dparams, denoiser=nparams, mapping_strategy=config.mapping_strategy,
-                    steps=config.steps, chains=config.chains)
-
-
 def _check_vocabulary(ckpt: Checkpoint, store: QuadStore) -> None:
     sizes = ckpt.vocabulary
     if sizes != (store.n_entities, store.n_relations):
@@ -438,12 +434,16 @@ def _check_vocabulary(ckpt: Checkpoint, store: QuadStore) -> None:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
-    """Evaluation bundle for a checkpoint whose vocabulary is the store's.
+    """Evaluation bundle for a checkpoint whose vocabulary is the store's:
+    its parameters and the config values they score with.
 
     Raises DataError when the checkpoint's entity or relation count differs
     from the store's."""
     _check_vocabulary(ckpt, store)
-    return _model(ckpt.config, ckpt.dpcl, ckpt.denoiser)
+    config = ckpt.config
+    return ev.Model(dpcl=ckpt.dpcl, denoiser=ckpt.denoiser,
+                    mapping_strategy=config.mapping_strategy, steps=config.steps,
+                    chains=config.chains)
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +475,19 @@ def _link(src: Path, dst: Path) -> None:
 
 def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None) -> Checkpoint:
     """Run the two-stage loop and return the checkpoint with the best
-    validation MRR (final state if validation is empty). Training batches
-    take their history from the train split's periodic index, and each
-    validation from the train and valid splits', both built at `config.lam`.
-    DPCL scores with `config.mapping_strategy`. The component the config
-    ablates is never initialised or trained, and is None in every checkpoint
-    of the run. The returned `metrics` hold one line per epoch, including
-    the epochs before a resume; a line carries the validation MRR overall
-    (`val_mrr`, which selects the best state) and of the new-event and
-    periodic strata.
+    validation MRR (final state if validation is empty).
+
+    The run is one Checkpoint, `resume_from`'s run under `config` or a fresh
+    one, that each batch and epoch update in place: `last.ckpt` is written
+    from it, and the best is a snapshot of it (or, after a resume, the
+    `best.ckpt` described below). Training batches take their history from
+    the train split's periodic index at `config.lam`, and each validation is
+    `evaluate_split` of the valid split at `config.lam`. DPCL scores with
+    `config.mapping_strategy`. The component the config ablates is never
+    initialised or trained, and is None in every checkpoint of the run. The
+    returned `metrics` hold one line per epoch, including the epochs before a
+    resume; a line carries the validation MRR overall (`val_mrr`, which
+    selects the best state) and of the new-event and periodic strata.
 
     With `out_dir`, `metrics.jsonl` starts as the run's `metrics` (none for
     a fresh run, the resumed checkpoint's lines for a resume), so it never
@@ -511,47 +515,36 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
         "poincare" in dpcl_mod.strategy_distances(config.mapping_strategy)
     entropies = None if config.no_gndiff else token_entropies(store)
     index = build_periodic_index(store, config.lam, ("train",))
-    valid_quads = store.split("valid")
-    valid_index = build_periodic_index(store, config.lam, ("train", "valid")) \
-        if len(valid_quads) else None
+    has_valid = len(store.split("valid")) > 0
 
     best = None
     if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        _check_resumable(ckpt, config, store)
-        dparams, nparams, adam, adam_steps = ckpt.dpcl, ckpt.denoiser, ckpt.adam, ckpt.adam_steps
-        start_epoch = ckpt.epoch
-        best_mrr = ckpt.best_val_mrr
-        metrics = ckpt.metrics
+        run = load_checkpoint(resume_from)
+        _check_resumable(run, config, store)
+        run.config = config
         best_path = Path(resume_from).with_name("best.ckpt")
-        if valid_index is not None and best_path.exists():
+        if has_valid and best_path.exists():
             saved = load_checkpoint(best_path)
-            if saved.best_val_mrr == best_mrr:
+            if saved.best_val_mrr == run.best_val_mrr:
                 best = dataclasses.replace(saved, config=config)
     else:
         init_rng = nk.rng_for(config.seed, _NS_INIT)
-        dparams = None if config.no_dpcl else dpcl_mod.init_params(
-            store.n_entities, store.n_relations, config.d_dpcl, init_rng)
-        nparams = None if config.no_gndiff else gndiff.init_denoiser(
-            store.n_entities, store.n_relations, config.d_diff, init_rng)
-        adam = {name: AdamState.zeros(shape) for name, shape in
-                _param_shapes(config, store.n_entities, store.n_relations).items()}
-        adam_steps = 0
-        start_epoch = 0
-        best_mrr = -1.0
-        metrics = []
+        run = Checkpoint(
+            config=config,
+            dpcl=None if config.no_dpcl else dpcl_mod.init_params(
+                store.n_entities, store.n_relations, config.d_dpcl, init_rng),
+            denoiser=None if config.no_gndiff else gndiff.init_denoiser(
+                store.n_entities, store.n_relations, config.d_diff, init_rng),
+            adam={name: AdamState.zeros(shape) for name, shape in
+                  _param_shapes(config, store.n_entities, store.n_relations).items()},
+            adam_steps=0, epoch=0)
+    start_epoch = run.epoch
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         with open(out_path / "metrics.jsonl", "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(line) + "\n" for line in metrics)
-
-    def state(epoch_next: int) -> Checkpoint:
-        """The live state; the next Adam step updates its moments in place."""
-        return Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam=adam,
-                          adam_steps=adam_steps, epoch=epoch_next, best_val_mrr=best_mrr,
-                          metrics=list(metrics))
+            fh.writelines(json.dumps(line) + "\n" for line in run.metrics)
 
     for epoch in range(start_epoch, config.total_epochs):
         t0 = time.perf_counter()
@@ -567,13 +560,13 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
                 with nk.GradTape() as tape:
                     if not config.no_dpcl:
                         batch = QueryBatch.from_quads(quads, index)
-                        sp, snp = dpcl_mod.head_scores(dparams, batch, config.mapping_strategy)
+                        sp, snp = dpcl_mod.head_scores(run.dpcl, batch, config.mapping_strategy)
                         ce_t = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
                         if stage == 2 and len(batch) >= 2:
-                            sup_t = dpcl_mod.supcon_loss(dparams, batch, config.tau)
+                            sup_t = dpcl_mod.supcon_loss(run.dpcl, batch, config.tau)
                     if not config.no_gndiff:
                         toks = entropies.quad_tokens(quads)
-                        diff_t = gndiff.batch_loss(nparams, entropies, toks,
+                        diff_t = gndiff.batch_loss(run.denoiser, entropies, toks,
                                                    config.steps, config.mu, erng)
                     total_t = joint_loss(config.alpha, ce_t, sup_t, diff_t)
                 if not math.isfinite(total_t.item()):
@@ -584,19 +577,20 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
                     f"ce={_maybe(ce_t)}, sup={_maybe(sup_t)}, diff={_maybe(diff_t)}"
                 ) from e
 
-            trainable = _named_tensors(dparams, nparams)
+            trainable = run.named_tensors()
             grads = tape.gradient(total_t, list(trainable.values()))
-            adam_steps += 1
-            updated = {n: nk.adam_step(adam[n], p, g, adam_steps, config.lr)
+            run.adam_steps += 1
+            updated = {n: nk.adam_step(run.adam[n], p, g, run.adam_steps, config.lr)
                        for (n, p), g in zip(trainable.items(), grads)}
             if not config.no_dpcl:
                 dpcl_updates = _unprefixed(updated, "dpcl")
                 if needs_ball:
                     emb = dpcl_updates["entity_emb"]
                     dpcl_updates["entity_emb"] = nk._wrap(project_array_to_ball(emb.data))
-                dparams = dataclasses.replace(dparams, **dpcl_updates)
+                run.dpcl = dataclasses.replace(run.dpcl, **dpcl_updates)
             if not config.no_gndiff:
-                nparams = dataclasses.replace(nparams, **_unprefixed(updated, "denoiser"))
+                run.denoiser = dataclasses.replace(run.denoiser,
+                                                   **_unprefixed(updated, "denoiser"))
 
             sums["ce"] += _maybe(ce_t) or 0.0
             sums["sup"] += _maybe(sup_t) or 0.0
@@ -605,10 +599,10 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
             n_batches += 1
 
         val_mrr = val_mrr_new = val_mrr_periodic = 0.0
-        if valid_index is not None:
+        if has_valid:
             seed_eval = int(nk.rng_for(config.seed, _NS_EVAL, epoch).integers(2 ** 31))
-            reports = ev.evaluate_split(_model(config, dparams, nparams), store, "valid",
-                                        seed=seed_eval, index=valid_index, lam=config.lam)
+            reports = ev.evaluate_split(model_from_checkpoint(run, store), store, "valid",
+                                        seed=seed_eval, lam=config.lam)
             val_mrr = reports["all"].mrr
             val_mrr_new = reports["new-events"].mrr
             val_mrr_periodic = reports["periodic"].mrr
@@ -624,35 +618,32 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
             "val_mrr_periodic": val_mrr_periodic,
             "wall_seconds": time.perf_counter() - t0,
         }
-        metrics.append(line)
+        run.metrics.append(line)
         if out_path is not None:
             with open(out_path / "metrics.jsonl", "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(line) + "\n")
 
-        improved = valid_index is not None and val_mrr > best_mrr
+        improved = has_valid and val_mrr > run.best_val_mrr
         if improved:
-            best_mrr = val_mrr
-        current = state(epoch + 1)
+            run.best_val_mrr = val_mrr
+        run.epoch = epoch + 1
         if out_path is not None:
-            save_checkpoint(current, out_path / "last.ckpt")
+            save_checkpoint(run, out_path / "last.ckpt")
             if improved:
                 _link(out_path / "last.ckpt", out_path / "best.ckpt")
         if improved:
             # only a best that later epochs would step keeps its own moments
-            best = current if epoch + 1 == config.total_epochs else \
-                dataclasses.replace(current, adam={
-                    name: AdamState(s.m.copy(), s.v.copy()) for name, s in adam.items()})
+            adam = run.adam if run.epoch == config.total_epochs else {
+                name: AdamState(s.m.copy(), s.v.copy()) for name, s in run.adam.items()}
+            best = dataclasses.replace(run, adam=adam)
 
-    final = state(config.total_epochs)
+    run.epoch = config.total_epochs
     if out_path is not None:
         if start_epoch >= config.total_epochs:   # no epoch wrote last.ckpt
-            save_checkpoint(final, out_path / "last.ckpt")
-        if valid_index is None:
+            save_checkpoint(run, out_path / "last.ckpt")
+        if not has_valid:
             _link(out_path / "last.ckpt", out_path / "best.ckpt")
-    if best is None:
-        best = final
-    best.metrics = list(metrics)
-    return best
+    return run if best is None else dataclasses.replace(best, metrics=run.metrics)
 
 
 def _maybe(t: Tensor | None):

@@ -20,10 +20,10 @@ from . import gndiff
 from . import numkit as nk
 from .corpus import PeriodicIndex, QuadStore, build_periodic_index, segments
 from .dpcl import DpclParams, QueryBatch
-from .errors import DimensionError, NumericError
+from .errors import NumericError
 from .gndiff import DenoiserParams
 
-__all__ = ["Model", "RankReport", "p_dpcl", "combine", "ranks", "evaluate_split"]
+__all__ = ["Model", "RankReport", "p_dpcl", "ranks", "evaluate_split"]
 
 
 @dataclass
@@ -45,14 +45,6 @@ def p_dpcl(params: DpclParams, batch: QueryBatch, strategy: str) -> np.ndarray:
     `strategy` maps: (B, |E|) rows sum to 1, and -log(2 p[gt]) is a query's
     term of the loss."""
     return dpcl_mod.mixture(*dpcl_mod.head_scores(params, batch, strategy)).data
-
-
-def combine(p_diff: np.ndarray, p_dpcl_: np.ndarray) -> np.ndarray:
-    """Average the two candidate distributions."""
-    a, b = np.asarray(p_diff), np.asarray(p_dpcl_)
-    if a.shape != b.shape:
-        raise DimensionError(f"distribution shapes differ: {a.shape} vs {b.shape}")
-    return 0.5 * (a + b)
 
 
 def ranks(p: np.ndarray, gt: np.ndarray,
@@ -107,35 +99,37 @@ def _query_distributions(model: Model, quads: np.ndarray, index: PeriodicIndex,
     if model.denoiser is not None:
         pg = gndiff.p_diff_batch(model.denoiser, quads[:, :2], model.steps,
                                  model.chains, nk.rng_for(seed, 9))
-    p = pg if pd is None else pd if pg is None else combine(pg, pd)
+    p = pg if pd is None else pd if pg is None else 0.5 * (pg + pd)
     if not np.isfinite(p).all():
         raise NumericError("candidate distributions contain non-finite values")
     return p
 
 
-def evaluate_split(model: Model, store: QuadStore, split: str, seed: int = 0,
-                   index: PeriodicIndex | None = None,
-                   lam: float = 2.0) -> dict[str, RankReport]:
+def evaluate_split(model: Model, store: QuadStore, split: str, seed: int,
+                   lam: float) -> dict[str, RankReport]:
     """Time-filtered rank reports for a split, keyed by stratum: "all",
     "new-events" and "periodic".
 
-    The split is scored in chunks of CHUNK queries. Each chunk is ranked with
-    one comparison against its ground-truth probabilities (see `ranks`); a
-    query's same-time objects are one run of the split's facts sorted by
-    (s, r, t) key, and it is a new event when its ground truth is none of
-    its history pairs in `index`. A stratum is a mask over the split's
-    queries.
+    It builds the periodic index it ranks with from the split and the splits
+    before it (`_SCOPE_FOR_SPLIT`) at `lam`, which should be the `lam` the
+    model was trained at. The split is scored in chunks of CHUNK queries; the
+    diffusion chains of the chunk that starts at query `start` are seeded
+    with `seed + start`. Each chunk is ranked with one comparison against its
+    ground-truth probabilities (see `ranks`); a query's same-time objects are
+    one run of the split's facts sorted by (s, r, t) key, and it is a new
+    event when its ground truth is none of its history pairs in the index. A
+    stratum is a mask over the split's queries.
 
     The candidate distributions are computed with BLAS on one thread, so
     they and their timing do not depend on the process's BLAS thread count
-    (see numkit.single_threaded_blas). A model with neither component
-    raises ValueError, a non-finite distribution NumericError.
+    (see numkit.single_threaded_blas). A model with neither component or a
+    `lam` that is not positive and finite raises ValueError, a non-finite
+    distribution NumericError.
     """
     if model.dpcl is None and model.denoiser is None:
         raise ValueError("model has neither scoring parameters nor a denoiser")
     quads = store.split(split)
-    if index is None:
-        index = build_periodic_index(store, lam, _SCOPE_FOR_SPLIT[split])
+    index = build_periodic_index(store, lam, _SCOPE_FOR_SPLIT[split])
     # the split's facts sorted by (s, r, t) key: a query's same-time objects
     # are one run of them
     split_keys = index.key(quads[:, 0], quads[:, 1], quads[:, 3])

@@ -38,9 +38,12 @@ N_POSITIONS = 3
 def _schedule_arrays(h: np.ndarray, steps: int, mu: float):
     """Survival probabilities for token entropies h, shape (T+1, ..., n):
     1 - t/T - G(t) * h_tilde with G(t) = mu sin(pi t / T) and
-    h_tilde = 1 - mean(h)/h, confined to [0, 1] and forced non-increasing in
-    t. The t=0 and t=T endpoints are exactly 1 and 0 (sin vanishes there;
-    float sin(pi) does not, so they are pinned explicitly).
+    h_tilde = 1 - mean(h)/h, confined to [0, 1]. The t=0 and t=T endpoints
+    are exactly 1 and 0 (sin vanishes there; float sin(pi) does not, so they
+    are pinned explicitly). The clip alone is non-increasing in t: each curve
+    runs from 1 to 0 and is concave, convex or linear, so it rises only above
+    1 or below 0; where such a rise meets 1 or 0, consecutive steps differ by
+    about pi^2 / T^3, far above rounding for T below about 10^5.
     """
     n = h.shape[-1]
     h = np.maximum(h, 1e-12)  # a zero-entropy token would divide by zero
@@ -51,7 +54,7 @@ def _schedule_arrays(h: np.ndarray, steps: int, mu: float):
     g[steps] = 0.0
     shape = (steps + 1,) + (1,) * h.ndim
     raw = 1.0 - (t / steps).reshape(shape) - g.reshape(shape) * h_tilde[None, ...]
-    clamped = np.minimum.accumulate(np.clip(raw, 0.0, 1.0), axis=0)
+    clamped = np.clip(raw, 0.0, 1.0)
     clamped[0] = 1.0
     clamped[steps] = 0.0
     return clamped

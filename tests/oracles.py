@@ -153,7 +153,7 @@ class DiffusionSchedule:
 
 def raw_schedule(h: np.ndarray, steps: int, mu: float) -> np.ndarray:
     """1 - t/T - G(t) * h_tilde, (T+1, ..., n), before `_schedule_arrays`
-    confines it to [0, 1], makes it non-increasing and pins its endpoints."""
+    confines it to [0, 1] and pins its endpoints."""
     n = h.shape[-1]
     h = np.maximum(h, 1e-12)
     h_tilde = 1.0 - h.sum(axis=-1, keepdims=True) / (n * h)

@@ -108,7 +108,7 @@ def test_history_empty_at_time_zero(small_store):
 def test_a_non_finite_lambda_is_refused(small_store, lam):
     # `lam <= 0` let both through, and the index made z rows of +-nan or +-inf
     with pytest.raises(ValueError, match="lambda must be positive and finite"):
-        corpus.build_periodic_index(small_store, lam)
+        corpus.build_periodic_index(small_store, lam, ("train",))
 
 
 def brute_force_history(quads, s, r, t):
@@ -180,7 +180,7 @@ def test_z_two_values_and_sign_flip():
     quads = np.array([[0, 0, 1, 0]] + [[0, 0, 0, t] for t in range(1, 10)], dtype=np.int64)
     st = corpus.QuadStore(quads, ["A", "B"], ["r"], [str(t) for t in range(10)],
                           train_end=10, valid_end=10)
-    idx = corpus.build_periodic_index(st, lam=3.0)
+    idx = corpus.build_periodic_index(st, lam=3.0, scope=("train",))
     # before the event: -lam; after: +lam
     assert z_row(idx, 0, 0, 0)[1] == -3.0
     assert z_row(idx, 0, 0, 1)[1] == 3.0
@@ -207,7 +207,7 @@ def test_new_event_fraction_matches_brute_force():
     ]).astype(np.int64)
     st = corpus.QuadStore(quads, [f"e{i}" for i in range(5)], ["r0", "r1"],
                           [str(t) for t in range(30)], train_end=n, valid_end=n)
-    idx = corpus.build_periodic_index(st, lam=1.0)
+    idx = corpus.build_periodic_index(st, lam=1.0, scope=("train",))
     got = sum(corpus.is_new_event(idx, s, r, o, t) for s, r, o, t in quads)
     want = sum(int(o) not in brute_force_history(quads, s, r, t)
                for s, r, o, t in quads)
@@ -227,7 +227,7 @@ def adjacent_pairs_store():
 
 
 def test_history_past_the_last_timestamp_stays_in_its_pair():
-    idx = corpus.build_periodic_index(adjacent_pairs_store(), lam=1.0)
+    idx = corpus.build_periodic_index(adjacent_pairs_store(), lam=1.0, scope=("train",))
     last = 6
     assert corpus.is_new_event(idx, 0, 1, 3, last)
     for t in (last, last + 1, last + 2, 10 ** 6):
@@ -245,7 +245,7 @@ def test_history_past_the_last_timestamp_stays_in_its_pair():
 
 
 def test_pair_with_no_history():
-    idx = corpus.build_periodic_index(adjacent_pairs_store(), lam=1.0)
+    idx = corpus.build_periodic_index(adjacent_pairs_store(), lam=1.0, scope=("train",))
     assert idx.history(1, 0, 7) == set()
     assert corpus.is_new_event(idx, 1, 0, 1, 7)
     rows, objs = idx.history_pairs([0, 1, 0], [0, 0, 1], [7, 7, 7])
@@ -272,7 +272,7 @@ def test_empty_scope(scope):
 
 def test_zero_row_batch():
     store = adjacent_pairs_store()
-    idx = corpus.build_periodic_index(store, lam=2.0)
+    idx = corpus.build_periodic_index(store, lam=2.0, scope=("train",))
     batch = QueryBatch.from_quads(store.quads[:0], idx)
     assert len(batch) == 0
     assert batch.z_rows.shape == (0, store.n_entities)

@@ -493,7 +493,7 @@ def test_one_difference_block_per_eval_chunk(monkeypatch):
     model = ev.Model(dpcl=params, denoiser=None, mapping_strategy="hyp/euc", steps=50,
                      chains=8)
     calls = _count_sqdist_calls(monkeypatch)
-    ev.evaluate_split(model, store, "test")
+    ev.evaluate_split(model, store, "test", seed=0, lam=2.0)
     assert calls == [256] * (n_test // 256) + [n_test % 256] * bool(n_test % 256)
 
 

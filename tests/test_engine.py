@@ -65,6 +65,18 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.lam == 4.0 and cfg.seed == 7
 
 
+def test_a_config_file_that_sets_a_key_twice_is_refused(tmp_path):
+    # the last value used to win without a word: lr = 0.1 ... lr = 0.5 loaded 0.5
+    p = tmp_path / "run.cfg"
+    p.write_text("lr = 0.1\nbatch = 16\n# lr = 0.3\nlr=0.5\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:4: key 'lr' is already set on line 1"):
+        engine.parse_config_file(p)
+    # an override is how a value is replaced; the last one wins
+    p.write_text("lr = 0.1\n")
+    values = engine.apply_overrides(engine.parse_config_file(p), ["lr=0.5", "lr=0.7"])
+    assert values == {"lr": "0.7"}
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         engine.TrainConfig(alpha=1.5).validate()
@@ -113,7 +125,7 @@ def test_memorize_single_fact():
     pd = evaluate.p_dpcl(model.dpcl, batch, model.mapping_strategy)
     pg = gndiff.p_diff_batch(model.denoiser, store.quads[:, :2], cfg.steps, 4,
                              nk.rng_for(0, 99))
-    combined = evaluate.combine(pg, pd)
+    combined = 0.5 * (pg + pd)
     assert int(np.argmax(combined[0])) == 1   # the memorized object
 
 

@@ -126,7 +126,7 @@ def test_evaluate_split_matches_the_per_query_loop(case, chunk):
                            steps=50, chains=8)
     with mock.patch.object(evaluate, "_query_distributions", drawn), \
             mock.patch.object(evaluate, "CHUNK", chunk):
-        reports = evaluate.evaluate_split(model, store, split, seed=0)
+        reports = evaluate.evaluate_split(model, store, split, seed=0, lam=2.0)
     assert_reports_match(reports, oracles.split_ranks(probs, quads, scoped))
 
 
@@ -181,7 +181,7 @@ def test_evaluate_split_matches_the_per_query_loop_on_model_scores():
         probs = np.concatenate([
             evaluate._query_distributions(model, quads[i:i + evaluate.CHUNK], index, 5 + i)
             for i in range(0, len(quads), evaluate.CHUNK)])
-    reports = evaluate.evaluate_split(model, store, "test", seed=5)
+    reports = evaluate.evaluate_split(model, store, "test", seed=5, lam=2.0)
     assert_reports_match(reports, oracles.split_ranks(probs, quads, store.quads))
     assert 0 < len(reports["new-events"].ranks) < len(quads)
 
@@ -193,7 +193,7 @@ def test_a_model_with_no_component_is_refused_before_any_work(trained, monkeypat
                         lambda *args, **kwargs: built.append(args))
     empty = dataclasses.replace(model, dpcl=None, denoiser=None)
     with pytest.raises(ValueError, match="neither"):
-        evaluate.evaluate_split(empty, store, "test")
+        evaluate.evaluate_split(empty, store, "test", seed=0, lam=2.0)
     assert built == []
 
 
@@ -203,7 +203,7 @@ def test_evaluate_split_refuses_a_non_finite_lambda(trained, lam):
     # far from the cause, on "tensor contains non-finite values"
     store, model, _ = trained
     with pytest.raises(ValueError, match="lambda must be positive and finite"):
-        evaluate.evaluate_split(model, store, "test", lam=lam)
+        evaluate.evaluate_split(model, store, "test", seed=0, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,8 @@ def test_a_non_finite_candidate_distribution_is_refused_not_ranked(trained, monk
     monkeypatch.setattr(evaluate, "p_dpcl",
                         lambda params, batch, strategy: np.full(batch.z_rows.shape, np.nan))
     with pytest.raises(NumericError, match="candidate distributions contain non-finite"):
-        evaluate.evaluate_split(dataclasses.replace(model, denoiser=None), store, "test")
+        evaluate.evaluate_split(dataclasses.replace(model, denoiser=None), store, "test",
+                                seed=0, lam=2.0)
 
 
 def test_an_overflow_in_scoring_surfaces_at_the_ranked_distribution(trained):
@@ -229,7 +230,7 @@ def test_an_overflow_in_scoring_surfaces_at_the_ranked_distribution(trained):
                                 denoiser=None, mapping_strategy="euc/euc")
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="candidate distributions contain non-finite"):
-        evaluate.evaluate_split(model, store, "test")
+        evaluate.evaluate_split(model, store, "test", seed=0, lam=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +287,10 @@ def test_ranks_are_those_of_the_explicit_difference_block(strategy, monkeypatch)
         return probs[-1]
 
     monkeypatch.setattr(evaluate, "p_dpcl", recorded)
-    gram = evaluate.evaluate_split(model, store, "test")
+    gram = evaluate.evaluate_split(model, store, "test", seed=0, lam=cfg.lam)
     n_chunks = len(probs)
     monkeypatch.setattr(geo, "pairwise_sqdist", oracles.pairwise_sqdist)
-    explicit = evaluate.evaluate_split(model, store, "test")
+    explicit = evaluate.evaluate_split(model, store, "test", seed=0, lam=cfg.lam)
     assert n_chunks > 0 and len(probs) == 2 * n_chunks
     for name, report in gram.items():
         assert report.ranks == explicit[name].ranks, name

@@ -84,6 +84,20 @@ def test_the_schedule_is_the_clamped_raw_schedule(mu):
     np.testing.assert_array_equal(gndiff._schedule_arrays(h, 12, mu), clamped)
 
 
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(h=st.lists(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3),
+                  min_size=1, max_size=4).map(np.array),
+       steps=st.integers(2, 400), mu=st.floats(0.0, 10.0))
+def test_the_clipped_schedule_is_non_increasing(h, steps, mu):
+    # each pre-clamp curve 1 - x - mu h_tilde sin(pi x) runs from 1 to 0 and
+    # is convex, concave or linear, so it rises only below 0 or above 1, where
+    # the clip flattens it; _schedule_arrays needs no running minimum
+    clipped = np.clip(oracles.raw_schedule(h, steps, mu), 0.0, 1.0)
+    np.testing.assert_array_equal(clipped, np.minimum.accumulate(clipped, axis=0))
+    clipped[0], clipped[steps] = 1.0, 0.0
+    np.testing.assert_array_equal(gndiff._schedule_arrays(h, steps, mu), clipped)
+
+
 def test_schedule_boundaries_exact():
     ent = make_entropies()
     sched = oracles.build_schedule(ent, make_sequence(ent), steps=50, mu=0.25)

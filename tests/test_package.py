@@ -51,6 +51,29 @@ def test_every_numkit_name_has_a_caller_in_the_package():
     assert not unused, f"numkit names no other tkgdiff module uses: {unused}"
 
 
+# the only defaulted parameters in the package: train's optional paths
+ALLOWED_DEFAULTS = {("engine", "train", "out_dir"), ("engine", "train", "resume_from")}
+
+
+def test_no_function_in_the_package_defaults_a_parameter():
+    # a default selects behaviour the caller did not choose: evaluate_split
+    # ranked a model trained at lam = 8 with lam = 2 unless the caller said so
+    found = set()
+    for name in MODULES:
+        tree = ast.parse(Path(tkgdiff.__path__[0], f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                found.update((name, getattr(node, "name", "<lambda>"), arg.arg)
+                             for arg in defaulted)
+    extra = sorted(found - ALLOWED_DEFAULTS)
+    assert not extra, f"defaulted parameters (module, function, parameter): {extra}"
+
+
 def test_every_console_script_resolves():
     # an installed script whose target is missing crashes on every run
     tomllib = pytest.importorskip("tomllib")
