@@ -5,28 +5,34 @@ heads. Both heads share one entity table; the periodic head adds the signed
 history value and the non-periodic head subtracts it, and each adds a
 distance between the query subject and each candidate. The mapping strategy
 (STRATEGY_DISTANCES) names the space of each head's distance: the Poincare
-ball or Euclidean space. `mixture` is the scored distribution, the mean of
-the two heads' softmaxes; the cross-entropy objective is -log of twice its
-ground-truth entry, and a supervised contrastive objective pulls together
-query codes whose ground truth is / is not already in the history.
+ball or Euclidean space. The scored distribution is the mean of the two
+heads' softmaxes (evaluate.p_dpcl); the cross-entropy objective is -log of
+twice its ground-truth entry, and a supervised contrastive objective pulls
+together query codes whose ground truth is / is not already in the history.
+
+Both heads are one computation, `head_softmaxes`: their scores and
+softmaxes fill one (2B, |E|) block in place, and the history term is a
+sparse +-2 lam at the batch's history pairs. `ce_loss` tapes it as one
+record with a closed-form backward, so no taped op of a training batch is
+|E| wide; the taped chain it replaced is the test suite's reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import geometry as geo
 from . import numkit as nk
 from .corpus import PeriodicIndex
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, NumericError
 from .numkit import Tensor
 
 __all__ = [
     "STRATEGY_DISTANCES", "strategy_distances", "DpclParams", "QueryBatch",
-    "param_shapes", "init_params", "head_scores", "mixture", "ce_loss",
-    "supcon_loss",
+    "param_shapes", "init_params", "head_softmaxes", "ce_loss", "supcon_loss",
 ]
 
 STRATEGY_DISTANCES = {
@@ -95,13 +101,17 @@ def init_params(n_entities: int, n_relations: int, dim: int,
 
 @dataclass
 class QueryBatch:
-    """Object-prediction queries with their per-entity signed history values
-    and the periodic / non-periodic label of the ground truth."""
+    """Object-prediction queries with their history: the (row, object) pairs
+    of the objects each query's (subject, relation) had before its time, each
+    once per row (PeriodicIndex.history_pairs), the signed history value
+    `lam` of those objects (every other object's is -lam), and the periodic /
+    non-periodic label of the ground truth."""
 
     s_ids: np.ndarray       # (B,)
     r_ids: np.ndarray       # (B,)
     gt_ids: np.ndarray      # (B,)
-    z_rows: np.ndarray      # (B, |E|), entries in {+lam, -lam}
+    history: tuple[np.ndarray, np.ndarray]  # (rows, objects), unique per row
+    lam: float
     periodic: np.ndarray    # (B,) bool: ground truth already in history
 
     def __len__(self) -> int:
@@ -109,13 +119,14 @@ class QueryBatch:
 
     @classmethod
     def from_quads(cls, quads: np.ndarray, index: PeriodicIndex) -> "QueryBatch":
-        """The z rows are -lam with +lam scattered at the batch's history
-        pairs."""
+        """One history lookup for the batch; a query is periodic iff its
+        ground truth is among its history pairs."""
         s, r, o, t = (quads[:, i].astype(np.int64) for i in range(4))
-        z = np.full((len(quads), index.n_entities), -index.lam)
-        z[index.history_pairs(s, r, t)] = index.lam
-        periodic = z[np.arange(len(quads)), o] > 0
-        return cls(s_ids=s, r_ids=r, gt_ids=o, z_rows=z, periodic=periodic)
+        rows, objects = index.history_pairs(s, r, t)
+        periodic = np.zeros(len(quads), dtype=bool)
+        periodic[rows[objects == o[rows]]] = True
+        return cls(s_ids=s, r_ids=r, gt_ids=o, history=(rows, objects), lam=index.lam,
+                   periodic=periodic)
 
 
 def _query_input(params: DpclParams, batch: QueryBatch) -> tuple[Tensor, Tensor]:
@@ -131,58 +142,128 @@ def _code(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return nk.tanh(nk.add(nk.matmul(x, nk.transpose(w)), b))
 
 
-def head_scores(params: DpclParams, batch: QueryBatch, strategy: str) -> tuple[Tensor, Tensor]:
-    """(periodic, non-periodic) dependency scores per candidate, each
-    (B, |E|); taped.
+def head_softmaxes(params: DpclParams, batch: QueryBatch,
+                   strategy: str) -> tuple[np.ndarray, Callable[[np.ndarray], list]]:
+    """Both heads' softmax rows in one (2B, |E|) block, the periodic head's
+    over the first B rows and the non-periodic head's over the last B, and
+    their backward. Untaped.
 
     A head's score is its affine-code match against the entity table, plus
-    (periodic) or minus (non-periodic) the signed history row, plus the
-    subject-candidate distance of the kind `strategy` gives the head
-    (strategy_distances; ConfigError for an unknown name). Both distances
-    come from one subject x entity squared-distance block, one matrix
-    product over the batch's distinct subjects (geometry.pairwise_sqdist),
-    and a kind both heads use is computed once. A Poincare distance needs
-    every entity row inside the ball (geometry.poincare_from_sqdist).
+    the subject-candidate distance of the kind `strategy` gives the head
+    (strategy_distances; ConfigError for an unknown name), plus (periodic)
+    or minus (non-periodic) the signed history value z = -lam + 2 lam H,
+    where H marks the batch's history pairs. softmax(x + c) = softmax(x) for
+    a per-row constant c, so each head adds only its +-2 lam at the history
+    pairs, which are unique per row. The two codes make one product with the
+    entity table, both distances come from one subject x entity
+    squared-distance block (geometry.pairwise_sqdist), a kind both heads use
+    is computed once, and the scores become softmax rows in place. A Poincare
+    distance needs every entity row inside the ball (geometry.ball_gap,
+    ValueError otherwise).
+
+    `backward(g)` takes a (3B, |E|) array whose first 2B rows are the
+    gradient of the block's scores and whose last B rows it overwrites, and
+    returns the gradients of entity_emb, relation_emb, w_per, b_per,
+    w_nonper and b_nonper.
     """
     kinds = strategy_distances(strategy)
-    entities = params.entity_emb
-    s_emb, x = _query_input(params, batch)
-    sqdist = geo.pairwise_sqdist(s_emb, entities)
-    dist = {kind: geo.poincare_from_sqdist(sqdist, s_emb, entities) if kind == "poincare"
-            else geo.euclidean_from_sqdist(sqdist)
-            for kind in dict.fromkeys(kinds)}
-    entities_t = nk.transpose(entities)
-    z = Tensor(batch.z_rows)
+    entities = params.entity_emb.data
+    b, d = len(batch), entities.shape[1]
+    # the codes, then the subject rows: the rows the backward's products pair
+    # with the score and the squared-distance gradients
+    rows_in = np.empty((3 * b, d))
+    subjects = rows_in[2 * b:]
+    np.take(entities, batch.s_ids, axis=0, out=subjects)
+    x = np.concatenate([subjects, params.relation_emb.data[batch.r_ids]], axis=1)
+    maps = ((params.w_per.data, params.b_per.data),
+            (params.w_nonper.data, params.b_nonper.data))
+    for k, (w, bias) in enumerate(maps):
+        np.tanh(x @ w.T + bias, out=rows_in[k * b:(k + 1) * b])
+    codes = rows_in[:2 * b]
+    block = codes @ entities.T
+    sqdist = geo.pairwise_sqdist(subjects, entities)
+    gap_s = gap_e = None
+    if "poincare" in kinds:
+        gap = geo.ball_gap(entities, "the entity table")
+        gap_s, gap_e = gap[batch.s_ids], gap.T
+    dist = {kind: geo.distance(kind, sqdist, gap_s, gap_e) for kind in dict.fromkeys(kinds)}
+    heads = block[:b], block[b:]
+    for head, kind in zip(heads, kinds):
+        head += dist[kind][0]
+    rows, objects = batch.history
+    heads[0][rows, objects] += 2.0 * batch.lam
+    heads[1][rows, objects] -= 2.0 * batch.lam
+    block -= block.max(axis=1, keepdims=True)
+    np.exp(block, out=block)
+    block /= block.sum(axis=1, keepdims=True)
 
-    def head(w, b, history, kind):
-        affine = nk.matmul(_code(x, w, b), entities_t)
-        return nk.add(history(affine, z), dist[kind])
+    def backward(g):
+        g_dist: dict[str, np.ndarray] = {}
+        for g_head, kind in zip((g[:b], g[b:2 * b]), kinds):
+            g_dist[kind] = g_dist[kind] + g_head if kind in g_dist else g_head
+        g_sq = g_gap = None
+        for kind, g_kind in g_dist.items():
+            g_sq_kind, g_gap_s, g_gap_e = dist[kind][1](g_kind)
+            g_sq = g_sq_kind if g_sq is None else g_sq + g_sq_kind
+            if g_gap_s is not None:
+                g_gap = g_gap_s, g_gap_e
+        # block = codes entities^T and sqdist = |s|^2 + |e|^2 - 2 s e^T: with
+        # -2 g_sq below the score gradient, one product with each side
+        np.multiply(g_sq, -2.0, out=g[2 * b:])
+        g_entities = g.T @ rows_in
+        g_entities += 2.0 * g_sq.sum(axis=0)[:, None] * entities
+        g_rows = g @ entities
+        g_subjects = g_rows[2 * b:]
+        g_subjects += 2.0 * g_sq.sum(axis=1, keepdims=True) * subjects
+        if g_gap is not None:   # gap = 1 - |x|^2
+            g_subjects -= 2.0 * g_gap[0] * subjects
+            g_entities -= 2.0 * g_gap[1].T * entities
+        g_pre = g_rows[:2 * b]
+        g_pre *= 1.0 - codes * codes
+        g_x = g_pre[:b] @ maps[0][0] + g_pre[b:] @ maps[1][0]
+        g_subjects += g_x[:, :d]
+        np.add.at(g_entities, batch.s_ids, g_subjects)
+        g_relations = np.zeros_like(params.relation_emb.data)
+        np.add.at(g_relations, batch.r_ids, g_x[:, d:])
+        grads = [g_entities, g_relations]
+        for g_head in (g_pre[:b], g_pre[b:]):
+            grads += [g_head.T @ x, g_head.sum(axis=0, keepdims=True)]
+        return grads
 
-    return (head(params.w_per, params.b_per, nk.add, kinds[0]),
-            head(params.w_nonper, params.b_nonper, nk.sub, kinds[1]))
+    return block, backward
 
 
-def _softmax_sum(s_per: Tensor, s_nonper: Tensor) -> Tensor:
-    """softmax(S_per) + softmax(S_nonper), (B, |E|); taped."""
-    if s_per.shape != s_nonper.shape:
-        raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
-    return nk.add(nk.softmax_rows(s_per), nk.softmax_rows(s_nonper))
+def ce_loss(params: DpclParams, batch: QueryBatch, strategy: str) -> Tensor:
+    """-log(softmax(S_per)[gt] + softmax(S_nonper)[gt]) averaged over the
+    batch, which is -log(2 p[gt]) for the mixture p that evaluate.p_dpcl
+    ranks. The sum of two probabilities can exceed 1, so the loss can go
+    below -log 2; that is the objective as defined.
 
+    One taped record over the six scoring tensors (head_softmaxes), whose
+    backward is the closed form: with q = P_per[gt] + P_nonper[gt], a head's
+    score gradient is P[gt] / (B q) * (P - onehot(gt)). A ground truth with
+    probability 0 in both heads raises NumericError.
+    """
+    probs, backward = head_softmaxes(params, batch, strategy)
+    b = len(batch)
+    rows, cols = np.arange(2 * b), np.tile(batch.gt_ids, 2)
+    picked = probs[rows, cols]
+    q = picked[:b] + picked[b:]
+    if np.any(q <= 0.0):
+        raise NumericError("a ground truth has probability 0 in both heads")
+    loss = nk._wrap(np.array([[(-1.0 / b) * np.log(q).sum()]]))
+    coef = picked / (b * np.tile(q, 2))
 
-def mixture(s_per: Tensor, s_nonper: Tensor) -> Tensor:
-    """The scored distribution 0.5 * (softmax(S_per) + softmax(S_nonper)),
-    (B, |E|) rows that sum to 1; taped."""
-    return nk.mul(nk.constant(0.5), _softmax_sum(s_per, s_nonper))
+    def record_backward(g):
+        scale = coef * g[0, 0]
+        g_scores = np.empty((3 * b, probs.shape[1]))
+        np.multiply(probs, scale[:, None], out=g_scores[:2 * b])
+        g_scores[rows, cols] -= scale
+        return backward(g_scores)
 
-
-def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:
-    """-log(2 * mixture[gt]) = -log(softmax(S_per)[gt] + softmax(S_nonper)[gt]),
-    averaged over the batch, read from the un-halved sum of the two
-    softmaxes. The sum of two probabilities can exceed 1, so the loss can go
-    below -log 2; that is the objective as defined."""
-    per_query = nk.log(nk.gather_cols(_softmax_sum(s_per, s_nonper), gt_ids))
-    batch = s_per.shape[0]
-    return nk.mul(nk.constant(-1.0 / batch), nk.sum_all(per_query))
+    inputs = (params.entity_emb, params.relation_emb, params.w_per, params.b_per,
+              params.w_nonper, params.b_nonper)
+    return nk._tape_record(loss, inputs, record_backward)
 
 
 def supcon_loss(params: DpclParams, batch: QueryBatch, tau: float) -> Tensor:

@@ -443,7 +443,7 @@ def model_from_checkpoint(ckpt: Checkpoint, store: QuadStore) -> ev.Model:
     config = ckpt.config
     return ev.Model(dpcl=ckpt.dpcl, denoiser=ckpt.denoiser,
                     mapping_strategy=config.mapping_strategy, steps=config.steps,
-                    chains=config.chains)
+                    chains=config.chains, lam=config.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +560,7 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
                 with nk.GradTape() as tape:
                     if not config.no_dpcl:
                         batch = QueryBatch.from_quads(quads, index)
-                        sp, snp = dpcl_mod.head_scores(run.dpcl, batch, config.mapping_strategy)
-                        ce_t = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
+                        ce_t = dpcl_mod.ce_loss(run.dpcl, batch, config.mapping_strategy)
                         if stage == 2 and len(batch) >= 2:
                             sup_t = dpcl_mod.supcon_loss(run.dpcl, batch, config.tau)
                     if not config.no_gndiff:

@@ -1,29 +1,30 @@
 """Distances in the Poincare ball and Euclidean space, with boundary safeguards.
 
-Points are rows of 2-D tensors. The ball keeps a margin below the unit sphere
+Points are rows of 2-D arrays. The ball keeps a margin below the unit sphere
 so the distance denominator (1 - |x|^2) never collapses; the distance gradient
 at coincident points is defined as zero.
 
 Both distances are functions of the all-pairs squared difference |a_i - b_j|^2,
 so `pairwise_sqdist` computes it once, as |a|^2 + |b|^2 - 2 a.b with one
 matrix product over the distinct rows of `a` (scoring passes one subject row
-per query, and a few subjects make most queries), and `euclidean_from_sqdist`
-/ `poincare_from_sqdist` derive either distance from it. The expansion's
-error is a few ulps of |a|^2 + |b|^2, large only relative to close pairs,
-whose distance the ball divides by (1 - |a|^2)(1 - |b|^2) and magnifies near
-the boundary. So every entry at or below CLOSE * (|a|^2 + |b|^2) is
-recomputed from its explicit difference: the rest keep a relative error of a
-few ulps / CLOSE, no entry is negative, and identical rows give exactly 0,
-where numkit's sqrt and acosh pass a zero gradient: neither distance clamps.
+per query, and a few subjects make most queries), and `distance` derives
+either kind from it, with the closed-form backward that a caller chains into
+its own (dpcl's fused scoring record). The expansion's error is a few ulps of
+|a|^2 + |b|^2, large only relative to close pairs, whose distance the ball
+divides by (1 - |a|^2)(1 - |b|^2) and magnifies near the boundary. So every
+entry at or below CLOSE * (|a|^2 + |b|^2) is recomputed from its explicit
+difference: the rest keep a relative error of a few ulps / CLOSE, no entry is
+negative, and identical rows give exactly 0, where `distance` passes a zero
+gradient: neither distance clamps.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from . import numkit as nk
 from .errors import DimensionError
-from .numkit import Tensor
 
 BALL_MARGIN = 1e-5  # rows are kept at norm <= 1 - BALL_MARGIN
 CLOSE = 1e-6  # entries at or below CLOSE * (|a|^2 + |b|^2) are recomputed exactly
@@ -31,8 +32,7 @@ RECOMPUTE_BYTES = 1 << 20  # bytes of the (pairs, d) difference block of the rec
 
 __all__ = [
     "BALL_MARGIN", "CLOSE", "RECOMPUTE_BYTES", "project_array_to_ball",
-    "pairwise_sqdist", "euclidean_from_sqdist", "poincare_from_sqdist",
-    "poincare_pairwise", "euclidean_pairwise",
+    "ball_gap", "pairwise_sqdist", "distance",
 ]
 
 
@@ -49,16 +49,17 @@ def project_array_to_ball(x: np.ndarray) -> np.ndarray:
     return x * factor
 
 
-def _check_inside(rows: Tensor, name: str) -> None:
-    norms = np.linalg.norm(rows.data, axis=1)
+def ball_gap(x: np.ndarray, name: str) -> np.ndarray:
+    """1 - |x_i|^2 for each row of `x`, as a column (m, 1). A row with norm
+    above 1 - BALL_MARGIN raises ValueError naming the array `name`: it is an
+    error for a Poincare distance, not something scoring re-projects."""
+    sqnorms = np.einsum("ij,ij->i", x, x)
+    norms = np.sqrt(sqnorms)
     if np.any(norms > 1.0 - BALL_MARGIN):
         raise ValueError(f"{name} has rows outside the unit ball less its margin "
                          f"(max norm {norms.max():.6f} > 1 - {BALL_MARGIN:g}); "
                          "keep them inside with project_array_to_ball")
-
-
-def _row_sqnorm(x: Tensor) -> Tensor:
-    return nk.sum_cols(nk.mul(x, x))
+    return (1.0 - sqnorms)[:, None]
 
 
 def _sqdist_rows(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
@@ -80,59 +81,56 @@ def _sqdist_rows(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs |a_i - b_j|^2, shape (m, n); taped.
+def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs |a_i - b_j|^2, shape (m, n).
 
     One expansion row per distinct row of `a`, which repeated rows share,
     with the close pairs recomputed exactly (the module docstring says why):
-    no entry is negative and identical rows give 0. The closed-form backward
-    never materializes the (m, n, d) difference block and uses every row of
-    `a`.
+    no entry is negative and identical rows give 0. Its gradient is
+    2 (rowsum(g) a - g b) for `a` and 2 (colsum(g) b - g^T a) for `b`, which
+    the caller forms with its own products.
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    rows, inverse = np.unique(ad, axis=0, return_inverse=True)
+    rows, inverse = np.unique(a, axis=0, return_inverse=True)
     # numpy 2.0.x returns the inverse with a trailing axis
-    result = nk._wrap(_sqdist_rows(rows, bd)[inverse.reshape(-1)])
+    return _sqdist_rows(rows, b)[inverse.reshape(-1)]
+
+
+def distance(kind: str, sqdist: np.ndarray, gap_a,
+             gap_b) -> tuple[np.ndarray, Callable[[np.ndarray], tuple]]:
+    """The (m, n) distances of `kind` from `sqdist = pairwise_sqdist(a, b)`,
+    and their backward.
+
+    "euclidean" is sqrt(sqdist). "poincare" is
+    arcosh(1 + 2 sqdist / (gap_a gap_b)), with gap_a = ball_gap(a) (m, 1) and
+    gap_b = ball_gap(b).T (1, n); Euclidean distances ignore the gaps.
+    `backward(g)` maps the gradient of the distances to those of sqdist,
+    gap_a and gap_b (None and None for Euclidean). Where sqdist is 0, at
+    identical rows, the distance is 0 and passes a zero gradient.
+    """
+    if kind == "euclidean":
+        dist = np.sqrt(sqdist)
+
+        def backward(g):
+            g_sq = np.divide(g, dist, out=np.zeros_like(g), where=dist > 0.0)
+            g_sq *= 0.5
+            return g_sq, None, None
+
+        return dist, backward
+    den = gap_a * gap_b
+    quot = sqdist / den
+    arg = 1.0 + 2.0 * quot
+    dist = np.arccosh(arg)
 
     def backward(g):
-        row = g.sum(axis=1, keepdims=True)
-        col = g.sum(axis=0)[:, None]
-        ga = 2.0 * (row * ad - g @ bd)
-        gb = 2.0 * (col * bd - g.T @ ad)
-        return ga, gb
+        g_quot = np.divide(g, np.sqrt(arg * arg - 1.0), out=np.zeros_like(g),
+                           where=arg > 1.0)
+        g_quot *= 2.0
+        g_sq = g_quot / den
+        # quot = sqdist / (gap_a gap_b): d quot / d gap_a = -quot / gap_a
+        g_quot *= quot
+        return (g_sq, -g_quot.sum(axis=1, keepdims=True) / gap_a,
+                -g_quot.sum(axis=0, keepdims=True) / gap_b)
 
-    return nk._tape_record(result, (a, b), backward)
-
-
-def euclidean_from_sqdist(sqdist: Tensor) -> Tensor:
-    """L2 distances from `sqdist = pairwise_sqdist(a, b)`; taped. Its entries
-    are never negative and identical rows give +0, where sqrt's gradient is
-    0 (numkit.sqrt), so no clamp is needed."""
-    return nk.sqrt(sqdist)
-
-
-def poincare_from_sqdist(sqdist: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """Ball distances from `sqdist = pairwise_sqdist(a, b)`; taped. Rows of
-    `a` and `b` must have norm <= 1 - BALL_MARGIN (ValueError otherwise)."""
-    if sqdist.shape != (a.shape[0], b.shape[0]):
-        raise DimensionError(f"squared distances {sqdist.shape} do not pair "
-                             f"{a.shape} with {b.shape}")
-    _check_inside(a, "first argument")
-    _check_inside(b, "second argument")
-    one = nk.constant(1.0)
-    na = nk.sub(one, _row_sqnorm(a))                 # (m, 1)
-    nb = nk.transpose(nk.sub(one, _row_sqnorm(b)))   # (1, n)
-    arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(sqdist, nk.mul(na, nb))))
-    return nk.acosh(arg)
-
-
-def euclidean_pairwise(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs L2 distances, shape (m, n); taped."""
-    return euclidean_from_sqdist(pairwise_sqdist(a, b))
-
-
-def poincare_pairwise(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs ball distances, shape (m, n); taped. Rows must be inside the ball."""
-    return poincare_from_sqdist(pairwise_sqdist(a, b), a, b)
+    return dist, backward

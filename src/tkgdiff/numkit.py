@@ -11,9 +11,15 @@ ADAM_BETA2 and ADAM_EPS; the caller passes each step its number and learning rat
 
 Finiteness has one rule. Tensor() scans the data it is given; an op checks
 only shapes and the domains of div, log and sqrt, and passes an overflow on
-as inf or NaN (a NaN softmax row, NaN sums) to where values leave the
-kernel, which scans them: the training loss (engine.train), each Adam
-update, and the candidate distribution evaluation ranks.
+as inf or NaN (NaN sums, a NaN softmax row of a fused record) to where
+values leave the kernel, which scans them: the training loss
+(engine.train), each Adam update, and the candidate distribution evaluation
+ranks.
+
+The ops are the ones the package tapes op by op: the contrastive loss,
+the denoiser and the joint objective. A computation over (B, |E|) blocks is
+one record of its own module with a closed-form backward
+(dpcl.ce_loss, gndiff's cross-entropy), registered with `_tape_record`.
 """
 
 from __future__ import annotations
@@ -31,9 +37,8 @@ from .errors import DimensionError, NumericError
 __all__ = [
     "Tensor", "GradTape", "AdamState", "zeros", "constant",
     "matmul", "add", "sub", "mul", "div", "tanh", "exp", "log",
-    "sqrt", "acosh", "softmax_rows",
-    "sum_all", "sum_cols", "transpose", "reshape",
-    "concat_cols", "take_rows", "gather_cols",
+    "sqrt", "sum_all", "sum_cols", "transpose", "reshape",
+    "concat_cols", "take_rows",
     "adam_step", "single_threaded_blas", "rng_for",
 ]
 
@@ -272,33 +277,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _tape_record(out, (a,), backward)
 
 
-def acosh(a: Tensor) -> Tensor:
-    """Inverse hyperbolic cosine; inputs below 1 are clamped to 1 and receive
-    zero gradient there."""
-    clamped = np.maximum(a.data, 1.0)
-    out = _wrap(np.arccosh(clamped))
-    active = a.data > 1.0
-
-    def backward(g):
-        denom = np.sqrt(np.where(active, clamped * clamped - 1.0, 1.0))
-        return (np.where(active, g / denom, 0.0),)
-
-    return _tape_record(out, (a,), backward)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, computed with row-max subtraction for stability."""
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = _wrap(e / e.sum(axis=1, keepdims=True))
-    p = out.data
-
-    def backward(g):
-        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
-
-    return _tape_record(out, (a,), backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = _wrap(np.array([[a.data.sum()]]))
 
@@ -364,24 +342,6 @@ def take_rows(table: Tensor, ids) -> Tensor:
         return (gt,)
 
     return _tape_record(out, (table,), backward)
-
-
-def gather_cols(a: Tensor, cols) -> Tensor:
-    """Per-row column picks: out[i, 0] = a[i, cols[i]]."""
-    idx = np.asarray(cols, dtype=np.int64).reshape(-1)
-    if idx.size != a.shape[0]:
-        raise DimensionError(f"need one column id per row: {idx.size} ids, {a.shape[0]} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise DimensionError(f"column ids out of range for {a.shape}")
-    rows = np.arange(a.shape[0])
-    out = _wrap(a.data[rows, idx].reshape(-1, 1))
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, idx), g[:, 0])
-        return (ga,)
-
-    return _tape_record(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -104,16 +104,15 @@ def quick_config(**overrides):
 
 
 def make_batch(rng, n_entities, size, lam=2.0):
-    """Random DPCL queries: about 30% of each signed history row is +lam,
-    and the ground truth is in the history half of the time."""
+    """Random DPCL queries: each query's history holds about 30% of the
+    entities, and the ground truth is in the history half of the time."""
     s = rng.integers(0, n_entities, size)
     r = rng.integers(0, 2, size)
     rng.integers(1, 10, size)   # the timestamps; drawn so the later draws keep their values
     gt = rng.integers(0, n_entities, size)
-    z = np.where(rng.random((size, n_entities)) < 0.3, lam, -lam)
-    z[np.arange(size), gt] = np.where(rng.random(size) < 0.5, lam, -lam)
-    periodic = z[np.arange(size), gt] > 0
-    return QueryBatch(s, r, gt, z, periodic)
+    seen = rng.random((size, n_entities)) < 0.3
+    seen[np.arange(size), gt] = rng.random(size) < 0.5
+    return QueryBatch(s, r, gt, np.nonzero(seen), lam, seen[np.arange(size), gt])
 
 
 def assert_same_state(a, b):

@@ -1,7 +1,7 @@
 """Reference implementations that tests compare the production code against.
 
-Each item is the plain, one-sequence or one-row form of a computation that
-`tkgdiff` runs batched; only tests call them.
+Each item is the plain, one-sequence, one-row or op-by-op taped form of a
+computation that `tkgdiff` runs batched or fused; only tests call them.
 
 Diffusion, one sequence at a time (checks `gndiff.batch_loss` and
 `gndiff.p_diff_batch`):
@@ -31,25 +31,37 @@ The role-masked output layer (checks `gndiff.denoise_x0_batch`,
   role-sized denoiser that gives the same loss, gradients and tail
   distribution.
 
-Distances, one row pair at a time (checks `geometry.poincare_pairwise` and
-`geometry.euclidean_pairwise`):
+Distances (check `geometry.pairwise_sqdist` and, through the scoring chain
+below, `geometry.distance`):
 - `PoincarePoint`: a point projected into the ball on construction.
 - `poincare_distance`, `euclidean_distance`: row-wise distances, taped.
 - `pairwise_sqdist`: the all-pairs squared distances from explicit
   differences, one row per row of `a`, repeated rows included;
   `geometry.pairwise_sqdist` must reproduce it to rounding with one matrix
   product over the distinct rows, and bit for bit on close pairs.
+- `gram_sqdist`, `poincare_from_sqdist`, `euclidean_from_sqdist`,
+  `poincare_pairwise`, `euclidean_pairwise`: the taped all-pairs distances
+  the package had before its fused scoring record, over
+  `geometry.pairwise_sqdist`; the row-wise distances check them.
 
 Optimizer (checks `numkit.adam_step`):
 - `adam_step`: the textbook Adam update, which rebinds fresh moment arrays;
   `numkit.adam_step` must reproduce it bit for bit while updating in place.
 
-Scoring, one head at a time (checks `dpcl.head_scores` and `dpcl.ce_loss`):
-- `head_score`: one head's scores with its own subject rows and a row-wise
-  distance per (query, candidate) pair, taped.
+Scoring as a taped chain of ops (checks `dpcl.head_softmaxes`,
+`dpcl.ce_loss` and `evaluate.p_dpcl`, the one fused record that replaced
+it, to 1e-10):
+- `acosh`, `softmax_rows`, `gather_cols`: the taped ops the chain needs,
+  which no module of the package uses any more.
+- `z_rows`: a batch's dense signed history rows, -lam with +lam at its
+  history pairs, where the fused record adds only +-2 lam.
+- `head_scores`: both heads' (B, |E|) scores from one squared-distance
+  block; `softmax_sum`, `mixture`: their softmaxes, summed and halved.
 - `ce_loss`: the cross-entropy from each head's own ground-truth
-  probability, -log(softmax(S_per)[gt] + softmax(S_nonper)[gt]), without
-  the mixture; `dpcl.ce_loss` must reproduce it bit for bit.
+  probability, -log(softmax(S_per)[gt] + softmax(S_nonper)[gt]).
+- `head_score`: one head's scores with its own subject rows and a row-wise
+  distance per (query, candidate) pair, which checks `head_scores` apart
+  from the shared block.
 
 Ranking, one query at a time (checks `evaluate.ranks` and
 `evaluate.evaluate_split`):
@@ -79,10 +91,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tkgdiff import dpcl, gndiff
+from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import TokenEntropy
 from tkgdiff.errors import DimensionError
-from tkgdiff.geometry import _check_inside, _row_sqnorm, project_array_to_ball
+from tkgdiff.geometry import project_array_to_ball
 from tkgdiff.gndiff import N_POSITIONS, DenoiserParams
 from tkgdiff.numkit import Tensor
 
@@ -438,8 +451,8 @@ def role_masked_loss(params: DenoiserParams, entropies: TokenEntropy,
     token; taped."""
     toks = np.asarray(quad_tokens, dtype=np.int64).reshape(-1, N_POSITIONS)
     xt, ts, weights = gndiff._corrupt(entropies, toks, steps, mu, rng)
-    probs = nk.softmax_rows(role_masked_logits(params, xt, ts))
-    picked = nk.gather_cols(probs, toks.reshape(-1))
+    probs = softmax_rows(role_masked_logits(params, xt, ts))
+    picked = gather_cols(probs, toks.reshape(-1))
     weighted = nk.mul(Tensor(weights.reshape(-1, 1)), nk.log(picked))
     return nk.mul(nk.constant(-1.0 / len(toks)), nk.sum_all(weighted))
 
@@ -503,6 +516,15 @@ def _as_rows(p) -> Tensor:
     return Tensor(np.asarray(p, dtype=np.float64).reshape(1, -1))
 
 
+def _row_sqnorm(x: Tensor) -> Tensor:
+    return nk.sum_cols(nk.mul(x, x))
+
+
+def _check_inside(rows: Tensor, name: str) -> None:
+    """ValueError for a row past the ball margin, by geometry's own rule."""
+    geo.ball_gap(rows.data, name)
+
+
 def _rowwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     d = nk.sub(a, b)
     return nk.sum_cols(nk.mul(d, d))
@@ -529,7 +551,7 @@ def poincare_distance(a, b) -> Tensor:
     one = nk.constant(1.0)
     denom = nk.mul(nk.sub(one, _row_sqnorm(a)), nk.sub(one, _row_sqnorm(b)))
     arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(_rowwise_sqdist(a, b), denom)))
-    return nk.acosh(arg)
+    return acosh(arg)
 
 
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
@@ -555,6 +577,57 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     return nk._tape_record(result, (a, b), backward)
 
 
+def gram_sqdist(a: Tensor, b: Tensor) -> Tensor:
+    """geometry.pairwise_sqdist of two tensors' rows, taped: its closed-form
+    backward never materializes the (m, n, d) difference block and uses every
+    row of `a`."""
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    result = nk._wrap(geo.pairwise_sqdist(ad, bd))
+
+    def backward(g):
+        row = g.sum(axis=1, keepdims=True)
+        col = g.sum(axis=0)[:, None]
+        ga = 2.0 * (row * ad - g @ bd)
+        gb = 2.0 * (col * bd - g.T @ ad)
+        return ga, gb
+
+    return nk._tape_record(result, (a, b), backward)
+
+
+def euclidean_from_sqdist(sqdist: Tensor) -> Tensor:
+    """L2 distances from `sqdist = gram_sqdist(a, b)`; taped. Its entries are
+    never negative and identical rows give +0, where sqrt's gradient is 0
+    (numkit.sqrt), so no clamp is needed."""
+    return nk.sqrt(sqdist)
+
+
+def poincare_from_sqdist(sqdist: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """Ball distances from `sqdist = gram_sqdist(a, b)`; taped. Rows of `a`
+    and `b` must have norm <= 1 - BALL_MARGIN (ValueError otherwise)."""
+    if sqdist.shape != (a.shape[0], b.shape[0]):
+        raise DimensionError(f"squared distances {sqdist.shape} do not pair "
+                             f"{a.shape} with {b.shape}")
+    _check_inside(a, "first argument")
+    _check_inside(b, "second argument")
+    one = nk.constant(1.0)
+    na = nk.sub(one, _row_sqnorm(a))                 # (m, 1)
+    nb = nk.transpose(nk.sub(one, _row_sqnorm(b)))   # (1, n)
+    arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(sqdist, nk.mul(na, nb))))
+    return acosh(arg)
+
+
+def euclidean_pairwise(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs L2 distances, shape (m, n); taped."""
+    return euclidean_from_sqdist(gram_sqdist(a, b))
+
+
+def poincare_pairwise(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs ball distances, shape (m, n); taped. Rows must be inside the ball."""
+    return poincare_from_sqdist(gram_sqdist(a, b), a, b)
+
+
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
@@ -576,8 +649,116 @@ def adam_step(state: nk.AdamState, params: Tensor, g: np.ndarray, t: int,
 
 
 # ---------------------------------------------------------------------------
-# Scoring: one head at a time
+# Scoring: the taped chain
 # ---------------------------------------------------------------------------
+
+def acosh(a: Tensor) -> Tensor:
+    """Inverse hyperbolic cosine; inputs below 1 are clamped to 1 and receive
+    zero gradient there; taped."""
+    clamped = np.maximum(a.data, 1.0)
+    out = nk._wrap(np.arccosh(clamped))
+    active = a.data > 1.0
+
+    def backward(g):
+        denom = np.sqrt(np.where(active, clamped * clamped - 1.0, 1.0))
+        return (np.where(active, g / denom, 0.0),)
+
+    return nk._tape_record(out, (a,), backward)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise softmax, computed with row-max subtraction for stability;
+    taped."""
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = nk._wrap(e / e.sum(axis=1, keepdims=True))
+    p = out.data
+
+    def backward(g):
+        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+
+    return nk._tape_record(out, (a,), backward)
+
+
+def gather_cols(a: Tensor, cols) -> Tensor:
+    """Per-row column picks: out[i, 0] = a[i, cols[i]]; taped."""
+    idx = np.asarray(cols, dtype=np.int64).reshape(-1)
+    if idx.size != a.shape[0]:
+        raise DimensionError(f"need one column id per row: {idx.size} ids, {a.shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
+        raise DimensionError(f"column ids out of range for {a.shape}")
+    rows = np.arange(a.shape[0])
+    out = nk._wrap(a.data[rows, idx].reshape(-1, 1))
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (rows, idx), g[:, 0])
+        return (ga,)
+
+    return nk._tape_record(out, (a,), backward)
+
+
+def z_rows(batch: dpcl.QueryBatch, n_entities: int) -> np.ndarray:
+    """The batch's signed history rows, (B, |E|): +lam at its history pairs
+    and -lam everywhere else."""
+    z = np.full((len(batch), n_entities), -batch.lam)
+    z[batch.history] = batch.lam
+    return z
+
+
+def head_scores(params: dpcl.DpclParams, batch: dpcl.QueryBatch,
+                strategy: str) -> tuple[Tensor, Tensor]:
+    """(periodic, non-periodic) dependency scores per candidate, each
+    (B, |E|); taped.
+
+    A head's score is its affine-code match against the entity table, plus
+    (periodic) or minus (non-periodic) the signed history row (`z_rows`),
+    plus the subject-candidate distance of the kind `strategy` gives the
+    head. Both distances come from one subject x entity squared-distance
+    block (`gram_sqdist`), and a kind both heads use is computed once.
+    """
+    kinds = dpcl.strategy_distances(strategy)
+    entities = params.entity_emb
+    s_emb = nk.take_rows(entities, batch.s_ids)
+    x = nk.concat_cols(s_emb, nk.take_rows(params.relation_emb, batch.r_ids))
+    sqdist = gram_sqdist(s_emb, entities)
+    dist = {kind: poincare_from_sqdist(sqdist, s_emb, entities) if kind == "poincare"
+            else euclidean_from_sqdist(sqdist)
+            for kind in dict.fromkeys(kinds)}
+    entities_t = nk.transpose(entities)
+    z = Tensor(z_rows(batch, entities.shape[0]))
+
+    def head(w, b, history, kind):
+        code = nk.tanh(nk.add(nk.matmul(x, nk.transpose(w)), b))
+        return nk.add(history(nk.matmul(code, entities_t), z), dist[kind])
+
+    return (head(params.w_per, params.b_per, nk.add, kinds[0]),
+            head(params.w_nonper, params.b_nonper, nk.sub, kinds[1]))
+
+
+def softmax_sum(s_per: Tensor, s_nonper: Tensor) -> Tensor:
+    """softmax(S_per) + softmax(S_nonper), (B, |E|); taped."""
+    if s_per.shape != s_nonper.shape:
+        raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
+    return nk.add(softmax_rows(s_per), softmax_rows(s_nonper))
+
+
+def mixture(s_per: Tensor, s_nonper: Tensor) -> Tensor:
+    """The scored distribution 0.5 * (softmax(S_per) + softmax(S_nonper)),
+    (B, |E|) rows that sum to 1; taped."""
+    return nk.mul(nk.constant(0.5), softmax_sum(s_per, s_nonper))
+
+
+def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:
+    """-log(softmax(S_per)[gt] + softmax(S_nonper)[gt]), averaged over the
+    batch, from one gather per head; taped."""
+    if s_per.shape != s_nonper.shape:
+        raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
+    p1 = gather_cols(softmax_rows(s_per), gt_ids)
+    p2 = gather_cols(softmax_rows(s_nonper), gt_ids)
+    per_query = nk.log(nk.add(p1, p2))
+    return nk.mul(nk.constant(-1.0 / s_per.shape[0]), nk.sum_all(per_query))
+
 
 def head_score(params: dpcl.DpclParams, batch: dpcl.QueryBatch, head: str,
                distance: str) -> Tensor:
@@ -590,25 +771,16 @@ def head_score(params: dpcl.DpclParams, batch: dpcl.QueryBatch, head: str,
         "nonperiodic": (nk.sub, params.w_nonper, params.b_nonper),
     }[head]
     entities = params.entity_emb
+    n, b = entities.shape[0], len(batch)
     x = nk.concat_cols(nk.take_rows(entities, batch.s_ids),
                        nk.take_rows(params.relation_emb, batch.r_ids))
     code = nk.tanh(nk.add(nk.matmul(x, nk.transpose(weight)), bias))
-    scores = history(nk.matmul(code, nk.transpose(entities)), Tensor(batch.z_rows))
-    n, b = entities.shape[0], len(batch)
+    scores = history(nk.matmul(code, nk.transpose(entities)), Tensor(z_rows(batch, n)))
     subjects = nk.take_rows(entities, np.repeat(batch.s_ids, n))
     candidates = nk.take_rows(entities, np.tile(np.arange(n), b))
     rowwise = {"poincare": poincare_distance, "euclidean": euclidean_distance}[distance]
     dist = nk.reshape(rowwise(subjects, candidates), b, n)
     return nk.add(scores, dist)
-
-
-def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:
-    """-log(softmax(S_per)[gt] + softmax(S_nonper)[gt]), averaged over the
-    batch, from one gather per head; taped."""
-    p1 = nk.gather_cols(nk.softmax_rows(s_per), gt_ids)
-    p2 = nk.gather_cols(nk.softmax_rows(s_nonper), gt_ids)
-    per_query = nk.log(nk.add(p1, p2))
-    return nk.mul(nk.constant(-1.0 / s_per.shape[0]), nk.sum_all(per_query))
 
 
 # ---------------------------------------------------------------------------

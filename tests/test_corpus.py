@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tkgdiff import corpus
 from tkgdiff import numkit as nk
 from tkgdiff.dpcl import QueryBatch
@@ -82,7 +83,8 @@ def test_fifth_column_ignored(tmp_path):
 
 def z_row(index, s, r, t):
     """The signed history row of one query (s, r, ?, t): a one-row batch."""
-    return QueryBatch.from_quads(np.array([[s, r, 0, t]], dtype=np.int64), index).z_rows[0]
+    batch = QueryBatch.from_quads(np.array([[s, r, 0, t]], dtype=np.int64), index)
+    return oracles.z_rows(batch, index.n_entities)[0]
 
 
 def test_z_values_single_event():
@@ -166,7 +168,8 @@ def test_periodic_index_matches_brute_force_scan(case, lam):
     # every (s, r, t) as one batch, so z rows of different pairs share it
     grid = [(s, r, t) for s in range(store.n_entities) for r in range(store.n_relations)
             for t in range(store.n_timestamps + 1)]
-    z = QueryBatch.from_quads(np.array([(s, r, 0, t) for s, r, t in grid]), idx).z_rows
+    batch = QueryBatch.from_quads(np.array([(s, r, 0, t) for s, r, t in grid]), idx)
+    z = oracles.z_rows(batch, store.n_entities)
     for (s, r, t), row in zip(grid, z):
         seen = {int(o) for ss, rr, o, tt in scoped if ss == s and rr == r and tt < t}
         assert idx.history(s, r, t) == seen
@@ -252,7 +255,9 @@ def test_pair_with_no_history():
     np.testing.assert_array_equal(rows, [0, 2, 2])
     np.testing.assert_array_equal(objs, [1, 2, 3])
     batch = QueryBatch.from_quads(np.array([[1, 0, 1, 7], [0, 0, 1, 7]]), idx)
-    np.testing.assert_array_equal(batch.z_rows, [[-1.0] * 4, [-1.0, 1.0, -1.0, -1.0]])
+    np.testing.assert_array_equal(batch.history[0], [1])
+    np.testing.assert_array_equal(batch.history[1], [1])
+    assert batch.lam == 1.0
     np.testing.assert_array_equal(batch.periodic, [False, True])
 
 
@@ -266,7 +271,7 @@ def test_empty_scope(scope):
     rows, objs = idx.history_pairs([0, 0], [0, 1], [7, 7])
     assert rows.shape == objs.shape == (0,)
     batch = QueryBatch.from_quads(store.quads, idx)
-    np.testing.assert_array_equal(batch.z_rows, np.full((5, 4), -2.0))
+    assert batch.history[0].shape == batch.history[1].shape == (0,)
     assert not batch.periodic.any()
 
 
@@ -275,7 +280,7 @@ def test_zero_row_batch():
     idx = corpus.build_periodic_index(store, lam=2.0, scope=("train",))
     batch = QueryBatch.from_quads(store.quads[:0], idx)
     assert len(batch) == 0
-    assert batch.z_rows.shape == (0, store.n_entities)
+    assert batch.history[0].shape == batch.history[1].shape == (0,)
     assert batch.periodic.shape == (0,)
     rows, objs = idx.history_pairs([], [], [])
     assert rows.shape == objs.shape == (0,)

@@ -15,12 +15,19 @@ from tkgdiff.errors import ConfigError, DimensionError
 from tkgdiff.geometry import project_array_to_ball
 
 
-def periodic(params, batch):
-    return dpcl.head_scores(params, batch, "hyp/euc")[0]
+def head_log_probs(params, batch, strategy="hyp/euc"):
+    """The log-softmax rows of each head from the fused forward: a head's
+    scores less a per-row constant."""
+    probs = dpcl.head_softmaxes(params, batch, strategy)[0]
+    return np.log(probs[:len(batch)]), np.log(probs[len(batch):])
 
 
-def nonperiodic(params, batch):
-    return dpcl.head_scores(params, batch, "hyp/euc")[1]
+def centered(rows):
+    """Rows less their means: scores compared up to a per-row constant."""
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
+NO_HISTORY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 @pytest.fixture
@@ -37,12 +44,12 @@ def scalar_score(params, batch, i, j, head, distance):
     s = e[batch.s_ids[i]]
     r = params.relation_emb.data[batch.r_ids[i]]
     x = np.concatenate([s, r])
+    z = oracles.z_rows(batch, len(e))[i, j]
     if head == "periodic":
         code = np.tanh(params.w_per.data @ x + params.b_per.data[0])
-        z = batch.z_rows[i, j]
     else:
         code = np.tanh(params.w_nonper.data @ x + params.b_nonper.data[0])
-        z = -batch.z_rows[i, j]
+        z = -z
     affine = float(code @ e[j])
     if distance == "poincare":
         a = project_array_to_ball(s.reshape(1, -1))[0]
@@ -55,46 +62,41 @@ def scalar_score(params, batch, i, j, head, distance):
     return affine + z + dist
 
 
+def assert_head_matches_the_scalar_oracle(params, batch, head, distance):
+    got = head_log_probs(params, batch)[head == "nonperiodic"]
+    want = np.array([[scalar_score(params, batch, i, j, head, distance) for j in range(5)]
+                     for i in range(len(batch))])
+    np.testing.assert_allclose(centered(got), centered(want), rtol=0, atol=1e-10)
+
+
 def test_periodic_scores_match_scalar_oracle(setup):
-    params, batch, _ = setup
-    scores = periodic(params, batch).data
-    for i in range(len(batch)):
-        for j in range(5):
-            want = scalar_score(params, batch, i, j, "periodic", "poincare")
-            assert scores[i, j] == pytest.approx(want, abs=1e-10)
+    assert_head_matches_the_scalar_oracle(*setup[:2], "periodic", "poincare")
 
 
 def test_nonperiodic_scores_match_scalar_oracle(setup):
-    params, batch, _ = setup
-    scores = nonperiodic(params, batch).data
-    for i in range(len(batch)):
-        for j in range(5):
-            want = scalar_score(params, batch, i, j, "nonperiodic", "euclidean")
-            assert scores[i, j] == pytest.approx(want, abs=1e-10)
+    assert_head_matches_the_scalar_oracle(*setup[:2], "nonperiodic", "euclidean")
 
 
 def test_zeroed_affine_isolates_distance(setup):
     params, batch, _ = setup
     params = dataclasses.replace(params, w_per=nk.zeros(4, 8), b_per=nk.zeros(1, 4))
-    # subject at the origin, empty history row
+    # subject at the origin
     emb = params.entity_emb.data.copy()
     emb[batch.s_ids[0]] = 0.0
     params = dataclasses.replace(params, entity_emb=tensor(emb))
-    batch.z_rows[:] = 0.0
-    scores = periodic(params, batch).data
-    for j in range(5):
-        b = project_array_to_ball(emb[j].reshape(1, -1))[0]
-        want = np.arccosh(1.0 + 2.0 * (b @ b) / (1.0 - b @ b))
-        assert scores[0, j] == pytest.approx(want, abs=1e-10)
+    z = oracles.z_rows(batch, 5)
+    want = [np.arccosh(1.0 + 2.0 * (b @ b) / (1.0 - b @ b)) for b in emb]
+    got = head_log_probs(params, batch)[0][0] - z[0]
+    np.testing.assert_allclose(got - got[0], np.subtract(want, want[0]), rtol=0, atol=1e-10)
 
 
 def test_score_additivity_in_distance(setup):
-    # identical affine scores and z: the farther candidate wins by exactly
-    # the distance difference
+    # identical affine scores and history values: the farther candidate
+    # wins by exactly the distance difference
     params, batch, _ = setup
     params = dataclasses.replace(params, w_per=nk.zeros(4, 8), b_per=nk.zeros(1, 4))
-    batch.z_rows[:] = 0.0
-    scores = periodic(params, batch).data
+    batch = dataclasses.replace(batch, history=NO_HISTORY)
+    scores = head_log_probs(params, batch)[0]
     e = params.entity_emb.data
     s = project_array_to_ball(e[batch.s_ids[0]].reshape(1, -1))[0]
 
@@ -106,46 +108,52 @@ def test_score_additivity_in_distance(setup):
 
 
 def test_z_sign_opposition(setup):
+    # a candidate that joins the history gains 2 lam in the periodic head
+    # and loses 2 lam in the non-periodic head, against every other
     params, batch, _ = setup
-    lam = 2.0
-    sp0 = periodic(params, batch).data.copy()
-    snp0 = nonperiodic(params, batch).data.copy()
     o = int(batch.gt_ids[0])
-    # scoring froze the batch's z rows, which its tensor owns
-    z = batch.z_rows.copy()
-    z[0, o] += 2 * lam
-    batch = dataclasses.replace(batch, z_rows=z)
-    sp1 = periodic(params, batch).data
-    snp1 = nonperiodic(params, batch).data
-    assert sp1[0, o] - sp0[0, o] == pytest.approx(2 * lam, abs=1e-12)
-    assert snp1[0, o] - snp0[0, o] == pytest.approx(-2 * lam, abs=1e-12)
+    rows, objects = batch.history
+    keep = ~((rows == 0) & (objects == o))
+    without = dataclasses.replace(batch, history=(rows[keep], objects[keep]))
+    added = dataclasses.replace(batch, history=(np.append(rows[keep], 0),
+                                                np.append(objects[keep], o)))
+    (sp0, snp0), (sp1, snp1) = head_log_probs(params, without), head_log_probs(params, added)
+    other = (o + 1) % 5
+    lam = batch.lam
+    assert (sp1[0, o] - sp1[0, other]) - (sp0[0, o] - sp0[0, other]) == \
+        pytest.approx(2 * lam, abs=1e-12)
+    assert (snp1[0, o] - snp1[0, other]) - (snp0[0, o] - snp0[0, other]) == \
+        pytest.approx(-2 * lam, abs=1e-12)
 
 
 def test_nonperiodic_self_distance_zero(setup):
+    # a subject's own column is at distance exactly 0, in either space
     params, batch, _ = setup
-    params = dataclasses.replace(params, w_nonper=nk.zeros(4, 8), b_nonper=nk.zeros(1, 4))
-    batch.z_rows[:] = 0.0
-    scores = nonperiodic(params, batch).data
-    s0 = int(batch.s_ids[0])
-    assert scores[0, s0] == pytest.approx(0.0, abs=1e-12)
+    e = params.entity_emb.data
+    gap = geo.ball_gap(e, "entities")
+    sqdist = geo.pairwise_sqdist(e[batch.s_ids], e)
+    for kind in ("euclidean", "poincare"):
+        dist, _ = geo.distance(kind, sqdist, gap[batch.s_ids], gap.T)
+        assert (dist[np.arange(len(batch)), batch.s_ids] == 0.0).all(), kind
 
 
 def test_permutation_equivariance(setup):
     params, batch, _ = setup
     perm = np.array([2, 0, 4, 1, 3])          # new id of each old entity
     inv = np.argsort(perm)
-    scores = periodic(params, batch).data
+    probs = dpcl.head_softmaxes(params, batch, "hyp/euc")[0]
     pparams = dataclasses.replace(params, entity_emb=tensor(params.entity_emb.data[inv]))
+    rows, objects = batch.history
     pbatch = dpcl.QueryBatch(perm[batch.s_ids], batch.r_ids, perm[batch.gt_ids],
-                             batch.z_rows[:, inv], batch.periodic)
-    pscores = periodic(pparams, pbatch).data
-    np.testing.assert_allclose(pscores[:, perm], scores, atol=1e-12)
+                             (rows, perm[objects]), batch.lam, batch.periodic)
+    pprobs = dpcl.head_softmaxes(pparams, pbatch, "hyp/euc")[0]
+    np.testing.assert_allclose(pprobs[:, perm], probs, atol=1e-12)
 
 
 def test_ce_loss_uniform_rows():
     sp = nk.zeros(2, 4)
     snp = nk.zeros(2, 4)
-    loss = dpcl.ce_loss(sp, snp, [1, 3])
+    loss = oracles.ce_loss(sp, snp, [1, 3])
     assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -153,7 +161,7 @@ def test_ce_loss_dominant_limit():
     # ground truth far ahead in both heads: loss approaches -log 2
     sp = tensor([[100.0, 0.0, 0.0]])
     snp = tensor([[100.0, 0.0, 0.0]])
-    loss = dpcl.ce_loss(sp, snp, [0])
+    loss = oracles.ce_loss(sp, snp, [0])
     assert loss.item() == pytest.approx(-np.log(2.0), abs=1e-9)
 
 
@@ -162,7 +170,7 @@ def test_ce_loss_gradient():
     sp = tensor(rng.normal(size=(2, 5)))
     snp = tensor(rng.normal(size=(2, 5)))
     gt = [1, 4]
-    report = grad_check(lambda ps: dpcl.ce_loss(ps[0], ps[1], gt), [sp, snp],
+    report = grad_check(lambda ps: oracles.ce_loss(ps[0], ps[1], gt), [sp, snp],
                            tolerance=1e-4)
     assert report.ok, report
 
@@ -172,8 +180,8 @@ def test_ce_loss_shift_invariance(setup):
     sp = rng.normal(size=(3, 6))
     snp = rng.normal(size=(3, 6))
     gt = [0, 2, 5]
-    base = dpcl.ce_loss(tensor(sp), tensor(snp), gt).item()
-    shifted = dpcl.ce_loss(tensor(sp + 7.5), tensor(snp - 3.25), gt).item()
+    base = oracles.ce_loss(tensor(sp), tensor(snp), gt).item()
+    shifted = oracles.ce_loss(tensor(sp + 7.5), tensor(snp - 3.25), gt).item()
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -185,33 +193,75 @@ def test_ce_loss_decreases_with_gt_score():
     for bump in (0.0, 0.5, 1.0):
         s = sp.copy()
         s[0, 2] += bump
-        losses.append(dpcl.ce_loss(tensor(s), tensor(snp), [2]).item())
+        losses.append(oracles.ce_loss(tensor(s), tensor(snp), [2]).item())
     assert losses[0] > losses[1] > losses[2]
 
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 
-@PROPERTY
-@given(b=st.integers(1, 24), n=st.integers(1, 60), scale=st.sampled_from([0.1, 1.0, 10.0, 40.0]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_ce_loss_is_bit_equal_to_the_two_gather_form(b, n, scale, seed):
-    # the mixture halves the summed softmaxes and ce_loss doubles its
-    # ground-truth entry; both scalings are exact while the sum is no
-    # subnormal, as here, so the value and both gradients keep the bits of
-    # one gather per head
-    rng = nk.rng_for(seed)
-    sp, snp = (tensor(rng.normal(size=(b, n)) * scale) for _ in range(2))
+@st.composite
+def scoring_cases(draw):
+    """DPCL parameters and a batch: some entity rows at the ball margin, some
+    entity rows equal to another (so a subject can sit at zero distance from
+    two candidates), a weight scale that spreads the scores, and gold answers
+    alternately inside and outside the history.
+
+    Rows are either equal or apart by far more than an ulp: a margin row
+    within 1e-9 of an earlier one (in one dimension they all are) is made its
+    copy. At rows a few ulps apart, the squared distance is a few ulps^2 and
+    the distance gradient through it cancels in both the fused backward and
+    the chain, so neither has ten correct digits there."""
+    n = draw(st.integers(2, 24))
+    b = draw(st.integers(1, 10))
+    dim = draw(st.integers(1, 6))
+    rng = nk.rng_for(draw(st.integers(0, 2 ** 32 - 1)))
+    params = dpcl.init_params(n, 2, dim, rng)
+    emb = params.entity_emb.data.copy()
+    at_margin = draw(st.integers(0, n // 2))
+    emb[:at_margin] = geo.project_array_to_ball(emb[:at_margin] * 1e3)
+    for i in range(at_margin):
+        near = np.flatnonzero(np.abs(emb[:i] - emb[i]).max(axis=1, initial=0.0) < 1e-9)
+        if near.size:
+            emb[i] = emb[near[0]]
+    copies = draw(st.integers(0, n // 2))
+    emb[n - copies:] = emb[:copies]
+    scale = draw(st.sampled_from([1.0, 4.0]))
+    params = dataclasses.replace(
+        params, entity_emb=tensor(emb), w_per=tensor(params.w_per.data * scale),
+        w_nonper=tensor(params.w_nonper.data * scale),
+        b_per=tensor(rng.normal(size=(1, dim))), b_nonper=tensor(rng.normal(size=(1, dim))))
+    s = rng.integers(0, n, b)
+    s[0] = n - 1          # a copied row when there are copies
     gt = rng.integers(0, n, b)
-    values, grads = [], []
-    for loss in (dpcl.ce_loss, oracles.ce_loss):
-        with nk.GradTape() as tape:
-            out = loss(sp, snp, gt)
-        values.append(out.data)
-        grads.append(tape.gradient(out, [sp, snp]))
-    np.testing.assert_array_equal(values[0], values[1])
-    for got, want in zip(*grads):
-        np.testing.assert_array_equal(got, want)
+    seen = rng.random((b, n)) < 0.3
+    seen[np.arange(b), gt] = np.arange(b) % 2 == 0
+    batch = dpcl.QueryBatch(s, rng.integers(0, 2, b), gt, np.nonzero(seen), 2.0,
+                            np.arange(b) % 2 == 0)
+    return params, batch
+
+
+@PROPERTY
+@given(case=scoring_cases(), strategy=st.sampled_from(sorted(dpcl.STRATEGY_DISTANCES)))
+def test_fused_record_matches_the_taped_chain(case, strategy):
+    # the fused forward and its closed-form backward against the taped chain
+    # of ops it replaced (tests/oracles.py), whose history rows are -+lam
+    params, batch = case
+    sources = list(params.named().values())[:6]
+    with nk.GradTape() as tape:
+        loss = dpcl.ce_loss(params, batch, strategy)
+    assert len(tape) == 1
+    got = tape.gradient(loss, sources)
+    with nk.GradTape() as tape:
+        scores = oracles.head_scores(params, batch, strategy)
+        want_loss = oracles.ce_loss(*scores, batch.gt_ids)
+    want = tape.gradient(want_loss, sources)
+    assert loss.item() == pytest.approx(want_loss.item(), rel=1e-10, abs=0)
+    np.testing.assert_allclose(ev.p_dpcl(params, batch, strategy),
+                               oracles.mixture(*scores).data, rtol=1e-10, atol=0)
+    for name, g, w in zip(params.named(), got, want):
+        # relative to the largest entry, or absolute for gradients below 1
+        assert np.abs(g - w).max() <= 1e-10 * max(np.abs(w).max(), 1.0), name
 
 
 @PROPERTY
@@ -222,8 +272,8 @@ def test_p_dpcl_is_bit_equal_to_the_mean_of_the_head_softmaxes(b, n, dim, strate
     rng = nk.rng_for(seed)
     params = dpcl.init_params(n, 2, dim, rng)
     batch = make_batch(rng, n, b)
-    sp, snp = dpcl.head_scores(params, batch, strategy)
-    want = 0.5 * (nk.softmax_rows(sp).data + nk.softmax_rows(snp).data)
+    probs = dpcl.head_softmaxes(params, batch, strategy)[0]
+    want = 0.5 * (probs[:b] + probs[b:])
     np.testing.assert_array_equal(ev.p_dpcl(params, batch, strategy), want)
 
 
@@ -231,9 +281,9 @@ def test_mixture_and_ce_loss_reject_scores_of_different_shapes():
     # a (B, 1) score column would broadcast against the other head's rows
     for s_nonper in (nk.zeros(2, 1), nk.zeros(3, 4)):
         with pytest.raises(DimensionError, match="score shapes differ"):
-            dpcl.mixture(nk.zeros(2, 4), s_nonper)
+            oracles.mixture(nk.zeros(2, 4), s_nonper)
         with pytest.raises(DimensionError, match="score shapes differ"):
-            dpcl.ce_loss(nk.zeros(2, 4), s_nonper, [0, 1])
+            oracles.ce_loss(nk.zeros(2, 4), s_nonper, [0, 1])
 
 
 @pytest.mark.parametrize("n_entities, n_relations, dim", [(5, 2, 4), (1, 1, 1), (9, 3, 16)])
@@ -272,9 +322,8 @@ def hand_placed_params():
 
 def test_supcon_two_identical_same_label():
     params = hand_placed_params()
-    z = np.zeros((2, 2))
-    batch = dpcl.QueryBatch(np.array([0, 0]), np.array([0, 0]), np.array([0, 0]), z,
-                            np.array([True, True]))
+    batch = dpcl.QueryBatch(np.array([0, 0]), np.array([0, 0]), np.array([0, 0]), NO_HISTORY,
+                            2.0, np.array([True, True]))
     loss = dpcl.supcon_loss(params, batch, tau=0.1)
     assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
@@ -285,7 +334,7 @@ def test_supcon_all_same_label_identical_codes():
     params = hand_placed_params()
     b = 4
     batch = dpcl.QueryBatch(np.zeros(b, int), np.zeros(b, int), np.zeros(b, int),
-                            np.zeros((b, 2)), np.ones(b, bool))
+                            NO_HISTORY, 2.0, np.ones(b, bool))
     loss = dpcl.supcon_loss(params, batch, tau=0.1)
     z = np.tile([1.0, 0.0], (b, 1))
     assert loss.item() == pytest.approx(scalar_supcon(z, [0] * b, 0.1), abs=1e-12)
@@ -296,7 +345,7 @@ def test_supcon_hand_placed_antipodal():
     # codes at 0 deg / 0 deg / 180 deg on the unit circle, labels {A, A, B}
     params = hand_placed_params()
     batch = dpcl.QueryBatch(np.array([0, 0, 1]), np.zeros(3, int), np.zeros(3, int),
-                            np.zeros((3, 5)), np.array([True, True, False]))
+                            NO_HISTORY, 2.0, np.array([True, True, False]))
     loss = dpcl.supcon_loss(params, batch, tau=0.1)
     z = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
     want = scalar_supcon(z, [0, 0, 1], 0.1)
@@ -334,7 +383,7 @@ def test_supcon_rotation_invariance(setup):
 def test_supcon_no_positive_pairs_is_zero():
     params = hand_placed_params()
     batch = dpcl.QueryBatch(np.array([0, 1]), np.zeros(2, int), np.zeros(2, int),
-                            np.zeros((2, 2)), np.array([True, False]))
+                            NO_HISTORY, 2.0, np.array([True, False]))
     assert dpcl.supcon_loss(params, batch, tau=0.1).item() == 0.0
 
 
@@ -367,8 +416,7 @@ def test_full_dpcl_gradient_suite(setup):
 
     def f(ps):
         p = dpcl.DpclParams(**dict(zip(names, ps)))
-        sp, snp = dpcl.head_scores(p, batch, "hyp/euc")
-        ce = dpcl.ce_loss(sp, snp, batch.gt_ids)
+        ce = dpcl.ce_loss(p, batch, "hyp/euc")
         sup = dpcl.supcon_loss(p, batch, tau=0.1)
         return nk.add(ce, sup)
 
@@ -378,30 +426,25 @@ def test_full_dpcl_gradient_suite(setup):
 
 @pytest.mark.parametrize("strategy", sorted(dpcl.STRATEGY_DISTANCES))
 def test_head_scores_match_per_head_oracle(setup, strategy):
-    # one shared squared-distance block gives each head what it would get
-    # from its own subject rows and its own distances, values and gradients
+    # one shared block gives each head what it would get from its own subject
+    # rows and its own row-wise distances: the loss, the mixture and the
+    # gradients of the six scoring tensors
     params, _, rng = setup
     batch = make_batch(rng, 5, 4)
     per, nonper = dpcl.STRATEGY_DISTANCES[strategy]
-    names = list(params.named())
-    sources = list(params.named().values())
-    weights = tensor(rng.normal(size=(4, 5))), tensor(rng.normal(size=(4, 5)))
-
-    def objective(sp, snp):
-        return nk.add(nk.sum_all(nk.mul(sp, weights[0])), nk.sum_all(nk.mul(snp, weights[1])))
-
+    sources = list(params.named().values())[:6]
     with nk.GradTape() as tape:
-        sp, snp = dpcl.head_scores(params, batch, strategy)
-        shared = objective(sp, snp)
+        shared = dpcl.ce_loss(params, batch, strategy)
     got = tape.gradient(shared, sources)
     with nk.GradTape() as tape:
         osp = oracles.head_score(params, batch, "periodic", per)
         osnp = oracles.head_score(params, batch, "nonperiodic", nonper)
-        apart = objective(osp, osnp)
+        apart = oracles.ce_loss(osp, osnp, batch.gt_ids)
     want = tape.gradient(apart, sources)
-    np.testing.assert_allclose(sp.data, osp.data, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(snp.data, osnp.data, rtol=0, atol=1e-12)
-    for name, g, w in zip(names, got, want):
+    assert shared.item() == pytest.approx(apart.item(), rel=1e-12, abs=0)
+    np.testing.assert_allclose(ev.p_dpcl(params, batch, strategy),
+                               oracles.mixture(osp, osnp).data, rtol=1e-12, atol=0)
+    for name, g, w in zip(params.named(), got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
 
@@ -412,9 +455,7 @@ def test_head_scores_gradient(setup, strategy):
     names = list(params.named())
 
     def f(ps):
-        p = dpcl.DpclParams(**dict(zip(names, ps)))
-        sp, snp = dpcl.head_scores(p, batch, strategy)
-        return dpcl.ce_loss(sp, snp, batch.gt_ids)
+        return dpcl.ce_loss(dpcl.DpclParams(**dict(zip(names, ps))), batch, strategy)
 
     report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
@@ -424,17 +465,15 @@ def test_head_scores_gradient(setup, strategy):
 def test_each_distance_kind_is_derived_once(monkeypatch, setup, strategy):
     params, batch, _ = setup
     derived = []
-    for name in ("poincare_from_sqdist", "euclidean_from_sqdist"):
-        real = getattr(geo, name)
+    real = geo.distance
 
-        def counted(*args, _real=real, _name=name):
-            derived.append(_name)
-            return _real(*args)
+    def counted(kind, *args):
+        derived.append(kind)
+        return real(kind, *args)
 
-        monkeypatch.setattr(geo, name, counted)
-    dpcl.head_scores(params, batch, strategy)
-    kinds = set(dpcl.STRATEGY_DISTANCES[strategy])
-    assert sorted(derived) == sorted(f"{kind}_from_sqdist" for kind in kinds)
+    monkeypatch.setattr(geo, "distance", counted)
+    dpcl.head_softmaxes(params, batch, strategy)
+    assert sorted(derived) == sorted(set(dpcl.STRATEGY_DISTANCES[strategy]))
 
 
 def test_head_scores_reject_rows_past_the_ball_margin(setup):
@@ -445,17 +484,21 @@ def test_head_scores_reject_rows_past_the_ball_margin(setup):
     emb[3] = 0.0
     emb[3, 0] = 1.0 - geo.BALL_MARGIN / 2
     params = dataclasses.replace(params, entity_emb=tensor(emb))
-    for strategy in ("hyp/euc", "euc/hyp"):
+    for strategy in ("hyp/euc", "euc/hyp", "hyp/hyp"):
         with pytest.raises(ValueError, match="unit ball"):
-            dpcl.head_scores(params, batch, strategy)
-    sp, snp = dpcl.head_scores(params, batch, "euc/euc")
-    assert np.isfinite(sp.data).all() and np.isfinite(snp.data).all()
+            dpcl.ce_loss(params, batch, strategy)
+        with pytest.raises(ValueError, match="unit ball"):
+            ev.p_dpcl(params, batch, strategy)
+    assert np.isfinite(dpcl.ce_loss(params, batch, "euc/euc").item())
+    assert np.isfinite(ev.p_dpcl(params, batch, "euc/euc")).all()
 
 
 def test_head_scores_reject_unknown_distance(setup):
     params, batch, _ = setup
     with pytest.raises(ConfigError, match="unknown mapping strategy"):
-        dpcl.head_scores(params, batch, "hyp/manhattan")
+        dpcl.ce_loss(params, batch, "hyp/manhattan")
+    with pytest.raises(ConfigError, match="unknown mapping strategy"):
+        ev.p_dpcl(params, batch, "hyp/manhattan")
 
 
 def _count_sqdist_calls(monkeypatch) -> list:
@@ -491,7 +534,7 @@ def test_one_difference_block_per_eval_chunk(monkeypatch):
     assert n_test > 256
     params = dpcl.init_params(store.n_entities, store.n_relations, 8, nk.rng_for(46))
     model = ev.Model(dpcl=params, denoiser=None, mapping_strategy="hyp/euc", steps=50,
-                     chains=8)
+                     chains=8, lam=2.0)
     calls = _count_sqdist_calls(monkeypatch)
     ev.evaluate_split(model, store, "test", seed=0, lam=2.0)
     assert calls == [256] * (n_test // 256) + [n_test % 256] * bool(n_test % 256)

@@ -1081,8 +1081,7 @@ def test_joint_gradient_through_everything():
     def f(ps):
         dp = dpcl_mod.DpclParams(**dict(zip(d_names, ps[:len(d_names)])))
         np_ = dataclasses.replace(nparams, **dict(zip(n_names, ps[len(d_names):])))
-        sp, snp = dpcl_mod.head_scores(dp, batch, cfg.mapping_strategy)
-        ce = dpcl_mod.ce_loss(sp, snp, batch.gt_ids)
+        ce = dpcl_mod.ce_loss(dp, batch, cfg.mapping_strategy)
         sup = dpcl_mod.supcon_loss(dp, batch, cfg.tau)
         diff = gndiff.batch_loss(np_, entropies, toks, cfg.steps, cfg.mu,
                                  nk.rng_for(6))
@@ -1091,6 +1090,35 @@ def test_joint_gradient_through_everything():
     params = list(dparams.named().values()) + list(nparams.named().values())
     report = grad_check(f, params, tolerance=1e-4)
     assert report.ok, report
+
+
+def test_a_model_is_ranked_only_at_the_lambda_it_was_trained_at():
+    # the checkpoint is the one source of lam: a model trained at 8 used to
+    # be ranked at whatever lam its caller passed
+    store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
+    cfg = quick_config(lam=8.0, no_gndiff=True, epochs_stage1=1, epochs_stage2=0, batch=16)
+    model = engine.model_from_checkpoint(engine.train(cfg, store), store)
+    assert model.lam == 8.0
+    with pytest.raises(ValueError, match="trained at lambda 8.0, not 2.0"):
+        evaluate.evaluate_split(model, store, "test", seed=0, lam=2.0)
+    assert evaluate.evaluate_split(model, store, "test", seed=0, lam=8.0)["all"].ranks
+
+
+def test_no_tape_record_of_a_dpcl_training_batch_is_entity_wide(monkeypatch):
+    # both heads, their softmaxes and the cross-entropy are one record whose
+    # output is the (1, 1) loss; the contrastive term's blocks are (B, B)
+    store = planted_period_store()
+    cfg = quick_config(no_gndiff=True, batch=16, epochs_stage1=1, epochs_stage2=1)
+    widths = []
+    real = nk.GradTape.gradient
+
+    def spy(self, output, sources):
+        widths.extend(rec.out.shape[1] for rec in self._records)
+        return real(self, output, sources)
+
+    monkeypatch.setattr(nk.GradTape, "gradient", spy)
+    engine.train(cfg, store)
+    assert widths and store.n_entities not in widths
 
 
 def test_planted_pattern_quick_recovery():

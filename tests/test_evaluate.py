@@ -12,6 +12,7 @@ from tkgdiff import dpcl, engine, evaluate, gndiff
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import SPLITS, QuadStore, build_periodic_index
+from tkgdiff.dpcl import QueryBatch
 from tkgdiff.errors import NumericError
 
 # ---------------------------------------------------------------------------
@@ -119,11 +120,11 @@ def test_evaluate_split_matches_the_per_query_loop(case, chunk):
     quads = store.split(split)
     scoped = np.concatenate([store.split(name) for name in evaluate._SCOPE_FOR_SPLIT[split]])
 
-    def drawn(model, block, index, seed):
-        return probs[seed:seed + len(block)]   # evaluate_split passes seed + start
+    def drawn(model, batch, seed):
+        return probs[seed:seed + len(batch)]   # evaluate_split passes seed + start
 
     model = evaluate.Model(dpcl=object(), denoiser=None, mapping_strategy="hyp/euc",
-                           steps=50, chains=8)
+                           steps=50, chains=8, lam=2.0)
     with mock.patch.object(evaluate, "_query_distributions", drawn), \
             mock.patch.object(evaluate, "CHUNK", chunk):
         reports = evaluate.evaluate_split(model, store, split, seed=0, lam=2.0)
@@ -163,8 +164,9 @@ def test_query_distributions_ignore_the_gold_object(trained, component):
     swapped = quads.copy()
     swapped[:, 2] = nk.rng_for(7).permutation(quads[:, 2])
     assert np.any(swapped[:, 2] != quads[:, 2])
-    probs = evaluate._query_distributions(model, quads, index, seed=3)
-    probs_swapped = evaluate._query_distributions(model, swapped, index, seed=3)
+    probs = evaluate._query_distributions(model, QueryBatch.from_quads(quads, index), seed=3)
+    probs_swapped = evaluate._query_distributions(model, QueryBatch.from_quads(swapped, index),
+                                                  seed=3)
     np.testing.assert_array_equal(probs, probs_swapped)
 
 
@@ -174,12 +176,13 @@ def test_evaluate_split_matches_the_per_query_loop_on_model_scores():
     model = evaluate.Model(
         dpcl=dpcl.init_params(store.n_entities, store.n_relations, 8, rng),
         denoiser=gndiff.init_denoiser(store.n_entities, store.n_relations, 8, rng),
-        mapping_strategy="hyp/euc", steps=4, chains=2)
+        mapping_strategy="hyp/euc", steps=4, chains=2, lam=2.0)
     index = build_periodic_index(store, 2.0, evaluate._SCOPE_FOR_SPLIT["test"])
     quads = store.split("test")
     with nk.single_threaded_blas():
         probs = np.concatenate([
-            evaluate._query_distributions(model, quads[i:i + evaluate.CHUNK], index, 5 + i)
+            evaluate._query_distributions(
+                model, QueryBatch.from_quads(quads[i:i + evaluate.CHUNK], index), 5 + i)
             for i in range(0, len(quads), evaluate.CHUNK)])
     reports = evaluate.evaluate_split(model, store, "test", seed=5, lam=2.0)
     assert_reports_match(reports, oracles.split_ranks(probs, quads, store.quads))
@@ -215,7 +218,8 @@ def test_a_non_finite_candidate_distribution_is_refused_not_ranked(trained, monk
     # first and the split reported MRR 1.0
     store, model, _ = trained
     monkeypatch.setattr(evaluate, "p_dpcl",
-                        lambda params, batch, strategy: np.full(batch.z_rows.shape, np.nan))
+                        lambda params, batch, strategy: np.full(
+                            (len(batch), params.entity_emb.shape[0]), np.nan))
     with pytest.raises(NumericError, match="candidate distributions contain non-finite"):
         evaluate.evaluate_split(dataclasses.replace(model, denoiser=None), store, "test",
                                 seed=0, lam=2.0)
@@ -245,9 +249,9 @@ def test_p_dpcl_rises_with_a_candidates_history_value():
     params = dpcl.init_params(n, 2, 8, nk.rng_for(13))
     batch = make_batch(nk.rng_for(12), n, 4, lam)
     rows = np.arange(len(batch))
-    batch.z_rows[:] = -lam
-    seen = dataclasses.replace(batch, z_rows=batch.z_rows.copy())
-    seen.z_rows[rows, batch.gt_ids] = lam
+    empty = np.zeros(0, dtype=np.int64)
+    batch = dataclasses.replace(batch, history=(empty, empty))
+    seen = dataclasses.replace(batch, history=(rows, batch.gt_ids))
     before = evaluate.p_dpcl(params, batch, "hyp/euc")[rows, batch.gt_ids]
     after = evaluate.p_dpcl(params, seen, "hyp/euc")[rows, batch.gt_ids]
     assert np.all(after > 3.0 * before)
@@ -261,12 +265,15 @@ def test_p_dpcl_is_the_distribution_ce_loss_trains(strategy):
     p = evaluate.p_dpcl(params, batch, strategy)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     terms = -np.log(2.0 * p[rows, batch.gt_ids])
-    loss = dpcl.ce_loss(*dpcl.head_scores(params, batch, strategy), batch.gt_ids)
+    loss = dpcl.ce_loss(params, batch, strategy)
     assert abs(terms.mean() - loss.item()) <= 1e-12
+    hist_rows, hist_objects = batch.history
     for i in rows:
-        one = dpcl.QueryBatch(*(getattr(batch, f.name)[i:i + 1]
-                                for f in dataclasses.fields(batch)))
-        term = dpcl.ce_loss(*dpcl.head_scores(params, one, strategy), one.gt_ids)
+        mine = hist_rows == i
+        one = dpcl.QueryBatch(batch.s_ids[i:i + 1], batch.r_ids[i:i + 1],
+                              batch.gt_ids[i:i + 1], (hist_rows[mine] - i, hist_objects[mine]),
+                              batch.lam, batch.periodic[i:i + 1])
+        term = dpcl.ce_loss(params, one, strategy)
         assert abs(terms[i] - term.item()) <= 1e-12
 
 
@@ -289,7 +296,8 @@ def test_ranks_are_those_of_the_explicit_difference_block(strategy, monkeypatch)
     monkeypatch.setattr(evaluate, "p_dpcl", recorded)
     gram = evaluate.evaluate_split(model, store, "test", seed=0, lam=cfg.lam)
     n_chunks = len(probs)
-    monkeypatch.setattr(geo, "pairwise_sqdist", oracles.pairwise_sqdist)
+    monkeypatch.setattr(geo, "pairwise_sqdist",
+                        lambda a, b: oracles.pairwise_sqdist(nk.Tensor(a), nk.Tensor(b)).data)
     explicit = evaluate.evaluate_split(model, store, "test", seed=0, lam=cfg.lam)
     assert n_chunks > 0 and len(probs) == 2 * n_chunks
     for name, report in gram.items():

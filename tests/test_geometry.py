@@ -40,7 +40,7 @@ def test_poincare_distance_zero_on_self():
     x = tensor(random_ball_points(rng, 8, 5))
     d = oracles.poincare_distance(x, x)
     np.testing.assert_allclose(d.data, 0.0, atol=1e-12)
-    for pairwise in (geo.poincare_pairwise, geo.euclidean_pairwise):
+    for pairwise in (oracles.poincare_pairwise, oracles.euclidean_pairwise):
         np.testing.assert_allclose(np.diag(pairwise(x, x).data), 0.0, atol=1e-12)
 
 
@@ -92,7 +92,7 @@ def test_poincare_monotone_toward_boundary():
     radii = np.linspace(0.05, 1.0 - geo.BALL_MARGIN, 40, endpoint=False)
     dists = [oracles.poincare_distance(np.zeros(3), r * u).item() for r in radii]
     assert all(b > a for a, b in zip(dists, dists[1:]))
-    row = geo.poincare_pairwise(tensor(np.zeros((1, 3))), tensor(radii[:, None] * u))
+    row = oracles.poincare_pairwise(tensor(np.zeros((1, 3))), tensor(radii[:, None] * u))
     assert np.all(np.diff(row.data[0]) > 0)
 
 
@@ -110,8 +110,8 @@ def test_distance_gradients_away_from_coincidence():
 
 def test_coincident_gradient_is_zero_not_nan():
     x = tensor([[0.2, 0.1]])
-    for distance in (oracles.poincare_distance, geo.poincare_pairwise,
-                     geo.euclidean_pairwise):
+    for distance in (oracles.poincare_distance, oracles.poincare_pairwise,
+                     oracles.euclidean_pairwise):
         with nk.GradTape() as tape:
             d = nk.sum_all(distance(x, x))
         (g,) = tape.gradient(d, [x])
@@ -122,8 +122,8 @@ def test_pairwise_matches_rowwise():
     rng = nk.rng_for(28)
     a = tensor(random_ball_points(rng, 3, 4))
     b = tensor(random_ball_points(rng, 5, 4))
-    pw_p = geo.poincare_pairwise(a, b).data
-    pw_e = geo.euclidean_pairwise(a, b).data
+    pw_p = oracles.poincare_pairwise(a, b).data
+    pw_e = oracles.euclidean_pairwise(a, b).data
     for i in range(3):
         for j in range(5):
             dp = oracles.poincare_distance(a.data[i], b.data[j]).item()
@@ -137,10 +137,10 @@ def test_pairwise_gradients():
     a = tensor(random_ball_points(rng, 3, 3, max_norm=0.7))
     b = tensor(random_ball_points(rng, 4, 3, max_norm=0.7))
     w = tensor(rng.normal(size=(3, 4)))
-    rp = grad_check(lambda ps: nk.sum_all(nk.mul(geo.poincare_pairwise(ps[0], ps[1]), w)),
+    rp = grad_check(lambda ps: nk.sum_all(nk.mul(oracles.poincare_pairwise(ps[0], ps[1]), w)),
                        [a, b], tolerance=1e-4)
     assert rp.ok, rp
-    re = grad_check(lambda ps: nk.sum_all(nk.mul(geo.euclidean_pairwise(ps[0], ps[1]), w)),
+    re = grad_check(lambda ps: nk.sum_all(nk.mul(oracles.euclidean_pairwise(ps[0], ps[1]), w)),
                        [a, b], tolerance=1e-4)
     assert re.ok, re
 
@@ -150,17 +150,17 @@ def test_outside_ball_rejected():
         oracles.poincare_distance([1.5, 0.0], [0.0, 0.0])
     inside, outside = tensor([[0.0, 0.0]]), tensor([[0.0, 0.0], [1.5, 0.0]])
     with pytest.raises(ValueError, match="unit ball"):
-        geo.poincare_pairwise(outside, inside)
+        oracles.poincare_pairwise(outside, inside)
     with pytest.raises(ValueError, match="unit ball"):
-        geo.poincare_pairwise(inside, outside)
+        oracles.poincare_pairwise(inside, outside)
     # inside the unit sphere but past the margin that training keeps rows within
     past = tensor([[0.0, 1.0 - geo.BALL_MARGIN / 2]])
     at = tensor([[0.0, 1.0 - geo.BALL_MARGIN]])
-    assert np.isfinite(geo.poincare_pairwise(at, inside).data).all()
+    assert np.isfinite(oracles.poincare_pairwise(at, inside).data).all()
     with pytest.raises(ValueError, match="unit ball"):
-        geo.poincare_pairwise(past, inside)
+        oracles.poincare_pairwise(past, inside)
     with pytest.raises(ValueError, match="unit ball"):
-        geo.poincare_pairwise(inside, past)
+        oracles.poincare_pairwise(inside, past)
 
 
 def test_poincare_point_projects_on_construction():
@@ -191,7 +191,7 @@ def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, 
     base = rng.normal(size=d) * 0.1
     a = tensor(base + rng.normal(size=(m, d)) * 1e-9)
     b = tensor(base + rng.normal(size=(n, d)) * 1e-9)
-    got = geo.pairwise_sqdist(a, b).data
+    got = geo.pairwise_sqdist(a.data, b.data)
     full, last = divmod(m * n, cols)
     assert widths == [cols] * full + [last] * bool(last)
     np.testing.assert_array_equal(got, oracles.pairwise_sqdist(a, b).data)
@@ -199,10 +199,10 @@ def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, 
 
 def test_pairwise_sqdist_rejects_mismatched_dims():
     with pytest.raises(DimensionError):
-        geo.pairwise_sqdist(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 4))))
-    sq = geo.pairwise_sqdist(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 3))))
+        geo.pairwise_sqdist(np.zeros((2, 3)), np.zeros((2, 4)))
+    sq = oracles.gram_sqdist(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 3))))
     with pytest.raises(DimensionError):
-        geo.poincare_from_sqdist(sq, tensor(np.zeros((4, 3))), tensor(np.zeros((2, 3))))
+        oracles.poincare_from_sqdist(sq, tensor(np.zeros((4, 3))), tensor(np.zeros((2, 3))))
 
 
 def _rows_with(rng, m, distinct, d):
@@ -222,7 +222,7 @@ def test_pairwise_sqdist_matches_the_one_row_per_query_oracle(m, distinct, d):
     b = tensor(rng.normal(size=(37, d)) * 0.1)
     weights = tensor(rng.normal(size=(m, 37)))
     values, grads = [], []
-    for pairwise in (geo.pairwise_sqdist, oracles.pairwise_sqdist):
+    for pairwise in (oracles.gram_sqdist, oracles.pairwise_sqdist):
         with nk.GradTape() as tape:
             out = pairwise(a, b)
             loss = nk.sum_all(nk.mul(out, weights))
@@ -239,7 +239,7 @@ def test_pairwise_sqdist_signed_zero_rows_match_the_oracle():
     # only in the sign of zero, which squaring removes
     a = tensor([[0.0, 0.5, -0.0], [-0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [-0.0, -0.0, -0.0]])
     b = tensor([[0.0, 0.5, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
-    got = geo.pairwise_sqdist(a, b).data
+    got = geo.pairwise_sqdist(a.data, b.data)
     np.testing.assert_allclose(got, oracles.pairwise_sqdist(a, b).data, rtol=1e-12, atol=0)
     assert not np.signbit(got).any()
 
@@ -255,8 +255,8 @@ def test_difference_block_has_one_row_per_distinct_row(monkeypatch, m, distinct)
 
     monkeypatch.setattr(geo, "_sqdist_rows", count)
     rng = nk.rng_for(32, m)
-    a = tensor(_rows_with(rng, m, distinct, 6))
-    geo.pairwise_sqdist(a, tensor(rng.normal(size=(50, 6))))
+    a = _rows_with(rng, m, distinct, 6)
+    geo.pairwise_sqdist(a, rng.normal(size=(50, 6)))
     assert rows == [distinct]
 
 
@@ -283,7 +283,7 @@ def assert_matches_the_oracle(a, b):
     """geometry.pairwise_sqdist(a, b) against the explicit differences: no
     entry negative, each within 16 ulps of |a_i|^2 + |b_j|^2, and the close
     pairs bit for bit; returns (got, want, close)."""
-    got = geo.pairwise_sqdist(tensor(a), tensor(b)).data
+    got = geo.pairwise_sqdist(a, b)
     want = oracles.pairwise_sqdist(tensor(a), tensor(b)).data
     scale = np.add.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
     assert (got >= 0.0).all()
@@ -326,13 +326,13 @@ def test_pairwise_sqdist_repeated_subjects_share_the_oracles_rows():
 
 
 @pytest.mark.parametrize("distance, kind", [
-    (geo.poincare_pairwise, "poincare"), (geo.euclidean_pairwise, "euclidean")])
+    (oracles.poincare_pairwise, "poincare"), (oracles.euclidean_pairwise, "euclidean")])
 def test_identical_rows_give_exact_zeros_and_the_oracles_gradients(distance, kind):
     rng = nk.rng_for(36)
     shared = np.vstack([at_margin(rng, 3, 8), random_ball_points(rng, 3, 8)])
     a = tensor(np.vstack([shared, random_ball_points(rng, 4, 8)]))
     b = tensor(np.vstack([random_ball_points(rng, 5, 8), shared]))
-    sq = geo.pairwise_sqdist(a, b).data
+    sq = geo.pairwise_sqdist(a.data, b.data)
     np.testing.assert_array_equal(np.diag(sq[:6, 5:]), 0.0)
     assert not np.signbit(sq).any()
     weights = tensor(rng.normal(size=(10, 11)))
@@ -340,8 +340,8 @@ def test_identical_rows_give_exact_zeros_and_the_oracles_gradients(distance, kin
     def oracle(x, y):
         sq = oracles.pairwise_sqdist(x, y)
         if kind == "poincare":
-            return geo.poincare_from_sqdist(sq, x, y)
-        return geo.euclidean_from_sqdist(sq)
+            return oracles.poincare_from_sqdist(sq, x, y)
+        return oracles.euclidean_from_sqdist(sq)
 
     values, grads = [], []
     for pairwise in (distance, oracle):
@@ -397,9 +397,9 @@ def test_euclidean_from_sqdist_is_bit_equal_to_the_clamped_form(m, n, d, shared,
     b = tensor(np.vstack([pool[:shared], draw(rng, n, d)]))
     weights = tensor(rng.normal(size=(m + shared, n + shared)))
     values, grads = [], []
-    for distance in (geo.euclidean_from_sqdist, clamped_euclidean):
+    for distance in (oracles.euclidean_from_sqdist, clamped_euclidean):
         with nk.GradTape() as tape:
-            out = distance(geo.pairwise_sqdist(a, b))
+            out = distance(oracles.gram_sqdist(a, b))
             loss = nk.sum_all(nk.mul(out, weights))
         values.append(out.data)
         grads.append(tape.gradient(loss, [a, b]))
