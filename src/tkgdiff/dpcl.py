@@ -157,9 +157,11 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
     pairs, which are unique per row. The two codes make one product with the
     entity table, both distances come from one subject x entity
     squared-distance block (geometry.pairwise_sqdist), a kind both heads use
-    is computed once, and the scores become softmax rows in place. A Poincare
-    distance needs every entity row inside the ball (geometry.ball_gap,
-    ValueError otherwise).
+    is computed once, and the scores become softmax rows in place. The
+    entity table's squared row norms are taken once, for the block and the
+    ball gaps. A Poincare distance needs every entity row inside the ball
+    (geometry.ball_gap, ValueError otherwise). The backward forms the
+    distance gradient of the block's close pairs from their differences.
 
     `backward(g)` takes a (3B, |E|) array whose first 2B rows are the
     gradient of the block's scores and whose last B rows it overwrites, and
@@ -181,10 +183,11 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
         np.tanh(x @ w.T + bias, out=rows_in[k * b:(k + 1) * b])
     codes = rows_in[:2 * b]
     block = codes @ entities.T
-    sqdist = geo.pairwise_sqdist(subjects, entities)
+    sqnorms = geo.row_sqnorms(entities)
+    sqdist, (close_s, close_e) = geo.pairwise_sqdist(subjects, entities, sqnorms)
     gap_s = gap_e = None
     if "poincare" in kinds:
-        gap = geo.ball_gap(entities, "the entity table")
+        gap = geo.ball_gap(sqnorms, "the entity table")
         gap_s, gap_e = gap[batch.s_ids], gap.T
     dist = {kind: geo.distance(kind, sqdist, gap_s, gap_e) for kind in dict.fromkeys(kinds)}
     heads = block[:b], block[b:]
@@ -207,6 +210,10 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
             g_sq = g_sq_kind if g_sq is None else g_sq + g_sq_kind
             if g_gap_s is not None:
                 g_gap = g_gap_s, g_gap_e
+        # the close pairs' terms would cancel in the Gram form: they are
+        # formed from their differences below
+        g_close = g_sq[close_s, close_e]
+        g_sq[close_s, close_e] = 0.0
         # block = codes entities^T and sqdist = |s|^2 + |e|^2 - 2 s e^T: with
         # -2 g_sq below the score gradient, one product with each side
         np.multiply(g_sq, -2.0, out=g[2 * b:])
@@ -215,6 +222,9 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
         g_rows = g @ entities
         g_subjects = g_rows[2 * b:]
         g_subjects += 2.0 * g_sq.sum(axis=1, keepdims=True) * subjects
+        g_pairs = 2.0 * g_close[:, None] * (subjects[close_s] - entities[close_e])
+        np.add.at(g_subjects, close_s, g_pairs)
+        np.subtract.at(g_entities, close_e, g_pairs)
         if g_gap is not None:   # gap = 1 - |x|^2
             g_subjects -= 2.0 * g_gap[0] * subjects
             g_entities -= 2.0 * g_gap[1].T * entities

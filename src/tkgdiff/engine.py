@@ -577,10 +577,13 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
                 ) from e
 
             trainable = run.named_tensors()
-            grads = tape.gradient(total_t, list(trainable.values()))
+            grads = dict(zip(trainable, tape.gradient(total_t, list(trainable.values()))))
+            # the forward's intermediates, and each gradient once it is applied,
+            # go back to the allocator before the next array of the step is made
+            del tape
             run.adam_steps += 1
-            updated = {n: nk.adam_step(run.adam[n], p, g, run.adam_steps, config.lr)
-                       for (n, p), g in zip(trainable.items(), grads)}
+            updated = {n: nk.adam_step(run.adam[n], p, grads.pop(n), run.adam_steps, config.lr)
+                       for n, p in trainable.items()}
             if not config.no_dpcl:
                 dpcl_updates = _unprefixed(updated, "dpcl")
                 if needs_ball:

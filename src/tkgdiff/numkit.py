@@ -1,5 +1,6 @@
 """Minimal dense-tensor kernel: float64 matrices, a reverse-mode gradient tape,
-Adam, a one-thread BLAS scope, and seeded counter-based RNG.
+Adam, a one-thread BLAS scope, the process's allocator policy, and seeded
+counter-based RNG.
 
 Tensors are immutable 2-D float64 arrays. Each primitive operation is one
 function with its own forward and backward (the binary elementwise ops
@@ -15,6 +16,15 @@ as inf or NaN (NaN sums, a NaN softmax row of a fused record) to where
 values leave the kernel, which scans them: the training loss
 (engine.train), each Adam update, and the candidate distribution evaluation
 ranks.
+
+Two settings are process-wide: the BLAS thread count inside
+single_threaded_blas, and the allocator policy that importing this module
+sets once under glibc (_keep_freed_memory). Every block up to 32 MiB comes
+from malloc's heap, which is never trimmed: above the largest block a
+training batch or an eval chunk makes (29 MB, the (512, 7128) block of an
+eval chunk over an ICEWS14-sized vocabulary). So freed memory stays in the
+process, and the next batch reuses its pages instead of faulting in fresh
+ones. Values do not change; under another libc nothing is set.
 
 The ops are the ones the package tapes op by op: the contrastive loss,
 the denoiser and the joint objective. A computation over (B, |E|) blocks is
@@ -458,6 +468,40 @@ def single_threaded_blas() -> Iterator[None]:
         yield
     finally:
         set_(previous)
+
+
+# ---------------------------------------------------------------------------
+# Allocator policy
+# ---------------------------------------------------------------------------
+
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it
+# accepts on a 64-bit host, above every block the package allocates
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Serve blocks up to 32 MiB from malloc's heap and never trim it.
+
+    By default glibc maps each block above its mmap threshold on its own and
+    unmaps it when freed, and returns the heap top to the kernel once its
+    free part passes the trim threshold, moving both thresholds as blocks
+    are freed; so a batch that makes the blocks the previous batch freed
+    faults their pages in again. Setting either parameter stops the moving,
+    so both are set. A no-op where mallopt is missing or refuses the
+    threshold (another libc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX):
+        mallopt(_M_TRIM_THRESHOLD, -1)
+
+
+_keep_freed_memory()
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,14 @@ below, `geometry.distance`):
 - `pairwise_sqdist`: the all-pairs squared distances from explicit
   differences, one row per row of `a`, repeated rows included;
   `geometry.pairwise_sqdist` must reproduce it to rounding with one matrix
-  product over the distinct rows, and bit for bit on close pairs.
+  product over the distinct rows, and bit for bit on close pairs. Its
+  backward forms every pair's gradient from its difference, so it keeps
+  its digits where the Gram form cancels.
 - `gram_sqdist`, `poincare_from_sqdist`, `euclidean_from_sqdist`,
   `poincare_pairwise`, `euclidean_pairwise`: the taped all-pairs distances
   the package had before its fused scoring record, over
-  `geometry.pairwise_sqdist`; the row-wise distances check them.
+  `geometry.pairwise_sqdist` with `pairwise_sqdist`'s backward; the
+  row-wise distances check them.
 
 Optimizer (checks `numkit.adam_step`):
 - `adam_step`: the textbook Adam update, which rebinds fresh moment arrays;
@@ -522,7 +525,7 @@ def _row_sqnorm(x: Tensor) -> Tensor:
 
 def _check_inside(rows: Tensor, name: str) -> None:
     """ValueError for a row past the ball margin, by geometry's own rule."""
-    geo.ball_gap(rows.data, name)
+    geo.ball_gap(geo.row_sqnorms(rows.data), name)
 
 
 def _rowwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
@@ -554,46 +557,42 @@ def poincare_distance(a, b) -> Tensor:
     return acosh(arg)
 
 
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs |a_i - b_j|^2, shape (m, n); taped.
+def _differences(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """Every a_i - b_j, in one (m, n, d) block."""
+    return ad[:, None, :] - bd[None, :, :]
 
-    Forms every difference explicitly, in one (m, n, d) block; the
-    closed-form backward never materializes it.
-    """
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    diff = ad[:, None, :] - bd[None, :, :]
-    out = np.einsum("ijk,ijk->ij", diff, diff)
-    result = Tensor(out)
+
+def _sqdist_backward(ad: np.ndarray, bd: np.ndarray):
+    """The backward of all-pairs |a_i - b_j|^2 from the explicit differences:
+    2 sum_j g_ij (a_i - b_j) for `a` and -2 sum_i g_ij (a_i - b_j) for `b`,
+    which keeps its digits at pairs a few ulps apart."""
 
     def backward(g):
-        row = g.sum(axis=1, keepdims=True)
-        col = g.sum(axis=0)[:, None]
-        ga = 2.0 * (row * ad - g @ bd)
-        gb = 2.0 * (col * bd - g.T @ ad)
-        return ga, gb
+        diff = _differences(ad, bd)
+        return (2.0 * np.einsum("ij,ijk->ik", g, diff),
+                -2.0 * np.einsum("ij,ijk->jk", g, diff))
 
-    return nk._tape_record(result, (a, b), backward)
+    return backward
+
+
+def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs |a_i - b_j|^2, shape (m, n); taped. Forms every difference
+    explicitly, in the forward and in the backward."""
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
+    diff = _differences(a.data, b.data)
+    result = Tensor(np.einsum("ijk,ijk->ij", diff, diff))
+    return nk._tape_record(result, (a, b), _sqdist_backward(a.data, b.data))
 
 
 def gram_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """geometry.pairwise_sqdist of two tensors' rows, taped: its closed-form
-    backward never materializes the (m, n, d) difference block and uses every
-    row of `a`."""
+    """geometry.pairwise_sqdist of two tensors' rows, taped, with the
+    explicit-difference backward of `pairwise_sqdist`."""
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    result = nk._wrap(geo.pairwise_sqdist(ad, bd))
-
-    def backward(g):
-        row = g.sum(axis=1, keepdims=True)
-        col = g.sum(axis=0)[:, None]
-        ga = 2.0 * (row * ad - g @ bd)
-        gb = 2.0 * (col * bd - g.T @ ad)
-        return ga, gb
-
-    return nk._tape_record(result, (a, b), backward)
+    result = nk._wrap(geo.pairwise_sqdist(ad, bd, geo.row_sqnorms(bd))[0])
+    return nk._tape_record(result, (a, b), _sqdist_backward(ad, bd))
 
 
 def euclidean_from_sqdist(sqdist: Tensor) -> Tensor:

@@ -130,8 +130,9 @@ def test_nonperiodic_self_distance_zero(setup):
     # a subject's own column is at distance exactly 0, in either space
     params, batch, _ = setup
     e = params.entity_emb.data
-    gap = geo.ball_gap(e, "entities")
-    sqdist = geo.pairwise_sqdist(e[batch.s_ids], e)
+    sqnorms = geo.row_sqnorms(e)
+    gap = geo.ball_gap(sqnorms, "entities")
+    sqdist = geo.pairwise_sqdist(e[batch.s_ids], e, sqnorms)[0]
     for kind in ("euclidean", "poincare"):
         dist, _ = geo.distance(kind, sqdist, gap[batch.s_ids], gap.T)
         assert (dist[np.arange(len(batch)), batch.s_ids] == 0.0).all(), kind
@@ -207,11 +208,12 @@ def scoring_cases(draw):
     two candidates), a weight scale that spreads the scores, and gold answers
     alternately inside and outside the history.
 
-    Rows are either equal or apart by far more than an ulp: a margin row
-    within 1e-9 of an earlier one (in one dimension they all are) is made its
-    copy. At rows a few ulps apart, the squared distance is a few ulps^2 and
-    the distance gradient through it cancels in both the fused backward and
-    the chain, so neither has ten correct digits there."""
+    A margin row within 1e-9 of an earlier one (in one dimension they all
+    are) is made its copy, and the copies are exact or a few ulps off: there
+    the squared distance is a few ulps^2, whose gradient both the fused
+    backward and the chain form from the explicit differences. (Between
+    those, a margin pair 1e-12 apart puts arcosh's argument a few ulps above
+    1, where the Poincare distance has no ten correct digits in either.)"""
     n = draw(st.integers(2, 24))
     b = draw(st.integers(1, 10))
     dim = draw(st.integers(1, 6))
@@ -225,7 +227,7 @@ def scoring_cases(draw):
         if near.size:
             emb[i] = emb[near[0]]
     copies = draw(st.integers(0, n // 2))
-    emb[n - copies:] = emb[:copies]
+    emb[n - copies:] = emb[:copies] + draw(st.integers(0, 4)) * np.spacing(emb[:copies])
     scale = draw(st.sampled_from([1.0, 4.0]))
     params = dataclasses.replace(
         params, entity_emb=tensor(emb), w_per=tensor(params.w_per.data * scale),
@@ -262,6 +264,41 @@ def test_fused_record_matches_the_taped_chain(case, strategy):
     for name, g, w in zip(params.named(), got, want):
         # relative to the largest entry, or absolute for gradients below 1
         assert np.abs(g - w).max() <= 1e-10 * max(np.abs(w).max(), 1.0), name
+
+
+def test_the_distance_gradient_of_rows_ulps_apart_matches_central_differences():
+    # one dimension, rows at the ball margin: entity 1 is one ulp inside the
+    # subject, entity 0, so their squared distance is 1 ulp^2. With zero code
+    # maps and lam = 0 the scores are the distances themselves, so steps of
+    # one ulp resolve them exactly; the Gram form cancels to no correct digit
+    margin = -(1.0 - geo.BALL_MARGIN)
+    ulp = np.spacing(-margin)
+    params = dpcl.init_params(3, 1, 1, nk.rng_for(48))
+    zero = nk.zeros(1, 2)
+    params = dataclasses.replace(
+        params, entity_emb=tensor([[margin], [margin + ulp], [0.5]]),
+        w_per=zero, w_nonper=zero)
+    batch = dpcl.QueryBatch(np.array([0]), np.array([0]), np.array([2]), NO_HISTORY, 0.0,
+                            np.array([False]))
+    # a tenth of both heads' scores at the subject's own column and at entity 1
+    g = np.zeros((3, 3))
+    g[:2, :2] = 0.1
+
+    def scored(emb):
+        varied = dataclasses.replace(params, entity_emb=tensor(emb))
+        heads = oracles.head_scores(varied, batch, "euc/euc")
+        return sum(h.data[0, 0] + h.data[0, 1] for h in heads)
+
+    emb = params.entity_emb.data
+    want = np.zeros((3, 1))
+    for k in range(3):
+        up, down = emb.copy(), emb.copy()
+        up[k] += ulp
+        down[k] -= ulp
+        want[k] = (scored(up) - scored(down)) / (2 * ulp)
+    np.testing.assert_array_equal(want, [[-2.0], [2.0], [0.0]])
+    got = dpcl.head_softmaxes(params, batch, "euc/euc")[1](g)[0]
+    np.testing.assert_allclose(got, 0.1 * want, rtol=1e-12, atol=0)
 
 
 @PROPERTY
@@ -505,9 +542,9 @@ def _count_sqdist_calls(monkeypatch) -> list:
     calls = []
     real = geo.pairwise_sqdist
 
-    def counted(a, b):
+    def counted(a, b, b_sqnorms):
         calls.append(a.shape[0])
-        return real(a, b)
+        return real(a, b, b_sqnorms)
 
     monkeypatch.setattr(geo, "pairwise_sqdist", counted)
     return calls

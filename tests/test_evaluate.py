@@ -296,8 +296,13 @@ def test_ranks_are_those_of_the_explicit_difference_block(strategy, monkeypatch)
     monkeypatch.setattr(evaluate, "p_dpcl", recorded)
     gram = evaluate.evaluate_split(model, store, "test", seed=0, lam=cfg.lam)
     n_chunks = len(probs)
-    monkeypatch.setattr(geo, "pairwise_sqdist",
-                        lambda a, b: oracles.pairwise_sqdist(nk.Tensor(a), nk.Tensor(b)).data)
+    real_sqdist = geo.pairwise_sqdist
+
+    def explicit_sqdist(a, b, b_sqnorms):
+        close = real_sqdist(a, b, b_sqnorms)[1]
+        return oracles.pairwise_sqdist(nk.Tensor(a), nk.Tensor(b)).data, close
+
+    monkeypatch.setattr(geo, "pairwise_sqdist", explicit_sqdist)
     explicit = evaluate.evaluate_split(model, store, "test", seed=0, lam=cfg.lam)
     assert n_chunks > 0 and len(probs) == 2 * n_chunks
     for name, report in gram.items():

@@ -10,6 +10,11 @@ from tkgdiff import numkit as nk
 from tkgdiff.errors import DimensionError
 
 
+def block(a, b):
+    """The squared-distance block of geometry.pairwise_sqdist(a, b, ...)."""
+    return geo.pairwise_sqdist(a, b, geo.row_sqnorms(b))[0]
+
+
 def random_ball_points(rng, n, d, max_norm=0.9):
     x = rng.normal(size=(n, d))
     radii = rng.uniform(0.0, max_norm, size=(n, 1))
@@ -25,6 +30,27 @@ def test_project_forces_to_margin():
     p = geo.project_array_to_ball(np.array([[3.0, 4.0]]))
     assert np.linalg.norm(p) == pytest.approx(1.0 - geo.BALL_MARGIN, abs=1e-11)
     np.testing.assert_allclose(p / np.linalg.norm(p), [[0.6, 0.8]], atol=1e-12)
+
+
+def test_project_returns_its_input_when_no_row_moves():
+    x = random_ball_points(nk.rng_for(20), 6, 4, max_norm=1.0 - 2 * geo.BALL_MARGIN)
+    assert geo.project_array_to_ball(x) is x
+
+
+def test_a_row_past_the_margin_rescales_as_the_product_form_does():
+    # the form before the early return: every row times its factor, 1.0 off
+    # the margin; a row at the margin itself counts as past it
+    rng = nk.rng_for(22)
+    x = random_ball_points(rng, 6, 4)
+    x[1] *= 3.0 / np.linalg.norm(x[1])
+    x[4] *= (1.0 - geo.BALL_MARGIN) / np.linalg.norm(x[4])
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    limit = 1.0 - geo.BALL_MARGIN
+    want = x * np.where(norms >= limit, geo._TARGET / np.maximum(norms, limit), 1.0)
+    got = geo.project_array_to_ball(x)
+    assert got is not x
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got[[0, 2, 3, 5]], x[[0, 2, 3, 5]])
 
 
 def test_project_idempotent():
@@ -191,7 +217,7 @@ def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, 
     base = rng.normal(size=d) * 0.1
     a = tensor(base + rng.normal(size=(m, d)) * 1e-9)
     b = tensor(base + rng.normal(size=(n, d)) * 1e-9)
-    got = geo.pairwise_sqdist(a.data, b.data)
+    got = block(a.data, b.data)
     full, last = divmod(m * n, cols)
     assert widths == [cols] * full + [last] * bool(last)
     np.testing.assert_array_equal(got, oracles.pairwise_sqdist(a, b).data)
@@ -199,7 +225,7 @@ def test_pairwise_sqdist_chunks_by_budget_without_changing_bits(monkeypatch, m, 
 
 def test_pairwise_sqdist_rejects_mismatched_dims():
     with pytest.raises(DimensionError):
-        geo.pairwise_sqdist(np.zeros((2, 3)), np.zeros((2, 4)))
+        block(np.zeros((2, 3)), np.zeros((2, 4)))
     sq = oracles.gram_sqdist(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 3))))
     with pytest.raises(DimensionError):
         oracles.poincare_from_sqdist(sq, tensor(np.zeros((4, 3))), tensor(np.zeros((2, 3))))
@@ -239,9 +265,23 @@ def test_pairwise_sqdist_signed_zero_rows_match_the_oracle():
     # only in the sign of zero, which squaring removes
     a = tensor([[0.0, 0.5, -0.0], [-0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [-0.0, -0.0, -0.0]])
     b = tensor([[0.0, 0.5, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
-    got = geo.pairwise_sqdist(a.data, b.data)
+    got = block(a.data, b.data)
     np.testing.assert_allclose(got, oracles.pairwise_sqdist(a, b).data, rtol=1e-12, atol=0)
     assert not np.signbit(got).any()
+
+
+def test_pairwise_sqdist_returns_the_close_pairs_that_are_not_zero():
+    # repeated subject rows each get their distinct row's close pairs; a
+    # subject's own column (0) and the pairs far apart are not among them
+    rng = nk.rng_for(38)
+    pool = at_margin(rng, 3, 5)
+    ids = np.array([2, 0, 2, 1, 2])
+    b = np.vstack([pool, moved(rng, pool[[2, 1]], 1e-9), at_margin(rng, 4, 5)])
+    got, (i, j) = geo.pairwise_sqdist(pool[ids], b, geo.row_sqnorms(b))
+    scale = np.add.outer(geo.row_sqnorms(pool[ids]), geo.row_sqnorms(b))
+    want = (got > 0.0) & (got <= geo.CLOSE * scale)
+    assert sorted(zip(i, j)) == sorted(zip(*np.nonzero(want)))
+    assert sorted(zip(i, j)) == [(0, 3), (2, 3), (3, 4), (4, 3)]
 
 
 @pytest.mark.parametrize("m, distinct", [(192, 43), (64, 28), (5, 5), (6, 1)])
@@ -249,14 +289,14 @@ def test_difference_block_has_one_row_per_distinct_row(monkeypatch, m, distinct)
     rows = []
     real = geo._sqdist_rows
 
-    def count(ad, bd):
+    def count(ad, bd, bd_sqnorms):
         rows.append(ad.shape[0])
-        return real(ad, bd)
+        return real(ad, bd, bd_sqnorms)
 
     monkeypatch.setattr(geo, "_sqdist_rows", count)
     rng = nk.rng_for(32, m)
     a = _rows_with(rng, m, distinct, 6)
-    geo.pairwise_sqdist(a, rng.normal(size=(50, 6)))
+    block(a, rng.normal(size=(50, 6)))
     assert rows == [distinct]
 
 
@@ -283,7 +323,7 @@ def assert_matches_the_oracle(a, b):
     """geometry.pairwise_sqdist(a, b) against the explicit differences: no
     entry negative, each within 16 ulps of |a_i|^2 + |b_j|^2, and the close
     pairs bit for bit; returns (got, want, close)."""
-    got = geo.pairwise_sqdist(a, b)
+    got = block(a, b)
     want = oracles.pairwise_sqdist(tensor(a), tensor(b)).data
     scale = np.add.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
     assert (got >= 0.0).all()
@@ -332,7 +372,7 @@ def test_identical_rows_give_exact_zeros_and_the_oracles_gradients(distance, kin
     shared = np.vstack([at_margin(rng, 3, 8), random_ball_points(rng, 3, 8)])
     a = tensor(np.vstack([shared, random_ball_points(rng, 4, 8)]))
     b = tensor(np.vstack([random_ball_points(rng, 5, 8), shared]))
-    sq = geo.pairwise_sqdist(a.data, b.data)
+    sq = block(a.data, b.data)
     np.testing.assert_array_equal(np.diag(sq[:6, 5:]), 0.0)
     assert not np.signbit(sq).any()
     weights = tensor(rng.normal(size=(10, 11)))

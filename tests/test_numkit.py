@@ -1,3 +1,8 @@
+import ctypes
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -347,3 +352,71 @@ def test_single_threaded_blas_sets_one_thread_and_restores():
         assert get() == 2
     finally:
         set_(before)
+
+
+# A fresh interpreter that imports numkit, then makes and frees a 20 MB
+# array; prints the bytes mmapped for it and the heap's free bytes after.
+ALLOCATOR_PROBE = """
+import ctypes
+import numpy as np
+import tkgdiff.numkit
+
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
+before = mallinfo2()
+block = np.ones(20_000_000 // 8)
+live = mallinfo2()
+del block
+print(live.hblkhd - before.hblkhd, mallinfo2().fordblks)
+"""
+
+
+def test_a_freed_block_stays_in_the_heap_for_the_next_one():
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("the C library has no mallinfo2 (glibc < 2.33 or another libc)")
+    src = Path(nk.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    mmapped, free = map(int, out.stdout.split())
+    assert mmapped == 0
+    assert free >= 20_000_000
+
+
+class FakeMallopt:
+    """A mallopt that records its calls and returns `result`."""
+
+    def __init__(self, result):
+        self.result = result
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+@pytest.mark.parametrize("library, calls", [
+    ("accepts", [(-3, 32 << 20), (-1, -1)]),
+    ("refuses", [(-3, 32 << 20)]),
+    ("no-mallopt", []),
+    ("no-library", []),
+])
+def test_the_allocator_policy_sets_both_parameters_or_nothing(monkeypatch, library, calls):
+    mallopt = FakeMallopt(1 if library == "accepts" else 0)
+
+    class FakeCDLL:
+        def __init__(self, name):
+            if library == "no-library":
+                raise OSError("no such library")
+            if library != "no-mallopt":
+                self.mallopt = mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", FakeCDLL)
+    assert nk._keep_freed_memory() is None
+    assert mallopt.calls == calls
