@@ -12,9 +12,10 @@ together query codes whose ground truth is / is not already in the history.
 
 Both heads are one computation, `head_softmaxes`: their scores and
 softmaxes fill one (2B, |E|) block in place, and the history term is a
-sparse +-2 lam at the batch's history pairs. `ce_loss` tapes it as one
-record with a closed-form backward, so no taped op of a training batch is
-|E| wide; the taped chain it replaced is the test suite's reference.
+sparse +-2 lam at the batch's history pairs. Each loss returns its value
+and a closed-form backward on plain arrays: `ce_loss` over that block,
+`supcon_loss` over the (B, B) similarities of the batch's query codes. The
+taped chains they replaced are the test suite's reference.
 """
 
 from __future__ import annotations
@@ -129,24 +130,11 @@ class QueryBatch:
                    periodic=periodic)
 
 
-def _query_input(params: DpclParams, batch: QueryBatch) -> tuple[Tensor, Tensor]:
-    """Subject rows (B, d) and the code input s concat r (B, 2d); taped."""
-    s_emb = nk.take_rows(params.entity_emb, batch.s_ids)
-    r_emb = nk.take_rows(params.relation_emb, batch.r_ids)
-    return s_emb, nk.concat_cols(s_emb, r_emb)
-
-
-def _code(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """A query code tanh(W x + b), shape (B, d), from the code input x of
-    _query_input; taped."""
-    return nk.tanh(nk.add(nk.matmul(x, nk.transpose(w)), b))
-
-
 def head_softmaxes(params: DpclParams, batch: QueryBatch,
-                   strategy: str) -> tuple[np.ndarray, Callable[[np.ndarray], list]]:
+                   strategy: str) -> tuple[np.ndarray, Callable[[np.ndarray], dict]]:
     """Both heads' softmax rows in one (2B, |E|) block, the periodic head's
     over the first B rows and the non-periodic head's over the last B, and
-    their backward. Untaped.
+    their backward.
 
     A head's score is its affine-code match against the entity table, plus
     the subject-candidate distance of the kind `strategy` gives the head
@@ -166,7 +154,7 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
     `backward(g)` takes a (3B, |E|) array whose first 2B rows are the
     gradient of the block's scores and whose last B rows it overwrites, and
     returns the gradients of entity_emb, relation_emb, w_per, b_per,
-    w_nonper and b_nonper.
+    w_nonper and b_nonper, by name.
     """
     kinds = strategy_distances(strategy)
     entities = params.entity_emb.data
@@ -235,24 +223,26 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
         np.add.at(g_entities, batch.s_ids, g_subjects)
         g_relations = np.zeros_like(params.relation_emb.data)
         np.add.at(g_relations, batch.r_ids, g_x[:, d:])
-        grads = [g_entities, g_relations]
-        for g_head in (g_pre[:b], g_pre[b:]):
-            grads += [g_head.T @ x, g_head.sum(axis=0, keepdims=True)]
+        grads = {"entity_emb": g_entities, "relation_emb": g_relations}
+        for head, g_head in (("per", g_pre[:b]), ("nonper", g_pre[b:])):
+            grads[f"w_{head}"] = g_head.T @ x
+            grads[f"b_{head}"] = g_head.sum(axis=0, keepdims=True)
         return grads
 
     return block, backward
 
 
-def ce_loss(params: DpclParams, batch: QueryBatch, strategy: str) -> Tensor:
+def ce_loss(params: DpclParams, batch: QueryBatch,
+            strategy: str) -> tuple[float, Callable[[float], dict]]:
     """-log(softmax(S_per)[gt] + softmax(S_nonper)[gt]) averaged over the
     batch, which is -log(2 p[gt]) for the mixture p that evaluate.p_dpcl
-    ranks. The sum of two probabilities can exceed 1, so the loss can go
-    below -log 2; that is the objective as defined.
+    ranks, and its backward. The sum of two probabilities can exceed 1, so
+    the loss can go below -log 2; that is the objective as defined.
 
-    One taped record over the six scoring tensors (head_softmaxes), whose
-    backward is the closed form: with q = P_per[gt] + P_nonper[gt], a head's
-    score gradient is P[gt] / (B q) * (P - onehot(gt)). A ground truth with
-    probability 0 in both heads raises NumericError.
+    `backward(scale)` gives the gradient of scale x loss for the six scoring
+    tensors (head_softmaxes), by name. With q = P_per[gt] + P_nonper[gt], a
+    head's score gradient is scale P[gt] / (B q) * (P - onehot(gt)). A
+    ground truth with probability 0 in both heads raises NumericError.
     """
     probs, backward = head_softmaxes(params, batch, strategy)
     b = len(batch)
@@ -261,47 +251,71 @@ def ce_loss(params: DpclParams, batch: QueryBatch, strategy: str) -> Tensor:
     q = picked[:b] + picked[b:]
     if np.any(q <= 0.0):
         raise NumericError("a ground truth has probability 0 in both heads")
-    loss = nk._wrap(np.array([[(-1.0 / b) * np.log(q).sum()]]))
     coef = picked / (b * np.tile(q, 2))
 
-    def record_backward(g):
-        scale = coef * g[0, 0]
+    def loss_backward(scale):
+        coef_scaled = coef * scale
         g_scores = np.empty((3 * b, probs.shape[1]))
-        np.multiply(probs, scale[:, None], out=g_scores[:2 * b])
-        g_scores[rows, cols] -= scale
+        np.multiply(probs, coef_scaled[:, None], out=g_scores[:2 * b])
+        g_scores[rows, cols] -= coef_scaled
         return backward(g_scores)
 
-    inputs = (params.entity_emb, params.relation_emb, params.w_per, params.b_per,
-              params.w_nonper, params.b_nonper)
-    return nk._tape_record(loss, inputs, record_backward)
+    return float((-1.0 / b) * np.log(q).sum()), loss_backward
 
 
-def supcon_loss(params: DpclParams, batch: QueryBatch, tau: float) -> Tensor:
-    """Supervised contrastive loss over unit-normalized query codes.
+def supcon_loss(params: DpclParams, batch: QueryBatch,
+                tau: float) -> tuple[float, Callable[[float], dict]]:
+    """Supervised contrastive loss over unit-normalized query codes (Khosla
+    et al. 2020), and its backward.
 
-    Anchors attract batch members with the same periodic label; anchors with
-    no same-label partner contribute nothing. Averaged over the batch.
+    A query's code is c = tanh(W_ctr [s; r] + b_ctr), and z = c / |c|. With
+    the similarities S = z z^T / tau, an anchor's term is the mean over its
+    same-label partners p of -(S_ap - log sum_{k != a} exp(S_ak)); anchors
+    with no same-label partner contribute nothing. Averaged over the batch.
+    The exponentials are of the unshifted similarities, so a temperature
+    that overflows them gives a NaN loss, which engine.train refuses. A zero
+    code, or a denominator that is not positive, raises NumericError.
+
+    `backward(scale)` gives the gradient of scale x loss for entity_emb,
+    relation_emb, w_ctr and b_ctr, by name.
     """
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    n = len(batch)
-    if n < 2:
-        raise ConfigError("supcon_loss needs at least 2 queries in the batch")
-    code = _code(_query_input(params, batch)[1], params.w_ctr, params.b_ctr)
-    norms = nk.sqrt(nk.sum_cols(nk.mul(code, code)))
-    z = nk.div(code, norms)
-    sim = nk.mul(nk.constant(1.0 / tau), nk.matmul(z, nk.transpose(z)))
-
+    entities, relations = params.entity_emb.data, params.relation_emb.data
+    w = params.w_ctr.data
+    n, d = len(batch), entities.shape[1]
+    x = np.concatenate([entities[batch.s_ids], relations[batch.r_ids]], axis=1)
+    code = x @ w.T
+    code += params.b_ctr.data
+    np.tanh(code, out=code)
+    norms = np.sqrt((code * code).sum(axis=1, keepdims=True))
+    if np.any(norms == 0.0):
+        raise NumericError("a contrastive query code is zero")
+    z = code / norms
+    sim = (1.0 / tau) * (z @ z.T)
     off_diag = 1.0 - np.eye(n)
-    exp_sim = nk.mul(nk.exp(sim), Tensor(off_diag))
-    log_denom = nk.log(nk.sum_cols(exp_sim))            # (B, 1)
+    exp_sim = np.exp(sim) * off_diag
+    denom = exp_sim.sum(axis=1, keepdims=True)
+    if np.any(denom <= 0.0):
+        raise NumericError("a contrastive denominator is not positive")
 
     same = (batch.periodic[:, None] == batch.periodic[None, :]) & (off_diag > 0)
-    pos_count = same.sum(axis=1)
-    weights = np.where(same, 1.0, 0.0)
-    nonzero = pos_count > 0
-    weights[nonzero] = weights[nonzero] / pos_count[nonzero, None]
+    pos_count = same.sum(axis=1, keepdims=True)
+    weights = same / np.maximum(pos_count, 1)
+    loss = (-1.0 / n) * ((sim - np.log(denom)) * weights).sum()
 
-    log_prob = nk.sub(sim, log_denom)                   # broadcast over columns
-    total = nk.sum_all(nk.mul(log_prob, Tensor(weights)))
-    return nk.mul(nk.constant(-1.0 / n), total)
+    def backward(scale):
+        # the rows of `weights` sum to 1 or 0: d loss / d sim
+        g_sim = weights * (scale * (-1.0 / n))
+        g_sim -= (g_sim.sum(axis=1, keepdims=True) / denom) * exp_sim
+        g_sim *= 1.0 / tau
+        g_z = (g_sim + g_sim.T) @ z
+        g_pre = g_z - z * (g_z * z).sum(axis=1, keepdims=True)
+        g_pre /= norms
+        g_pre *= 1.0 - code * code
+        g_x = g_pre @ w
+        g_entities, g_relations = np.zeros_like(entities), np.zeros_like(relations)
+        np.add.at(g_entities, batch.s_ids, g_x[:, :d])
+        np.add.at(g_relations, batch.r_ids, g_x[:, d:])
+        return {"entity_emb": g_entities, "relation_emb": g_relations,
+                "w_ctr": g_pre.T @ x, "b_ctr": g_pre.sum(axis=0, keepdims=True)}
+
+    return float(loss), backward

@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -190,18 +191,37 @@ def apply_overrides(values: dict, overrides) -> dict:
 # Joint objective
 # ---------------------------------------------------------------------------
 
-def joint_loss(alpha: float, ce: Tensor | None, sup: Tensor | None,
-               diff: Tensor | None) -> Tensor:
-    """Blend: alpha * diff + (1 - alpha) * (ce + sup). A term passed as None
-    is left out: `sup` in stage 1 and in a batch too small to contrast, the
-    losses of the component a run ablates. With one component's loss only,
-    that loss is the objective, unweighted."""
-    if ce is None:
-        return diff
-    dp = ce if sup is None else nk.add(ce, sup)
-    if diff is None:
-        return dp
-    return nk.add(nk.mul(nk.constant(alpha), diff), nk.mul(nk.constant(1.0 - alpha), dp))
+def joint_loss(alpha: float, ce, sup, diff) -> tuple[float, Callable[[float], dict]]:
+    """Blend: alpha * diff + (1 - alpha) * (ce + sup), of losses given as
+    (value, backward) pairs (dpcl.ce_loss, dpcl.supcon_loss,
+    gndiff.batch_loss). A term passed as None is left out: `sup` in stage 1
+    and in a batch too small to contrast, the losses of the component a run
+    ablates. With one component's losses only, they are unweighted.
+
+    Returns the blend's value and its backward. Each term's weight scales
+    its value and its backward: `backward(scale)` gives the gradient of
+    scale x the blend for each parameter a term reaches, by record name
+    (`dpcl.*`, `denoiser.*`), adding the terms' gradients in the order ce,
+    sup, diff.
+    """
+    dpcl_weight = 1.0 if diff is None else 1.0 - alpha
+    diff_weight = 1.0 if ce is None else alpha
+    terms = [(weight, prefix, term) for weight, prefix, term in (
+        (dpcl_weight, "dpcl", ce), (dpcl_weight, "dpcl", sup), (diff_weight, "denoiser", diff))
+        if term is not None]
+
+    def backward(scale):
+        grads = {}
+        for weight, prefix, (_, term_backward) in terms:
+            for name, grad in term_backward(scale * weight).items():
+                key = f"{prefix}.{name}"
+                if key in grads:
+                    grads[key] += grad
+                else:
+                    grads[key] = grad
+        return grads
+
+    return sum(weight * value for weight, _, (value, _) in terms), backward
 
 
 # ---------------------------------------------------------------------------
@@ -555,34 +575,41 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
         n_batches = 0
         for start in range(0, len(order), config.batch):
             quads = train_quads[order[start:start + config.batch]]
-            ce_t = sup_t = diff_t = None
+            losses = {"ce": None, "sup": None, "diff": None}
             try:
-                with nk.GradTape() as tape:
-                    if not config.no_dpcl:
-                        batch = QueryBatch.from_quads(quads, index)
-                        ce_t = dpcl_mod.ce_loss(run.dpcl, batch, config.mapping_strategy)
-                        if stage == 2 and len(batch) >= 2:
-                            sup_t = dpcl_mod.supcon_loss(run.dpcl, batch, config.tau)
-                    if not config.no_gndiff:
-                        toks = entropies.quad_tokens(quads)
-                        diff_t = gndiff.batch_loss(run.denoiser, entropies, toks,
-                                                   config.steps, config.mu, erng)
-                    total_t = joint_loss(config.alpha, ce_t, sup_t, diff_t)
-                if not math.isfinite(total_t.item()):
+                if not config.no_dpcl:
+                    batch = QueryBatch.from_quads(quads, index)
+                    losses["ce"] = dpcl_mod.ce_loss(run.dpcl, batch, config.mapping_strategy)
+                    if stage == 2 and len(batch) >= 2:
+                        losses["sup"] = dpcl_mod.supcon_loss(run.dpcl, batch, config.tau)
+                if not config.no_gndiff:
+                    toks = entropies.quad_tokens(quads)
+                    losses["diff"] = gndiff.batch_loss(run.denoiser, entropies, toks,
+                                                       config.steps, config.mu, erng)
+                total, backward = joint_loss(config.alpha, **losses)
+                if not math.isfinite(total):
                     raise NumericError("the total loss is not finite")
             except NumericError as e:
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {n_batches}: "
-                    f"ce={_maybe(ce_t)}, sup={_maybe(sup_t)}, diff={_maybe(diff_t)}"
-                ) from e
+                values = ", ".join(f"{name}={None if loss is None else loss[0]}"
+                                   for name, loss in losses.items())
+                raise NumericError(f"non-finite loss at epoch {epoch}, batch {n_batches}: "
+                                   f"{values}") from e
+            for name, loss in losses.items():
+                sums[name] += 0.0 if loss is None else loss[0]
+            sums["total"] += total
 
+            grads = backward(1.0)
+            # the forward's intermediates, which the backwards hold, and each
+            # gradient once it is applied, go back to the allocator before the
+            # next array of the step is made
+            del backward, losses
             trainable = run.named_tensors()
-            grads = dict(zip(trainable, tape.gradient(total_t, list(trainable.values()))))
-            # the forward's intermediates, and each gradient once it is applied,
-            # go back to the allocator before the next array of the step is made
-            del tape
             run.adam_steps += 1
-            updated = {n: nk.adam_step(run.adam[n], p, grads.pop(n), run.adam_steps, config.lr)
+            # a parameter no loss of the batch reaches (w_ctr and b_ctr in
+            # stage 1) steps with a zero gradient
+            updated = {n: nk.adam_step(run.adam[n], p,
+                                       grads.pop(n) if n in grads else np.zeros(p.shape),
+                                       run.adam_steps, config.lr)
                        for n, p in trainable.items()}
             if not config.no_dpcl:
                 dpcl_updates = _unprefixed(updated, "dpcl")
@@ -593,11 +620,6 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
             if not config.no_gndiff:
                 run.denoiser = dataclasses.replace(run.denoiser,
                                                    **_unprefixed(updated, "denoiser"))
-
-            sums["ce"] += _maybe(ce_t) or 0.0
-            sums["sup"] += _maybe(sup_t) or 0.0
-            sums["diff"] += _maybe(diff_t) or 0.0
-            sums["total"] += total_t.item()
             n_batches += 1
 
         val_mrr = val_mrr_new = val_mrr_periodic = 0.0
@@ -646,7 +668,3 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
         if not has_valid:
             _link(out_path / "last.ckpt", out_path / "best.ckpt")
     return run if best is None else dataclasses.replace(best, metrics=run.metrics)
-
-
-def _maybe(t: Tensor | None):
-    return None if t is None else t.item()

@@ -45,7 +45,7 @@ class Model:
 
 def p_dpcl(params: DpclParams, batch: QueryBatch, strategy: str) -> np.ndarray:
     """The distribution dpcl.ce_loss trains: the mean of the softmaxes of the
-    two heads that `strategy` maps (dpcl.head_softmaxes, untaped). (B, |E|)
+    two heads that `strategy` maps (dpcl.head_softmaxes). (B, |E|)
     rows sum to 1, and -log(2 p[gt]) is a query's term of the loss."""
     probs = dpcl_mod.head_softmaxes(params, batch, strategy)[0]
     b = len(batch)

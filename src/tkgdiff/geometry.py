@@ -123,10 +123,12 @@ def distance(kind: str, sqdist: np.ndarray, gap_a,
     """The (m, n) distances of `kind` from the squared distances `sqdist`
     that pairwise_sqdist(a, b, ...) gives, and their backward.
 
-    "euclidean" is sqrt(sqdist). "poincare" is
-    arcosh(1 + 2 sqdist / (gap_a gap_b)), with gap_a the ball_gap of `a`'s
-    rows (m, 1) and gap_b that of `b`'s, transposed (1, n); Euclidean
-    distances ignore the gaps.
+    "euclidean" is sqrt(sqdist). "poincare" is 2 asinh(sqrt(q)) with
+    q = sqdist / (gap_a gap_b), gap_a the ball_gap of `a`'s rows (m, 1) and
+    gap_b that of `b`'s, transposed (1, n); Euclidean distances ignore the
+    gaps. It equals arcosh(1 + 2 q) (cosh 2y = 1 + 2 sinh^2 y), which keeps
+    few of q's digits where q is small: about 8 of 16 at q = 1e-8, and none
+    for rows 1e-13 apart at the margin.
     `backward(g)` maps the gradient of the distances to those of sqdist,
     gap_a and gap_b (None and None for Euclidean). Where sqdist is 0, at
     identical rows, the distance is 0 and passes a zero gradient.
@@ -142,13 +144,15 @@ def distance(kind: str, sqdist: np.ndarray, gap_a,
         return dist, backward
     den = gap_a * gap_b
     quot = sqdist / den
-    arg = 1.0 + 2.0 * quot
-    dist = np.arccosh(arg)
+    root = np.sqrt(quot)
+    dist = np.arcsinh(root)
+    dist *= 2.0
 
     def backward(g):
-        g_quot = np.divide(g, np.sqrt(arg * arg - 1.0), out=np.zeros_like(g),
-                           where=arg > 1.0)
-        g_quot *= 2.0
+        # d dist / d quot = 1 / sqrt(quot (1 + quot))
+        slope = np.sqrt(1.0 + quot)
+        slope *= root
+        g_quot = np.divide(g, slope, out=np.zeros_like(g), where=root > 0.0)
         g_sq = g_quot / den
         # quot = sqdist / (gap_a gap_b): d quot / d gap_a = -quot / gap_a
         g_quot *= quot

@@ -13,12 +13,18 @@ Each position of a clean sequence holds tokens of one role: an entity at the
 subject and tail, a relation in between, never the mask. So the denoiser
 predicts each position over its role's tokens only, with one block of output
 rows per role, and the training loss is a cross-entropy per role block.
+
+The denoiser and the loss compute on plain arrays, each with its closed-form
+backward: `batch_loss` chains the cross-entropy's backward into the
+denoiser's (`denoise_x0_batch`) and returns the gradient of every denoiser
+tensor. The taped chain of ops is the test suite's reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -130,25 +136,53 @@ def _time_embedding(ts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _hidden(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
+def _hidden(params: DenoiserParams, xt: np.ndarray,
+            ts: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], dict]]:
     """Hidden layer for (B, 3) corrupted token ids and (B,) step indices:
     tanh of the first dense layer over the three token embeddings and the
-    step embedding; (B, h), taped when a tape is active."""
+    step embedding, (B, h), and its backward, which maps the layer's
+    gradient to those of token_emb, w1 and b1, by name."""
     xt = np.asarray(xt, dtype=np.int64).reshape(-1, N_POSITIONS)
     ts = np.asarray(ts, dtype=np.float64).reshape(-1)
-    b = xt.shape[0]
-    emb = nk.take_rows(params.token_emb, xt.reshape(-1))        # (3B, w)
-    emb = nk.reshape(emb, b, 3 * params.width)
-    x = nk.concat_cols(emb, Tensor(_time_embedding(ts, params.width)))
-    return nk.tanh(nk.add(nk.matmul(x, nk.transpose(params.w1)), params.b1))
+    table, w1 = params.token_emb.data, params.w1.data
+    b, width = xt.shape[0], params.width
+    x = np.concatenate([table[xt].reshape(b, N_POSITIONS * width),
+                        _time_embedding(ts, width)], axis=1)
+    h = x @ w1.T
+    h += params.b1.data
+    np.tanh(h, out=h)
+
+    def backward(g):
+        g_pre = g * (1.0 - h * h)
+        g_emb = (g_pre @ w1)[:, :N_POSITIONS * width].reshape(-1, width)
+        g_table = np.zeros_like(table)
+        np.add.at(g_table, xt.reshape(-1), g_emb)
+        return {"token_emb": g_table, "w1": g_pre.T @ x,
+                "b1": g_pre.sum(axis=0, keepdims=True)}
+
+    return h, backward
 
 
-def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
+def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray,
+                     ts: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], dict]]:
     """Clean-sequence logits for a batch: (B, 3) corrupted token ids and (B,)
     step indices -> (B, 2|E|+|R|) logits, one row per sequence holding the
-    subject, relation and tail blocks (`DenoiserParams.role_blocks`); taped."""
-    h = _hidden(params, xt, ts)
-    return nk.add(nk.matmul(h, nk.transpose(params.w2)), params.b2)
+    subject, relation and tail blocks (`DenoiserParams.role_blocks`), and
+    their backward, which maps the logits' gradient to those of the five
+    denoiser tensors, by name. The output product reads w2 transposed in
+    place, and its gradient comes out C-ordered."""
+    h, hidden_backward = _hidden(params, xt, ts)
+    w2 = params.w2.data
+    logits = h @ w2.T
+    logits += params.b2.data
+
+    def backward(g):
+        grads = hidden_backward(g @ w2)
+        grads["w2"] = g.T @ h
+        grads["b2"] = g.sum(axis=0, keepdims=True)
+        return grads
+
+    return logits, backward
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +191,17 @@ def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> 
 
 def batch_loss(params: DenoiserParams, entropies: TokenEntropy,
                quad_tokens: np.ndarray, steps: int, mu: float,
-               rng: np.random.Generator) -> Tensor:
+               rng: np.random.Generator) -> tuple[float, Callable[[float], dict]]:
     """Mean single-sample bound over a batch of (B, 3) clean token triples,
-    with per-sequence entropy schedules; one batched denoiser call."""
+    with per-sequence entropy schedules; one batched denoiser call. Returns
+    the loss and its backward: `backward(scale)` gives the gradient of
+    scale x loss for each denoiser tensor, by name."""
     toks = np.asarray(quad_tokens, dtype=np.int64).reshape(-1, N_POSITIONS)
     xt, ts, weights = _corrupt(entropies, toks, steps, mu, rng)
-    logits = denoise_x0_batch(params, xt, ts)                    # (B, 2|E|+|R|)
+    logits, logits_backward = denoise_x0_batch(params, xt, ts)    # (B, 2|E|+|R|)
     cols = toks + np.array([0, 0, params.n_entities + params.n_relations])
-    return _role_cross_entropy(logits, params.role_blocks(), cols, weights)
+    loss, loss_backward = _role_cross_entropy(logits, params.role_blocks(), cols, weights)
+    return loss, lambda scale: logits_backward(loss_backward(scale))
 
 
 def _corrupt(entropies: TokenEntropy, toks: np.ndarray, steps: int, mu: float,
@@ -189,19 +226,19 @@ def _corrupt(entropies: TokenEntropy, toks: np.ndarray, steps: int, mu: float,
     return xt, ts, weights
 
 
-def _role_cross_entropy(logits: Tensor, blocks: tuple[slice, ...], cols: np.ndarray,
-                        weights: np.ndarray) -> Tensor:
+def _role_cross_entropy(logits: np.ndarray, blocks: tuple[slice, ...], cols: np.ndarray,
+                        weights: np.ndarray) -> tuple[float, Callable[[float], np.ndarray]]:
     """-(1/B) sum of w * log softmax(block)[col] over the (B, 3) positions,
-    each position's softmax over its own block of `logits`; (1, 1), taped as
-    one record.
+    each position's softmax over its own block of `logits`, and its
+    backward, which maps a scale to the gradient of scale x the loss with
+    respect to the logits.
 
     Only positions with a nonzero weight are computed. The log-probability is
     the shifted logit less the log of the block's sum, so a clean token whose
     probability underflows still gives its exact, finite term. Backward puts
-    (w/B) * (softmax - onehot) into each computed row's block.
+    scale * (w/B) * (softmax - onehot) into each computed row's block.
     """
-    z = logits.data
-    b = z.shape[0]
+    b = logits.shape[0]
     terms = np.zeros(cols.shape)
     parts = []
     for pos, block in enumerate(blocks):
@@ -209,25 +246,24 @@ def _role_cross_entropy(logits: Tensor, blocks: tuple[slice, ...], cols: np.ndar
         if rows.size == 0:
             continue
         at = (np.arange(rows.size), cols[rows, pos] - block.start)
-        shifted = z[rows, block]
+        shifted = logits[rows, block]
         shifted -= shifted.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         total = probs.sum(axis=1)
         probs /= total[:, None]
         terms[rows, pos] = weights[rows, pos] * (shifted[at] - np.log(total))
         parts.append((rows, block, at, probs, weights[rows, pos] / b))
-    out = nk._wrap(np.array([[(-1.0 / b) * terms.sum()]]))
 
-    def backward(g):
-        grad = np.zeros_like(z)
+    def backward(scale):
+        grad = np.zeros_like(logits)
         for rows, block, at, probs, w_over_b in parts:
-            scale = g[0, 0] * w_over_b
-            d = probs * scale[:, None]
-            d[at] -= scale
+            w_scaled = scale * w_over_b
+            d = probs * w_scaled[:, None]
+            d[at] -= w_scaled
             grad[rows, block] = d
-        return (grad,)
+        return grad
 
-    return nk._tape_record(out, (logits,), backward)
+    return float((-1.0 / b) * terms.sum()), backward
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +272,12 @@ def _role_cross_entropy(logits: Tensor, blocks: tuple[slice, ...], cols: np.ndar
 
 def _tail_probs(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Predicted clean-tail distribution over entities for (B, 3) corrupted
-    token ids and (B,) step indices; (B, |E|), untaped.
+    token ids and (B,) step indices; (B, |E|).
 
     Applies only the tail block of the output layer, rows
     |E|+|R| : 2|E|+|R|; these logits are that block of denoise_x0_batch.
     """
-    h = _hidden(params, xt, ts).data
+    h = _hidden(params, xt, ts)[0]
     cols = params.role_blocks()[2]
     probs = h @ params.w2.data[cols].T     # the logits, then softmax in place
     probs += params.b2.data[:, cols]

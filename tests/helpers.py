@@ -1,14 +1,17 @@
 """Synthetic corpora, query batches, checkpoint comparisons, a lenient tensor
-constructor and finite-difference gradient checking shared by the tests."""
+constructor, closed-form losses as records of the reference tape, and
+finite-difference gradient checking shared by the tests."""
 
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from oracles import GradTape, _tape_record
+from tkgdiff import numkit as nk
 from tkgdiff.corpus import QuadStore
 from tkgdiff.dpcl import QueryBatch
-from tkgdiff.numkit import GradTape, Tensor
+from tkgdiff.numkit import Tensor
 
 
 def store_from_quads(quads, n_entities, n_relations, n_timestamps,
@@ -136,6 +139,47 @@ def tensor(data) -> Tensor:
     (and freezes) a C-ordered float64 array as it is."""
     arr = np.array(data, dtype=np.float64)
     return Tensor(arr.reshape(1, -1) if arr.ndim < 2 else arr)
+
+
+def taped(loss, params) -> Tensor:
+    """A closed-form loss, the (value, backward) pair of dpcl.ce_loss,
+    dpcl.supcon_loss or gndiff.batch_loss over `params` (DpclParams or
+    DenoiserParams), as one record on the reference tape over the tensors of
+    `params.named()`, so grad_check and the taped chains take it."""
+    value, backward = loss
+    named = params.named()
+
+    def record_backward(g):
+        grads = backward(g[0, 0])
+        return [grads.get(name) for name in named]
+
+    return _tape_record(nk._wrap(np.array([[value]])), tuple(named.values()), record_backward)
+
+
+def chain_gradients(chain, sources: dict) -> tuple[float, dict]:
+    """The value of a taped chain `chain()` and its gradients, by name, for
+    the tensors `sources` (name -> Tensor)."""
+    with GradTape() as tape:
+        out = chain()
+    return out.item(), dict(zip(sources, tape.gradient(out, list(sources.values()))))
+
+
+def assert_matches_the_chain(loss, want: float, want_grads: dict, tol: float) -> None:
+    """A closed-form loss, a (value, backward) pair, against a taped chain's
+    value and gradients by name (chain_gradients): the value within `tol`
+    of the chain's, and each gradient the backward returns C-ordered and
+    within `tol` of the chain's largest entry; both relatively, or
+    absolutely below 1. The chain gives a zero gradient to every name the
+    backward leaves out."""
+    value, backward = loss
+    grads = backward(1.0)
+    assert abs(value - want) <= tol * max(abs(want), 1.0), (value, want)
+    for name, g in grads.items():
+        w = want_grads[name]
+        assert g.flags.c_contiguous, name
+        assert np.abs(g - w).max() <= tol * max(np.abs(w).max(), 1.0), name
+    for name in want_grads.keys() - grads.keys():
+        assert not want_grads[name].any(), name
 
 
 @dataclass

@@ -3,6 +3,17 @@
 Each item is the plain, one-sequence, one-row or op-by-op taped form of a
 computation that `tkgdiff` runs batched or fused; only tests call them.
 
+The gradient tape and its ops (the reference chains below are built of
+them; `helpers.grad_check` differentiates with the tape):
+- `GradTape`, `_tape_record`, `constant` and the ops `matmul`, `add`,
+  `sub`, `mul`, `div`, `tanh`, `exp`, `log`, `sqrt`, `sum_all`,
+  `sum_cols`, `transpose`, `reshape`, `concat_cols` and `take_rows`: the
+  reverse-mode tape the package trained with before every loss had a
+  closed-form backward, moved here unchanged. Backward replays the records
+  in reverse order; a source the output does not reach gets zeros.
+- `acosh`, `asinh`, `softmax_rows`, `gather_cols`: taped ops only the
+  chains here use.
+
 Diffusion, one sequence at a time (checks `gndiff.batch_loss` and
 `gndiff.p_diff_batch`):
 - `NodeSequence`: a validated (subject, relation, object) token triple.
@@ -16,9 +27,15 @@ Diffusion, one sequence at a time (checks `gndiff.batch_loss` and
 - `diffusion_loss`: the single-sample bound of one sequence; the mean of
   these over a batch is `gndiff.batch_loss`.
 - `sample_conditional`, `p_diff`, `p_diff_batch`: reverse chains that run
-  every chain through the full taped denoiser at every step.
+  every chain through the full denoiser at every step.
   `gndiff.p_diff_batch` must reproduce `p_diff_batch` here while computing
   only the rows it reads.
+
+The denoiser as a taped chain (checks `gndiff.denoise_x0_batch` and
+`gndiff.batch_loss`, and their closed-form backward, to 1e-10):
+- `hidden`, `denoise_x0_batch`: the two dense layers, op by op.
+- `batch_loss`: the per-role cross-entropy of the same draws, each role's
+  block taken by a 0/1 product, then `softmax_rows`, `gather_cols`, `log`.
 
 The role-masked output layer (checks `gndiff.denoise_x0_batch`,
 `gndiff.batch_loss` and `gndiff._tail_probs`):
@@ -45,17 +62,17 @@ below, `geometry.distance`):
   `poincare_pairwise`, `euclidean_pairwise`: the taped all-pairs distances
   the package had before its fused scoring record, over
   `geometry.pairwise_sqdist` with `pairwise_sqdist`'s backward; the
-  row-wise distances check them.
+  row-wise distances check them. The Poincare distance is
+  2 asinh(sqrt(q)), as `geometry.distance` takes it, where the row-wise
+  `poincare_distance` keeps arcosh(1 + 2q).
 
 Optimizer (checks `numkit.adam_step`):
 - `adam_step`: the textbook Adam update, which rebinds fresh moment arrays;
   `numkit.adam_step` must reproduce it bit for bit while updating in place.
 
-Scoring as a taped chain of ops (checks `dpcl.head_softmaxes`,
-`dpcl.ce_loss` and `evaluate.p_dpcl`, the one fused record that replaced
-it, to 1e-10):
-- `acosh`, `softmax_rows`, `gather_cols`: the taped ops the chain needs,
-  which no module of the package uses any more.
+Scoring, the contrastive loss and the blend as taped chains of ops
+(check `dpcl.head_softmaxes`, `dpcl.ce_loss`, `evaluate.p_dpcl`,
+`dpcl.supcon_loss` and `engine.train`'s blended gradient, to 1e-10):
 - `z_rows`: a batch's dense signed history rows, -lam with +lam at its
   history pairs, where the fused record adds only +-2 lam.
 - `head_scores`: both heads' (B, |E|) scores from one squared-distance
@@ -65,6 +82,9 @@ it, to 1e-10):
 - `head_score`: one head's scores with its own subject rows and a row-wise
   distance per (query, candidate) pair, which checks `head_scores` apart
   from the shared block.
+- `supcon_loss`: the contrastive loss over normalized query codes, op by
+  op, with the refusals of `div` (a zero code) and `log`.
+- `joint_loss`: the taped blend alpha * diff + (1 - alpha) * (ce + sup).
 
 Ranking, one query at a time (checks `evaluate.ranks` and
 `evaluate.evaluate_split`):
@@ -90,6 +110,7 @@ the ball projection the row-pair distances start from.
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,10 +118,320 @@ from tkgdiff import dpcl, gndiff
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import TokenEntropy
-from tkgdiff.errors import DimensionError
+from tkgdiff.errors import DimensionError, NumericError
 from tkgdiff.geometry import project_array_to_ball
 from tkgdiff.gndiff import N_POSITIONS, DenoiserParams
 from tkgdiff.numkit import Tensor
+
+
+# ---------------------------------------------------------------------------
+# The gradient tape and its ops
+# ---------------------------------------------------------------------------
+
+def constant(value: float) -> Tensor:
+    return Tensor(np.array([[float(value)]]))
+
+
+_TAPE_STACK: list["GradTape"] = []
+
+
+@dataclass
+class _Record:
+    out: Tensor
+    inputs: tuple[Tensor, ...]
+    backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]
+
+
+class GradTape:
+    """Linear record of primitive operations for one forward pass.
+
+    Backward visits records in exact reverse order of the forward pass;
+    per-tensor gradients accumulate in that fixed order.
+    """
+
+    def __init__(self):
+        self._records: list[_Record] = []
+
+    def __enter__(self) -> "GradTape":
+        _TAPE_STACK.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        popped = _TAPE_STACK.pop()
+        assert popped is self, "tapes must unwind in LIFO order"
+        return False
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def gradient(self, output: Tensor, sources: Sequence[Tensor]) -> list[np.ndarray]:
+        """Gradients of a scalar output w.r.t. each source tensor; zeros for
+        a source the output does not reach."""
+        if output.size != 1:
+            raise DimensionError("gradient() expects a scalar (1x1) output")
+        grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
+        for rec in reversed(self._records):
+            g_out = grads.get(id(rec.out))
+            if g_out is None:
+                continue
+            for tin, g_in in zip(rec.inputs, rec.backward(g_out)):
+                if g_in is None:
+                    continue
+                acc = grads.get(id(tin))
+                grads[id(tin)] = g_in if acc is None else acc + g_in
+        return [grads[id(s)] if id(s) in grads else np.zeros_like(s.data) for s in sources]
+
+
+def _tape_record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    if _TAPE_STACK:
+        _TAPE_STACK[-1]._records.append(_Record(out, inputs, backward))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Primitive operations
+# ---------------------------------------------------------------------------
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul needs inner dims to agree: {a.shape} x {b.shape}")
+    out = nk._wrap(a.data @ b.data)
+
+    def backward(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return _tape_record(out, (a, b), backward)
+
+
+def _check_broadcast(sa, sb) -> None:
+    for da, db in zip(sa, sb):
+        if da != db and da != 1 and db != 1:
+            raise DimensionError(f"shapes {sa} and {sb} do not broadcast")
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    for axis in (0, 1):
+        if shape[axis] == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b; length-1 axes broadcast, as in every binary op below."""
+    _check_broadcast(a.shape, b.shape)
+    out = nk._wrap(a.data + b.data)
+
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+
+    return _tape_record(out, (a, b), backward)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast(a.shape, b.shape)
+    out = nk._wrap(a.data - b.data)
+
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+
+    return _tape_record(out, (a, b), backward)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast(a.shape, b.shape)
+    ad, bd = a.data, b.data
+    out = nk._wrap(ad * bd)
+
+    def backward(g):
+        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+
+    return _tape_record(out, (a, b), backward)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    """a / b; a zero divisor raises NumericError."""
+    _check_broadcast(a.shape, b.shape)
+    ad, bd = a.data, b.data
+    if np.any(bd == 0.0):
+        raise NumericError("division by zero")
+    out = nk._wrap(ad / bd)
+
+    def backward(g):
+        return (_unbroadcast(g / bd, a.shape),
+                _unbroadcast(-g * ad / (bd * bd), b.shape))
+
+    return _tape_record(out, (a, b), backward)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = nk._wrap(np.tanh(a.data))
+    y = out.data
+
+    def backward(g):
+        return (g * (1.0 - y * y),)
+
+    return _tape_record(out, (a,), backward)
+
+
+def exp(a: Tensor) -> Tensor:
+    out = nk._wrap(np.exp(a.data))
+    y = out.data
+
+    def backward(g):
+        return (g * y,)
+
+    return _tape_record(out, (a,), backward)
+
+
+def log(a: Tensor) -> Tensor:
+    """Natural log; a non-positive input raises NumericError."""
+    ad = a.data
+    if np.any(ad <= 0.0):
+        raise NumericError("log of non-positive value")
+    out = nk._wrap(np.log(ad))
+
+    def backward(g):
+        return (g / ad,)
+
+    return _tape_record(out, (a,), backward)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    """Elementwise square root; gradient at 0 is defined as 0."""
+    if np.any(a.data < 0.0):
+        raise NumericError("sqrt of negative value")
+    out = nk._wrap(np.sqrt(a.data))
+    y = out.data
+
+    def backward(g):
+        return (np.where(y > 0.0, 0.5 * g / np.where(y > 0.0, y, 1.0), 0.0),)
+
+    return _tape_record(out, (a,), backward)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    out = nk._wrap(np.array([[a.data.sum()]]))
+
+    def backward(g):
+        return (np.full_like(a.data, g[0, 0]),)
+
+    return _tape_record(out, (a,), backward)
+
+
+def sum_cols(a: Tensor) -> Tensor:
+    """Sum along axis 1, keeping a column: (m, n) -> (m, 1). The backward
+    passes on a read-only broadcast view of the upstream gradient."""
+    out = nk._wrap(a.data.sum(axis=1, keepdims=True))
+
+    def backward(g):
+        return (np.broadcast_to(g, a.shape),)
+
+    return _tape_record(out, (a,), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    out = nk._wrap(np.ascontiguousarray(a.data.T))
+
+    def backward(g):
+        return (g.T,)
+
+    return _tape_record(out, (a,), backward)
+
+
+def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
+    if rows * cols != a.size:
+        raise DimensionError(f"cannot reshape {a.shape} to ({rows}, {cols})")
+    out = nk._wrap(a.data.reshape(rows, cols))
+
+    def backward(g):
+        return (g.reshape(a.shape),)
+
+    return _tape_record(out, (a,), backward)
+
+
+def concat_cols(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape[0] != b.shape[0]:
+        raise DimensionError(f"concat_cols needs equal row counts: {a.shape} vs {b.shape}")
+    out = nk._wrap(np.concatenate([a.data, b.data], axis=1))
+    split = a.shape[1]
+
+    def backward(g):
+        return g[:, :split], g[:, split:]
+
+    return _tape_record(out, (a, b), backward)
+
+
+def take_rows(table: Tensor, ids) -> Tensor:
+    """Rows of `table` at integer `ids`; gradient scatter-adds back."""
+    idx = np.asarray(ids, dtype=np.int64).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise DimensionError(f"row ids out of range for table with {table.shape[0]} rows")
+    out = nk._wrap(table.data[idx])
+
+    def backward(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g)
+        return (gt,)
+
+    return _tape_record(out, (table,), backward)
+
+
+def acosh(a: Tensor) -> Tensor:
+    """Inverse hyperbolic cosine; inputs below 1 are clamped to 1 and receive
+    zero gradient there; taped."""
+    clamped = np.maximum(a.data, 1.0)
+    out = nk._wrap(np.arccosh(clamped))
+    active = a.data > 1.0
+
+    def backward(g):
+        denom = np.sqrt(np.where(active, clamped * clamped - 1.0, 1.0))
+        return (np.where(active, g / denom, 0.0),)
+
+    return _tape_record(out, (a,), backward)
+
+
+def asinh(a: Tensor) -> Tensor:
+    """Inverse hyperbolic sine; taped."""
+    out = nk._wrap(np.arcsinh(a.data))
+
+    def backward(g):
+        return (g / np.sqrt(1.0 + a.data * a.data),)
+
+    return _tape_record(out, (a,), backward)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise softmax, computed with row-max subtraction for stability;
+    taped."""
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = nk._wrap(e / e.sum(axis=1, keepdims=True))
+    p = out.data
+
+    def backward(g):
+        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+
+    return _tape_record(out, (a,), backward)
+
+
+def gather_cols(a: Tensor, cols) -> Tensor:
+    """Per-row column picks: out[i, 0] = a[i, cols[i]]; taped."""
+    idx = np.asarray(cols, dtype=np.int64).reshape(-1)
+    if idx.size != a.shape[0]:
+        raise DimensionError(f"need one column id per row: {idx.size} ids, {a.shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
+        raise DimensionError(f"column ids out of range for {a.shape}")
+    rows = np.arange(a.shape[0])
+    out = nk._wrap(a.data[rows, idx].reshape(-1, 1))
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (rows, idx), g[:, 0])
+        return (ga,)
+
+    return _tape_record(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +629,7 @@ def diffusion_loss(schedule: DiffusionSchedule, params: DenoiserParams,
     x_t = sample_forward(schedule, x0, t, rng)
     masked = x_t.tokens == x0.mask_token
     weights = np.where(masked, schedule.revert_prob(t), 0.0)
-    logits = gndiff.denoise_x0_batch(params, x_t.tokens[None, :], np.array([t])).data[0]
+    logits = gndiff.denoise_x0_batch(params, x_t.tokens[None, :], np.array([t]))[0][0]
     total = 0.0
     for pos, block in enumerate(params.role_blocks()):
         if masked[pos]:
@@ -306,7 +637,7 @@ def diffusion_loss(schedule: DiffusionSchedule, params: DenoiserParams,
             index = x0.tokens[pos] - (params.n_entities if pos == 1 else 0)
             e = np.exp(logits[block] - logits[block].max())
             total -= weights[pos] * np.log(e[index] / e.sum())
-    return nk.constant(total)
+    return constant(total)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +663,7 @@ def sample_conditional(schedule: DiffusionSchedule, params: DenoiserParams,
     x = np.array([s_id, n_e + r_id, mask], dtype=np.int64)
     tail_dist = None
     for t in range(schedule.steps, 0, -1):
-        logits = gndiff.denoise_x0_batch(params, x[None, :], np.array([t])).data
+        logits = gndiff.denoise_x0_batch(params, x[None, :], np.array([t]))[0]
         tail_dist = _entity_dist(params, logits[0])
         if x[2] == mask:
             revert = schedule.revert_prob(t)[2]
@@ -384,7 +715,7 @@ def p_diff_batch(params: DenoiserParams, entropies: TokenEntropy,
     x[:, 2] = mask
     tail_dist = np.zeros((rows, n_e))
     for t in range(steps, 0, -1):
-        logits = gndiff.denoise_x0_batch(params, x, np.full(rows, t)).data
+        logits = gndiff.denoise_x0_batch(params, x, np.full(rows, t))[0]
         tail_logits = logits[:, params.role_blocks()[2]]
         shifted = tail_logits - tail_logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
@@ -403,8 +734,48 @@ def p_diff_batch(params: DenoiserParams, entropies: TokenEntropy,
 
 
 # ---------------------------------------------------------------------------
-# Denoiser: the role-masked output layer
+# Denoiser: the taped chain and the role-masked output layer
 # ---------------------------------------------------------------------------
+
+def hidden(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
+    """gndiff._hidden as a taped chain: tanh of the first dense layer over
+    the three token embeddings and the step embedding, (B, h)."""
+    xt = np.asarray(xt, dtype=np.int64).reshape(-1, N_POSITIONS)
+    ts = np.asarray(ts, dtype=np.float64).reshape(-1)
+    b = xt.shape[0]
+    emb = take_rows(params.token_emb, xt.reshape(-1))        # (3B, w)
+    emb = reshape(emb, b, 3 * params.width)
+    x = concat_cols(emb, Tensor(gndiff._time_embedding(ts, params.width)))
+    return tanh(add(matmul(x, transpose(params.w1)), params.b1))
+
+
+def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
+    """gndiff.denoise_x0_batch's logits as a taped chain, (B, 2|E|+|R|)."""
+    return add(matmul(hidden(params, xt, ts), transpose(params.w2)), params.b2)
+
+
+def batch_loss(params: DenoiserParams, entropies: TokenEntropy,
+               quad_tokens: np.ndarray, steps: int, mu: float,
+               rng: np.random.Generator) -> Tensor:
+    """gndiff.batch_loss as a taped chain, with the same draws: each
+    position's block of the logits is taken by a product with a 0/1 matrix
+    (exact: one term per entry is not 0), then softmax_rows, gather_cols at
+    the clean token, log and the position's weights. A clean token whose
+    probability underflows to 0 raises NumericError here (log of 0)."""
+    toks = np.asarray(quad_tokens, dtype=np.int64).reshape(-1, N_POSITIONS)
+    xt, ts, weights = gndiff._corrupt(entropies, toks, steps, mu, rng)
+    logits = denoise_x0_batch(params, xt, ts)
+    # a relation token's id counts the entities before it
+    in_block = toks - np.array([0, params.n_entities, 0])
+    total = constant(0.0)
+    for pos, block in enumerate(params.role_blocks()):
+        pick = np.zeros((logits.shape[1], block.stop - block.start))
+        pick[block] = np.eye(block.stop - block.start)
+        probs = softmax_rows(matmul(logits, Tensor(pick)))
+        log_p = log(gather_cols(probs, in_block[:, pos]))
+        total = add(total, sum_all(mul(Tensor(weights[:, pos:pos + 1]), log_p)))
+    return mul(constant(-1.0 / len(toks)), total)
+
 
 NEG_INF = -1e30  # finite stand-in for -inf so tensors stay finite
 
@@ -439,11 +810,11 @@ def role_mask(params: DenoiserParams) -> np.ndarray:
 def role_masked_logits(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> Tensor:
     """(3B, K) logits of a role-masked denoiser for (B, 3) corrupted token ids
     and (B,) step indices, rows grouped per sequence; taped."""
-    h = gndiff._hidden(params, xt, ts)
+    h = hidden(params, xt, ts)
     b = h.shape[0]
-    logits = nk.add(nk.matmul(h, nk.transpose(params.w2)), params.b2)  # (B, 3K)
-    logits = nk.reshape(logits, N_POSITIONS * b, params.vocab_size)
-    return nk.add(logits, Tensor(np.tile(role_mask(params), (b, 1))))
+    logits = add(matmul(h, transpose(params.w2)), params.b2)  # (B, 3K)
+    logits = reshape(logits, N_POSITIONS * b, params.vocab_size)
+    return add(logits, Tensor(np.tile(role_mask(params), (b, 1))))
 
 
 def role_masked_loss(params: DenoiserParams, entropies: TokenEntropy,
@@ -456,15 +827,15 @@ def role_masked_loss(params: DenoiserParams, entropies: TokenEntropy,
     xt, ts, weights = gndiff._corrupt(entropies, toks, steps, mu, rng)
     probs = softmax_rows(role_masked_logits(params, xt, ts))
     picked = gather_cols(probs, toks.reshape(-1))
-    weighted = nk.mul(Tensor(weights.reshape(-1, 1)), nk.log(picked))
-    return nk.mul(nk.constant(-1.0 / len(toks)), nk.sum_all(weighted))
+    weighted = mul(Tensor(weights.reshape(-1, 1)), log(picked))
+    return mul(constant(-1.0 / len(toks)), sum_all(weighted))
 
 
 def role_masked_tail_probs(params: DenoiserParams, xt: np.ndarray,
                            ts: np.ndarray) -> np.ndarray:
     """gndiff._tail_probs of a role-masked denoiser: rows 2K : 2K+|E| of its
     output layer, where the mask is exactly 0."""
-    h = gndiff._hidden(params, xt, ts).data
+    h = gndiff._hidden(params, xt, ts)[0]
     k = params.vocab_size
     cols = slice(2 * k, 2 * k + params.n_entities)
     probs = h @ params.w2.data[cols].T
@@ -520,7 +891,7 @@ def _as_rows(p) -> Tensor:
 
 
 def _row_sqnorm(x: Tensor) -> Tensor:
-    return nk.sum_cols(nk.mul(x, x))
+    return sum_cols(mul(x, x))
 
 
 def _check_inside(rows: Tensor, name: str) -> None:
@@ -529,8 +900,8 @@ def _check_inside(rows: Tensor, name: str) -> None:
 
 
 def _rowwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    d = nk.sub(a, b)
-    return nk.sum_cols(nk.mul(d, d))
+    d = sub(a, b)
+    return sum_cols(mul(d, d))
 
 
 def euclidean_distance(a, b) -> Tensor:
@@ -538,7 +909,7 @@ def euclidean_distance(a, b) -> Tensor:
     a, b = _as_rows(a), _as_rows(b)
     if a.shape != b.shape:
         raise DimensionError(f"euclidean_distance needs equal shapes: {a.shape} vs {b.shape}")
-    return nk.sqrt(_rowwise_sqdist(a, b))
+    return sqrt(_rowwise_sqdist(a, b))
 
 
 def poincare_distance(a, b) -> Tensor:
@@ -551,9 +922,9 @@ def poincare_distance(a, b) -> Tensor:
         raise DimensionError(f"poincare_distance needs equal shapes: {a.shape} vs {b.shape}")
     _check_inside(a, "first argument")
     _check_inside(b, "second argument")
-    one = nk.constant(1.0)
-    denom = nk.mul(nk.sub(one, _row_sqnorm(a)), nk.sub(one, _row_sqnorm(b)))
-    arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(_rowwise_sqdist(a, b), denom)))
+    one = constant(1.0)
+    denom = mul(sub(one, _row_sqnorm(a)), sub(one, _row_sqnorm(b)))
+    arg = add(one, mul(constant(2.0), div(_rowwise_sqdist(a, b), denom)))
     return acosh(arg)
 
 
@@ -582,7 +953,7 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
     diff = _differences(a.data, b.data)
     result = Tensor(np.einsum("ijk,ijk->ij", diff, diff))
-    return nk._tape_record(result, (a, b), _sqdist_backward(a.data, b.data))
+    return _tape_record(result, (a, b), _sqdist_backward(a.data, b.data))
 
 
 def gram_sqdist(a: Tensor, b: Tensor) -> Tensor:
@@ -592,29 +963,30 @@ def gram_sqdist(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
     result = nk._wrap(geo.pairwise_sqdist(ad, bd, geo.row_sqnorms(bd))[0])
-    return nk._tape_record(result, (a, b), _sqdist_backward(ad, bd))
+    return _tape_record(result, (a, b), _sqdist_backward(ad, bd))
 
 
 def euclidean_from_sqdist(sqdist: Tensor) -> Tensor:
     """L2 distances from `sqdist = gram_sqdist(a, b)`; taped. Its entries are
     never negative and identical rows give +0, where sqrt's gradient is 0
     (numkit.sqrt), so no clamp is needed."""
-    return nk.sqrt(sqdist)
+    return sqrt(sqdist)
 
 
 def poincare_from_sqdist(sqdist: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """Ball distances from `sqdist = gram_sqdist(a, b)`; taped. Rows of `a`
-    and `b` must have norm <= 1 - BALL_MARGIN (ValueError otherwise)."""
+    """Ball distances 2 asinh(sqrt(q)), q = sqdist / ((1 - |a|^2)(1 - |b|^2)),
+    from `sqdist = gram_sqdist(a, b)`; taped. sqrt passes no gradient at 0.
+    Rows of `a` and `b` must have norm <= 1 - BALL_MARGIN (ValueError
+    otherwise)."""
     if sqdist.shape != (a.shape[0], b.shape[0]):
         raise DimensionError(f"squared distances {sqdist.shape} do not pair "
                              f"{a.shape} with {b.shape}")
     _check_inside(a, "first argument")
     _check_inside(b, "second argument")
-    one = nk.constant(1.0)
-    na = nk.sub(one, _row_sqnorm(a))                 # (m, 1)
-    nb = nk.transpose(nk.sub(one, _row_sqnorm(b)))   # (1, n)
-    arg = nk.add(one, nk.mul(nk.constant(2.0), nk.div(sqdist, nk.mul(na, nb))))
-    return acosh(arg)
+    one = constant(1.0)
+    na = sub(one, _row_sqnorm(a))                 # (m, 1)
+    nb = transpose(sub(one, _row_sqnorm(b)))   # (1, n)
+    return mul(constant(2.0), asinh(sqrt(div(sqdist, mul(na, nb)))))
 
 
 def euclidean_pairwise(a: Tensor, b: Tensor) -> Tensor:
@@ -648,54 +1020,8 @@ def adam_step(state: nk.AdamState, params: Tensor, g: np.ndarray, t: int,
 
 
 # ---------------------------------------------------------------------------
-# Scoring: the taped chain
+# Scoring and the contrastive loss: the taped chains
 # ---------------------------------------------------------------------------
-
-def acosh(a: Tensor) -> Tensor:
-    """Inverse hyperbolic cosine; inputs below 1 are clamped to 1 and receive
-    zero gradient there; taped."""
-    clamped = np.maximum(a.data, 1.0)
-    out = nk._wrap(np.arccosh(clamped))
-    active = a.data > 1.0
-
-    def backward(g):
-        denom = np.sqrt(np.where(active, clamped * clamped - 1.0, 1.0))
-        return (np.where(active, g / denom, 0.0),)
-
-    return nk._tape_record(out, (a,), backward)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, computed with row-max subtraction for stability;
-    taped."""
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = nk._wrap(e / e.sum(axis=1, keepdims=True))
-    p = out.data
-
-    def backward(g):
-        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
-
-    return nk._tape_record(out, (a,), backward)
-
-
-def gather_cols(a: Tensor, cols) -> Tensor:
-    """Per-row column picks: out[i, 0] = a[i, cols[i]]; taped."""
-    idx = np.asarray(cols, dtype=np.int64).reshape(-1)
-    if idx.size != a.shape[0]:
-        raise DimensionError(f"need one column id per row: {idx.size} ids, {a.shape[0]} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise DimensionError(f"column ids out of range for {a.shape}")
-    rows = np.arange(a.shape[0])
-    out = nk._wrap(a.data[rows, idx].reshape(-1, 1))
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, idx), g[:, 0])
-        return (ga,)
-
-    return nk._tape_record(out, (a,), backward)
-
 
 def z_rows(batch: dpcl.QueryBatch, n_entities: int) -> np.ndarray:
     """The batch's signed history rows, (B, |E|): +lam at its history pairs
@@ -718,34 +1044,34 @@ def head_scores(params: dpcl.DpclParams, batch: dpcl.QueryBatch,
     """
     kinds = dpcl.strategy_distances(strategy)
     entities = params.entity_emb
-    s_emb = nk.take_rows(entities, batch.s_ids)
-    x = nk.concat_cols(s_emb, nk.take_rows(params.relation_emb, batch.r_ids))
+    s_emb = take_rows(entities, batch.s_ids)
+    x = concat_cols(s_emb, take_rows(params.relation_emb, batch.r_ids))
     sqdist = gram_sqdist(s_emb, entities)
     dist = {kind: poincare_from_sqdist(sqdist, s_emb, entities) if kind == "poincare"
             else euclidean_from_sqdist(sqdist)
             for kind in dict.fromkeys(kinds)}
-    entities_t = nk.transpose(entities)
+    entities_t = transpose(entities)
     z = Tensor(z_rows(batch, entities.shape[0]))
 
     def head(w, b, history, kind):
-        code = nk.tanh(nk.add(nk.matmul(x, nk.transpose(w)), b))
-        return nk.add(history(nk.matmul(code, entities_t), z), dist[kind])
+        code = tanh(add(matmul(x, transpose(w)), b))
+        return add(history(matmul(code, entities_t), z), dist[kind])
 
-    return (head(params.w_per, params.b_per, nk.add, kinds[0]),
-            head(params.w_nonper, params.b_nonper, nk.sub, kinds[1]))
+    return (head(params.w_per, params.b_per, add, kinds[0]),
+            head(params.w_nonper, params.b_nonper, sub, kinds[1]))
 
 
 def softmax_sum(s_per: Tensor, s_nonper: Tensor) -> Tensor:
     """softmax(S_per) + softmax(S_nonper), (B, |E|); taped."""
     if s_per.shape != s_nonper.shape:
         raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
-    return nk.add(softmax_rows(s_per), softmax_rows(s_nonper))
+    return add(softmax_rows(s_per), softmax_rows(s_nonper))
 
 
 def mixture(s_per: Tensor, s_nonper: Tensor) -> Tensor:
     """The scored distribution 0.5 * (softmax(S_per) + softmax(S_nonper)),
     (B, |E|) rows that sum to 1; taped."""
-    return nk.mul(nk.constant(0.5), softmax_sum(s_per, s_nonper))
+    return mul(constant(0.5), softmax_sum(s_per, s_nonper))
 
 
 def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:
@@ -755,8 +1081,8 @@ def ce_loss(s_per: Tensor, s_nonper: Tensor, gt_ids) -> Tensor:
         raise DimensionError(f"score shapes differ: {s_per.shape} vs {s_nonper.shape}")
     p1 = gather_cols(softmax_rows(s_per), gt_ids)
     p2 = gather_cols(softmax_rows(s_nonper), gt_ids)
-    per_query = nk.log(nk.add(p1, p2))
-    return nk.mul(nk.constant(-1.0 / s_per.shape[0]), nk.sum_all(per_query))
+    per_query = log(add(p1, p2))
+    return mul(constant(-1.0 / s_per.shape[0]), sum_all(per_query))
 
 
 def head_score(params: dpcl.DpclParams, batch: dpcl.QueryBatch, head: str,
@@ -766,20 +1092,59 @@ def head_score(params: dpcl.DpclParams, batch: dpcl.QueryBatch, head: str,
     history row, plus the row-wise distance of every (subject, candidate)
     pair; taped."""
     history, weight, bias = {
-        "periodic": (nk.add, params.w_per, params.b_per),
-        "nonperiodic": (nk.sub, params.w_nonper, params.b_nonper),
+        "periodic": (add, params.w_per, params.b_per),
+        "nonperiodic": (sub, params.w_nonper, params.b_nonper),
     }[head]
     entities = params.entity_emb
     n, b = entities.shape[0], len(batch)
-    x = nk.concat_cols(nk.take_rows(entities, batch.s_ids),
-                       nk.take_rows(params.relation_emb, batch.r_ids))
-    code = nk.tanh(nk.add(nk.matmul(x, nk.transpose(weight)), bias))
-    scores = history(nk.matmul(code, nk.transpose(entities)), Tensor(z_rows(batch, n)))
-    subjects = nk.take_rows(entities, np.repeat(batch.s_ids, n))
-    candidates = nk.take_rows(entities, np.tile(np.arange(n), b))
+    x = concat_cols(take_rows(entities, batch.s_ids),
+                       take_rows(params.relation_emb, batch.r_ids))
+    code = tanh(add(matmul(x, transpose(weight)), bias))
+    scores = history(matmul(code, transpose(entities)), Tensor(z_rows(batch, n)))
+    subjects = take_rows(entities, np.repeat(batch.s_ids, n))
+    candidates = take_rows(entities, np.tile(np.arange(n), b))
     rowwise = {"poincare": poincare_distance, "euclidean": euclidean_distance}[distance]
-    dist = nk.reshape(rowwise(subjects, candidates), b, n)
-    return nk.add(scores, dist)
+    dist = reshape(rowwise(subjects, candidates), b, n)
+    return add(scores, dist)
+
+
+def supcon_loss(params: dpcl.DpclParams, batch: dpcl.QueryBatch, tau: float) -> Tensor:
+    """dpcl.supcon_loss as the taped chain it replaced: a zero code raises
+    NumericError in div, a denominator that is not positive in log."""
+    n = len(batch)
+    x = concat_cols(take_rows(params.entity_emb, batch.s_ids),
+                    take_rows(params.relation_emb, batch.r_ids))
+    code = tanh(add(matmul(x, transpose(params.w_ctr)), params.b_ctr))
+    norms = sqrt(sum_cols(mul(code, code)))
+    z = div(code, norms)
+    sim = mul(constant(1.0 / tau), matmul(z, transpose(z)))
+
+    off_diag = 1.0 - np.eye(n)
+    exp_sim = mul(exp(sim), Tensor(off_diag))
+    log_denom = log(sum_cols(exp_sim))            # (B, 1)
+
+    same = (batch.periodic[:, None] == batch.periodic[None, :]) & (off_diag > 0)
+    pos_count = same.sum(axis=1)
+    weights = np.where(same, 1.0, 0.0)
+    nonzero = pos_count > 0
+    weights[nonzero] = weights[nonzero] / pos_count[nonzero, None]
+
+    log_prob = sub(sim, log_denom)                # broadcast over columns
+    total = sum_all(mul(log_prob, Tensor(weights)))
+    return mul(constant(-1.0 / n), total)
+
+
+def joint_loss(alpha: float, ce: Tensor | None, sup: Tensor | None,
+               diff: Tensor | None) -> Tensor:
+    """engine.joint_loss as the taped blend it replaced:
+    alpha * diff + (1 - alpha) * (ce + sup), a term passed as None left out,
+    and one component's losses unweighted."""
+    if ce is None:
+        return diff
+    dp = ce if sup is None else add(ce, sup)
+    if diff is None:
+        return dp
+    return add(mul(constant(alpha), diff), mul(constant(1.0 - alpha), dp))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import grad_check, make_batch, planted_period_store, quick_config, tensor
+from helpers import (assert_matches_the_chain, chain_gradients, grad_check, make_batch,
+                     planted_period_store, quick_config, taped, tensor)
 from tkgdiff import dpcl, engine
 from tkgdiff import evaluate as ev
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
-from tkgdiff.errors import ConfigError, DimensionError
+from tkgdiff.errors import ConfigError, DimensionError, NumericError
 from tkgdiff.geometry import project_array_to_ball
 
 
@@ -199,6 +200,7 @@ def test_ce_loss_decreases_with_gt_score():
 
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+NEAR_COPY_GAPS = [0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9]
 
 
 @st.composite
@@ -209,11 +211,12 @@ def scoring_cases(draw):
     alternately inside and outside the history.
 
     A margin row within 1e-9 of an earlier one (in one dimension they all
-    are) is made its copy, and the copies are exact or a few ulps off: there
-    the squared distance is a few ulps^2, whose gradient both the fused
-    backward and the chain form from the explicit differences. (Between
-    those, a margin pair 1e-12 apart puts arcosh's argument a few ulps above
-    1, where the Poincare distance has no ten correct digits in either.)"""
+    are) is made a near-copy of it: the earlier row moved 0 or 1e-13 ...
+    1e-9 further in. The last copies are exact or a few ulps off: there the
+    squared distance is a few ulps^2. Both the fused backward and the chain
+    form these pairs' gradients from their explicit differences, and both
+    take the Poincare distance as 2 asinh(sqrt(q)), which keeps its digits
+    at pairs this close (as arcosh(1 + 2q) does not)."""
     n = draw(st.integers(2, 24))
     b = draw(st.integers(1, 10))
     dim = draw(st.integers(1, 6))
@@ -225,7 +228,7 @@ def scoring_cases(draw):
     for i in range(at_margin):
         near = np.flatnonzero(np.abs(emb[:i] - emb[i]).max(axis=1, initial=0.0) < 1e-9)
         if near.size:
-            emb[i] = emb[near[0]]
+            emb[i] = emb[near[0]] * (1.0 - draw(st.sampled_from(NEAR_COPY_GAPS)))
     copies = draw(st.integers(0, n // 2))
     emb[n - copies:] = emb[:copies] + draw(st.integers(0, 4)) * np.spacing(emb[:copies])
     scale = draw(st.sampled_from([1.0, 4.0]))
@@ -249,21 +252,15 @@ def test_fused_record_matches_the_taped_chain(case, strategy):
     # the fused forward and its closed-form backward against the taped chain
     # of ops it replaced (tests/oracles.py), whose history rows are -+lam
     params, batch = case
-    sources = list(params.named().values())[:6]
-    with nk.GradTape() as tape:
-        loss = dpcl.ce_loss(params, batch, strategy)
-    assert len(tape) == 1
-    got = tape.gradient(loss, sources)
-    with nk.GradTape() as tape:
-        scores = oracles.head_scores(params, batch, strategy)
-        want_loss = oracles.ce_loss(*scores, batch.gt_ids)
-    want = tape.gradient(want_loss, sources)
-    assert loss.item() == pytest.approx(want_loss.item(), rel=1e-10, abs=0)
+    want, want_grads = chain_gradients(
+        lambda: oracles.ce_loss(*oracles.head_scores(params, batch, strategy), batch.gt_ids),
+        params.named())
+    loss = dpcl.ce_loss(params, batch, strategy)
+    assert sorted(loss[1](1.0)) == sorted(list(params.named())[:6])
+    assert_matches_the_chain(loss, want, want_grads, 1e-10)
     np.testing.assert_allclose(ev.p_dpcl(params, batch, strategy),
-                               oracles.mixture(*scores).data, rtol=1e-10, atol=0)
-    for name, g, w in zip(params.named(), got, want):
-        # relative to the largest entry, or absolute for gradients below 1
-        assert np.abs(g - w).max() <= 1e-10 * max(np.abs(w).max(), 1.0), name
+                               oracles.mixture(*oracles.head_scores(params, batch, strategy)).data,
+                               rtol=1e-10, atol=0)
 
 
 def test_the_distance_gradient_of_rows_ulps_apart_matches_central_differences():
@@ -297,7 +294,7 @@ def test_the_distance_gradient_of_rows_ulps_apart_matches_central_differences():
         down[k] -= ulp
         want[k] = (scored(up) - scored(down)) / (2 * ulp)
     np.testing.assert_array_equal(want, [[-2.0], [2.0], [0.0]])
-    got = dpcl.head_softmaxes(params, batch, "euc/euc")[1](g)[0]
+    got = dpcl.head_softmaxes(params, batch, "euc/euc")[1](g)["entity_emb"]
     np.testing.assert_allclose(got, 0.1 * want, rtol=1e-12, atol=0)
 
 
@@ -361,8 +358,8 @@ def test_supcon_two_identical_same_label():
     params = hand_placed_params()
     batch = dpcl.QueryBatch(np.array([0, 0]), np.array([0, 0]), np.array([0, 0]), NO_HISTORY,
                             2.0, np.array([True, True]))
-    loss = dpcl.supcon_loss(params, batch, tau=0.1)
-    assert loss.item() == pytest.approx(0.0, abs=1e-15)
+    loss = dpcl.supcon_loss(params, batch, tau=0.1)[0]
+    assert loss == pytest.approx(0.0, abs=1e-15)
 
 
 def test_supcon_all_same_label_identical_codes():
@@ -372,10 +369,10 @@ def test_supcon_all_same_label_identical_codes():
     b = 4
     batch = dpcl.QueryBatch(np.zeros(b, int), np.zeros(b, int), np.zeros(b, int),
                             NO_HISTORY, 2.0, np.ones(b, bool))
-    loss = dpcl.supcon_loss(params, batch, tau=0.1)
+    loss = dpcl.supcon_loss(params, batch, tau=0.1)[0]
     z = np.tile([1.0, 0.0], (b, 1))
-    assert loss.item() == pytest.approx(scalar_supcon(z, [0] * b, 0.1), abs=1e-12)
-    assert loss.item() == pytest.approx(np.log(b - 1), abs=1e-9)
+    assert loss == pytest.approx(scalar_supcon(z, [0] * b, 0.1), abs=1e-12)
+    assert loss == pytest.approx(np.log(b - 1), abs=1e-9)
 
 
 def test_supcon_hand_placed_antipodal():
@@ -383,16 +380,16 @@ def test_supcon_hand_placed_antipodal():
     params = hand_placed_params()
     batch = dpcl.QueryBatch(np.array([0, 0, 1]), np.zeros(3, int), np.zeros(3, int),
                             NO_HISTORY, 2.0, np.array([True, True, False]))
-    loss = dpcl.supcon_loss(params, batch, tau=0.1)
+    loss = dpcl.supcon_loss(params, batch, tau=0.1)[0]
     z = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
     want = scalar_supcon(z, [0, 0, 1], 0.1)
-    assert loss.item() == pytest.approx(want, abs=1e-12)
+    assert loss == pytest.approx(want, abs=1e-12)
 
 
 def test_supcon_matches_scalar_oracle_random(setup):
     params, _, rng = setup
     batch = make_batch(rng, 5, 6)
-    loss = dpcl.supcon_loss(params, batch, tau=0.1).item()
+    loss = dpcl.supcon_loss(params, batch, tau=0.1)[0]
     # recompute z independently
     e = params.entity_emb.data
     zs = []
@@ -421,7 +418,7 @@ def test_supcon_no_positive_pairs_is_zero():
     params = hand_placed_params()
     batch = dpcl.QueryBatch(np.array([0, 1]), np.zeros(2, int), np.zeros(2, int),
                             NO_HISTORY, 2.0, np.array([True, False]))
-    assert dpcl.supcon_loss(params, batch, tau=0.1).item() == 0.0
+    assert dpcl.supcon_loss(params, batch, tau=0.1)[0] == 0.0
 
 
 def test_supcon_gradient(setup):
@@ -431,18 +428,40 @@ def test_supcon_gradient(setup):
 
     def f(ps):
         p = dpcl.DpclParams(**dict(zip(names, ps)))
-        return dpcl.supcon_loss(p, batch, tau=0.1)
+        return taped(dpcl.supcon_loss(p, batch, tau=0.1), p)
 
     report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
 
 
-def test_supcon_rejects_bad_temperature(setup):
-    params, batch, _ = setup
-    with pytest.raises(ConfigError):
-        dpcl.supcon_loss(params, batch, tau=0.0)
-    with pytest.raises(ConfigError):
-        dpcl.supcon_loss(params, batch, tau=-1.0)
+@PROPERTY
+@given(n=st.integers(2, 12), b=st.integers(2, 16), dim=st.integers(1, 6),
+       tau=st.sampled_from([0.05, 0.1, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_supcon_matches_the_taped_chain(n, b, dim, tau, seed):
+    # the closed-form backward against the chain of ops it replaced
+    # (tests/oracles.py), over subjects and relations that repeat in the
+    # batch, with and without same-label partners
+    rng = nk.rng_for(seed)
+    params = dpcl.init_params(n, 3, dim, rng)
+    params = dataclasses.replace(params, b_ctr=tensor(rng.normal(size=(1, dim))))
+    batch = make_batch(rng, n, b)
+    batch.r_ids = rng.integers(0, 3, b)
+    want, want_grads = chain_gradients(lambda: oracles.supcon_loss(params, batch, tau),
+                                       params.named())
+    loss = dpcl.supcon_loss(params, batch, tau)
+    assert sorted(loss[1](1.0)) == ["b_ctr", "entity_emb", "relation_emb", "w_ctr"]
+    assert_matches_the_chain(loss, want, want_grads, 1e-10)
+
+
+def test_supcon_refuses_a_zero_code():
+    # zero w_ctr and b_ctr give every query the code tanh(0) = 0, which has
+    # no direction to normalize
+    params = hand_placed_params()
+    params = dataclasses.replace(params, w_ctr=nk.zeros(2, 4), b_ctr=nk.zeros(1, 2))
+    batch = dpcl.QueryBatch(np.array([0, 1]), np.zeros(2, int), np.zeros(2, int),
+                            NO_HISTORY, 2.0, np.array([True, True]))
+    with pytest.raises(NumericError):
+        dpcl.supcon_loss(params, batch, tau=0.1)
 
 
 def test_full_dpcl_gradient_suite(setup):
@@ -453,9 +472,9 @@ def test_full_dpcl_gradient_suite(setup):
 
     def f(ps):
         p = dpcl.DpclParams(**dict(zip(names, ps)))
-        ce = dpcl.ce_loss(p, batch, "hyp/euc")
-        sup = dpcl.supcon_loss(p, batch, tau=0.1)
-        return nk.add(ce, sup)
+        ce = taped(dpcl.ce_loss(p, batch, "hyp/euc"), p)
+        sup = taped(dpcl.supcon_loss(p, batch, tau=0.1), p)
+        return oracles.add(ce, sup)
 
     report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
@@ -469,20 +488,19 @@ def test_head_scores_match_per_head_oracle(setup, strategy):
     params, _, rng = setup
     batch = make_batch(rng, 5, 4)
     per, nonper = dpcl.STRATEGY_DISTANCES[strategy]
-    sources = list(params.named().values())[:6]
-    with nk.GradTape() as tape:
-        shared = dpcl.ce_loss(params, batch, strategy)
-    got = tape.gradient(shared, sources)
-    with nk.GradTape() as tape:
-        osp = oracles.head_score(params, batch, "periodic", per)
-        osnp = oracles.head_score(params, batch, "nonperiodic", nonper)
-        apart = oracles.ce_loss(osp, osnp, batch.gt_ids)
-    want = tape.gradient(apart, sources)
-    assert shared.item() == pytest.approx(apart.item(), rel=1e-12, abs=0)
+
+    def heads():
+        return (oracles.head_score(params, batch, "periodic", per),
+                oracles.head_score(params, batch, "nonperiodic", nonper))
+
+    apart, want = chain_gradients(lambda: oracles.ce_loss(*heads(), batch.gt_ids),
+                                  params.named())
+    shared, backward = dpcl.ce_loss(params, batch, strategy)
+    assert shared == pytest.approx(apart, rel=1e-12, abs=0)
     np.testing.assert_allclose(ev.p_dpcl(params, batch, strategy),
-                               oracles.mixture(osp, osnp).data, rtol=1e-12, atol=0)
-    for name, g, w in zip(params.named(), got, want):
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+                               oracles.mixture(*heads()).data, rtol=1e-12, atol=0)
+    for name, g in backward(1.0).items():
+        np.testing.assert_allclose(g, want[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("strategy", sorted(dpcl.STRATEGY_DISTANCES))
@@ -492,7 +510,8 @@ def test_head_scores_gradient(setup, strategy):
     names = list(params.named())
 
     def f(ps):
-        return dpcl.ce_loss(dpcl.DpclParams(**dict(zip(names, ps))), batch, strategy)
+        p = dpcl.DpclParams(**dict(zip(names, ps)))
+        return taped(dpcl.ce_loss(p, batch, strategy), p)
 
     report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
@@ -526,7 +545,7 @@ def test_head_scores_reject_rows_past_the_ball_margin(setup):
             dpcl.ce_loss(params, batch, strategy)
         with pytest.raises(ValueError, match="unit ball"):
             ev.p_dpcl(params, batch, strategy)
-    assert np.isfinite(dpcl.ce_loss(params, batch, "euc/euc").item())
+    assert np.isfinite(dpcl.ce_loss(params, batch, "euc/euc")[0])
     assert np.isfinite(ev.p_dpcl(params, batch, "euc/euc")).all()
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import (assert_same_state, grad_check, planted_period_store, quick_config,
+from helpers import (assert_same_state, chain_gradients, planted_period_store, quick_config,
                      single_fact_store)
 from tkgdiff import dpcl as dpcl_mod
 from tkgdiff import engine, evaluate, gndiff
@@ -26,31 +26,47 @@ def strip_wall(metrics):
     return [{k: v for k, v in m.items() if k != "wall_seconds"} for m in metrics]
 
 
+def term(value, *names):
+    """A loss term as the losses give it, (value, backward), whose gradient
+    is 1 for each parameter it names."""
+    return value, lambda scale: {name: np.full((1, 1), scale) for name in names}
+
+
 def test_joint_loss_endpoints():
     # an ablated component's losses are None; the other component's loss is
     # then the objective, unweighted, whatever alpha is
-    ce = nk.constant(0.5)
-    sup = nk.constant(0.25)
-    diff = nk.constant(1.0)
+    ce, sup, diff = term(0.5, "w_per"), term(0.25, "w_ctr"), term(1.0, "w1")
     for alpha in (0.2, 0.9):
-        assert engine.joint_loss(alpha, ce, None, None) is ce
-        assert engine.joint_loss(alpha, ce, sup, None).item() == pytest.approx(0.75)
-        assert engine.joint_loss(alpha, None, None, diff) is diff
+        value, backward = engine.joint_loss(alpha, ce, None, None)
+        assert value == 0.5 and backward(2.0) == {"dpcl.w_per": 2.0}
+        value, backward = engine.joint_loss(alpha, ce, sup, None)
+        assert value == 0.75 and backward(1.0) == {"dpcl.w_per": 1.0, "dpcl.w_ctr": 1.0}
+        value, backward = engine.joint_loss(alpha, None, None, diff)
+        assert value == 1.0 and backward(3.0) == {"denoiser.w1": 3.0}
 
 
 def test_joint_loss_hand_value():
-    out = engine.joint_loss(0.2, nk.constant(0.5), nk.constant(0.25), nk.constant(1.0))
-    assert out.item() == pytest.approx(0.2 * 1.0 + 0.8 * 0.75, abs=1e-12)
+    # the weights that make the value scale each term's gradient; a name two
+    # terms reach gets the sum
+    value, backward = engine.joint_loss(0.2, term(0.5, "entity_emb", "w_per"),
+                                        term(0.25, "entity_emb"), term(1.0, "w2"))
+    assert value == pytest.approx(0.2 * 1.0 + 0.8 * 0.75, abs=1e-12)
+    grads = backward(1.0)
+    assert list(grads) == ["dpcl.entity_emb", "dpcl.w_per", "denoiser.w2"]
+    assert grads["dpcl.entity_emb"] == pytest.approx(1.6, abs=1e-15)
+    assert grads["dpcl.w_per"] == pytest.approx(0.8, abs=1e-15)
+    assert grads["denoiser.w2"] == 0.2
 
 
 def test_joint_loss_stage_and_ablation_semantics():
     # stage 1 computes no contrastive loss: sup is None
-    ce, sup, diff = nk.constant(0.5), nk.constant(0.25), nk.constant(1.0)
-    stage1 = engine.joint_loss(0.2, ce, None, diff)
-    assert stage1.item() == pytest.approx(0.2 + 0.8 * 0.5)
+    ce, sup, diff = term(0.5, "w_per"), term(0.25, "w_ctr"), term(1.0, "w1")
+    value, backward = engine.joint_loss(0.2, ce, None, diff)
+    assert value == pytest.approx(0.2 + 0.8 * 0.5)
+    assert backward(1.0) == pytest.approx({"dpcl.w_per": 0.8, "denoiser.w1": 0.2})
     # an ablated component's losses are None
-    assert engine.joint_loss(0.2, ce, sup, None).item() == pytest.approx(0.75)
-    assert engine.joint_loss(0.2, None, None, diff).item() == pytest.approx(1.0)
+    assert engine.joint_loss(0.2, ce, sup, None)[0] == pytest.approx(0.75)
+    assert engine.joint_loss(0.2, None, None, diff)[0] == pytest.approx(1.0)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -1063,33 +1079,58 @@ def test_a_supcon_overflow_stops_training_naming_its_term():
         engine.train(cfg, store)
 
 
-def test_joint_gradient_through_everything():
-    # tape gradient of the full blended objective on a 5-entity fixture
+def test_joint_gradient_through_everything(monkeypatch):
+    # the blended closed-form gradient of train's first batch, as Adam
+    # receives it, against the taped chain of the same batch: the scoring
+    # chain and its CE, the contrastive chain and the denoiser chain,
+    # blended by the taped joint_loss. In stage 1 no loss reaches w_ctr and
+    # b_ctr, whose gradients are then 0
     store = planted_period_store(n_entities=5, n_relations=2, n_timestamps=30)
-    cfg = quick_config(d_dpcl=6, d_diff=6, steps=4)
     entropies = token_entropies(store)
-    index = build_periodic_index(store, cfg.lam, ("train",))
-    rng = nk.rng_for(5)
-    dparams = dpcl_mod.init_params(5, 2, 6, rng)
-    nparams = gndiff.init_denoiser(5, 2, 6, rng)
-    quads = store.split("train")[:4]
-    batch = dpcl_mod.QueryBatch.from_quads(quads, index)
-    toks = entropies.quad_tokens(quads)
-    d_names = list(dparams.named())
-    n_names = list(nparams.named())
+    train_quads = store.split("train")
+    real = nk.adam_step
+    for stage in (1, 2):
+        cfg = quick_config(d_dpcl=6, d_diff=6, steps=4, batch=64,
+                           epochs_stage1=int(stage == 1), epochs_stage2=int(stage == 2))
+        assert len(train_quads) <= cfg.batch
+        first_step = []
 
-    def f(ps):
-        dp = dpcl_mod.DpclParams(**dict(zip(d_names, ps[:len(d_names)])))
-        np_ = dataclasses.replace(nparams, **dict(zip(n_names, ps[len(d_names):])))
-        ce = dpcl_mod.ce_loss(dp, batch, cfg.mapping_strategy)
-        sup = dpcl_mod.supcon_loss(dp, batch, cfg.tau)
-        diff = gndiff.batch_loss(np_, entropies, toks, cfg.steps, cfg.mu,
-                                 nk.rng_for(6))
-        return engine.joint_loss(cfg.alpha, ce, sup, diff)
+        def spy(state, params, grads, t, lr):
+            if t == 1:
+                first_step.append(grads.copy())
+            return real(state, params, grads, t, lr)
 
-    params = list(dparams.named().values()) + list(nparams.named().values())
-    report = grad_check(f, params, tolerance=1e-4)
-    assert report.ok, report
+        monkeypatch.setattr(nk, "adam_step", spy)
+        metrics = engine.train(cfg, store).metrics
+        monkeypatch.undo()
+
+        init_rng = nk.rng_for(cfg.seed, engine._NS_INIT)
+        dparams = dpcl_mod.init_params(5, 2, 6, init_rng)
+        nparams = gndiff.init_denoiser(5, 2, 6, init_rng)
+        named = engine.Checkpoint(config=cfg, dpcl=dparams, denoiser=nparams, adam={},
+                                  adam_steps=0, epoch=0).named_tensors()
+        erng = nk.rng_for(cfg.seed, engine._NS_EPOCH, 0)
+        quads = train_quads[erng.permutation(len(train_quads))]
+        batch = dpcl_mod.QueryBatch.from_quads(quads, build_periodic_index(store, cfg.lam,
+                                                                           ("train",)))
+
+        def chain():
+            scores = oracles.head_scores(dparams, batch, cfg.mapping_strategy)
+            ce = oracles.ce_loss(*scores, batch.gt_ids)
+            sup = oracles.supcon_loss(dparams, batch, cfg.tau) if stage == 2 else None
+            # the diffusion draws follow the permutation in the epoch's stream
+            diff = oracles.batch_loss(nparams, entropies, entropies.quad_tokens(quads),
+                                      cfg.steps, cfg.mu, erng)
+            return oracles.joint_loss(cfg.alpha, ce, sup, diff)
+
+        want, want_grads = chain_gradients(chain, named)
+        assert abs(metrics[0]["loss_total"] - want) <= 1e-10 * max(abs(want), 1.0)
+        assert len(first_step) == len(named)
+        for name, got in zip(named, first_step):
+            w = want_grads[name]
+            assert np.abs(got - w).max() <= 1e-10 * max(np.abs(w).max(), 1.0), name
+        for name in ("dpcl.w_ctr", "dpcl.b_ctr"):
+            assert want_grads[name].any() == (stage == 2), name
 
 
 def test_a_model_is_ranked_only_at_the_lambda_it_was_trained_at():
@@ -1102,23 +1143,6 @@ def test_a_model_is_ranked_only_at_the_lambda_it_was_trained_at():
     with pytest.raises(ValueError, match="trained at lambda 8.0, not 2.0"):
         evaluate.evaluate_split(model, store, "test", seed=0, lam=2.0)
     assert evaluate.evaluate_split(model, store, "test", seed=0, lam=8.0)["all"].ranks
-
-
-def test_no_tape_record_of_a_dpcl_training_batch_is_entity_wide(monkeypatch):
-    # both heads, their softmaxes and the cross-entropy are one record whose
-    # output is the (1, 1) loss; the contrastive term's blocks are (B, B)
-    store = planted_period_store()
-    cfg = quick_config(no_gndiff=True, batch=16, epochs_stage1=1, epochs_stage2=1)
-    widths = []
-    real = nk.GradTape.gradient
-
-    def spy(self, output, sources):
-        widths.extend(rec.out.shape[1] for rec in self._records)
-        return real(self, output, sources)
-
-    monkeypatch.setattr(nk.GradTape, "gradient", spy)
-    engine.train(cfg, store)
-    assert widths and store.n_entities not in widths
 
 
 def test_planted_pattern_quick_recovery():

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,20 +128,47 @@ def test_distance_gradients_away_from_coincidence():
     rng = nk.rng_for(27)
     a = tensor(random_ball_points(rng, 4, 3, max_norm=0.8))
     b = tensor(random_ball_points(rng, 4, 3, max_norm=0.8))
-    rp = grad_check(lambda ps: nk.sum_all(oracles.poincare_distance(ps[0], ps[1])),
+    rp = grad_check(lambda ps: oracles.sum_all(oracles.poincare_distance(ps[0], ps[1])),
                        [a, b], tolerance=1e-4)
     assert rp.ok, rp
-    re = grad_check(lambda ps: nk.sum_all(oracles.euclidean_distance(ps[0], ps[1])),
+    re = grad_check(lambda ps: oracles.sum_all(oracles.euclidean_distance(ps[0], ps[1])),
                        [a, b], tolerance=1e-4)
     assert re.ok, re
+
+
+def test_the_poincare_distance_keeps_its_digits_for_rows_near_each_other():
+    # 1-D rows at -(1 - BALL_MARGIN), the second 1e-9 ... 1e-13 further in.
+    # Against a 50-digit reference from the same squared distances and gaps:
+    # arcosh(1 + 2q) kept 8 digits at 1e-9 and none at 1e-13, where it read
+    # 0, and its backward 2 / sqrt(arg^2 - 1) the same
+    a = np.array([[-(1.0 - geo.BALL_MARGIN)]])
+    b = a[0, 0] + np.array([[1e-9], [1e-10], [1e-11], [1e-12], [1e-13]])
+    b_sqnorms = geo.row_sqnorms(b)
+    sqdist = geo.pairwise_sqdist(a, b, b_sqnorms)[0]
+    gap_a = geo.ball_gap(geo.row_sqnorms(a), "a")
+    gap_b = geo.ball_gap(b_sqnorms, "b").T
+    dist, backward = geo.distance("poincare", sqdist, gap_a, gap_b)
+    g_sq, g_gap_a, g_gap_b = backward(np.ones_like(sqdist))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ga = Decimal(gap_a[0, 0])
+        for j, sq in enumerate(sqdist[0]):
+            gb = Decimal(gap_b[0, j])
+            q = Decimal(sq) / (ga * gb)
+            root = q.sqrt()
+            want = 2 * (root + (q + 1).sqrt()).ln()          # 2 asinh(sqrt(q))
+            slope = 1 / (q * (1 + q)).sqrt()                 # d dist / d q
+            for got, ref in ((dist[0, j], want), (g_sq[0, j], slope / (ga * gb)),
+                             (g_gap_b[0, j], -slope * q / gb)):
+                assert abs(Decimal(got) - ref) <= Decimal("1e-12") * abs(ref), (j, got, ref)
 
 
 def test_coincident_gradient_is_zero_not_nan():
     x = tensor([[0.2, 0.1]])
     for distance in (oracles.poincare_distance, oracles.poincare_pairwise,
                      oracles.euclidean_pairwise):
-        with nk.GradTape() as tape:
-            d = nk.sum_all(distance(x, x))
+        with oracles.GradTape() as tape:
+            d = oracles.sum_all(distance(x, x))
         (g,) = tape.gradient(d, [x])
         np.testing.assert_array_equal(g, np.zeros((1, 2)))
 
@@ -163,10 +192,10 @@ def test_pairwise_gradients():
     a = tensor(random_ball_points(rng, 3, 3, max_norm=0.7))
     b = tensor(random_ball_points(rng, 4, 3, max_norm=0.7))
     w = tensor(rng.normal(size=(3, 4)))
-    rp = grad_check(lambda ps: nk.sum_all(nk.mul(oracles.poincare_pairwise(ps[0], ps[1]), w)),
+    rp = grad_check(lambda ps: oracles.sum_all(oracles.mul(oracles.poincare_pairwise(*ps), w)),
                        [a, b], tolerance=1e-4)
     assert rp.ok, rp
-    re = grad_check(lambda ps: nk.sum_all(nk.mul(oracles.euclidean_pairwise(ps[0], ps[1]), w)),
+    re = grad_check(lambda ps: oracles.sum_all(oracles.mul(oracles.euclidean_pairwise(*ps), w)),
                        [a, b], tolerance=1e-4)
     assert re.ok, re
 
@@ -249,9 +278,9 @@ def test_pairwise_sqdist_matches_the_one_row_per_query_oracle(m, distinct, d):
     weights = tensor(rng.normal(size=(m, 37)))
     values, grads = [], []
     for pairwise in (oracles.gram_sqdist, oracles.pairwise_sqdist):
-        with nk.GradTape() as tape:
+        with oracles.GradTape() as tape:
             out = pairwise(a, b)
-            loss = nk.sum_all(nk.mul(out, weights))
+            loss = oracles.sum_all(oracles.mul(out, weights))
         values.append(out.data)
         grads.append(tape.gradient(loss, [a, b]))
     np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=0)
@@ -385,9 +414,9 @@ def test_identical_rows_give_exact_zeros_and_the_oracles_gradients(distance, kin
 
     values, grads = [], []
     for pairwise in (distance, oracle):
-        with nk.GradTape() as tape:
+        with oracles.GradTape() as tape:
             out = pairwise(a, b)
-            loss = nk.sum_all(nk.mul(out, weights))
+            loss = oracles.sum_all(oracles.mul(out, weights))
         values.append(out.data)
         grads.append(tape.gradient(loss, [a, b]))
     np.testing.assert_array_equal(np.diag(values[0][:6, 5:]), 0.0)
@@ -420,7 +449,7 @@ def clamped_euclidean(sqdist):
     def backward(g):
         return (np.where(active, g, 0.0),)
 
-    return nk.sqrt(nk._tape_record(clamped, (sqdist,), backward))
+    return oracles.sqrt(oracles._tape_record(clamped, (sqdist,), backward))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -438,9 +467,9 @@ def test_euclidean_from_sqdist_is_bit_equal_to_the_clamped_form(m, n, d, shared,
     weights = tensor(rng.normal(size=(m + shared, n + shared)))
     values, grads = [], []
     for distance in (oracles.euclidean_from_sqdist, clamped_euclidean):
-        with nk.GradTape() as tape:
+        with oracles.GradTape() as tape:
             out = distance(oracles.gram_sqdist(a, b))
-            loss = nk.sum_all(nk.mul(out, weights))
+            loss = oracles.sum_all(oracles.mul(out, weights))
         values.append(out.data)
         grads.append(tape.gradient(loss, [a, b]))
     np.testing.assert_array_equal(values[0], values[1])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import grad_check, tensor
+from helpers import assert_matches_the_chain, chain_gradients, grad_check, taped, tensor
 from tkgdiff import corpus, gndiff
 from tkgdiff import numkit as nk
 from tkgdiff.errors import NumericError
@@ -307,12 +307,12 @@ def test_denoiser_output_has_one_block_per_role():
     assert {n: t.shape for n, t in params.named().items()} == gndiff.param_shapes(3, 2, 8)
     xt = np.array([[0, 3, 5], [5, 5, 1]])            # K = 6, the mask is 5
     ts = np.array([2, 1])
-    logits = gndiff.denoise_x0_batch(params, xt, ts)
+    logits = gndiff.denoise_x0_batch(params, xt, ts)[0]
     assert logits.shape == (2, 2 * 3 + 2)
     ref = oracles.role_masked_logits(masked, xt, ts).data.reshape(2, 3, 6)
     live = (slice(0, 3), slice(3, 5), slice(0, 3))    # entities, relations, entities
     for pos, block in enumerate(params.role_blocks()):
-        np.testing.assert_allclose(logits.data[:, block], ref[:, pos, live[pos]],
+        np.testing.assert_allclose(logits[:, block], ref[:, pos, live[pos]],
                                    rtol=1e-14, atol=0)
         assert np.all(np.delete(ref[:, pos], live[pos], axis=1) <= oracles.NEG_INF / 2)
 
@@ -337,8 +337,9 @@ def test_denoiser_cross_entropy_gradient():
 
     def f(ps):
         p = dataclasses.replace(params, **dict(zip(names, ps)))
-        logits = gndiff.denoise_x0_batch(p, xt, np.array([2, 3, 1]))
-        return gndiff._role_cross_entropy(logits, p.role_blocks(), cols, weights)
+        logits, logits_backward = gndiff.denoise_x0_batch(p, xt, np.array([2, 3, 1]))
+        loss, backward = gndiff._role_cross_entropy(logits, p.role_blocks(), cols, weights)
+        return taped((loss, lambda scale: logits_backward(backward(scale))), p)
 
     report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
@@ -352,13 +353,13 @@ def test_role_cross_entropy_gradient_on_its_logits():
     weights = np.array([[1.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.2, 0.7, 0.0], [0.0, 1.0, 1.0]])
 
     def f(ps):
-        return gndiff._role_cross_entropy(ps[0], blocks, cols, weights)
+        loss, backward = gndiff._role_cross_entropy(ps[0].data, blocks, cols, weights)
+        return oracles._tape_record(nk._wrap(np.array([[loss]])), (ps[0],),
+                                    lambda g: (backward(g[0, 0]),))
 
     report = grad_check(f, [logits], tolerance=1e-6)
     assert report.ok, report
-    with nk.GradTape() as tape:
-        loss = f([logits])
-    (grad,) = tape.gradient(loss, [logits])
+    grad = gndiff._role_cross_entropy(logits.data, blocks, cols, weights)[1](1.0)
     expected = np.zeros((4, 10))
     for pos, block in enumerate(blocks):
         z = logits.data[:, block]
@@ -380,7 +381,7 @@ def perfect_logits(seq):
     n_e, n_r = seq.n_entities, seq.n_relations
     out = np.full((1, 2 * n_e + n_r), oracles.NEG_INF)
     out[0, seq.tokens + [0, 0, n_e + n_r]] = 0.0
-    return tensor(out)
+    return out
 
 
 def test_loss_zero_for_perfect_denoiser(monkeypatch):
@@ -389,7 +390,7 @@ def test_loss_zero_for_perfect_denoiser(monkeypatch):
     sched = oracles.build_schedule(ent, seq, steps=6, mu=0.25)
     params = gndiff.init_denoiser(3, 1, width=4, rng=nk.rng_for(66))
     monkeypatch.setattr(gndiff, "denoise_x0_batch",
-                        lambda p, xt, ts: perfect_logits(seq))
+                        lambda p, xt, ts: (perfect_logits(seq), None))
     for t in range(1, 7):
         loss = oracles.diffusion_loss(sched, params, seq,
                                       FakeRng([t], [[0.99, 0.99, 0.99]]))
@@ -421,7 +422,7 @@ def exhaustive_expected_loss(sched, params, seq):
             if prob == 0.0:
                 continue
             toks = np.where(masked, seq.mask_token, seq.tokens)
-            logits = gndiff.denoise_x0_batch(params, toks[None, :], np.array([t])).data[0]
+            logits = gndiff.denoise_x0_batch(params, toks[None, :], np.array([t]))[0][0]
             cols = seq.tokens + [0, 0, params.n_entities + params.n_relations]
             val = 0.0
             for pos, block in enumerate(params.role_blocks()):
@@ -478,14 +479,14 @@ def test_batch_loss_matches_single_path():
     toks = np.array([[0, 3, 1], [2, 3, 0]])
     # scripted draws: t=2 for both, first fully masked, second untouched
     fake = FakeRng([[2, 2]], [np.array([[0.999, 0.999, 0.999], [0.0, 0.0, 0.0]])])
-    loss = gndiff.batch_loss(params, ent, toks, 4, 0.3, fake)
+    loss = gndiff.batch_loss(params, ent, toks, 4, 0.3, fake)[0]
     seq0 = oracles.NodeSequence(toks[0], 3, 1)
     sched0 = oracles.build_schedule(ent, seq0, 4, 0.3)
     l0 = oracles.diffusion_loss(sched0, params, seq0, FakeRng([2], [[0.999] * 3]))
     seq1 = oracles.NodeSequence(toks[1], 3, 1)
     sched1 = oracles.build_schedule(ent, seq1, 4, 0.3)
     l1 = oracles.diffusion_loss(sched1, params, seq1, FakeRng([2], [[0.0] * 3]))
-    assert loss.item() == pytest.approx((l0.item() + l1.item()) / 2, abs=1e-12)
+    assert loss == pytest.approx((l0.item() + l1.item()) / 2, abs=1e-12)
 
 
 def test_batch_loss_gradient():
@@ -496,7 +497,7 @@ def test_batch_loss_gradient():
 
     def f(ps):
         p = dataclasses.replace(params, **dict(zip(names, ps)))
-        return gndiff.batch_loss(p, ent, toks, steps=5, mu=0.25, rng=nk.rng_for(73))
+        return taped(gndiff.batch_loss(p, ent, toks, steps=5, mu=0.25, rng=nk.rng_for(73)), p)
 
     report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
@@ -514,9 +515,31 @@ def test_batch_loss_is_finite_when_a_clean_token_underflows():
     # mu = 0 keeps the schedule linear: at t = 1 draws of 0.999 mask all three
     # positions, and each reverts with probability 1
     rng = FakeRng([[1]], [np.full((1, 3), 0.999)])
-    loss = gndiff.batch_loss(params, ent, np.array([[2, n_e, 1]]), 4, 0.0, rng)
+    loss = gndiff.batch_loss(params, ent, np.array([[2, n_e, 1]]), 4, 0.0, rng)[0]
     expected = (1000.0 + np.log(n_e - 1)) + np.log(n_r) + np.log(n_e)
-    assert loss.item() == pytest.approx(expected, rel=1e-12)
+    assert loss == pytest.approx(expected, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n_e=st.integers(1, 8), n_r=st.integers(1, 4), width=st.integers(1, 6),
+       batch=st.integers(1, 8), steps=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_loss_matches_the_taped_chain(n_e, n_r, width, batch, steps, seed):
+    # the closed-form backward of the cross-entropy and the denoiser against
+    # the chain of ops they replaced (tests/oracles.py), with the same draws;
+    # tokens repeat within a batch, so token_emb rows gather several rows
+    rng = nk.rng_for(seed)
+    params = gndiff.init_denoiser(n_e, n_r, width, rng)
+    params = dataclasses.replace(params, b1=tensor(rng.normal(size=params.b1.shape)),
+                                 b2=tensor(rng.normal(size=params.b2.shape)))
+    ent = make_entropies(n_e, n_r, seed=seed)
+    toks = np.column_stack([rng.integers(n_e, size=batch), n_e + rng.integers(n_r, size=batch),
+                            rng.integers(n_e, size=batch)])
+    want, want_grads = chain_gradients(
+        lambda: oracles.batch_loss(params, ent, toks, steps, 0.25, nk.rng_for(seed, 1)),
+        params.named())
+    loss = gndiff.batch_loss(params, ent, toks, steps, 0.25, nk.rng_for(seed, 1))
+    assert list(loss[1](1.0)) == list(params.named())
+    assert_matches_the_chain(loss, want, want_grads, 1e-10)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -535,13 +558,11 @@ def test_role_sized_denoiser_matches_the_role_masked_layout(n_e, n_r, width, bat
     queries = np.stack([rng.integers(n_e, size=batch), rng.integers(n_r, size=batch)], 1)
     toks = np.column_stack([queries[:, 0], n_e + queries[:, 1], rng.integers(n_e, size=batch)])
 
-    def loss_and_grads(loss_fn, p):
-        with nk.GradTape() as tape:
-            loss = loss_fn(p, ent, toks, steps, 0.25, nk.rng_for(seed, 1))
-        return loss.item(), dict(zip(p.named(), tape.gradient(loss, list(p.named().values()))))
-
-    loss, grads = loss_and_grads(gndiff.batch_loss, params)
-    ref, ref_grads = loss_and_grads(oracles.role_masked_loss, masked)
+    loss, backward = gndiff.batch_loss(params, ent, toks, steps, 0.25, nk.rng_for(seed, 1))
+    grads = backward(1.0)
+    ref, ref_grads = chain_gradients(
+        lambda: oracles.role_masked_loss(masked, ent, toks, steps, 0.25, nk.rng_for(seed, 1)),
+        masked.named())
     np.testing.assert_allclose(loss, ref, rtol=1e-12, atol=0)
     live = oracles.live_rows(n_e, n_r)
     for name, axis in (("w2", 0), ("b2", 1)):
@@ -576,7 +597,7 @@ def test_sample_conditional_clamps_and_degenerate_denoiser(monkeypatch):
         out[:, 1] = 0.0             # subject entity 1
         out[:, 4 + 0] = 0.0         # relation 0; the relation block starts at |E|
         out[:, 6 + target] = 0.0    # the tail block starts at |E|+|R|
-        return tensor(out)
+        return out, None
 
     monkeypatch.setattr(gndiff, "denoise_x0_batch", fake_denoise)
     o_id, dist = oracles.sample_conditional(sched, params, 1, 0, nk.rng_for(75))
@@ -631,13 +652,10 @@ def test_overfit_single_fact_dominates_p_diff():
     states = {name: nk.AdamState.zeros(p.shape)
               for name, p in params.named().items()}
     for step in range(300):
-        with nk.GradTape() as tape:
-            loss = gndiff.batch_loss(params, ent, toks, steps=8, mu=0.25,
-                                     rng=nk.rng_for(83, step))
-        tensors = params.named()
-        grads = tape.gradient(loss, list(tensors.values()))
-        updates = {name: nk.adam_step(states[name], tensors[name], g, t=step + 1, lr=0.01)
-                   for name, g in zip(tensors, grads)}
+        grads = gndiff.batch_loss(params, ent, toks, steps=8, mu=0.25,
+                                  rng=nk.rng_for(83, step))[1](1.0)
+        updates = {name: nk.adam_step(states[name], p, grads[name], t=step + 1, lr=0.01)
+                   for name, p in params.named().items()}
         params = dataclasses.replace(params, **updates)
     sched = oracles.inference_schedule(ent, 1, 0, steps=8, mu=0.25)
     dist = oracles.p_diff(sched, params, 1, 0, nk.rng_for(84), chains=8)
@@ -741,7 +759,7 @@ def test_p_diff_batch_raises_on_non_finite_logits(monkeypatch):
     w2 = params.w2.data.copy()
     w2[params.role_blocks()[2]] = 1e308
     params = dataclasses.replace(params, w2=tensor(w2))
-    monkeypatch.setattr(gndiff, "_hidden", lambda p, xt, ts: nk.Tensor(np.full((len(xt), 6), 1.0)))
+    monkeypatch.setattr(gndiff, "_hidden", lambda p, xt, ts: (np.full((len(xt), 6), 1.0), None))
     with pytest.raises(NumericError, match="non-finite"):
         gndiff.p_diff_batch(params, np.array([[0, 0]]), 4, 2, nk.rng_for(95))
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -97,6 +98,8 @@ def test_the_benchmark_calls_resolve_with_their_signatures():
     assert corpus.is_new_event(index, 0, 0, 1, 1) is False
     assert len(QueryBatch.from_quads(store.split("test"), index)) == 1
     assert isinstance(engine._NS_INIT, int)
+    # the denoiser's work count reads its parameters and token ids by position
+    assert list(inspect.signature(gndiff.denoise_x0_batch).parameters)[:2] == ["params", "xt"]
     for values in BENCH_CONFIGS:
         cfg = engine.TrainConfig(**values, seed=1)
         cfg.validate()
@@ -109,7 +112,12 @@ def test_the_benchmark_calls_resolve_with_their_signatures():
 # bench/run.py wraps these by name to time them, and its tracer skips a name
 # it cannot resolve without a word
 TRACED_BY_NAME = ["dpcl.ce_loss", "dpcl.supcon_loss", "dpcl.QueryBatch.from_quads",
-                  "evaluate.p_dpcl"]
+                  "evaluate.p_dpcl", "evaluate.evaluate_split",
+                  "gndiff.denoise_x0_batch", "gndiff.batch_loss", "gndiff.p_diff_batch",
+                  "numkit.adam_step", "numkit.Tensor.__init__",
+                  "engine.train", "engine.save_checkpoint", "engine.load_checkpoint",
+                  "corpus.build_periodic_index", "corpus.token_entropies",
+                  "geometry.project_array_to_ball"]
 
 
 @pytest.mark.parametrize("target", TRACED_BY_NAME)
