@@ -65,11 +65,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise DimensionError(f"item() needs a 1x1 tensor, got {self.shape}")
-        return float(self.data[0, 0])
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 

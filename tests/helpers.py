@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import pytest
 
-from oracles import GradTape, _tape_record
+from oracles import GradTape, _tape_record, item
 from tkgdiff import numkit as nk
 from tkgdiff.corpus import QuadStore
 from tkgdiff.dpcl import QueryBatch
@@ -161,19 +162,25 @@ def chain_gradients(chain, sources: dict) -> tuple[float, dict]:
     the tensors `sources` (name -> Tensor)."""
     with GradTape() as tape:
         out = chain()
-    return out.item(), dict(zip(sources, tape.gradient(out, list(sources.values()))))
+    return item(out), dict(zip(sources, tape.gradient(out, list(sources.values()))))
+
+
+# The absolute resolution of a loss that is a mean of -log p: where p rounds
+# to within an ulp of 1, -log p carries about one ulp of 1 in absolute terms
+# in any evaluation order (one CE draw reads 2.2e-16 fused, -0.0 taped).
+LOG_RESOLUTION = 4 * np.finfo(np.float64).eps
 
 
 def assert_matches_the_chain(loss, want: float, want_grads: dict, tol: float) -> None:
     """A closed-form loss, a (value, backward) pair, against a taped chain's
     value and gradients by name (chain_gradients): the value within `tol`
-    of the chain's, and each gradient the backward returns C-ordered and
-    within `tol` of the chain's largest entry; both relatively, or
-    absolutely below 1. The chain gives a zero gradient to every name the
-    backward leaves out."""
+    of the chain's relatively, or within LOG_RESOLUTION; each gradient the
+    backward returns C-ordered and within `tol` of the chain's largest
+    entry, relatively, or absolutely below 1. The chain gives a zero
+    gradient to every name the backward leaves out."""
     value, backward = loss
     grads = backward(1.0)
-    assert abs(value - want) <= tol * max(abs(want), 1.0), (value, want)
+    assert value == pytest.approx(want, rel=tol, abs=LOG_RESOLUTION), (value, want)
     for name, g in grads.items():
         w = want_grads[name]
         assert g.flags.c_contiguous, name
@@ -211,7 +218,7 @@ def grad_check(f, params: Sequence[Tensor], tolerance: float = 1e-4,
         d = params[i].data.copy()
         d.flat[flat_j] += delta
         perturbed[i] = Tensor(d)
-        return f(perturbed).item()
+        return item(f(perturbed))
 
     per_param = []
     for i, p in enumerate(params):

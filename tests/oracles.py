@@ -13,6 +13,7 @@ them; `helpers.grad_check` differentiates with the tape):
   in reverse order; a source the output does not reach gets zeros.
 - `acosh`, `asinh`, `softmax_rows`, `gather_cols`: taped ops only the
   chains here use.
+- `item`: the float value of a 1x1 tensor, such as a taped loss.
 
 Diffusion, one sequence at a time (checks `gndiff.batch_loss` and
 `gndiff.p_diff_batch`):
@@ -130,6 +131,11 @@ from tkgdiff.numkit import Tensor
 
 def constant(value: float) -> Tensor:
     return Tensor(np.array([[float(value)]]))
+
+
+def item(scalar: Tensor) -> float:
+    """The value of a 1x1 tensor; numpy refuses any other size."""
+    return scalar.data.item()
 
 
 _TAPE_STACK: list["GradTape"] = []

@@ -75,7 +75,7 @@ def test_poincare_distance_zero_on_self():
 def test_poincare_origin_to_half():
     # arcosh(1 + 2*0.25/(1*0.75)) = arcosh(5/3) = ln 3
     d = oracles.poincare_distance([0.0, 0.0], [0.5, 0.0])
-    assert d.item() == pytest.approx(np.log(3.0), abs=1e-10)
+    assert oracles.item(d) == pytest.approx(np.log(3.0), abs=1e-10)
 
 
 def test_poincare_symmetry_100_pairs():
@@ -89,17 +89,17 @@ def test_poincare_symmetry_100_pairs():
 
 def test_euclidean_345():
     d = oracles.euclidean_distance([0.0, 0.0], [3.0, 4.0])
-    assert d.item() == pytest.approx(5.0, abs=1e-12)
-    assert oracles.euclidean_distance([1.0, 1.0], [1.0, 1.0]).item() == 0.0
+    assert oracles.item(d) == pytest.approx(5.0, abs=1e-12)
+    assert oracles.item(oracles.euclidean_distance([1.0, 1.0], [1.0, 1.0])) == 0.0
 
 
 def test_euclidean_triangle_inequality():
     rng = nk.rng_for(25)
     for _ in range(100):
         a, b, c = rng.normal(size=(3, 6))
-        dab = oracles.euclidean_distance(a, b).item()
-        dbc = oracles.euclidean_distance(b, c).item()
-        dac = oracles.euclidean_distance(a, c).item()
+        dab = oracles.item(oracles.euclidean_distance(a, b))
+        dbc = oracles.item(oracles.euclidean_distance(b, c))
+        dac = oracles.item(oracles.euclidean_distance(a, c))
         assert dac <= dab + dbc + 1e-12
 
 
@@ -118,7 +118,7 @@ def test_small_radius_limit():
 def test_poincare_monotone_toward_boundary():
     u = np.array([1.0, 0.0, 0.0])
     radii = np.linspace(0.05, 1.0 - geo.BALL_MARGIN, 40, endpoint=False)
-    dists = [oracles.poincare_distance(np.zeros(3), r * u).item() for r in radii]
+    dists = [oracles.item(oracles.poincare_distance(np.zeros(3), r * u)) for r in radii]
     assert all(b > a for a, b in zip(dists, dists[1:]))
     row = oracles.poincare_pairwise(tensor(np.zeros((1, 3))), tensor(radii[:, None] * u))
     assert np.all(np.diff(row.data[0]) > 0)
@@ -181,8 +181,8 @@ def test_pairwise_matches_rowwise():
     pw_e = oracles.euclidean_pairwise(a, b).data
     for i in range(3):
         for j in range(5):
-            dp = oracles.poincare_distance(a.data[i], b.data[j]).item()
-            de = oracles.euclidean_distance(a.data[i], b.data[j]).item()
+            dp = oracles.item(oracles.poincare_distance(a.data[i], b.data[j]))
+            de = oracles.item(oracles.euclidean_distance(a.data[i], b.data[j]))
             assert pw_p[i, j] == pytest.approx(dp, abs=1e-10)
             assert pw_e[i, j] == pytest.approx(de, abs=1e-10)
 
@@ -223,7 +223,7 @@ def test_poincare_point_projects_on_construction():
     assert np.linalg.norm(p.coords) < 1.0
     q = oracles.PoincarePoint([0.1, 0.2])
     np.testing.assert_allclose(q.coords, [0.1, 0.2])
-    assert oracles.poincare_distance(p, p).item() == 0.0
+    assert oracles.item(oracles.poincare_distance(p, p)) == 0.0
 
 
 @pytest.mark.parametrize("m, n, d", [(3, 10, 4), (5, 9, 7), (1, 6, 1)])
