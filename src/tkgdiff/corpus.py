@@ -1,12 +1,13 @@
 """Quadruple corpora: TSV loading, vocabularies, time-ordered splits, the
 sorted (subject, relation, timestamp) history index with signed frequency
-values and batched lookups, and token entropies for the diffusion noise
-schedule.
+values and batched lookups, and the per-token entropy vector that sets the
+diffusion noise schedule, indexed by GNDiff's combined-vocabulary id (the
+layout `gndiff` defines).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import DataError, ParseError
 
 __all__ = [
-    "QuadStore", "PeriodicIndex", "TokenEntropy", "load_quads", "segments",
+    "QuadStore", "PeriodicIndex", "load_quads", "segments",
     "build_periodic_index", "is_new_event", "token_entropies",
 ]
 
@@ -32,14 +33,6 @@ class QuadStore:
     timestamps: list[str]               # raw values by dense index
     train_end: int                      # quad index: quads[:train_end] is train
     valid_end: int
-    entity_ids: dict[str, int] = field(repr=False, default_factory=dict)
-    relation_ids: dict[str, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.entity_ids:
-            self.entity_ids = {s: i for i, s in enumerate(self.entity_names)}
-        if not self.relation_ids:
-            self.relation_ids = {s: i for i, s in enumerate(self.relation_names)}
 
     @property
     def n_entities(self) -> int:
@@ -146,8 +139,7 @@ def load_quads(path) -> QuadStore:
         train_end = len(parts[0])
         valid_end = train_end + len(parts[1])
 
-    store = QuadStore(quads, entity_names, relation_names, ts_order,
-                      train_end, valid_end, dict(entity_ids), dict(relation_ids))
+    store = QuadStore(quads, entity_names, relation_names, ts_order, train_end, valid_end)
     store.check_invariants()
     return store
 
@@ -270,45 +262,16 @@ def is_new_event(index: PeriodicIndex, s: int, r: int, o: int, t: int) -> bool:
     return int(o) not in index.history(s, r, t)
 
 
-@dataclass
-class TokenEntropy:
-    """Per-token training frequencies and entropies over the combined
-    vocabulary: entities, then relations, then the mask token (last id)."""
-
-    n_entities: int
-    n_relations: int
-    counts: np.ndarray        # (K,) int64 over entity+relation+mask ids
-    entropy: np.ndarray       # (K,) float, -log(max(count, 1) / total_positions)
-    total_positions: int
-
-    @property
-    def vocab_size(self) -> int:
-        return self.n_entities + self.n_relations + 1
-
-    @property
-    def mask_token(self) -> int:
-        return self.vocab_size - 1
-
-    def quad_tokens(self, quads: np.ndarray) -> np.ndarray:
-        """(n, 4) quads -> (n, 3) combined-vocabulary token ids."""
-        out = np.empty((len(quads), 3), dtype=np.int64)
-        out[:, 0] = quads[:, 0]
-        out[:, 1] = self.n_entities + quads[:, 1]
-        out[:, 2] = quads[:, 2]
-        return out
-
-
-def token_entropies(store: QuadStore) -> TokenEntropy:
-    """Entropy -log(frequency) per token, counted over all three positions of
-    the training quads; unseen tokens are smoothed to frequency 1."""
+def token_entropies(store: QuadStore) -> np.ndarray:
+    """The (|E|+|R|+1,) entropy -log(frequency) of each combined-vocabulary
+    token (entities, then relations, then the mask), counted over all three
+    positions of the training quads; unseen tokens, the mask among them, are
+    smoothed to frequency 1."""
     train = store.split("train")
     if len(train) == 0:
         raise DataError("token_entropies needs a non-empty training split")
-    k = store.n_entities + store.n_relations + 1
-    counts = np.zeros(k, dtype=np.int64)
+    counts = np.zeros(store.n_entities + store.n_relations + 1, dtype=np.int64)
     np.add.at(counts, train[:, 0], 1)
     np.add.at(counts, store.n_entities + train[:, 1], 1)
     np.add.at(counts, train[:, 2], 1)
-    total = 3 * len(train)
-    entropy = -np.log(np.maximum(counts, 1) / total)
-    return TokenEntropy(store.n_entities, store.n_relations, counts, entropy, total)
+    return -np.log(np.maximum(counts, 1) / (3 * len(train)))

@@ -83,20 +83,17 @@ def init_params(n_entities: int, n_relations: int, dim: int,
                 rng: np.random.Generator) -> DpclParams:
     """Embeddings start well inside the unit ball; affine maps use a fan-based
     uniform range; biases start at zero."""
-    half = 0.5 / np.sqrt(dim)
-    bound = np.sqrt(6.0 / (3 * dim))
+    shapes = param_shapes(n_entities, n_relations, dim)
+    half, bound = 0.5 / np.sqrt(dim), np.sqrt(6.0 / (3 * dim))
 
-    def emb(n):
-        return Tensor(rng.uniform(-half, half, size=(n, dim)))
-
-    def weight():
-        return Tensor(rng.uniform(-bound, bound, size=(dim, 2 * dim)))
+    def uniform(name, limit):
+        return Tensor(rng.uniform(-limit, limit, size=shapes[name]))
 
     return DpclParams(
-        entity_emb=emb(n_entities), relation_emb=emb(n_relations),
-        w_per=weight(), b_per=nk.zeros(1, dim),
-        w_nonper=weight(), b_nonper=nk.zeros(1, dim),
-        w_ctr=weight(), b_ctr=nk.zeros(1, dim),
+        entity_emb=uniform("entity_emb", half), relation_emb=uniform("relation_emb", half),
+        w_per=uniform("w_per", bound), b_per=nk.zeros(*shapes["b_per"]),
+        w_nonper=uniform("w_nonper", bound), b_nonper=nk.zeros(*shapes["b_nonper"]),
+        w_ctr=uniform("w_ctr", bound), b_ctr=nk.zeros(*shapes["b_ctr"]),
     )
 
 

@@ -533,7 +533,7 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
         raise DataError("training split is empty")
     needs_ball = (not config.no_dpcl) and \
         "poincare" in dpcl_mod.strategy_distances(config.mapping_strategy)
-    entropies = None if config.no_gndiff else token_entropies(store)
+    entropy = None if config.no_gndiff else token_entropies(store)
     index = build_periodic_index(store, config.lam, ("train",))
     has_valid = len(store.split("valid")) > 0
 
@@ -583,8 +583,7 @@ def train(config: TrainConfig, store: QuadStore, out_dir=None, resume_from=None)
                     if stage == 2 and len(batch) >= 2:
                         losses["sup"] = dpcl_mod.supcon_loss(run.dpcl, batch, config.tau)
                 if not config.no_gndiff:
-                    toks = entropies.quad_tokens(quads)
-                    losses["diff"] = gndiff.batch_loss(run.denoiser, entropies, toks,
+                    losses["diff"] = gndiff.batch_loss(run.denoiser, entropy, quads,
                                                        config.steps, config.mu, erng)
                 total, backward = joint_loss(config.alpha, **losses)
                 if not math.isfinite(total):

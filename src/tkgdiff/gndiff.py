@@ -1,6 +1,11 @@
 """Absorbing-state discrete diffusion over (subject, relation, object) token
 triples.
 
+A fact reads as three ids of one combined vocabulary, laid out here and
+nowhere else: entities, then relations, then the absorbing mask token, so
+(s, r, o) is [s, |E|+r, o] (`_tokens`) and the mask is |E|+|R|. The
+per-token entropy vector (`corpus.token_entropies`) is indexed by these ids.
+
 Forward corruption masks each position independently; a token survives t steps
 with probability alpha_bar[t] from an entropy-informed schedule (rarer tokens
 mask earlier, so the reverse process reveals common tokens first). The reverse
@@ -29,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from . import numkit as nk
-from .corpus import TokenEntropy
 from .errors import NumericError
 from .numkit import Tensor
 
@@ -75,8 +79,8 @@ class DenoiserParams:
     """Token embeddings plus a two-layer tanh perceptron producing logits for
     the clean sequence, each position over the tokens of its role. The output
     rows come in blocks: subject entities, relations, then tail entities
-    (`role_blocks`). A clean token's output column is its combined-vocabulary
-    id, plus |E|+|R| at the tail position."""
+    (`role_blocks`); within its block, a clean token's column is its entity
+    or relation id."""
 
     token_emb: Tensor   # (K, w)
     w1: Tensor          # (h, 4w): 3 token embeddings + time embedding
@@ -123,6 +127,16 @@ def init_denoiser(n_entities: int, n_relations: int, width: int,
         w2=uniform("w2", width), b2=nk.zeros(*shapes["b2"]),
         n_entities=n_entities, n_relations=n_relations, width=width,
     )
+
+
+def _tokens(params: DenoiserParams, s, r, tail) -> np.ndarray:
+    """(n, 3) combined-vocabulary ids [s, |E|+r, tail] of n subjects,
+    relations and tails (a tail may be one id for every row)."""
+    out = np.empty((len(s), N_POSITIONS), dtype=np.int64)
+    out[:, 0] = s
+    out[:, 1] = params.n_entities + r
+    out[:, 2] = tail
+    return out
 
 
 def _time_embedding(ts: np.ndarray, width: int) -> np.ndarray:
@@ -189,29 +203,29 @@ def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray,
 # Training loss
 # ---------------------------------------------------------------------------
 
-def batch_loss(params: DenoiserParams, entropies: TokenEntropy,
-               quad_tokens: np.ndarray, steps: int, mu: float,
-               rng: np.random.Generator) -> tuple[float, Callable[[float], dict]]:
-    """Mean single-sample bound over a batch of (B, 3) clean token triples,
-    with per-sequence entropy schedules; one batched denoiser call. Returns
-    the loss and its backward: `backward(scale)` gives the gradient of
-    scale x loss for each denoiser tensor, by name."""
-    toks = np.asarray(quad_tokens, dtype=np.int64).reshape(-1, N_POSITIONS)
-    xt, ts, weights = _corrupt(entropies, toks, steps, mu, rng)
+def batch_loss(params: DenoiserParams, entropy: np.ndarray, quads: np.ndarray, steps: int,
+               mu: float, rng: np.random.Generator) -> tuple[float, Callable[[float], dict]]:
+    """Mean single-sample bound over the (s, r, o) facts of a batch of (B, 4)
+    quads, with per-sequence schedules from the token entropy vector; one
+    batched denoiser call. Returns the loss and its backward:
+    `backward(scale)` gives the gradient of scale x loss for each denoiser
+    tensor, by name."""
+    toks = _tokens(params, quads[:, 0], quads[:, 1], quads[:, 2])
+    xt, ts, weights = _corrupt(entropy, toks, params.vocab_size - 1, steps, mu, rng)
     logits, logits_backward = denoise_x0_batch(params, xt, ts)    # (B, 2|E|+|R|)
-    cols = toks + np.array([0, 0, params.n_entities + params.n_relations])
-    loss, loss_backward = _role_cross_entropy(logits, params.role_blocks(), cols, weights)
+    loss, loss_backward = _role_cross_entropy(logits, params.role_blocks(),
+                                              quads[:, :N_POSITIONS], weights)
     return loss, lambda scale: logits_backward(loss_backward(scale))
 
 
-def _corrupt(entropies: TokenEntropy, toks: np.ndarray, steps: int, mu: float,
+def _corrupt(entropy: np.ndarray, toks: np.ndarray, mask: int, steps: int, mu: float,
              rng: np.random.Generator):
     """One forward draw per (B, 3) clean triple: a step t uniform in [1, T],
-    x_t from its per-sequence schedule, and each position's loss weight, the
-    revert probability where x_t is masked and 0 elsewhere. Returns (x_t, t,
-    weights)."""
+    x_t from its per-sequence schedule, with masked positions set to the
+    `mask` id, and each position's loss weight, the revert probability where
+    x_t is masked and 0 elsewhere. Returns (x_t, t, weights)."""
     b = toks.shape[0]
-    h = entropies.entropy[toks]                                  # (B, 3)
+    h = entropy[toks]                                            # (B, 3)
     alpha = _schedule_arrays(h, steps, mu)                       # (T+1, B, 3)
     ts = rng.integers(1, steps + 1, size=b)
     rows_ix = np.arange(b)[:, None]
@@ -219,19 +233,20 @@ def _corrupt(entropies: TokenEntropy, toks: np.ndarray, steps: int, mu: float,
     a_t = alpha[ts[:, None], rows_ix, cols_ix]
     a_prev = alpha[ts[:, None] - 1, rows_ix, cols_ix]
     keep = rng.random((b, N_POSITIONS)) < a_t
-    xt = np.where(keep, toks, entropies.mask_token)
+    xt = np.where(keep, toks, mask)
     denom = 1.0 - a_t
     revert = np.where(denom > 0.0, (a_prev - a_t) / np.where(denom > 0, denom, 1.0), 0.0)
-    weights = np.where(xt == entropies.mask_token, revert, 0.0)
+    weights = np.where(xt == mask, revert, 0.0)
     return xt, ts, weights
 
 
-def _role_cross_entropy(logits: np.ndarray, blocks: tuple[slice, ...], cols: np.ndarray,
+def _role_cross_entropy(logits: np.ndarray, blocks: tuple[slice, ...], ids: np.ndarray,
                         weights: np.ndarray) -> tuple[float, Callable[[float], np.ndarray]]:
-    """-(1/B) sum of w * log softmax(block)[col] over the (B, 3) positions,
-    each position's softmax over its own block of `logits`, and its
-    backward, which maps a scale to the gradient of scale x the loss with
-    respect to the logits.
+    """-(1/B) sum of w * log softmax(block)[id] over the (B, 3) positions,
+    each position's softmax over its own block of `logits`, where `id` is
+    the clean token's entity or relation id, its column in the block; and
+    its backward, which maps a scale to the gradient of scale x the loss
+    with respect to the logits.
 
     Only positions with a nonzero weight are computed. The log-probability is
     the shifted logit less the log of the block's sum, so a clean token whose
@@ -239,13 +254,13 @@ def _role_cross_entropy(logits: np.ndarray, blocks: tuple[slice, ...], cols: np.
     scale * (w/B) * (softmax - onehot) into each computed row's block.
     """
     b = logits.shape[0]
-    terms = np.zeros(cols.shape)
+    terms = np.zeros(ids.shape)
     parts = []
     for pos, block in enumerate(blocks):
         rows = np.flatnonzero(weights[:, pos])
         if rows.size == 0:
             continue
-        at = (np.arange(rows.size), cols[rows, pos] - block.start)
+        at = (np.arange(rows.size), ids[rows, pos])
         shifted = logits[rows, block]
         shifted -= shifted.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
@@ -307,7 +322,6 @@ def p_diff_batch(params: DenoiserParams, queries: np.ndarray, steps: int,
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
     b = queries.shape[0]
     n_e = params.n_entities
-    mask = params.vocab_size - 1
     rows = b * chains
     # the unknown tail takes the mean entropy of s and r, so its normalized
     # entropy term vanishes and its survival is linear, shared across
@@ -326,10 +340,7 @@ def p_diff_batch(params: DenoiserParams, queries: np.ndarray, steps: int,
             u[do_revert] = rng.random(rows)[do_revert]
 
     query_of = np.repeat(np.arange(b), chains)
-    x = np.empty((rows, N_POSITIONS), dtype=np.int64)
-    x[:, 0] = queries[query_of, 0]
-    x[:, 1] = n_e + queries[query_of, 1]
-    x[:, 2] = mask
+    x = _tokens(params, queries[query_of, 0], queries[query_of, 1], params.vocab_size - 1)
     early = np.flatnonzero(reveal_t > 1)  # picks at t = 1 are never read
     if early.size:
         # one shared row per (query, reveal step); x still holds [s, r, MASK]

@@ -117,8 +117,6 @@ def adam_step(state: AdamState, params: Tensor, grads: np.ndarray, t: int, lr: f
     """
     if grads.shape != params.data.shape:
         raise DimensionError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
-    if state.m.shape != params.data.shape:
-        raise DimensionError(f"optimizer state shape {state.m.shape} != parameter shape {params.shape}")
     m, v = state.m, state.v
     step = np.multiply(grads, 1.0 - ADAM_BETA1, order="C")
     m *= ADAM_BETA1

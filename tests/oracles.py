@@ -118,7 +118,6 @@ import numpy as np
 from tkgdiff import dpcl, gndiff
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
-from tkgdiff.corpus import TokenEntropy
 from tkgdiff.errors import DimensionError, NumericError
 from tkgdiff.geometry import project_array_to_ball
 from tkgdiff.gndiff import N_POSITIONS, DenoiserParams
@@ -481,9 +480,11 @@ class NodeSequence:
         return NodeSequence(tokens, self.n_entities, self.n_relations)
 
     @classmethod
-    def from_quad(cls, entropies: TokenEntropy, s: int, r: int, o: int) -> "NodeSequence":
-        return cls([s, entropies.n_entities + r, o],
-                   entropies.n_entities, entropies.n_relations)
+    def from_quad(cls, entropy: np.ndarray, n_entities: int, s: int, r: int,
+                  o: int) -> "NodeSequence":
+        """The sequence of fact (s, r, o) over the vocabulary of an entropy
+        vector with `n_entities` entities."""
+        return cls([s, n_entities + r, o], n_entities, len(entropy) - n_entities - 1)
 
 
 @dataclass
@@ -518,7 +519,7 @@ def raw_schedule(h: np.ndarray, steps: int, mu: float) -> np.ndarray:
     return 1.0 - (t / steps).reshape(shape) - g.reshape(shape) * h_tilde[None, ...]
 
 
-def build_schedule(entropies: TokenEntropy, sequence: NodeSequence,
+def build_schedule(entropy: np.ndarray, sequence: NodeSequence,
                    steps: int, mu: float) -> DiffusionSchedule:
     """Entropy-informed schedule for one sequence.
 
@@ -529,7 +530,7 @@ def build_schedule(entropies: TokenEntropy, sequence: NodeSequence,
         raise ValueError(f"need at least 2 steps, got {steps}")
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    h = entropies.entropy[sequence.tokens]
+    h = entropy[sequence.tokens]
     raw, clamped = raw_schedule(h, steps, mu), gndiff._schedule_arrays(h, steps, mu)
     interior = np.arange(1, steps)
     if interior.size:
@@ -544,13 +545,13 @@ def build_schedule(entropies: TokenEntropy, sequence: NodeSequence,
     return DiffusionSchedule(steps, mu, clamped, raw, beta, h)
 
 
-def inference_schedule(entropies: TokenEntropy, s: int, r: int,
+def inference_schedule(entropy: np.ndarray, n_entities: int, s: int, r: int,
                        steps: int, mu: float) -> DiffusionSchedule:
     """Schedule for answering (s, r, ?): the unknown tail gets the mean of the
     known positions' entropies, which makes its normalized-entropy term vanish
     and its survival exactly linear."""
-    hs = entropies.entropy[int(s)]
-    hr = entropies.entropy[entropies.n_entities + int(r)]
+    hs = entropy[int(s)]
+    hr = entropy[n_entities + int(r)]
     h = np.array([hs, hr, 0.5 * (hs + hr)])
     raw, clamped = raw_schedule(h, steps, mu), gndiff._schedule_arrays(h, steps, mu)
     beta = np.zeros_like(clamped)
@@ -697,7 +698,7 @@ def p_diff(schedule: DiffusionSchedule, params: DenoiserParams,
     return np.mean(dists, axis=0)
 
 
-def p_diff_batch(params: DenoiserParams, entropies: TokenEntropy,
+def p_diff_batch(params: DenoiserParams, entropy: np.ndarray,
                  queries: np.ndarray, steps: int, mu: float,
                  chains: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized p_diff for (B, 2) [s, r] query rows -> (B, |E|).
@@ -760,19 +761,18 @@ def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -> 
     return add(matmul(hidden(params, xt, ts), transpose(params.w2)), params.b2)
 
 
-def batch_loss(params: DenoiserParams, entropies: TokenEntropy,
-               quad_tokens: np.ndarray, steps: int, mu: float,
-               rng: np.random.Generator) -> Tensor:
+def batch_loss(params: DenoiserParams, entropy: np.ndarray, quads: np.ndarray,
+               steps: int, mu: float, rng: np.random.Generator) -> Tensor:
     """gndiff.batch_loss as a taped chain, with the same draws: each
     position's block of the logits is taken by a product with a 0/1 matrix
     (exact: one term per entry is not 0), then softmax_rows, gather_cols at
     the clean token, log and the position's weights. A clean token whose
     probability underflows to 0 raises NumericError here (log of 0)."""
-    toks = np.asarray(quad_tokens, dtype=np.int64).reshape(-1, N_POSITIONS)
-    xt, ts, weights = gndiff._corrupt(entropies, toks, steps, mu, rng)
-    logits = denoise_x0_batch(params, xt, ts)
+    in_block = quads[:, :N_POSITIONS]
     # a relation token's id counts the entities before it
-    in_block = toks - np.array([0, params.n_entities, 0])
+    toks = in_block + np.array([0, params.n_entities, 0])
+    xt, ts, weights = gndiff._corrupt(entropy, toks, params.vocab_size - 1, steps, mu, rng)
+    logits = denoise_x0_batch(params, xt, ts)
     total = constant(0.0)
     for pos, block in enumerate(params.role_blocks()):
         pick = np.zeros((logits.shape[1], block.stop - block.start))
@@ -823,14 +823,13 @@ def role_masked_logits(params: DenoiserParams, xt: np.ndarray, ts: np.ndarray) -
     return add(logits, Tensor(np.tile(role_mask(params), (b, 1))))
 
 
-def role_masked_loss(params: DenoiserParams, entropies: TokenEntropy,
-                     quad_tokens: np.ndarray, steps: int, mu: float,
-                     rng: np.random.Generator) -> Tensor:
+def role_masked_loss(params: DenoiserParams, entropy: np.ndarray, quads: np.ndarray,
+                     steps: int, mu: float, rng: np.random.Generator) -> Tensor:
     """gndiff.batch_loss of a role-masked denoiser, with the same draws: the
     log of each position's softmax over all K columns, picked at the clean
     token; taped."""
-    toks = np.asarray(quad_tokens, dtype=np.int64).reshape(-1, N_POSITIONS)
-    xt, ts, weights = gndiff._corrupt(entropies, toks, steps, mu, rng)
+    toks = quads[:, :N_POSITIONS] + np.array([0, params.n_entities, 0])
+    xt, ts, weights = gndiff._corrupt(entropy, toks, params.vocab_size - 1, steps, mu, rng)
     probs = softmax_rows(role_masked_logits(params, xt, ts))
     picked = gather_cols(probs, toks.reshape(-1))
     weighted = mul(Tensor(weights.reshape(-1, 1)), log(picked))

@@ -193,12 +193,12 @@ def test_z_two_values_and_sign_flip():
 def test_is_new_event(small_store):
     idx = corpus.build_periodic_index(small_store, lam=2.0,
                                       scope=("train", "valid", "test"))
-    ids = small_store.entity_ids
-    rel = small_store.relation_ids["likes"]
+    a, b, c = (small_store.entity_names.index(name) for name in "ABC")
+    rel = small_store.relation_names.index("likes")
     # (A likes B) repeats after t=0 -> not new at t=2
-    assert not corpus.is_new_event(idx, ids["A"], rel, ids["B"], 2)
+    assert not corpus.is_new_event(idx, a, rel, b, 2)
     # (A likes C) first occurs at t=2 -> new at t=2
-    assert corpus.is_new_event(idx, ids["A"], rel, ids["C"], 2)
+    assert corpus.is_new_event(idx, a, rel, c, 2)
 
 
 def test_new_event_fraction_matches_brute_force():
@@ -301,11 +301,12 @@ def test_entropy_half_frequency():
     st = corpus.QuadStore(quads, ["A", "B"], ["r0"], [str(t) for t in range(10)],
                           train_end=10, valid_end=10)
     ent = corpus.token_entropies(st)
-    assert ent.counts.sum() == 3 * len(quads)
+    # A, B and r0 fill all 3 * 10 positions, so their frequencies sum to 1
+    assert np.exp(-ent[:-1]).sum() == pytest.approx(1.0, abs=1e-12)
     # A: 2 per quad for 5 quads + 1 per quad for 5 quads = 15 of 30 positions
-    assert ent.counts[0] == 15
-    assert ent.entropy[0] == pytest.approx(-np.log(0.5), abs=1e-12)
-    assert ent.entropy[0] == pytest.approx(0.6931, abs=1e-4)
+    assert ent[0] == -np.log(15 / 30)
+    assert ent[0] == pytest.approx(-np.log(0.5), abs=1e-12)
+    assert ent[0] == pytest.approx(0.6931, abs=1e-4)
 
 
 def test_entropy_monotone_and_smoothing():
@@ -314,35 +315,45 @@ def test_entropy_monotone_and_smoothing():
                           train_end=10, valid_end=10)
     ent = corpus.token_entropies(st)
     # A more frequent than B -> strictly lower entropy
-    assert ent.entropy[0] < ent.entropy[1]
+    assert ent[0] < ent[1]
     # C never occurs -> entropy of frequency 1
-    assert ent.counts[2] == 0
-    assert ent.entropy[2] == pytest.approx(-np.log(1 / 30))
-    # mask token is the last id and gets the smoothed entropy too
-    assert ent.mask_token == 3 + 1 - 1 + 1  # entities 3 + relations 1 + mask - 1
-    assert ent.entropy[ent.mask_token] == pytest.approx(-np.log(1 / 30))
-    # positive entropies below log(total) for occurring tokens
-    occurring = ent.counts > 0
-    assert np.all(ent.entropy[occurring] >= 0)
-    assert np.all(ent.entropy[occurring] < np.log(ent.total_positions))
+    assert ent[2] == pytest.approx(-np.log(1 / 30))
+    # the mask token is the last id (entities 3 + relations 1) and gets the
+    # smoothed entropy too
+    assert len(ent) == 3 + 1 + 1
+    assert ent[-1] == pytest.approx(-np.log(1 / 30))
+    # positive entropies below log(total positions) for occurring tokens
+    occurring = [0, 1, 3]
+    assert np.all(ent[occurring] >= 0)
+    assert np.all(ent[occurring] < np.log(30))
 
 
 def test_full_frequency_token_has_zero_entropy():
     # -log(freq) hits exactly 0 at frequency 1.0; the closest realizable corpus
     # has one entity in both entity slots, so check the formula at 2/3 and the
-    # exact-zero fixed point on the counts it produced
+    # exact-zero fixed point at the 30 positions it counted
     quads = np.array([[0, 0, 0, t] for t in range(10)], dtype=np.int64)
     st = corpus.QuadStore(quads, ["A"], ["r"], [str(t) for t in range(10)],
                           train_end=10, valid_end=10)
     ent = corpus.token_entropies(st)
-    assert ent.entropy[0] == pytest.approx(-np.log(2 / 3), abs=1e-12)
-    assert -np.log(ent.total_positions / ent.total_positions) == 0.0
+    assert ent[0] == pytest.approx(-np.log(2 / 3), abs=1e-12)
+    # the unseen mask counts 1 of the 30 positions
+    assert ent[-1] == -np.log(1 / 30)
+    assert -np.log(30 / 30) == 0.0
 
 
-def test_sequence_tokens_layout(small_store):
-    ent = corpus.token_entropies(small_store)
-    toks = ent.quad_tokens(np.array([[1, 1, 3, 0]]))[0]
-    np.testing.assert_array_equal(toks, [1, small_store.n_entities + 1, 3])
-    batch = ent.quad_tokens(small_store.quads[:3])
-    assert batch.shape == (3, 3)
-    assert np.all(batch[:, 1] >= small_store.n_entities)
+def test_token_entropies_match_a_brute_force_count():
+    # every token id of [s, |E|+r, o] over the training quads only, counted one
+    # by one; valid and test facts count nothing
+    rng = nk.rng_for(34)
+    n_e, n_r, n = 6, 3, 200
+    quads = np.column_stack([rng.integers(0, n_e, n), rng.integers(0, n_r, n),
+                             rng.integers(0, n_e, n), np.sort(rng.integers(0, 20, n))])
+    train_end = int(np.searchsorted(quads[:, 3], 14))
+    st = corpus.QuadStore(quads, [f"e{i}" for i in range(n_e)], [f"r{i}" for i in range(n_r)],
+                          [str(t) for t in range(20)], train_end=train_end,
+                          valid_end=int(np.searchsorted(quads[:, 3], 17)))
+    tokens = [tok for s, r, o, _ in quads[:train_end].tolist() for tok in (s, n_e + r, o)]
+    counts = np.array([tokens.count(k) for k in range(n_e + n_r + 1)])
+    want = -np.log(np.maximum(counts, 1) / len(tokens))
+    np.testing.assert_array_equal(corpus.token_entropies(st), want)

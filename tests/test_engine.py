@@ -1086,7 +1086,7 @@ def test_joint_gradient_through_everything(monkeypatch):
     # blended by the taped joint_loss. In stage 1 no loss reaches w_ctr and
     # b_ctr, whose gradients are then 0
     store = planted_period_store(n_entities=5, n_relations=2, n_timestamps=30)
-    entropies = token_entropies(store)
+    entropy = token_entropies(store)
     train_quads = store.split("train")
     real = nk.adam_step
     for stage in (1, 2):
@@ -1119,8 +1119,7 @@ def test_joint_gradient_through_everything(monkeypatch):
             ce = oracles.ce_loss(*scores, batch.gt_ids)
             sup = oracles.supcon_loss(dparams, batch, cfg.tau) if stage == 2 else None
             # the diffusion draws follow the permutation in the epoch's stream
-            diff = oracles.batch_loss(nparams, entropies, entropies.quad_tokens(quads),
-                                      cfg.steps, cfg.mu, erng)
+            diff = oracles.batch_loss(nparams, entropy, quads, cfg.steps, cfg.mu, erng)
             return oracles.joint_loss(cfg.alpha, ce, sup, diff)
 
         want, want_grads = chain_gradients(chain, named)

@@ -8,26 +8,23 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import assert_matches_the_chain, chain_gradients, grad_check, taped, tensor
-from tkgdiff import corpus, gndiff
+from tkgdiff import gndiff
 from tkgdiff import numkit as nk
 from tkgdiff.errors import NumericError
 
 
 def make_entropies(n_entities=3, n_relations=1, seed=61):
-    """TokenEntropy with randomized positive entropies."""
-    rng = nk.rng_for(seed)
-    k = n_entities + n_relations + 1
-    ent = corpus.TokenEntropy(
-        n_entities, n_relations,
-        counts=np.ones(k, dtype=np.int64),
-        entropy=rng.uniform(0.5, 3.0, size=k),
-        total_positions=100,
-    )
-    return ent
+    """A token entropy vector with randomized positive entries."""
+    return nk.rng_for(seed).uniform(0.5, 3.0, size=n_entities + n_relations + 1)
 
 
-def make_sequence(entropies, s=0, r=0, o=1):
-    return oracles.NodeSequence.from_quad(entropies, s, r, o)
+def make_sequence(entropy, s=0, r=0, o=1, n_entities=3):
+    return oracles.NodeSequence.from_quad(entropy, n_entities, s, r, o)
+
+
+def quads_of(s, r, o):
+    """(B, 4) quads of the facts (s[i], r[i], o[i]) at timestamp 0."""
+    return np.column_stack([s, r, o, np.zeros(len(s), dtype=np.int64)])
 
 
 class FakeRng:
@@ -67,7 +64,7 @@ def test_schedule_identity_preclamp():
         ent = make_entropies(seed=100 + seed)
         seq = make_sequence(ent, 0, 0, 2)
         sched = oracles.build_schedule(ent, seq, steps=50, mu=0.6)
-        h = ent.entropy[seq.tokens]
+        h = ent[seq.tokens]
         lhs = sched.alpha_bar_raw @ h
         t = np.arange(51) / 50.0
         rhs = (1.0 - t) * h.sum()
@@ -109,7 +106,7 @@ def test_schedule_boundaries_exact():
 
 def test_schedule_equal_entropy_equal_curves():
     ent = make_entropies()
-    ent.entropy[:] = 1.7
+    ent[:] = 1.7
     sched = oracles.build_schedule(ent, make_sequence(ent), steps=20, mu=0.4)
     np.testing.assert_array_equal(sched.alpha_bar[:, 0], sched.alpha_bar[:, 1])
     np.testing.assert_array_equal(sched.alpha_bar[:, 0], sched.alpha_bar[:, 2])
@@ -119,8 +116,8 @@ def test_schedule_equal_entropy_equal_curves():
 def test_schedule_entropy_ordering():
     # lower entropy -> higher survival at every interior step, pre-clamp
     ent = make_entropies()
-    ent.entropy[0] = 0.5   # subject token
-    ent.entropy[1] = 2.5   # object token
+    ent[0] = 0.5   # subject token
+    ent[1] = 2.5   # object token
     seq = make_sequence(ent, s=0, r=0, o=1)
     sched = oracles.build_schedule(ent, seq, steps=30, mu=0.3)
     interior = sched.alpha_bar_raw[1:30]
@@ -129,7 +126,7 @@ def test_schedule_entropy_ordering():
 
 def test_schedule_warns_when_clamp_saturates():
     ent = make_entropies()
-    ent.entropy[:] = [0.1, 4.0, 4.0, 4.0, 4.0][:len(ent.entropy)]
+    ent[:] = [0.1, 4.0, 4.0, 4.0, 4.0][:len(ent)]
     seq = make_sequence(ent, 0, 0, 1)
     with pytest.warns(UserWarning, match="saturates"):
         oracles.build_schedule(ent, seq, steps=10, mu=5.0)
@@ -270,7 +267,7 @@ def test_posterior_matches_general_matrix_form():
 def test_bayes_consistency_chain():
     # sum_{x_{t-1}} q(x_{t-1}|x_t,x_0) q(x_t|x_{t-1}) prop-to q(x_t|x_0)
     ent = make_entropies(n_entities=2, n_relations=1)   # K = 4
-    seq = make_sequence(ent, 0, 0, 1)
+    seq = make_sequence(ent, 0, 0, 1, n_entities=2)
     sched = oracles.build_schedule(ent, seq, steps=3, mu=0.4)
     k = seq.vocab_size
     for pos in range(3):
@@ -331,14 +328,14 @@ def test_denoiser_cross_entropy_gradient():
     params = dataclasses.replace(
         params, b2=tensor(nk.rng_for(65, 1).normal(size=params.b2.shape)))
     xt = np.array([[4, 3, 4], [0, 4, 4], [2, 3, 1]])  # K = 5, the mask is 4
-    cols = np.array([[0, 3, 1], [0, 3, 2], [2, 3, 1]]) + [0, 0, 4]
+    ids = np.array([[0, 0, 1], [0, 0, 2], [2, 0, 1]])
     weights = np.array([[0.5, 0.0, 1.0], [0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
     names = list(params.named())
 
     def f(ps):
         p = dataclasses.replace(params, **dict(zip(names, ps)))
         logits, logits_backward = gndiff.denoise_x0_batch(p, xt, np.array([2, 3, 1]))
-        loss, backward = gndiff._role_cross_entropy(logits, p.role_blocks(), cols, weights)
+        loss, backward = gndiff._role_cross_entropy(logits, p.role_blocks(), ids, weights)
         return taped((loss, lambda scale: logits_backward(backward(scale))), p)
 
     report = grad_check(f, list(params.named().values()), tolerance=1e-4)
@@ -349,23 +346,23 @@ def test_role_cross_entropy_gradient_on_its_logits():
     rng = nk.rng_for(96)
     blocks = (slice(0, 4), slice(4, 6), slice(6, 10))
     logits = tensor(rng.normal(scale=3.0, size=(4, 10)))
-    cols = np.array([[1, 4, 9], [3, 5, 6], [0, 4, 7], [2, 5, 8]])
+    ids = np.array([[1, 0, 3], [3, 1, 0], [0, 0, 1], [2, 1, 2]])
     weights = np.array([[1.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.2, 0.7, 0.0], [0.0, 1.0, 1.0]])
 
     def f(ps):
-        loss, backward = gndiff._role_cross_entropy(ps[0].data, blocks, cols, weights)
+        loss, backward = gndiff._role_cross_entropy(ps[0].data, blocks, ids, weights)
         return oracles._tape_record(nk._wrap(np.array([[loss]])), (ps[0],),
                                     lambda g: (backward(g[0, 0]),))
 
     report = grad_check(f, [logits], tolerance=1e-6)
     assert report.ok, report
-    grad = gndiff._role_cross_entropy(logits.data, blocks, cols, weights)[1](1.0)
+    grad = gndiff._role_cross_entropy(logits.data, blocks, ids, weights)[1](1.0)
     expected = np.zeros((4, 10))
     for pos, block in enumerate(blocks):
         z = logits.data[:, block]
         probs = np.exp(z - z.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
-        probs[np.arange(4), cols[:, pos] - block.start] -= 1.0
+        probs[np.arange(4), ids[:, pos]] -= 1.0
         expected[:, block] = weights[:, pos, None] / 4 * probs
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
     # a position of zero weight gets exactly zero gradient in its block
@@ -399,7 +396,7 @@ def test_loss_zero_for_perfect_denoiser(monkeypatch):
 
 def test_prior_term_zero_for_every_x0():
     ent = make_entropies()
-    for o in range(ent.n_entities):
+    for o in range(3):
         seq = make_sequence(ent, 0, 0, o)
         sched = oracles.build_schedule(ent, seq, steps=5, mu=0.3)
         # terminal marginal is the all-mask point mass == the prior
@@ -437,7 +434,7 @@ def test_loss_matches_exhaustive_expectation():
     # 2-entity vocabulary (K=4), T=2: Monte-Carlo mean of the sampled loss
     # approaches the exhaustively enumerated expectation
     ent = make_entropies(n_entities=2, n_relations=1)
-    seq = make_sequence(ent, 0, 0, 1)
+    seq = make_sequence(ent, 0, 0, 1, n_entities=2)
     sched = oracles.build_schedule(ent, seq, steps=2, mu=0.3)
     params = gndiff.init_denoiser(2, 1, width=4, rng=nk.rng_for(67))
     expected = exhaustive_expected_loss(sched, params, seq)
@@ -466,24 +463,61 @@ def test_loss_mask_pattern_edge_cases():
     # u just below/above alpha flips masking; cached-value path must agree
     # with a direct run on a real generator
     ent = make_entropies(n_entities=2, n_relations=1)
-    seq = make_sequence(ent, 0, 0, 1)
+    seq = make_sequence(ent, 0, 0, 1, n_entities=2)
     sched = oracles.build_schedule(ent, seq, steps=2, mu=0.3)
     params = gndiff.init_denoiser(2, 1, width=4, rng=nk.rng_for(69))
     real = oracles.diffusion_loss(sched, params, seq, nk.rng_for(70))
     assert np.isfinite(oracles.item(real)) and oracles.item(real) >= 0.0
 
 
+def test_sequence_tokens_layout():
+    # |E| = 4: relation ids follow the entities, and one tail id fills every row
+    params = gndiff.init_denoiser(4, 2, width=2, rng=nk.rng_for(98))
+    toks = gndiff._tokens(params, np.array([1]), np.array([1]), np.array([3]))[0]
+    np.testing.assert_array_equal(toks, [1, 4 + 1, 3])
+    quads = quads_of([0, 3, 2], [1, 0, 1], [2, 1, 0])
+    batch = gndiff._tokens(params, quads[:, 0], quads[:, 1], quads[:, 2])
+    assert batch.shape == (3, 3)
+    assert np.all(batch[:, 1] >= 4)
+    masked = gndiff._tokens(params, quads[:, 0], quads[:, 1], params.vocab_size - 1)
+    np.testing.assert_array_equal(masked[:, 2], [6, 6, 6])
+
+
+def test_batch_loss_feeds_the_denoiser_clean_tokens_or_the_mask(monkeypatch):
+    # every corrupted position holds its clean token [s, |E|+r, o] or the
+    # mask |E|+|R|, and the draws leave some of each
+    n_e, n_r, batch = 5, 3, 64
+    ent = make_entropies(n_e, n_r)
+    params = gndiff.init_denoiser(n_e, n_r, width=4, rng=nk.rng_for(99))
+    rng = nk.rng_for(100)
+    quads = quads_of(rng.integers(n_e, size=batch), rng.integers(n_r, size=batch),
+                     rng.integers(n_e, size=batch))
+    seen = []
+    full = gndiff.denoise_x0_batch
+
+    def spy(p, xt, ts):
+        seen.append(xt.copy())
+        return full(p, xt, ts)
+
+    monkeypatch.setattr(gndiff, "denoise_x0_batch", spy)
+    gndiff.batch_loss(params, ent, quads, 6, 0.25, nk.rng_for(101))
+    (xt,) = seen
+    clean = quads[:, :3] + [0, n_e, 0]
+    assert np.all((xt == clean) | (xt == n_e + n_r))
+    assert (xt == clean).any() and (xt == n_e + n_r).any()
+
+
 def test_batch_loss_matches_single_path():
     ent = make_entropies(n_entities=3, n_relations=1)
     params = gndiff.init_denoiser(3, 1, width=6, rng=nk.rng_for(71))
-    toks = np.array([[0, 3, 1], [2, 3, 0]])
+    quads = quads_of([0, 2], [0, 0], [1, 0])
     # scripted draws: t=2 for both, first fully masked, second untouched
     fake = FakeRng([[2, 2]], [np.array([[0.999, 0.999, 0.999], [0.0, 0.0, 0.0]])])
-    loss = gndiff.batch_loss(params, ent, toks, 4, 0.3, fake)[0]
-    seq0 = oracles.NodeSequence(toks[0], 3, 1)
+    loss = gndiff.batch_loss(params, ent, quads, 4, 0.3, fake)[0]
+    seq0 = oracles.NodeSequence([0, 3, 1], 3, 1)
     sched0 = oracles.build_schedule(ent, seq0, 4, 0.3)
     l0 = oracles.diffusion_loss(sched0, params, seq0, FakeRng([2], [[0.999] * 3]))
-    seq1 = oracles.NodeSequence(toks[1], 3, 1)
+    seq1 = oracles.NodeSequence([2, 3, 0], 3, 1)
     sched1 = oracles.build_schedule(ent, seq1, 4, 0.3)
     l1 = oracles.diffusion_loss(sched1, params, seq1, FakeRng([2], [[0.0] * 3]))
     assert loss == pytest.approx((oracles.item(l0) + oracles.item(l1)) / 2, abs=1e-12)
@@ -492,12 +526,12 @@ def test_batch_loss_matches_single_path():
 def test_batch_loss_gradient():
     ent = make_entropies(n_entities=3, n_relations=1)
     params = gndiff.init_denoiser(3, 1, width=6, rng=nk.rng_for(72))
-    toks = np.array([[0, 3, 1], [2, 3, 0], [1, 3, 1]])
+    quads = quads_of([0, 2, 1], [0, 0, 0], [1, 0, 1])
     names = list(params.named())
 
     def f(ps):
         p = dataclasses.replace(params, **dict(zip(names, ps)))
-        return taped(gndiff.batch_loss(p, ent, toks, steps=5, mu=0.25, rng=nk.rng_for(73)), p)
+        return taped(gndiff.batch_loss(p, ent, quads, steps=5, mu=0.25, rng=nk.rng_for(73)), p)
 
     report = grad_check(f, list(params.named().values()), tolerance=1e-4)
     assert report.ok, report
@@ -515,7 +549,7 @@ def test_batch_loss_is_finite_when_a_clean_token_underflows():
     # mu = 0 keeps the schedule linear: at t = 1 draws of 0.999 mask all three
     # positions, and each reverts with probability 1
     rng = FakeRng([[1]], [np.full((1, 3), 0.999)])
-    loss = gndiff.batch_loss(params, ent, np.array([[2, n_e, 1]]), 4, 0.0, rng)[0]
+    loss = gndiff.batch_loss(params, ent, quads_of([2], [0], [1]), 4, 0.0, rng)[0]
     expected = (1000.0 + np.log(n_e - 1)) + np.log(n_r) + np.log(n_e)
     assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -532,12 +566,12 @@ def test_batch_loss_matches_the_taped_chain(n_e, n_r, width, batch, steps, seed)
     params = dataclasses.replace(params, b1=tensor(rng.normal(size=params.b1.shape)),
                                  b2=tensor(rng.normal(size=params.b2.shape)))
     ent = make_entropies(n_e, n_r, seed=seed)
-    toks = np.column_stack([rng.integers(n_e, size=batch), n_e + rng.integers(n_r, size=batch),
-                            rng.integers(n_e, size=batch)])
+    quads = quads_of(rng.integers(n_e, size=batch), rng.integers(n_r, size=batch),
+                     rng.integers(n_e, size=batch))
     want, want_grads = chain_gradients(
-        lambda: oracles.batch_loss(params, ent, toks, steps, 0.25, nk.rng_for(seed, 1)),
+        lambda: oracles.batch_loss(params, ent, quads, steps, 0.25, nk.rng_for(seed, 1)),
         params.named())
-    loss = gndiff.batch_loss(params, ent, toks, steps, 0.25, nk.rng_for(seed, 1))
+    loss = gndiff.batch_loss(params, ent, quads, steps, 0.25, nk.rng_for(seed, 1))
     assert list(loss[1](1.0)) == list(params.named())
     assert_matches_the_chain(loss, want, want_grads, 1e-10)
 
@@ -556,12 +590,12 @@ def test_role_sized_denoiser_matches_the_role_masked_layout(n_e, n_r, width, bat
     params = oracles.role_sized(masked)
     ent = make_entropies(n_e, n_r, seed=seed)
     queries = np.stack([rng.integers(n_e, size=batch), rng.integers(n_r, size=batch)], 1)
-    toks = np.column_stack([queries[:, 0], n_e + queries[:, 1], rng.integers(n_e, size=batch)])
+    quads = quads_of(queries[:, 0], queries[:, 1], rng.integers(n_e, size=batch))
 
-    loss, backward = gndiff.batch_loss(params, ent, toks, steps, 0.25, nk.rng_for(seed, 1))
+    loss, backward = gndiff.batch_loss(params, ent, quads, steps, 0.25, nk.rng_for(seed, 1))
     grads = backward(1.0)
     ref, ref_grads = chain_gradients(
-        lambda: oracles.role_masked_loss(masked, ent, toks, steps, 0.25, nk.rng_for(seed, 1)),
+        lambda: oracles.role_masked_loss(masked, ent, quads, steps, 0.25, nk.rng_for(seed, 1)),
         masked.named())
     np.testing.assert_allclose(loss, ref, rtol=1e-12, atol=0)
     live = oracles.live_rows(n_e, n_r)
@@ -625,7 +659,7 @@ def test_tail_distribution_normalized_over_entities():
 def test_p_diff_single_greedy_chain_identity():
     ent = make_entropies(n_entities=4, n_relations=1)
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(78))
-    sched = oracles.inference_schedule(ent, 1, 0, steps=5, mu=0.25)
+    sched = oracles.inference_schedule(ent, 4, 1, 0, steps=5, mu=0.25)
     rng = nk.rng_for(79)
     dist = oracles.p_diff(sched, params, 1, 0, rng, chains=1, greedy=True)
     child = nk.rng_for(79).spawn(1)[0]
@@ -637,7 +671,7 @@ def test_p_diff_single_greedy_chain_identity():
 def test_p_diff_deterministic_given_seed():
     ent = make_entropies(n_entities=4, n_relations=1)
     params = gndiff.init_denoiser(4, 1, width=6, rng=nk.rng_for(80))
-    sched = oracles.inference_schedule(ent, 0, 0, steps=4, mu=0.25)
+    sched = oracles.inference_schedule(ent, 4, 0, 0, steps=4, mu=0.25)
     a = oracles.p_diff(sched, params, 0, 0, nk.rng_for(81), chains=4)
     b = oracles.p_diff(sched, params, 0, 0, nk.rng_for(81), chains=4)
     np.testing.assert_array_equal(a, b)
@@ -648,16 +682,16 @@ def test_overfit_single_fact_dominates_p_diff():
     n_e, n_r = 5, 1
     ent = make_entropies(n_entities=n_e, n_relations=n_r)
     params = gndiff.init_denoiser(n_e, n_r, width=16, rng=nk.rng_for(82))
-    toks = np.tile([1, n_e + 0, 3], (8, 1))
+    quads = np.tile([1, 0, 3, 0], (8, 1))
     states = {name: nk.AdamState.zeros(p.shape)
               for name, p in params.named().items()}
     for step in range(300):
-        grads = gndiff.batch_loss(params, ent, toks, steps=8, mu=0.25,
+        grads = gndiff.batch_loss(params, ent, quads, steps=8, mu=0.25,
                                   rng=nk.rng_for(83, step))[1](1.0)
         updates = {name: nk.adam_step(states[name], p, grads[name], t=step + 1, lr=0.01)
                    for name, p in params.named().items()}
         params = dataclasses.replace(params, **updates)
-    sched = oracles.inference_schedule(ent, 1, 0, steps=8, mu=0.25)
+    sched = oracles.inference_schedule(ent, n_e, 1, 0, steps=8, mu=0.25)
     dist = oracles.p_diff(sched, params, 1, 0, nk.rng_for(84), chains=8)
     assert dist[3] > 0.9
 

@@ -23,6 +23,10 @@ BENCH_CONFIGS = [
 ]
 
 
+def module_tree(name):
+    return ast.parse(Path(tkgdiff.__path__[0], f"{name}.py").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_public_name_resolves(name):
     module = importlib.import_module(f"tkgdiff.{name}")
@@ -38,7 +42,7 @@ def test_every_numkit_name_has_a_caller_in_the_package():
     for name in MODULES:
         if name == "numkit":
             continue
-        tree = ast.parse(Path(tkgdiff.__path__[0], f"{name}.py").read_text(encoding="utf-8"))
+        tree = module_tree(name)
         aliases = {a.asname or a.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
                    for a in node.names if a.name == "numkit"}
@@ -52,6 +56,21 @@ def test_every_numkit_name_has_a_caller_in_the_package():
     assert not unused, f"numkit names no other tkgdiff module uses: {unused}"
 
 
+# the lower layers of the package and the only modules each imports: gndiff
+# owns the token vocabulary's layout, so the denoiser needs nothing of corpus
+LOWER_LAYER_IMPORTS = {"errors": set(), "corpus": {"errors"}, "geometry": {"errors"},
+                       "numkit": {"errors"}, "gndiff": {"numkit", "errors"}}
+
+
+@pytest.mark.parametrize("name", sorted(LOWER_LAYER_IMPORTS))
+def test_a_lower_layer_imports_only_the_modules_its_table_entry_names(name):
+    imported = set()
+    for node in ast.walk(module_tree(name)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update([node.module] if node.module else (a.name for a in node.names))
+    assert imported == LOWER_LAYER_IMPORTS[name]
+
+
 # the only defaulted parameters in the package: train's optional paths
 ALLOWED_DEFAULTS = {("engine", "train", "out_dir"), ("engine", "train", "resume_from")}
 
@@ -61,7 +80,7 @@ def test_no_function_in_the_package_defaults_a_parameter():
     # ranked a model trained at lam = 8 with lam = 2 unless the caller said so
     found = set()
     for name in MODULES:
-        tree = ast.parse(Path(tkgdiff.__path__[0], f"{name}.py").read_text(encoding="utf-8"))
+        tree = module_tree(name)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
