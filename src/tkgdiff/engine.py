@@ -10,6 +10,8 @@ uninterrupted one.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
@@ -333,9 +335,13 @@ def load_checkpoint(path) -> Checkpoint:
     one's two Adam moments of its shape, in the name order save_checkpoint
     writes. So the header fixes the size of the rest of the file and every
     record head in it. A file of another size is refused before any payload
-    is read or allocated: a shorter one as truncated. Each record head is
-    then compared with the one the header implies before its payload is
-    read. The component the config ablates has no records and loads as None.
+    is read or allocated: a shorter one as truncated. Every record head is
+    then compared with the one the header implies before any payload is
+    read. The payloads are read by their offsets, in chunks that the
+    caller's thread and numkit's helper thread share, and each chunk is
+    scanned as it is read. Of several faults, the first in file order is
+    reported. The component the config ablates has no records and loads as
+    None.
 
     CheckpointError for a bad magic, an unknown version
     (CheckpointVersionError), truncation, a size or a record head other than
@@ -416,23 +422,35 @@ def _read_body(fh) -> Checkpoint:
     records = sorted((kind + name, shape) for name, shape in params.items()
                      for kind in ("", "adam.m.", "adam.v."))
     heads = [_record_head(name, shape) for name, shape in records]
-    body = sum(len(head) + 8 * math.prod(shape) for head, (_, shape) in zip(heads, records))
-    left = size - fh.tell()
+    # the file offset of each record, and of the end of the last
+    starts = list(itertools.accumulate(
+        (len(head) + 8 * math.prod(shape) for head, (_, shape) in zip(heads, records)),
+        initial=fh.tell()))
+    body, left = starts[-1] - starts[0], size - starts[0]
     if left != body:
         sizes = f"the header implies {body} bytes of records, the file holds {left}"
         if left < body:
             raise CheckpointError(f"truncated checkpoint: {sizes}")
         raise ValueError(sizes)
 
+    # every record head is compared before any payload is read; the payloads
+    # before the first head that differs are then read by offset, in chunks
+    fd = fh.fileno()
+    bad = next((i for i, head in enumerate(heads)
+                if os.pread(fd, len(head), starts[i]) != head), len(records))
     arrays: dict[str, np.ndarray] = {}
-    for (name, shape), head in zip(records, heads):
-        if fh.read(len(head)) != head:
-            raise ValueError(f"the next record is not '{name}' of shape {shape}, "
-                             f"as the header implies")
-        arr = arrays[name] = np.empty(shape, dtype="<f8")
-        fh.readinto(arr)
-        if not np.isfinite(arr).all():
-            raise NumericError(f"tensor '{name}' contains non-finite values")
+    chunks = []
+    for (name, shape), head, start in zip(records[:bad], heads, starts):
+        arrays[name] = np.empty(shape, dtype="<f8")
+        flat = arrays[name].reshape(-1)
+        chunks += [(name, flat[i:i + nk._CHUNK], start + len(head) + 8 * i)
+                   for i in range(0, flat.size, nk._CHUNK)]
+    nk._run_chunks(functools.partial(_read_chunk, fd), chunks,
+                   sum(arr.size for arr in arrays.values()))
+    if bad < len(records):
+        name, shape = records[bad]
+        raise ValueError(f"the next record is not '{name}' of shape {shape}, "
+                         f"as the header implies")
 
     tensors = {name: nk._wrap(arrays[name]) for name in params}
     dparams = None if config.no_dpcl else DpclParams(**_unprefixed(tensors, "dpcl"))
@@ -443,6 +461,16 @@ def _read_body(fh) -> Checkpoint:
             for name in params}
     return Checkpoint(config=config, dpcl=dparams, denoiser=nparams, adam=adam,
                       adam_steps=adam_steps, epoch=epoch, best_val_mrr=best, metrics=metrics)
+
+
+def _read_chunk(fd: int, chunk: tuple[str, np.ndarray, int]) -> None:
+    """Read one chunk of a record's payload into its place at its file
+    offset, and scan it."""
+    name, values, offset = chunk
+    if os.preadv(fd, [values], offset) != values.nbytes:
+        raise CheckpointError(f"truncated checkpoint while reading tensor '{name}'")
+    if not np.isfinite(values).all():
+        raise NumericError(f"tensor '{name}' contains non-finite values")
 
 
 def _check_vocabulary(ckpt: Checkpoint, store: QuadStore) -> None:

@@ -1,6 +1,6 @@
 """Minimal dense-tensor kernel: the frozen float64 parameter matrix, Adam,
-a one-thread BLAS scope, the process's allocator policy, and seeded
-counter-based RNG.
+a two-core chunk runner, a one-thread BLAS scope, the process's allocator
+policy, and seeded counter-based RNG.
 
 A parameter is a Tensor, an immutable 2-D float64 array. The package has no
 gradient tape: each training loss computes its value and a closed-form
@@ -15,14 +15,23 @@ pass an overflow on as inf or NaN to where values leave the kernel, which
 scans them: the training loss (engine.train), each Adam update, and the
 candidate distribution evaluation ranks.
 
-Two settings are process-wide: the BLAS thread count inside
-single_threaded_blas, and the allocator policy that importing this module
-sets once under glibc (_keep_freed_memory). Every block up to 32 MiB comes
-from malloc's heap, which is never trimmed: above the largest block a
-training batch or an eval chunk makes (29 MB, the (512, 7128) block of an
-eval chunk over an ICEWS14-sized vocabulary). So freed memory stays in the
-process, and the next batch reuses its pages instead of faulting in fresh
-ones. Values do not change; under another libc nothing is set.
+Three things are process-wide: the helper thread of the chunk runner, the
+BLAS thread count inside single_threaded_blas, and the allocator policy that
+importing this module sets once under glibc (_keep_freed_memory).
+
+The runner (_run_chunks) splits a pass over a whole table, an Adam update
+or a checkpoint read, into chunks of about _CHUNK values, which the caller's
+thread and one helper thread claim one at a time. The helper starts with
+the first pass of at least _MIN_PARALLEL_CHUNKS chunks and is reused; a
+forked child starts its own, and the helper never holds up the
+interpreter's exit. Results do not depend on which thread ran a chunk.
+
+Under the allocator policy, every block up to 32 MiB comes from malloc's
+heap, which is never trimmed: above the largest block a training batch or
+an eval chunk makes (29 MB, the (512, 7128) block of an eval chunk over an
+ICEWS14-sized vocabulary). So freed memory stays in the process, and the
+next batch reuses its pages instead of faulting in fresh ones. Values do
+not change; under another libc nothing is set.
 """
 
 from __future__ import annotations
@@ -30,8 +39,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
+import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +97,98 @@ def _wrap(values: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Chunk runner
+# ---------------------------------------------------------------------------
+
+# Values in a chunk: 256 KiB of float64, so the few chunk-sized operands of
+# an Adam update stay in a core's L2 cache between its operations
+_CHUNK = 1 << 15
+# A pass over fewer chunks' worth of values runs in the caller's thread: it
+# is over before handing work to the helper would pay
+_MIN_PARALLEL_CHUNKS = 4
+
+_helper: queue.SimpleQueue | None = None     # the helper thread's tasks, once started
+_scratch = threading.local()                # each thread's scratch array
+
+
+def _forget_helper() -> None:
+    """In a forked child: the parent's helper thread does not exist here."""
+    global _helper
+    _helper = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        tasks.get()()
+
+
+def _submit(fn: Callable[[], None]) -> None:
+    """Run `fn` on the helper thread, started by the first call. It is a
+    daemon thread, so it never holds up the interpreter's exit."""
+    global _helper
+    if _helper is None:
+        _helper = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_helper,), name="numkit-helper",
+                         daemon=True).start()
+    _helper.put(fn)
+
+
+def _run_chunks(work: Callable, units: Sequence, values: int) -> None:
+    """Call `work(unit)` for each unit of a pass that covers `values` values.
+
+    A pass of at least _MIN_PARALLEL_CHUNKS chunks' worth of values, in a
+    process that may run on two CPUs, runs on the caller's thread and the
+    helper thread, which claim the units in order from one shared counter:
+    a thread the host holds back claims fewer. Any other pass runs in the
+    caller's thread. A unit that raises stops further claims; once every
+    claimed unit is done, the exception of the first unit that raised is
+    raised, so it does not depend on how the threads ran. The helper does
+    nothing for a pass that has returned.
+    """
+    if values < _MIN_PARALLEL_CHUNKS * _CHUNK or len(os.sched_getaffinity(0)) < 2:
+        for unit in units:
+            work(unit)
+        return
+    claim = itertools.count().__next__     # one C call, atomic under the GIL
+    faults: dict[int, Exception] = {}
+    helping = threading.Lock()             # held while the helper drains
+    over = False
+
+    def drain():
+        while not faults and (i := claim()) < len(units):
+            try:
+                work(units[i])
+            except Exception as e:         # raised by the caller below
+                faults[i] = e
+
+    def help_drain():
+        with helping:
+            if not over:
+                drain()
+
+    _submit(help_drain)
+    try:
+        drain()
+    finally:
+        with helping:                      # waits out the helper's last unit
+            over = True
+    if faults:
+        raise faults[min(faults)]
+
+
+def _scratch_block(shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's scratch array, grown to fit and viewed as `shape`."""
+    n = math.prod(shape)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < n:
+        buf = _scratch.buf = np.empty(max(n, _CHUNK))
+    return buf[:n].reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
@@ -110,31 +216,57 @@ def adam_step(state: AdamState, params: Tensor, grads: np.ndarray, t: int, lr: f
     """Adam update number `t` (from 1) with learning rate `lr`; returns the
     updated parameter tensor.
 
-    Updates `state.m` and `state.v` in place and builds the step in one
-    C-ordered scratch array, also from a transposed gradient, with the
-    operations and their order of the textbook form,
-    `p - lr * m_hat / (sqrt(v_hat) + eps)`, so the bits are the same.
+    Updates `state.m` and `state.v` in place and writes the new parameters
+    into one new array (_adam_block). A tensor of more than one chunk is
+    updated one block of rows of about _CHUNK values at a time
+    (_run_chunks), each through its thread's chunk-sized scratch array, so
+    no full-size temporary is made.
     """
     if grads.shape != params.data.shape:
         raise DimensionError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
-    m, v = state.m, state.v
-    step = np.multiply(grads, 1.0 - ADAM_BETA1, order="C")
+    p, m, v = params.data, state.m, state.v
+    m_bias, v_bias = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+    if p.size <= _CHUNK:
+        return _wrap(_adam_block(grads, m, v, p, None, None, m_bias, v_bias, lr))
+    out = np.empty_like(p)
+    rows = max(1, _CHUNK // p.shape[1])
+
+    def update(start: int) -> None:
+        block = slice(start, start + rows)
+        g = grads[block]
+        _adam_block(g, m[block], v[block], p[block], out[block], _scratch_block(g.shape),
+                     m_bias, v_bias, lr)
+
+    _run_chunks(update, range(0, len(p), rows), p.size)
+    return _wrap(out)
+
+
+def _adam_block(g: np.ndarray, m: np.ndarray, v: np.ndarray, p: np.ndarray,
+                out: np.ndarray | None, step: np.ndarray | None,
+                m_bias: float, v_bias: float, lr: float) -> np.ndarray:
+    """Adam's update of one block, written to `out` (the new parameters) and
+    in place to `m` and `v`, with `step` as scratch; None for `out` or
+    `step` allocates it. The operations and their order are the textbook
+    form's, `p - lr * m_hat / (sqrt(v_hat) + eps)`, so the bits are the
+    same, also from a transposed gradient. The new values are scanned while
+    they are in cache."""
+    step = np.multiply(g, 1.0 - ADAM_BETA1, step)
     m *= ADAM_BETA1
     m += step
-    np.multiply(grads, grads, out=step)
+    np.multiply(g, g, step)
     step *= 1.0 - ADAM_BETA2
     v *= ADAM_BETA2
     v += step
-    out = np.divide(v, 1.0 - ADAM_BETA2 ** t)      # v_hat
-    np.sqrt(out, out=out)
+    out = np.divide(v, v_bias, out)        # v_hat
+    np.sqrt(out, out)
     out += ADAM_EPS
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)  # m_hat
+    np.divide(m, m_bias, step)             # m_hat
     step *= lr
     step /= out
-    np.subtract(params.data, step, out=out)
+    np.subtract(p, step, out)
     if not np.isfinite(out).all():
         raise NumericError("adam_step produced non-finite values")
-    return _wrap(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

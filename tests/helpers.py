@@ -2,6 +2,7 @@
 constructor, closed-form losses as records of the reference tape, and
 finite-difference gradient checking shared by the tests."""
 
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +14,19 @@ from tkgdiff import numkit as nk
 from tkgdiff.corpus import QuadStore
 from tkgdiff.dpcl import QueryBatch
 from tkgdiff.numkit import Tensor
+
+# numkit's chunk runner hands work to its helper thread only in a process
+# that may run on two CPUs
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+
+
+def count_submits(monkeypatch) -> list:
+    """The passes handed to numkit's helper thread from now on; they still
+    run."""
+    submitted = []
+    submit = nk._submit
+    monkeypatch.setattr(nk, "_submit", lambda fn: submitted.append(fn) or submit(fn))
+    return submitted
 
 
 def store_from_quads(quads, n_entities, n_relations, n_timestamps,

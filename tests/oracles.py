@@ -698,8 +698,7 @@ def p_diff(schedule: DiffusionSchedule, params: DenoiserParams,
     return np.mean(dists, axis=0)
 
 
-def p_diff_batch(params: DenoiserParams, entropy: np.ndarray,
-                 queries: np.ndarray, steps: int, mu: float,
+def p_diff_batch(params: DenoiserParams, queries: np.ndarray, steps: int,
                  chains: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized p_diff for (B, 2) [s, r] query rows -> (B, |E|).
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import (assert_same_state, chain_gradients, planted_period_store, quick_config,
-                     single_fact_store)
+from helpers import (TWO_CPUS, assert_same_state, chain_gradients, count_submits,
+                     planted_period_store, quick_config, single_fact_store)
 from tkgdiff import dpcl as dpcl_mod
 from tkgdiff import engine, evaluate, gndiff
 from tkgdiff import numkit as nk
@@ -878,6 +878,85 @@ def test_a_record_head_other_than_the_header_implies_is_refused(tmp_path, ablate
                                               rf"'adam\.m\.dpcl\.entity_emb' of shape "
                                               rf"\({shape[0]}, {shape[1]}\), as the header"):
         engine.load_checkpoint(path)
+
+
+def nan_at(name, index):
+    """A NaN written over one value of a record's payload."""
+    def corrupt(header, records):
+        _, arr = records[name]
+        values = arr.copy()
+        values.reshape(-1)[index] = np.nan
+        records[name] = (pack_record(name, values), values)
+        return header, records
+    return corrupt
+
+
+def read_in_chunks_of(monkeypatch, values):
+    """Loads read payloads in chunks of `values` values; returns the list
+    of passes handed to numkit's helper thread."""
+    monkeypatch.setattr(nk, "_CHUNK", values)
+    return count_submits(monkeypatch)
+
+
+@pytest.mark.parametrize("name, where", [("dpcl.w_per", "last chunk"),
+                                         ("denoiser.w2", "middle chunk")])
+def test_a_non_finite_value_in_any_chunk_of_a_payload_is_refused(tmp_path, small_ckpt,
+                                                                monkeypatch, name, where):
+    submitted = read_in_chunks_of(monkeypatch, 16)
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    blob = path.read_bytes()
+    header, records = split_checkpoint(blob)
+    size = records[name][1].size
+    assert size > 3 * 16
+    if where == "last chunk":
+        assert list(records)[-1] == name
+        index = size - 1
+    else:
+        index = size // 32 * 16 + 5
+    path.write_bytes(join_checkpoint(blob, *nan_at(name, index)(header, records)))
+    with pytest.raises(CheckpointError, match=rf"NumericError: tensor '{name}' contains "
+                                              rf"non-finite values"):
+        engine.load_checkpoint(path)
+    assert len(submitted) == (1 if TWO_CPUS else 0)
+
+
+@pytest.mark.parametrize("nan_in, message", [
+    ("adam.m.denoiser.w2", r"tensor 'adam\.m\.denoiser\.w2' contains non-finite values"),
+    ("dpcl.w_per", r"the next record is not 'adam\.m\.dpcl\.entity_emb'"),
+], ids=["nan-before-the-head", "nan-after-the-head"])
+def test_of_two_faults_the_first_in_file_order_is_reported(tmp_path, small_ckpt,
+                                                           monkeypatch, nan_in, message):
+    # the heads are compared before any payload is read, and the payloads
+    # before the first bad head are read on two threads: the report must not
+    # depend on which thread reached its fault first
+    read_in_chunks_of(monkeypatch, 16)
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    blob = path.read_bytes()
+    header, records = split_checkpoint(blob)
+    names = list(records)
+    assert names.index("adam.m.denoiser.w2") < names.index("adam.m.dpcl.entity_emb") \
+        < names.index("dpcl.w_per")
+    path.write_bytes(join_checkpoint(blob, *swap_names(*nan_at(nan_in, 0)(header, records))))
+    for _ in range(20):
+        with pytest.raises(CheckpointError, match=message):
+            engine.load_checkpoint(path)
+
+
+def test_a_checkpoint_read_in_chunks_on_two_threads_loads_the_same_bytes(tmp_path,
+                                                                        small_ckpt,
+                                                                        monkeypatch):
+    path = tmp_path / "a.ckpt"
+    engine.save_checkpoint(small_ckpt, path)
+    whole = engine.load_checkpoint(path)
+    submitted = read_in_chunks_of(monkeypatch, 16)
+    chunked = engine.load_checkpoint(path)
+    assert len(submitted) == (1 if TWO_CPUS else 0)
+    assert_same_state(whole, chunked)
+    assert all(chunked.adam[name].m.tobytes() == state.m.tobytes() and
+               chunked.adam[name].v.tobytes() == state.v.tobytes()
+               for name, state in whole.adam.items())
 
 
 def test_a_body_larger_than_the_file_is_truncation_before_any_payload_is_allocated(

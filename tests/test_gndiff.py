@@ -723,12 +723,11 @@ class ConstantRng:
     (40, 4, 16, 30, 5, [[s, s % 4] for s in range(0, 40, 3)], 90),
 ])
 def test_p_diff_batch_matches_chain_oracle(n_e, n_r, width, steps, chains, queries, seed):
-    ent = make_entropies(n_entities=n_e, n_relations=n_r)
     params = gndiff.init_denoiser(n_e, n_r, width=width, rng=nk.rng_for(seed))
     queries = np.array(queries)
     rng_new, rng_ref = nk.rng_for(seed, 1), nk.rng_for(seed, 1)
     out = gndiff.p_diff_batch(params, queries, steps, chains, rng_new)
-    ref = oracles.p_diff_batch(params, ent, queries, steps, 0.25, chains, rng_ref)
+    ref = oracles.p_diff_batch(params, queries, steps, chains, rng_ref)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
     # the same draws in the same order leave the generators in the same state
     np.testing.assert_array_equal(rng_new.random(4), rng_ref.random(4))
@@ -738,17 +737,15 @@ def test_p_diff_batch_matches_chain_oracle(n_e, n_r, width, steps, chains, queri
 def test_p_diff_batch_matches_oracle_when_every_chain_reveals_at_once(draw):
     # every draw 0: all tails reveal at t = T and pick entity 0; every draw
     # 0.999: tails stay masked until t = 1 reveals them
-    ent = make_entropies(n_entities=5, n_relations=2)
     params = gndiff.init_denoiser(5, 2, width=6, rng=nk.rng_for(91))
     queries = np.array([[0, 1], [4, 0], [0, 1]])
     out = gndiff.p_diff_batch(params, queries, 7, 4, ConstantRng(draw))
-    ref = oracles.p_diff_batch(params, ent, queries, 7, 0.25, 4, ConstantRng(draw))
+    ref = oracles.p_diff_batch(params, queries, 7, 4, ConstantRng(draw))
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
 
 def test_p_diff_batch_shares_one_row_per_query_before_t1(monkeypatch):
     n_e, steps, chains = 12, 10, 8
-    ent = make_entropies(n_entities=n_e, n_relations=2)
     params = gndiff.init_denoiser(n_e, 2, width=8, rng=nk.rng_for(92))
     queries = np.array([[s, s % 2] for s in range(6)] + [[0, 0]])
 
@@ -762,7 +759,7 @@ def test_p_diff_batch_shares_one_row_per_query_before_t1(monkeypatch):
         return full(p, xt, ts)
 
     monkeypatch.setattr(gndiff, "denoise_x0_batch", record_masked)
-    oracles.p_diff_batch(params, ent, queries, steps, 0.25, chains, nk.rng_for(93))
+    oracles.p_diff_batch(params, queries, steps, chains, nk.rng_for(93))
 
     def no_full_denoiser(*args):
         raise AssertionError("inference must not run the full denoiser")

@@ -1,13 +1,17 @@
 import ctypes
+import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from helpers import grad_check, tensor
+from helpers import TWO_CPUS, count_submits, grad_check, tensor
 from tkgdiff import numkit as nk
 from tkgdiff.errors import DimensionError, NumericError
 
@@ -277,6 +281,212 @@ def test_adam_steps_a_transposed_gradient_as_its_c_ordered_copy():
         np.testing.assert_array_equal(a.m, b.m)
         np.testing.assert_array_equal(a.v, b.v)
         assert out.data.flags.c_contiguous and a.m.flags.c_contiguous
+
+
+# chunk edges in rows: a chunk holds 8 rows in both layouts, and a pass of
+# at least 32 rows runs on two threads
+CHUNK_ROWS = 8
+CHUNK_EDGES = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 4 * CHUNK_ROWS - 1,
+               4 * CHUNK_ROWS, 4 * CHUNK_ROWS + 3]
+
+
+def chunked_adam_case(monkeypatch, rows, layout):
+    """A parameter and its gradient: one column and a C-ordered gradient,
+    or two columns and a transposed one, with _CHUNK set to CHUNK_ROWS
+    rows."""
+    cols = 1 if layout == "c-order" else 2
+    monkeypatch.setattr(nk, "_CHUNK", CHUNK_ROWS * cols)
+    rng = nk.rng_for(58, rows, cols)
+    p = tensor(rng.normal(size=(rows, cols)))
+    g = rng.normal(size=(rows, cols)) if cols == 1 else rng.normal(size=(cols, rows)).T
+    return p, g * 10.0 ** rng.uniform(-6, 3, size=g.shape)
+
+
+@pytest.mark.parametrize("layout", ["c-order", "transposed"])
+@pytest.mark.parametrize("rows", CHUNK_EDGES)
+def test_chunked_adam_matches_the_textbook_form_at_the_chunk_edges(monkeypatch, rows, layout):
+    p, g = chunked_adam_case(monkeypatch, rows, layout)
+    submitted = count_submits(monkeypatch)
+    q = p
+    state, ref = nk.AdamState.zeros(p.shape), nk.AdamState.zeros(p.shape)
+    m, v = state.m, state.v
+    for t in range(1, 6):
+        p = nk.adam_step(state, p, g, t=t, lr=0.01)
+        q = oracles.adam_step(ref, q, g, t=t, lr=0.01)
+        np.testing.assert_array_equal(p.data, q.data)
+        np.testing.assert_array_equal(state.m, ref.m)
+        np.testing.assert_array_equal(state.v, ref.v)
+    assert state.m is m and state.v is v
+    assert p.data.flags.c_contiguous
+    # the helper takes part in a pass of at least four chunks only
+    assert len(submitted) == (5 if rows >= 4 * CHUNK_ROWS and TWO_CPUS else 0)
+
+
+class LateHelper:
+    """A helper thread that the host holds back: the work handed to it runs
+    only when `run` is called, after the pass has returned."""
+
+    def __init__(self):
+        self.handed = []
+
+    def __call__(self, fn):
+        self.handed.append(fn)
+
+    def run(self):
+        for fn in self.handed:
+            fn()
+
+
+def eager_helper(fn):
+    """A helper thread that runs the work handed to it before the caller
+    claims a unit."""
+    fn()
+
+
+@pytest.mark.parametrize("helper", ["thread", "eager"])
+def test_an_overflow_in_the_last_chunk_raises(monkeypatch, helper):
+    # the last chunk is the helper's share: the likeliest with a thread, and
+    # certain with a helper that runs the whole pass before the caller
+    p, _ = chunked_adam_case(monkeypatch, 4 * CHUNK_ROWS + 3, "c-order")
+    if helper == "eager":
+        monkeypatch.setattr(nk.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(nk, "_submit", eager_helper)
+    data = p.data.copy()
+    data[-1, 0] = -1e308
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="adam_step"):
+        nk.adam_step(nk.AdamState.zeros(p.shape), tensor(data), np.ones(p.shape),
+                     t=1, lr=1e308)
+
+
+@pytest.mark.parametrize("helper", ["late", "eager"])
+@pytest.mark.parametrize("layout", ["c-order", "transposed"])
+def test_chunked_adam_does_not_depend_on_when_the_helper_runs(monkeypatch, helper, layout):
+    p, g = chunked_adam_case(monkeypatch, 4 * CHUNK_ROWS + 3, layout)
+    monkeypatch.setattr(nk.os, "sched_getaffinity", lambda pid: {0, 1})
+    late = LateHelper()
+    monkeypatch.setattr(nk, "_submit", late if helper == "late" else eager_helper)
+    q = p
+    state, ref = nk.AdamState.zeros(p.shape), nk.AdamState.zeros(p.shape)
+    for t in range(1, 4):
+        p = nk.adam_step(state, p, g, t=t, lr=0.01)
+        q = oracles.adam_step(ref, q, g, t=t, lr=0.01)
+        # a helper that starts after the pass has returned changes nothing
+        late.run()
+        np.testing.assert_array_equal(p.data, q.data)
+        np.testing.assert_array_equal(state.m, ref.m)
+        np.testing.assert_array_equal(state.v, ref.v)
+    assert len(late.handed) == (3 if helper == "late" else 0)
+
+
+def test_a_process_bound_to_one_cpu_runs_every_chunk_in_the_callers_thread(monkeypatch):
+    p, g = chunked_adam_case(monkeypatch, 4 * CHUNK_ROWS + 3, "c-order")
+    monkeypatch.setattr(nk.os, "sched_getaffinity", lambda pid: {0})
+
+    def no_helper(fn):
+        raise AssertionError("a one-CPU process must not hand work to the helper")
+
+    monkeypatch.setattr(nk, "_submit", no_helper)
+    out = nk.adam_step(nk.AdamState.zeros(p.shape), p, g, t=1, lr=0.01)
+    np.testing.assert_array_equal(
+        out.data, oracles.adam_step(nk.AdamState.zeros(p.shape), p, g, t=1, lr=0.01).data)
+
+
+@pytest.mark.parametrize("helper", ["thread", "late", "eager"])
+def test_the_runner_raises_the_fault_of_the_first_unit_whatever_ran_first(monkeypatch,
+                                                                          helper):
+    monkeypatch.setattr(nk.os, "sched_getaffinity", lambda pid: {0, 1})
+    if helper != "thread":
+        monkeypatch.setattr(nk, "_submit", LateHelper() if helper == "late" else eager_helper)
+    faulty = {5, 6, 40, 41}
+    done = []
+
+    def work(unit):
+        time.sleep(0.0005 * (unit % 3))
+        if unit in faulty:
+            raise ValueError(f"unit {unit}")
+        done.append(unit)
+
+    for _ in range(20):
+        done.clear()
+        with pytest.raises(ValueError, match="^unit 5$"):
+            nk._run_chunks(work, range(64), 64 * nk._CHUNK)
+        # every unit before the first fault ran, and none after the second:
+        # a thread claims no unit once a fault is recorded
+        assert sorted(done) == list(range(5))
+
+
+def test_a_helper_that_starts_after_an_interrupted_pass_does_nothing(monkeypatch):
+    monkeypatch.setattr(nk.os, "sched_getaffinity", lambda pid: {0, 1})
+    late = LateHelper()
+    monkeypatch.setattr(nk, "_submit", late)
+    done = []
+
+    def work(unit):
+        if unit == 2:
+            raise KeyboardInterrupt
+        done.append(unit)
+
+    with pytest.raises(KeyboardInterrupt):
+        nk._run_chunks(work, range(8), 8 * nk._CHUNK)
+    late.run()
+    assert done == [0, 1]
+
+
+def test_a_forked_child_runs_chunks_on_its_own_helper(monkeypatch):
+    if not TWO_CPUS:
+        pytest.skip("the process may run on one CPU only")
+    p, g = chunked_adam_case(monkeypatch, 4 * CHUNK_ROWS + 3, "transposed")
+    expected = oracles.adam_step(nk.AdamState.zeros(p.shape), p, g, t=1, lr=0.01).data
+    nk.adam_step(nk.AdamState.zeros(p.shape), p, g, t=1, lr=0.01)   # starts the helper
+    assert nk._helper is not None
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            # unit 0 waits until another thread has run unit 1, so the pass
+            # completes only if the child's helper thread runs
+            ran = threading.Event()
+            threads = set()
+
+            def work(unit):
+                threads.add(threading.get_ident())
+                if unit == 0 and not ran.wait(10):
+                    raise TimeoutError("no helper thread took unit 1")
+                if unit == 1:
+                    ran.set()
+
+            nk._run_chunks(work, [0, 1], 4 * nk._CHUNK)
+            out = nk.adam_step(nk.AdamState.zeros(p.shape), p, g, t=1, lr=0.01)
+            status = 0 if len(threads) == 2 and np.array_equal(out.data, expected) else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+EXIT_PROBE = """
+import numpy as np
+from tkgdiff import numkit as nk
+p = nk.Tensor(np.ones((64, nk._CHUNK // 8)))
+nk.adam_step(nk.AdamState.zeros(p.shape), p, np.ones(p.shape), 1, 0.01)
+assert nk._helper is not None
+print("stepped")
+"""
+
+
+def test_the_helper_thread_does_not_hold_up_the_interpreters_exit():
+    if not TWO_CPUS:
+        pytest.skip("the process may run on one CPU only")
+    src = Path(nk.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", EXIT_PROBE], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "stepped"
 
 
 def test_grad_check_quadratic():

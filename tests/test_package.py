@@ -71,6 +71,23 @@ def test_a_lower_layer_imports_only_the_modules_its_table_entry_names(name):
     assert imported == LOWER_LAYER_IMPORTS[name]
 
 
+def test_only_numkit_starts_threads():
+    # numkit's chunk runner is the package's one helper thread; a second
+    # pool would contend with it and with BLAS for the same two cores
+    importers = set()
+    for name in MODULES:
+        for node in ast.walk(module_tree(name)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] in ("threading", "concurrent") for m in modules):
+                importers.add(name)
+    assert importers == {"numkit"}
+
+
 # the only defaulted parameters in the package: train's optional paths
 ALLOWED_DEFAULTS = {("engine", "train", "out_dir"), ("engine", "train", "resume_from")}
 
