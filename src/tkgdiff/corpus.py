@@ -16,7 +16,7 @@ from .errors import DataError, ParseError
 
 __all__ = [
     "QuadStore", "PeriodicIndex", "load_quads", "segments",
-    "build_periodic_index", "is_new_event", "token_entropies",
+    "check_lam", "build_periodic_index", "is_new_event", "token_entropies",
 ]
 
 SPLITS = ("train", "valid", "test")
@@ -239,13 +239,19 @@ class PeriodicIndex:
         return set(self.history_pairs([s], [r], [t])[1].tolist())
 
 
+def check_lam(lam: float) -> None:
+    """ValueError unless the signed history value `lam` is positive and
+    finite."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+
+
 def build_periodic_index(store: QuadStore, lam: float,
                          scope: tuple[str, ...]) -> PeriodicIndex:
     """The index of the facts in the scope's splits: one concatenate, one
     stable sort by (s, r, t) key, and the first fact of each (s, r, o) in
-    that order. `lam` must be positive and finite (ValueError)."""
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    that order. `lam` must be positive and finite (check_lam)."""
+    check_lam(lam)
     facts = np.concatenate([store.quads[:0], *(store.split(name) for name in scope)])
     stride = store.n_timestamps + 1
     pair = facts[:, 0] * store.n_relations + facts[:, 1]

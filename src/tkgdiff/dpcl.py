@@ -141,21 +141,35 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
     a per-row constant c, so each head adds only its +-2 lam at the history
     pairs, which are unique per row. The two codes make one product with the
     entity table, both distances come from one subject x entity
-    squared-distance block (geometry.pairwise_sqdist), a kind both heads use
-    is computed once, and the scores become softmax rows in place. The
-    entity table's squared row norms are taken once, for the block and the
-    ball gaps. A Poincare distance needs every entity row inside the ball
-    (geometry.ball_gap, ValueError otherwise). The backward forms the
-    distance gradient of the block's close pairs from their differences.
+    squared-distance expansion over the distinct subjects
+    (geometry.pairwise_sqdist), and the entity table's squared row norms are
+    taken once, for the expansion and the ball gaps. A Poincare distance
+    needs every entity row inside the ball (geometry.ball_gap, ValueError
+    otherwise).
+
+    Each product is one BLAS call over the whole batch. The per-cell work
+    runs in blocks of query rows on numkit's chunk runner (numkit._row_blocks,
+    numkit._run_chunks): a block gathers its rows of the expansion, derives
+    each distance kind its heads use once, adds it and the history terms
+    to both heads' rows, and turns them into softmax rows in place. So the
+    forward keeps the expansion, not the (B, |E|) squared distances or any
+    distance, and a block's temporaries are block-sized. The bits do not
+    depend on the blocks: every per-cell operation is the same, and a
+    reduction along a row reads that row only.
 
     `backward(g)` takes a (3B, |E|) array whose first 2B rows are the
     gradient of the block's scores and whose last B rows it overwrites, and
     returns the gradients of entity_emb, relation_emb, w_per, b_per,
-    w_nonper and b_nonper, by name.
+    w_nonper and b_nonper, by name. Its blocks recompute the squared
+    distances and what each distance derives from them
+    (geometry.distance_backward), write the squared-distance gradient to
+    the last B rows of `g`, and take its row sums; the column sums, of that
+    gradient and of the gaps' terms, are whole-array reductions, and the
+    close pairs' gradient is formed from their differences.
     """
     kinds = strategy_distances(strategy)
     entities = params.entity_emb.data
-    b, d = len(batch), entities.shape[1]
+    (n, d), b = entities.shape, len(batch)
     # the codes, then the subject rows: the rows the backward's products pair
     # with the score and the squared-distance gradients
     rows_in = np.empty((3 * b, d))
@@ -167,52 +181,87 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
     for k, (w, bias) in enumerate(maps):
         np.tanh(x @ w.T + bias, out=rows_in[k * b:(k + 1) * b])
     codes = rows_in[:2 * b]
-    block = codes @ entities.T
     sqnorms = geo.row_sqnorms(entities)
-    sqdist, (close_s, close_e) = geo.pairwise_sqdist(subjects, entities, sqnorms)
+    expansion, inverse, (close_s, close_e) = geo.pairwise_sqdist(subjects, entities, sqnorms)
     gap_s = gap_e = None
     if "poincare" in kinds:
         gap = geo.ball_gap(sqnorms, "the entity table")
         gap_s, gap_e = gap[batch.s_ids], gap.T
-    dist = {kind: geo.distance(kind, sqdist, gap_s, gap_e) for kind in dict.fromkeys(kinds)}
-    heads = block[:b], block[b:]
-    for head, kind in zip(heads, kinds):
-        head += dist[kind][0]
-    rows, objects = batch.history
-    heads[0][rows, objects] += 2.0 * batch.lam
-    heads[1][rows, objects] -= 2.0 * batch.lam
-    block -= block.max(axis=1, keepdims=True)
-    np.exp(block, out=block)
-    block /= block.sum(axis=1, keepdims=True)
+    block = codes @ entities.T
+    heads, flat = block.reshape(2, b, n), block.reshape(-1)
+    history = nk._sorted_cells(batch.history, n)
+    blocks = nk._row_blocks(b, n)
+
+    def gather(rows):
+        """The block's squared distances and subject gaps."""
+        return expansion[inverse[rows]], None if gap_s is None else gap_s[rows]
+
+    def forward(rows):
+        sq, gap_rows = gather(rows)
+        h = heads[:, rows]
+        dist = {kind: geo.distance(kind, sq, gap_rows, gap_e) for kind in dict.fromkeys(kinds)}
+        for head, kind in zip(h, kinds):
+            head += dist[kind]
+        # a history pair's flat position in the periodic head, and b n
+        # further on in the non-periodic one
+        at = nk._block_cells(history, rows, n)
+        flat[at] += 2.0 * batch.lam
+        flat[at + b * n] -= 2.0 * batch.lam
+        h -= h.max(axis=2, keepdims=True)
+        np.exp(h, out=h)
+        h /= h.sum(axis=2, keepdims=True)
+
+    nk._run_chunks(forward, blocks, 2 * b * n)
 
     def backward(g):
-        g_dist: dict[str, np.ndarray] = {}
-        for g_head, kind in zip((g[:b], g[b:2 * b]), kinds):
-            g_dist[kind] = g_dist[kind] + g_head if kind in g_dist else g_head
-        g_sq = g_gap = None
-        for kind, g_kind in g_dist.items():
-            g_sq_kind, g_gap_s, g_gap_e = dist[kind][1](g_kind)
-            g_sq = g_sq_kind if g_sq is None else g_sq + g_sq_kind
-            if g_gap_s is not None:
-                g_gap = g_gap_s, g_gap_e
-        # the close pairs' terms would cancel in the Gram form: they are
-        # formed from their differences below
-        g_close = g_sq[close_s, close_e]
-        g_sq[close_s, close_e] = 0.0
+        g_heads, g_sq = g[:2 * b].reshape(2, b, n), g[2 * b:]
+        sq_sums = np.empty((b, 1))
+        g_close = np.empty(len(close_s))
+        gap_terms = gap_sums = None
+        if gap_s is not None:
+            gap_terms, gap_sums = np.empty((b, n)), np.empty((b, 1))
+
+        def backward_rows(rows):
+            sq, gap_rows = gather(rows)
+            g_dist: dict[str, np.ndarray] = {}
+            for g_head, kind in zip(g_heads[:, rows], kinds):
+                g_dist[kind] = g_dist[kind] + g_head if kind in g_dist else g_head
+            g_sq_rows = g_sq[rows]
+            for k, (kind, g_kind) in enumerate(g_dist.items()):
+                g_sq_kind, terms = geo.distance_backward(kind, g_kind, sq, gap_rows, gap_e)
+                if k == 0:
+                    g_sq_rows[...] = g_sq_kind
+                else:
+                    g_sq_rows += g_sq_kind
+                if terms is not None:
+                    gap_terms[rows] = terms
+                    gap_sums[rows] = terms.sum(axis=1, keepdims=True)
+            # the close pairs' terms would cancel in the Gram form: they are
+            # formed from their differences below
+            lo, hi = np.searchsorted(close_s, (rows.start, rows.stop))
+            at = close_s[lo:hi] - rows.start, close_e[lo:hi]
+            g_close[lo:hi] = g_sq_rows[at]
+            g_sq_rows[at] = 0.0
+            sq_sums[rows] = g_sq_rows.sum(axis=1, keepdims=True)
+
+        nk._run_chunks(backward_rows, blocks, 2 * b * n)
         # block = codes entities^T and sqdist = |s|^2 + |e|^2 - 2 s e^T: with
         # -2 g_sq below the score gradient, one product with each side
-        np.multiply(g_sq, -2.0, out=g[2 * b:])
+        g_sq_cols = g_sq.sum(axis=0)
+        g_sq *= -2.0
         g_entities = g.T @ rows_in
-        g_entities += 2.0 * g_sq.sum(axis=0)[:, None] * entities
+        g_entities += 2.0 * g_sq_cols[:, None] * entities
         g_rows = g @ entities
         g_subjects = g_rows[2 * b:]
-        g_subjects += 2.0 * g_sq.sum(axis=1, keepdims=True) * subjects
+        g_subjects += 2.0 * sq_sums * subjects
         g_pairs = 2.0 * g_close[:, None] * (subjects[close_s] - entities[close_e])
         np.add.at(g_subjects, close_s, g_pairs)
         np.subtract.at(g_entities, close_e, g_pairs)
-        if g_gap is not None:   # gap = 1 - |x|^2
-            g_subjects -= 2.0 * g_gap[0] * subjects
-            g_entities -= 2.0 * g_gap[1].T * entities
+        if gap_terms is not None:   # gap = 1 - |x|^2
+            g_gap_s = -gap_sums / gap_s
+            g_gap_e = -gap_terms.sum(axis=0, keepdims=True) / gap_e
+            g_subjects -= 2.0 * g_gap_s * subjects
+            g_entities -= 2.0 * g_gap_e.T * entities
         g_pre = g_rows[:2 * b]
         g_pre *= 1.0 - codes * codes
         g_x = g_pre[:b] @ maps[0][0] + g_pre[b:] @ maps[1][0]

@@ -19,7 +19,7 @@ import numpy as np
 from . import dpcl as dpcl_mod
 from . import gndiff
 from . import numkit as nk
-from .corpus import QuadStore, build_periodic_index, segments
+from .corpus import QuadStore, build_periodic_index, check_lam, segments
 from .dpcl import DpclParams, QueryBatch
 from .errors import NumericError
 from .gndiff import DenoiserParams
@@ -45,13 +45,19 @@ class Model:
 
 def p_dpcl(params: DpclParams, batch: QueryBatch, strategy: str) -> np.ndarray:
     """The distribution dpcl.ce_loss trains: the mean of the softmaxes of the
-    two heads that `strategy` maps (dpcl.head_softmaxes). (B, |E|)
-    rows sum to 1, and -log(2 p[gt]) is a query's term of the loss."""
+    two heads that `strategy` maps (dpcl.head_softmaxes), formed in place
+    over the periodic head's rows in blocks of query rows. (B, |E|) rows
+    sum to 1, and -log(2 p[gt]) is a query's term of the loss."""
     probs = dpcl_mod.head_softmaxes(params, batch, strategy)[0]
-    b = len(batch)
-    mixture = probs[:b]
-    mixture += probs[b:]
-    mixture *= 0.5
+    b, n = len(batch), probs.shape[1]
+    mixture, other = probs[:b], probs[b:]
+
+    def mix(rows):
+        m = mixture[rows]
+        m += other[rows]
+        m *= 0.5
+
+    nk._run_chunks(mix, nk._row_blocks(b, n), b * n)
     return mixture
 
 
@@ -60,13 +66,22 @@ def ranks(p: np.ndarray, gt: np.ndarray,
     """1-based (filtered, raw) ranks of each row's ground truth in (B, |E|)
     probabilities, with pessimistic tie-breaking. `same_time` holds (row,
     object) pairs: the objects also true at that row's (s, r, t), which the
-    filtered rank removes from the competitors."""
-    rows = np.arange(len(gt))
-    ahead = p >= p[rows, gt][:, None]
-    ahead[rows, gt] = False
-    raw = ahead.sum(axis=1) + 1
-    ahead[same_time] = False
-    return ahead.sum(axis=1) + 1, raw
+    filtered rank removes from the competitors. Ranked in blocks of rows."""
+    b, n = p.shape
+    filtered, raw = np.empty(b, dtype=np.int64), np.empty(b, dtype=np.int64)
+    competitors = nk._sorted_cells(same_time, n)
+
+    def rank_rows(rows):
+        own = np.arange(rows.stop - rows.start), gt[rows]
+        values = p[rows]
+        ahead = values >= values[own][:, None]
+        ahead[own] = False
+        raw[rows] = ahead.sum(axis=1) + 1
+        ahead.reshape(-1)[nk._block_cells(competitors, rows, n) - rows.start * n] = False
+        filtered[rows] = ahead.sum(axis=1) + 1
+
+    nk._run_chunks(rank_rows, nk._row_blocks(b, n), b * n)
+    return filtered, raw
 
 
 @dataclass
@@ -98,7 +113,9 @@ _SCOPE_FOR_SPLIT = {
 
 def _query_distributions(model: Model, batch: QueryBatch, seed: int) -> np.ndarray:
     """(B, |E|) candidate distribution per query from the model's components,
-    scanned once: a NaN would rank every gold answer first (NumericError)."""
+    the mean of both formed in place over DPCL's, and scanned once, in
+    blocks of rows: a NaN would rank every gold answer first
+    (NumericError)."""
     pd = pg = None
     if model.dpcl is not None:
         pd = p_dpcl(model.dpcl, batch, model.mapping_strategy)
@@ -106,9 +123,16 @@ def _query_distributions(model: Model, batch: QueryBatch, seed: int) -> np.ndarr
         queries = np.stack([batch.s_ids, batch.r_ids], axis=1)
         pg = gndiff.p_diff_batch(model.denoiser, queries, model.steps, model.chains,
                                  nk.rng_for(seed, 9))
-    p = pg if pd is None else pd if pg is None else 0.5 * (pg + pd)
-    if not np.isfinite(p).all():
-        raise NumericError("candidate distributions contain non-finite values")
+    p = pg if pd is None else pd
+    if pd is not None and pg is not None:
+        p += pg
+        p *= 0.5
+
+    def scan(rows):
+        if not np.isfinite(p[rows]).all():
+            raise NumericError("candidate distributions contain non-finite values")
+
+    nk._run_chunks(scan, nk._row_blocks(*p.shape), p.size)
     return p
 
 
@@ -130,18 +154,22 @@ def evaluate_split(model: Model, store: QuadStore, split: str, seed: int,
     none of its history pairs in the index. A stratum is a mask over the
     split's queries.
 
-    The candidate distributions are computed with BLAS on one thread, so
-    they and their timing do not depend on the process's BLAS thread count
-    (see numkit.single_threaded_blas). A model with neither component, a
-    `lam` other than the model's, or one that is not positive and finite
-    raises ValueError, a non-finite distribution NumericError.
+    The candidate distributions' matrix products run with BLAS on one
+    thread (numkit.single_threaded_blas), and their per-cell work, from the
+    distances to the ranks, on numkit's chunk runner, in blocks of query
+    rows on up to two threads. The results depend on neither: a product is
+    one call over the chunk, and a block's operations are those of the
+    whole chunk. A model with neither component, a `lam` that is not
+    positive and finite, or one other than the model's raises ValueError
+    before any work is done, a non-finite distribution NumericError.
     """
     if model.dpcl is None and model.denoiser is None:
         raise ValueError("model has neither scoring parameters nor a denoiser")
-    quads = store.split(split)
-    index = build_periodic_index(store, lam, _SCOPE_FOR_SPLIT[split])
+    check_lam(lam)
     if lam != model.lam:
         raise ValueError(f"the model was trained at lambda {model.lam}, not {lam}")
+    quads = store.split(split)
+    index = build_periodic_index(store, lam, _SCOPE_FOR_SPLIT[split])
     # the split's facts sorted by (s, r, t) key: a query's same-time objects
     # are one run of them
     split_keys = index.key(quads[:, 0], quads[:, 1], quads[:, 3])

@@ -19,12 +19,17 @@ Three things are process-wide: the helper thread of the chunk runner, the
 BLAS thread count inside single_threaded_blas, and the allocator policy that
 importing this module sets once under glibc (_keep_freed_memory).
 
-The runner (_run_chunks) splits a pass over a whole table, an Adam update
-or a checkpoint read, into chunks of about _CHUNK values, which the caller's
-thread and one helper thread claim one at a time. The helper starts with
-the first pass of at least _MIN_PARALLEL_CHUNKS chunks and is reused; a
-forked child starts its own, and the helper never holds up the
-interpreter's exit. Results do not depend on which thread ran a chunk.
+The runner (_run_chunks) splits a pass over a whole table into chunks of
+about _CHUNK values, which the caller's thread and one helper thread claim
+one at a time. It runs the Adam update, the checkpoint read, and DPCL's
+per-cell passes over the (B, |E|) score block in blocks of query rows
+(_row_blocks): the distances, the history terms, the softmax and their
+backward (dpcl.head_softmaxes), and evaluation's mixture, finiteness scan
+and ranks. A matrix product is never split: it stays one BLAS call. The
+helper starts with the first pass of at least _MIN_PARALLEL_CHUNKS chunks
+and is reused; a forked child starts its own, and the helper never holds
+up the interpreter's exit. Results do not depend on which thread ran a
+chunk.
 
 Under the allocator policy, every block up to 32 MiB comes from malloc's
 heap, which is never trimmed: above the largest block a training batch or
@@ -177,6 +182,30 @@ def _run_chunks(work: Callable, units: Sequence, values: int) -> None:
             over = True
     if faults:
         raise faults[min(faults)]
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """The units of a pass over `rows` rows of `width` values, for
+    _run_chunks: slices of max(2, _CHUNK // width) rows, the last one
+    shorter, so a block's temporaries hold about _CHUNK values."""
+    step = max(2, _CHUNK // max(width, 1))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def _sorted_cells(cells: tuple[np.ndarray, np.ndarray], width: int) -> np.ndarray:
+    """The flat positions row * width + column of the (row, column) `cells`
+    of an array `width` wide, sorted: one array the size of a column of
+    `cells`, in which _block_cells finds a block's cells."""
+    flat = cells[0] * width + cells[1]
+    flat.sort(kind="stable")
+    return flat
+
+
+def _block_cells(flat: np.ndarray, rows: slice, width: int) -> np.ndarray:
+    """The part of the sorted flat positions `flat` (_sorted_cells) that
+    lies in the block of rows `rows`."""
+    lo, hi = np.searchsorted(flat, (rows.start * width, rows.stop * width))
+    return flat[lo:hi]
 
 
 def _scratch_block(shape: tuple[int, ...]) -> np.ndarray:

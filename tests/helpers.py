@@ -1,8 +1,11 @@
 """Synthetic corpora, query batches, checkpoint comparisons, a lenient tensor
-constructor, closed-form losses as records of the reference tape, and
-finite-difference gradient checking shared by the tests."""
+constructor, closed-form losses as records of the reference tape,
+finite-difference gradient checking, and stand-ins for numkit's helper
+thread shared by the tests."""
 
+import contextlib
 import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +30,50 @@ def count_submits(monkeypatch) -> list:
     submit = nk._submit
     monkeypatch.setattr(nk, "_submit", lambda fn: submitted.append(fn) or submit(fn))
     return submitted
+
+
+class LateHelper:
+    """A helper thread that the host holds back: the work handed to it runs
+    only when `run` is called, after the pass has returned."""
+
+    def __init__(self):
+        self.handed = []
+
+    def __call__(self, fn):
+        self.handed.append(fn)
+
+    def run(self):
+        for fn in self.handed:
+            fn()
+
+
+def eager_helper(fn):
+    """A helper thread that runs the work handed to it before the caller
+    claims a unit."""
+    fn()
+
+
+@contextlib.contextmanager
+def small_chunks(values: int, helper: str):
+    """numkit's chunk runner with _CHUNK set to `values`, in a process taken
+    to run on two CPUs, with the real helper thread ("thread", switching
+    threads every microsecond so that their units interleave), one the host
+    holds back until the body is over ("late"), or one that runs the work
+    handed to it before the caller claims a unit ("eager")."""
+    late = LateHelper()
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nk, "_CHUNK", values)
+        mp.setattr(nk.os, "sched_getaffinity", lambda pid: {0, 1})
+        if helper == "thread":
+            sys.setswitchinterval(1e-6)
+        else:
+            mp.setattr(nk, "_submit", late if helper == "late" else eager_helper)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+    late.run()
 
 
 def store_from_quads(quads, n_entities, n_relations, n_timestamps,

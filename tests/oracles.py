@@ -966,7 +966,8 @@ def gram_sqdist(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    result = nk._wrap(geo.pairwise_sqdist(ad, bd, geo.row_sqnorms(bd))[0])
+    expansion, inverse, _ = geo.pairwise_sqdist(ad, bd, geo.row_sqnorms(bd))
+    result = nk._wrap(expansion[inverse])
     return _tape_record(result, (a, b), _sqdist_backward(ad, bd))
 
 

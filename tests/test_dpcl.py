@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (assert_matches_the_chain, chain_gradients, grad_check, make_batch,
-                     planted_period_store, quick_config, taped, tensor)
+                     planted_period_store, quick_config, small_chunks, taped, tensor)
 from tkgdiff import dpcl, engine
 from tkgdiff import evaluate as ev
 from tkgdiff import geometry as geo
@@ -133,9 +134,9 @@ def test_nonperiodic_self_distance_zero(setup):
     e = params.entity_emb.data
     sqnorms = geo.row_sqnorms(e)
     gap = geo.ball_gap(sqnorms, "entities")
-    sqdist = geo.pairwise_sqdist(e[batch.s_ids], e, sqnorms)[0]
+    expansion, inverse, _ = geo.pairwise_sqdist(e[batch.s_ids], e, sqnorms)
     for kind in ("euclidean", "poincare"):
-        dist, _ = geo.distance(kind, sqdist, gap[batch.s_ids], gap.T)
+        dist = geo.distance(kind, expansion[inverse], gap[batch.s_ids], gap.T)
         assert (dist[np.arange(len(batch)), batch.s_ids] == 0.0).all(), kind
 
 
@@ -309,6 +310,99 @@ def test_p_dpcl_is_bit_equal_to_the_mean_of_the_head_softmaxes(b, n, dim, strate
     probs = dpcl.head_softmaxes(params, batch, strategy)[0]
     want = 0.5 * (probs[:b] + probs[b:])
     np.testing.assert_array_equal(ev.p_dpcl(params, batch, strategy), want)
+
+
+def scored_bits(params, batch, strategy, g):
+    """Everything DPCL scoring returns for one batch: both heads' softmax
+    rows, their backward of the score gradient `g` (2B, |E|), the mixture,
+    and the CE loss with its gradients."""
+    probs, backward = dpcl.head_softmaxes(params, batch, strategy)
+    g_full = np.empty((3 * len(batch), probs.shape[1]))
+    g_full[:2 * len(batch)] = g
+    loss, loss_backward = dpcl.ce_loss(params, batch, strategy)
+    return {"probs": probs, "mixture": ev.p_dpcl(params, batch, strategy), "loss": loss,
+            **{f"g.{k}": v for k, v in backward(g_full).items()},
+            **{f"ce.{k}": v for k, v in loss_backward(0.75).items()}}
+
+
+def assert_blocks_keep_the_bits(params, batch, strategy, values, helper):
+    """Scoring with numkit's runner in chunks of `values` values, on two
+    threads, is bit for bit that of the one block of the default chunk."""
+    n = params.entity_emb.shape[0]
+    assert len(nk._row_blocks(len(batch), n)) == 1
+    g = nk.rng_for(49, len(batch), n).normal(size=(2 * len(batch), n))
+    want = scored_bits(params, batch, strategy, g)
+    with small_chunks(values, helper):
+        got = scored_bits(params, batch, strategy, g)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        np.testing.assert_array_equal(got[name], value, err_msg=name)
+
+
+@PROPERTY
+@given(case=scoring_cases(), strategy=st.sampled_from(sorted(dpcl.STRATEGY_DISTANCES)),
+       values=st.sampled_from([8, 64]), helper=st.sampled_from(["thread", "late", "eager"]),
+       one_subject=st.booleans())
+def test_row_blocks_do_not_change_the_bits(case, strategy, values, helper, one_subject):
+    # at 8 values a block holds 2 rows (the last one 1 when B is odd) and
+    # at 64 up to 32, and a pass of 4 chunks' worth runs on two threads
+    params, batch = case
+    if one_subject:
+        batch = dataclasses.replace(batch, s_ids=np.full(len(batch), batch.s_ids[0]))
+    assert_blocks_keep_the_bits(params, batch, strategy, values, helper)
+
+
+def margin_case(b, n, one_subject):
+    """Parameters with entity rows at the ball margin and, for each, a copy
+    1e-12 further in, a batch of `b` queries whose subjects are margin rows
+    (one shared subject, or all of them in turn), and the rows with a close
+    pair."""
+    rng = nk.rng_for(50, b, n)
+    params = dpcl.init_params(n, 2, 3, rng)
+    emb = params.entity_emb.data.copy()
+    half = n // 2
+    emb[:half] = geo.project_array_to_ball(emb[:half] * 1e3)
+    emb[half:2 * half] = emb[:half] * (1.0 - 1e-12)
+    params = dataclasses.replace(params, entity_emb=tensor(emb))
+    s = np.zeros(b, dtype=np.int64) if one_subject else np.arange(b) % half
+    batch = dataclasses.replace(make_batch(rng, n, b), s_ids=s)
+    close_rows = geo.pairwise_sqdist(emb[s], emb, geo.row_sqnorms(emb))[2][0]
+    return params, batch, np.unique(close_rows)
+
+
+@pytest.mark.parametrize("helper", ["thread", "late", "eager"])
+@pytest.mark.parametrize("strategy", sorted(dpcl.STRATEGY_DISTANCES))
+@pytest.mark.parametrize("one_subject", [False, True], ids=["subjects", "one-subject"])
+def test_block_edges_and_close_pairs_at_the_margin_keep_the_bits(strategy, helper,
+                                                                one_subject):
+    # 9 queries over 12 entities in chunks of 8 values: blocks of 2 rows and
+    # a last block of 1, each with its subjects' close pairs at the margin
+    params, batch, close_rows = margin_case(9, 12, one_subject)
+    with small_chunks(8, helper):
+        blocks = nk._row_blocks(len(batch), 12)
+    assert [blk.stop - blk.start for blk in blocks] == [2, 2, 2, 2, 1]
+    assert close_rows.tolist() == list(range(9))
+    assert_blocks_keep_the_bits(params, batch, strategy, 8, helper)
+
+
+def test_dpcl_scoring_keeps_no_full_size_temporaries():
+    # the mixture's peak under tracemalloc, its own (2B, |E|) block
+    # included: 8.15 B |E| float64 values when the forward kept the
+    # (B, |E|) squared distances, quotients, roots, denominators and
+    # distances of each head
+    b, n = 64, 4096
+    rng = nk.rng_for(51)
+    params = dpcl.init_params(n, 4, 16, rng)
+    batch = make_batch(rng, n, b)
+    for strategy in sorted(dpcl.STRATEGY_DISTANCES):
+        ev.p_dpcl(params, batch, strategy)
+        tracemalloc.start()
+        try:
+            ev.p_dpcl(params, batch, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * b * n * 8, (strategy, peak / (b * n * 8))
 
 
 def test_mixture_and_ce_loss_reject_scores_of_different_shapes():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import make_batch, new_event_mix_store, planted_period_store, quick_config
+from helpers import (make_batch, new_event_mix_store, planted_period_store, quick_config,
+                     small_chunks)
 from tkgdiff import dpcl, engine, evaluate, gndiff
 from tkgdiff import geometry as geo
 from tkgdiff import numkit as nk
@@ -48,6 +49,17 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=
 def test_ranks_match_the_per_query_oracle(case):
     p, gt, same_time = case
     filtered, raw = batched_ranks(p, gt, same_time)
+    assert filtered.tolist() == [oracles.filtered_rank(p[i], gt[i], same_time[i])
+                                 for i in range(len(gt))]
+    assert raw.tolist() == [oracles.raw_rank(p[i], gt[i]) for i in range(len(gt))]
+
+
+@PROPERTY
+@given(case=rank_cases(), helper=st.sampled_from(["thread", "late", "eager"]))
+def test_ranks_in_blocks_of_two_rows_match_the_per_query_oracle(case, helper):
+    p, gt, same_time = case
+    with small_chunks(2, helper):
+        filtered, raw = batched_ranks(p, gt, same_time)
     assert filtered.tolist() == [oracles.filtered_rank(p[i], gt[i], same_time[i])
                                  for i in range(len(gt))]
     assert raw.tolist() == [oracles.raw_rank(p[i], gt[i]) for i in range(len(gt))]
@@ -189,6 +201,27 @@ def test_evaluate_split_matches_the_per_query_loop_on_model_scores():
     assert 0 < len(reports["new-events"].ranks) < len(quads)
 
 
+def test_two_components_rank_the_mean_of_their_distributions_bit_for_bit(trained):
+    # the mixture is formed in place over DPCL's rows, pd += pg; pd *= 0.5,
+    # which is 0.5 * (pg + pd) to the bit
+    store, model, index = trained
+    assert model.dpcl is not None and model.denoiser is not None
+    quads, seed = store.split("test"), 4
+    want = []
+    for start in range(0, len(quads), evaluate.CHUNK):
+        batch = QueryBatch.from_quads(quads[start:start + evaluate.CHUNK], index)
+        queries = np.stack([batch.s_ids, batch.r_ids], axis=1)
+        with nk.single_threaded_blas():
+            pd = evaluate.p_dpcl(model.dpcl, batch, model.mapping_strategy)
+            pg = gndiff.p_diff_batch(model.denoiser, queries, model.steps, model.chains,
+                                     nk.rng_for(seed + start, 9))
+            got = evaluate._query_distributions(model, batch, seed + start)
+        want.append(0.5 * (pg + pd))
+        np.testing.assert_array_equal(got, want[-1])
+    reports = evaluate.evaluate_split(model, store, "test", seed=seed, lam=model.lam)
+    assert_reports_match(reports, oracles.split_ranks(np.concatenate(want), quads, store.quads))
+
+
 def test_a_model_with_no_component_is_refused_before_any_work(trained, monkeypatch):
     store, model, _ = trained
     built = []
@@ -197,6 +230,16 @@ def test_a_model_with_no_component_is_refused_before_any_work(trained, monkeypat
     empty = dataclasses.replace(model, dpcl=None, denoiser=None)
     with pytest.raises(ValueError, match="neither"):
         evaluate.evaluate_split(empty, store, "test", seed=0, lam=2.0)
+    assert built == []
+
+
+def test_a_lambda_other_than_the_models_is_refused_before_any_work(trained, monkeypatch):
+    store, model, _ = trained
+    built = []
+    monkeypatch.setattr(evaluate, "build_periodic_index",
+                        lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match="trained at lambda"):
+        evaluate.evaluate_split(model, store, "test", seed=0, lam=model.lam + 1.0)
     assert built == []
 
 
@@ -223,6 +266,25 @@ def test_a_non_finite_candidate_distribution_is_refused_not_ranked(trained, monk
     with pytest.raises(NumericError, match="candidate distributions contain non-finite"):
         evaluate.evaluate_split(dataclasses.replace(model, denoiser=None), store, "test",
                                 seed=0, lam=2.0)
+
+
+@pytest.mark.parametrize("helper", ["thread", "late", "eager"])
+def test_a_nan_in_a_later_block_is_refused(trained, monkeypatch, helper):
+    # blocks of 2 rows on two threads: only the last row of the chunk is NaN
+    store, model, _ = trained
+    n_test = len(store.split("test"))
+    assert n_test >= 8
+
+    def one_nan(params, batch, strategy):
+        p = np.full((len(batch), params.entity_emb.shape[0]), 1.0 / params.entity_emb.shape[0])
+        p[-1, -1] = np.nan
+        return p
+
+    monkeypatch.setattr(evaluate, "p_dpcl", one_nan)
+    model = dataclasses.replace(model, denoiser=None)
+    with small_chunks(8, helper), \
+            pytest.raises(NumericError, match="candidate distributions contain non-finite"):
+        evaluate.evaluate_split(model, store, "test", seed=0, lam=2.0)
 
 
 def test_an_overflow_in_scoring_surfaces_at_the_ranked_distribution(trained):
@@ -299,8 +361,8 @@ def test_ranks_are_those_of_the_explicit_difference_block(strategy, monkeypatch)
     real_sqdist = geo.pairwise_sqdist
 
     def explicit_sqdist(a, b, b_sqnorms):
-        close = real_sqdist(a, b, b_sqnorms)[1]
-        return oracles.pairwise_sqdist(nk.Tensor(a), nk.Tensor(b)).data, close
+        close = real_sqdist(a, b, b_sqnorms)[2]
+        return oracles.pairwise_sqdist(nk.Tensor(a), nk.Tensor(b)).data, np.arange(len(a)), close
 
     monkeypatch.setattr(geo, "pairwise_sqdist", explicit_sqdist)
     explicit = evaluate.evaluate_split(model, store, "test", seed=0, lam=cfg.lam)

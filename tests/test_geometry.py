@@ -13,8 +13,10 @@ from tkgdiff.errors import DimensionError
 
 
 def block(a, b):
-    """The squared-distance block of geometry.pairwise_sqdist(a, b, ...)."""
-    return geo.pairwise_sqdist(a, b, geo.row_sqnorms(b))[0]
+    """The (m, n) squared-distance block of geometry.pairwise_sqdist(a, b, ...),
+    gathered whole from its expansion."""
+    expansion, inverse, _ = geo.pairwise_sqdist(a, b, geo.row_sqnorms(b))
+    return expansion[inverse]
 
 
 def random_ball_points(rng, n, d, max_norm=0.9):
@@ -144,11 +146,12 @@ def test_the_poincare_distance_keeps_its_digits_for_rows_near_each_other():
     a = np.array([[-(1.0 - geo.BALL_MARGIN)]])
     b = a[0, 0] + np.array([[1e-9], [1e-10], [1e-11], [1e-12], [1e-13]])
     b_sqnorms = geo.row_sqnorms(b)
-    sqdist = geo.pairwise_sqdist(a, b, b_sqnorms)[0]
+    sqdist = block(a, b)
     gap_a = geo.ball_gap(geo.row_sqnorms(a), "a")
     gap_b = geo.ball_gap(b_sqnorms, "b").T
-    dist, backward = geo.distance("poincare", sqdist, gap_a, gap_b)
-    g_sq, g_gap_a, g_gap_b = backward(np.ones_like(sqdist))
+    dist = geo.distance("poincare", sqdist, gap_a, gap_b)
+    g_sq, terms = geo.distance_backward("poincare", np.ones_like(sqdist), sqdist, gap_a, gap_b)
+    g_gap_b = -terms.sum(axis=0, keepdims=True) / gap_b
     with localcontext() as ctx:
         ctx.prec = 50
         ga = Decimal(gap_a[0, 0])
@@ -306,7 +309,8 @@ def test_pairwise_sqdist_returns_the_close_pairs_that_are_not_zero():
     pool = at_margin(rng, 3, 5)
     ids = np.array([2, 0, 2, 1, 2])
     b = np.vstack([pool, moved(rng, pool[[2, 1]], 1e-9), at_margin(rng, 4, 5)])
-    got, (i, j) = geo.pairwise_sqdist(pool[ids], b, geo.row_sqnorms(b))
+    expansion, inverse, (i, j) = geo.pairwise_sqdist(pool[ids], b, geo.row_sqnorms(b))
+    got = expansion[inverse]
     scale = np.add.outer(geo.row_sqnorms(pool[ids]), geo.row_sqnorms(b))
     want = (got > 0.0) & (got <= geo.CLOSE * scale)
     assert sorted(zip(i, j)) == sorted(zip(*np.nonzero(want)))

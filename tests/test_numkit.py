@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import TWO_CPUS, count_submits, grad_check, tensor
+from helpers import TWO_CPUS, LateHelper, count_submits, eager_helper, grad_check, tensor
 from tkgdiff import numkit as nk
 from tkgdiff.errors import DimensionError, NumericError
 
@@ -320,27 +320,6 @@ def test_chunked_adam_matches_the_textbook_form_at_the_chunk_edges(monkeypatch, 
     assert p.data.flags.c_contiguous
     # the helper takes part in a pass of at least four chunks only
     assert len(submitted) == (5 if rows >= 4 * CHUNK_ROWS and TWO_CPUS else 0)
-
-
-class LateHelper:
-    """A helper thread that the host holds back: the work handed to it runs
-    only when `run` is called, after the pass has returned."""
-
-    def __init__(self):
-        self.handed = []
-
-    def __call__(self, fn):
-        self.handed.append(fn)
-
-    def run(self):
-        for fn in self.handed:
-            fn()
-
-
-def eager_helper(fn):
-    """A helper thread that runs the work handed to it before the caller
-    claims a unit."""
-    fn()
 
 
 @pytest.mark.parametrize("helper", ["thread", "eager"])
