@@ -147,8 +147,12 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
     needs every entity row inside the ball (geometry.ball_gap, ValueError
     otherwise).
 
-    Each product is one BLAS call over the whole batch. The per-cell work
-    runs in blocks of query rows on numkit's chunk runner (numkit._row_blocks,
+    Each product is one BLAS call over the whole batch, and the two big
+    ones of each direction run as a pair on numkit's two threads
+    (numkit._matmul_beside): the codes' product with the entity table
+    beside the squared-distance expansion, and in the backward the entity
+    table's gradient product beside the rows'. The per-cell work runs in
+    blocks of query rows on numkit's chunk runner (numkit._row_blocks,
     numkit._run_chunks): a block gathers its rows of the expansion, derives
     each distance kind its heads use once, adds it and the history terms
     to both heads' rows, and turns them into softmax rows in place. So the
@@ -182,12 +186,13 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
         np.tanh(x @ w.T + bias, out=rows_in[k * b:(k + 1) * b])
     codes = rows_in[:2 * b]
     sqnorms = geo.row_sqnorms(entities)
-    expansion, inverse, (close_s, close_e) = geo.pairwise_sqdist(subjects, entities, sqnorms)
     gap_s = gap_e = None
     if "poincare" in kinds:
         gap = geo.ball_gap(sqnorms, "the entity table")
         gap_s, gap_e = gap[batch.s_ids], gap.T
-    block = codes @ entities.T
+    block, (expansion, inverse, (close_s, close_e)) = nk._matmul_beside(
+        codes, entities.T, np.empty((2 * b, n)),
+        lambda: geo.pairwise_sqdist(subjects, entities, sqnorms))
     heads, flat = block.reshape(2, b, n), block.reshape(-1)
     history = nk._sorted_cells(batch.history, n)
     blocks = nk._row_blocks(b, n)
@@ -249,9 +254,14 @@ def head_softmaxes(params: DpclParams, batch: QueryBatch,
         # -2 g_sq below the score gradient, one product with each side
         g_sq_cols = g_sq.sum(axis=0)
         g_sq *= -2.0
-        g_entities = g.T @ rows_in
-        g_entities += 2.0 * g_sq_cols[:, None] * entities
-        g_rows = g @ entities
+        # the entity table's product is taken transposed, (d, 3B) x (3B, |E|):
+        # as (|E|, 3B) x (3B, d), OpenBLAS packs a (3B, |E|) panel (11 MB at
+        # ICEWS14 size) into the buffer of whichever call of the pair starts
+        # second, so over a run both of its buffers come to hold one
+        g_entities_t, g_rows = nk._matmul_beside(rows_in.T, g, np.empty((d, n)),
+                                                 lambda: g @ entities)
+        g_entities = 2.0 * g_sq_cols[:, None] * entities
+        g_entities += g_entities_t.T
         g_subjects = g_rows[2 * b:]
         g_subjects += 2.0 * sq_sums * subjects
         g_pairs = 2.0 * g_close[:, None] * (subjects[close_s] - entities[close_e])

@@ -154,14 +154,16 @@ def evaluate_split(model: Model, store: QuadStore, split: str, seed: int,
     none of its history pairs in the index. A stratum is a mask over the
     split's queries.
 
-    The candidate distributions' matrix products run with BLAS on one
-    thread (numkit.single_threaded_blas), and their per-cell work, from the
-    distances to the ranks, on numkit's chunk runner, in blocks of query
-    rows on up to two threads. The results depend on neither: a product is
-    one call over the chunk, and a block's operations are those of the
-    whole chunk. A model with neither component, a `lam` that is not
-    positive and finite, or one other than the model's raises ValueError
-    before any work is done, a non-finite distribution NumericError.
+    The candidate distributions' matrix products are each one BLAS call
+    over the chunk, on one thread (numkit's BLAS policy), and DPCL's two
+    big ones run as a pair on numkit's two threads; their per-cell work,
+    from the distances to the ranks, runs on numkit's chunk runner, in
+    blocks of query rows on up to two threads. The results depend on
+    neither: a product's bits do not depend on the thread it ran on, and a
+    block's operations are those of the whole chunk. A model with neither
+    component, a `lam` that is not positive and finite, or one other than
+    the model's raises ValueError before any work is done, a non-finite
+    distribution NumericError.
     """
     if model.dpcl is None and model.denoiser is None:
         raise ValueError("model has neither scoring parameters nor a denoiser")
@@ -181,8 +183,7 @@ def evaluate_split(model: Model, store: QuadStore, split: str, seed: int,
     new = np.empty(n, dtype=bool)
     for start in range(0, n, CHUNK):
         batch = QueryBatch.from_quads(quads[start:start + CHUNK], index)
-        with nk.single_threaded_blas():
-            probs = _query_distributions(model, batch, seed + start)
+        probs = _query_distributions(model, batch, seed + start)
         done = slice(start, start + len(batch))
         rows, pos = segments(sorted_keys, split_keys[done], split_keys[done] + 1)
         filtered[done], raw[done] = ranks(probs, batch.gt_ids, (rows, sorted_objects[pos]))

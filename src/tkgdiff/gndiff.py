@@ -184,15 +184,19 @@ def denoise_x0_batch(params: DenoiserParams, xt: np.ndarray,
     subject, relation and tail blocks (`DenoiserParams.role_blocks`), and
     their backward, which maps the logits' gradient to those of the five
     denoiser tensors, by name. The output product reads w2 transposed in
-    place, and its gradient comes out C-ordered."""
+    place, and its gradient comes out C-ordered. The backward's two
+    output-layer products run as a pair on numkit's two threads
+    (numkit._matmul_beside): w2's gradient beside the hidden layer's and
+    its backward."""
     h, hidden_backward = _hidden(params, xt, ts)
     w2 = params.w2.data
     logits = h @ w2.T
     logits += params.b2.data
 
     def backward(g):
-        grads = hidden_backward(g @ w2)
-        grads["w2"] = g.T @ h
+        g_w2, grads = nk._matmul_beside(g.T, h, np.empty_like(w2),
+                                        lambda: hidden_backward(g @ w2))
+        grads["w2"] = g_w2
         grads["b2"] = g.sum(axis=0, keepdims=True)
         return grads
 

@@ -1,6 +1,6 @@
 """Minimal dense-tensor kernel: the frozen float64 parameter matrix, Adam,
-a two-core chunk runner, a one-thread BLAS scope, the process's allocator
-policy, and seeded counter-based RNG.
+a two-core chunk runner, the process's BLAS and allocator policies, and
+seeded counter-based RNG.
 
 A parameter is a Tensor, an immutable 2-D float64 array. The package has no
 gradient tape: each training loss computes its value and a closed-form
@@ -15,9 +15,10 @@ pass an overflow on as inf or NaN to where values leave the kernel, which
 scans them: the training loss (engine.train), each Adam update, and the
 candidate distribution evaluation ranks.
 
-Three things are process-wide: the helper thread of the chunk runner, the
-BLAS thread count inside single_threaded_blas, and the allocator policy that
-importing this module sets once under glibc (_keep_freed_memory).
+Three things are process-wide, and importing this module sets the last two
+once: the helper thread of the chunk runner, BLAS on one thread
+(_one_blas_thread), and the allocator policy under glibc
+(_keep_freed_memory). So the second core belongs to the helper thread.
 
 The runner (_run_chunks) splits a pass over a whole table into chunks of
 about _CHUNK values, which the caller's thread and one helper thread claim
@@ -25,11 +26,15 @@ one at a time. It runs the Adam update, the checkpoint read, and DPCL's
 per-cell passes over the (B, |E|) score block in blocks of query rows
 (_row_blocks): the distances, the history terms, the softmax and their
 backward (dpcl.head_softmaxes), and evaluation's mixture, finiteness scan
-and ranks. A matrix product is never split: it stays one BLAS call. The
+and ranks. A matrix product is never split: it stays one BLAS call on one
+thread. Two independent products run as a pair (_matmul_beside), one on
+the helper and one on the caller's thread: DPCL's score and distance
+products and their backward, and the denoiser's output-layer backward. The
 helper starts with the first pass of at least _MIN_PARALLEL_CHUNKS chunks
-and is reused; a forked child starts its own, and the helper never holds
-up the interpreter's exit. Results do not depend on which thread ran a
-chunk.
+or the first pair of at least _MIN_PARALLEL_MADDS multiply-adds, and is
+reused; a forked child starts its own, and the helper never holds up the
+interpreter's exit. Results do not depend on which thread ran a chunk or a
+product.
 
 Under the allocator policy, every block up to 32 MiB comes from malloc's
 heap, which is never trimmed: above the largest block a training batch or
@@ -41,22 +46,20 @@ not change; under another libc nothing is set.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import functools
 import itertools
 import math
 import os
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
 
-__all__ = ["Tensor", "AdamState", "zeros", "adam_step", "single_threaded_blas", "rng_for"]
+__all__ = ["Tensor", "AdamState", "zeros", "adam_step", "rng_for"]
 
 
 class Tensor:
@@ -111,6 +114,9 @@ _CHUNK = 1 << 15
 # A pass over fewer chunks' worth of values runs in the caller's thread: it
 # is over before handing work to the helper would pay
 _MIN_PARALLEL_CHUNKS = 4
+# Multiply-adds of a product that a pair hands to the helper, at the least:
+# a smaller one is over before the handoff would pay
+_MIN_PARALLEL_MADDS = 1 << 22
 
 _helper: queue.SimpleQueue | None = None     # the helper thread's tasks, once started
 _scratch = threading.local()                # each thread's scratch array
@@ -182,6 +188,48 @@ def _run_chunks(work: Callable, units: Sequence, values: int) -> None:
             over = True
     if faults:
         raise faults[min(faults)]
+
+
+def _matmul_beside(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                   work: Callable[[], object]) -> tuple[np.ndarray, object]:
+    """`np.matmul(a, b, out=out)` and `work()`, which is independent of the
+    product: returns `out` and what `work` returns.
+
+    In a process that may run on two CPUs, a product of at least
+    _MIN_PARALLEL_MADDS multiply-adds runs on the helper thread while the
+    caller's thread runs `work`, the other product of a pair and what goes
+    with it; a smaller one runs first in the caller's thread. The helper
+    writes only into `out`, which the caller allocated: full-size arrays
+    made on the helper would come from its own malloc arena and raise the
+    peak. OpenBLAS likewise packs operands into one work buffer per call in
+    flight, and the pages a pack touches stay resident, so a pair keeps its
+    packed panels small (dpcl.head_softmaxes' backward). The product is one
+    BLAS call wherever it runs, so its bits are the same. Once both are
+    done, an exception from `work` is raised, or else one from the product.
+    """
+    if a.shape[0] * a.shape[1] * b.shape[1] < _MIN_PARALLEL_MADDS \
+            or len(os.sched_getaffinity(0)) < 2:
+        np.matmul(a, b, out=out)
+        return out, work()
+    done = threading.Event()
+    faults: list[Exception] = []
+
+    def product():
+        try:
+            np.matmul(a, b, out=out)
+        except Exception as e:             # raised by the caller below
+            faults.append(e)
+        finally:
+            done.set()
+
+    _submit(product)
+    try:
+        result = work()
+    finally:
+        done.wait()
+    if faults:
+        raise faults[0]
+    return out, result
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:
@@ -307,7 +355,6 @@ def _adam_block(g: np.ndarray, m: np.ndarray, v: np.ndarray, p: np.ndarray,
 _OPENBLAS_THREAD_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
 
 
-@functools.cache
 def _openblas_threads_api():
     """(get, set) thread-count functions of the OpenBLAS that numpy loaded,
     or None when none is found (another BLAS, or no /proc/self/maps)."""
@@ -331,30 +378,25 @@ def _openblas_threads_api():
     return None
 
 
-@contextlib.contextmanager
-def single_threaded_blas() -> Iterator[None]:
-    """Run the body with OpenBLAS on one thread, then restore its count.
+def _one_blas_thread() -> None:
+    """Run every OpenBLAS call of the process on the thread that makes it.
 
-    For phases made of small products. OpenBLAS splits a product of more
-    than 2^18 multiply-adds over its threads, and the call returns only when
-    every thread has run its share. On a host whose CPUs are shared, a thread
-    can wait milliseconds to be scheduled, longer than a small product takes,
-    and the wait varies from run to run. Results also stop depending on the
-    thread count: for some shapes the split moves where the kernel's unrolled
-    blocks end, which changes the last bits of a few sums. The setting is
-    process-wide; a no-op when numpy's BLAS is not a findable OpenBLAS.
+    A product that OpenBLAS splits over its threads returns when each has
+    run its share, and then its worker waits busily for more work: about
+    0.12 s of CPU after every threaded product, competing with the helper
+    thread for the second core. So the second core goes to the helper, and
+    two independent products run as a pair (_matmul_beside) instead. Results
+    also stop depending on the thread count: for some shapes the split
+    moves where the kernel's unrolled blocks end, which changes the last
+    bits of a few sums. A no-op when numpy's BLAS is not a findable
+    OpenBLAS.
     """
     api = _openblas_threads_api()
-    if api is None:
-        yield
-        return
-    get, set_ = api
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
+    if api is not None:
+        api[1](1)
+
+
+_one_blas_thread()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import os
 import resource
 import signal
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -1310,25 +1313,59 @@ def test_an_improving_epoch_is_written_once(tmp_path, monkeypatch):
         "best.ckpt", "last.ckpt", "metrics.jsonl"]
 
 
-def test_evaluate_split_runs_inference_on_one_blas_thread(monkeypatch):
+def test_training_and_evaluation_run_blas_on_one_thread(monkeypatch):
     api = nk._openblas_threads_api()
     if api is None:
         pytest.skip("numpy's BLAS is not a findable OpenBLAS")
-    get, set_ = api
+    get = api[0]
     store = planted_period_store(n_entities=6, n_relations=2, n_timestamps=30)
     cfg = quick_config(epochs_stage1=1, epochs_stage2=1, batch=16, steps=4)
-    model = engine.model_from_checkpoint(engine.train(cfg, store), store)
-    seen = []
-    for name, module in (("p_dpcl", evaluate), ("p_diff_batch", gndiff)):
-        def record(*args, _inner=getattr(module, name), **kwargs):
-            seen.append(get())
+    seen: dict[str, set] = {}
+    targets = ((dpcl_mod, "head_softmaxes"), (gndiff, "denoise_x0_batch"),
+               (evaluate, "p_dpcl"), (gndiff, "p_diff_batch"))
+    for module, name in targets:
+        def record(*args, _inner=getattr(module, name), _name=name, **kwargs):
+            seen.setdefault(_name, set()).add(get())
             return _inner(*args, **kwargs)
         monkeypatch.setattr(module, name, record)
-    before = get()
-    set_(2)
-    try:
-        evaluate.evaluate_split(model, store, "test", seed=1, lam=cfg.lam)
-        assert get() == 2
-    finally:
-        set_(before)
-    assert set(seen) == {1}
+    model = engine.model_from_checkpoint(engine.train(cfg, store), store)
+    evaluate.evaluate_split(model, store, "test", seed=1, lam=cfg.lam)
+    assert seen == {name: {1} for _, name in targets}
+
+
+# A fresh interpreter that trains one epoch into the directory it is given,
+# on a vocabulary whose products OpenBLAS would split over its threads
+REPRODUCIBILITY_PROBE = """
+import sys
+from helpers import planted_period_store, quick_config
+from tkgdiff import engine
+store = planted_period_store(n_entities=500, n_relations=2, n_timestamps=10)
+engine.train(quick_config(epochs_stage1=0, epochs_stage2=1, batch=64), store,
+             out_dir=sys.argv[1])
+"""
+
+
+def checkpoint_parts(path: Path) -> tuple[dict, bytes]:
+    """A checkpoint's header without its wall-clock seconds, and the bytes
+    of its records."""
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12:12 + length])
+    for line in header["metrics"]:
+        del line["wall_seconds"]
+    return header, data[12 + length:]
+
+
+def test_trained_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    if not TWO_CPUS:
+        pytest.skip("the process may run on one CPU only")
+    tests, src = Path(__file__).resolve().parent, Path(engine.__file__).resolve().parents[1]
+    parts = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", REPRODUCIBILITY_PROBE, str(out)], check=True,
+                       env={"PYTHONPATH": f"{src}{os.pathsep}{tests}",
+                            "OPENBLAS_NUM_THREADS": threads}, timeout=120)
+        parts.append(checkpoint_parts(out / "last.ckpt"))
+    assert parts[0][0] == parts[1][0]
+    assert parts[0][1] == parts[1][1]

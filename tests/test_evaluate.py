@@ -191,11 +191,10 @@ def test_evaluate_split_matches_the_per_query_loop_on_model_scores():
         mapping_strategy="hyp/euc", steps=4, chains=2, lam=2.0)
     index = build_periodic_index(store, 2.0, evaluate._SCOPE_FOR_SPLIT["test"])
     quads = store.split("test")
-    with nk.single_threaded_blas():
-        probs = np.concatenate([
-            evaluate._query_distributions(
-                model, QueryBatch.from_quads(quads[i:i + evaluate.CHUNK], index), 5 + i)
-            for i in range(0, len(quads), evaluate.CHUNK)])
+    probs = np.concatenate([
+        evaluate._query_distributions(
+            model, QueryBatch.from_quads(quads[i:i + evaluate.CHUNK], index), 5 + i)
+        for i in range(0, len(quads), evaluate.CHUNK)])
     reports = evaluate.evaluate_split(model, store, "test", seed=5, lam=2.0)
     assert_reports_match(reports, oracles.split_ranks(probs, quads, store.quads))
     assert 0 < len(reports["new-events"].ranks) < len(quads)
@@ -211,11 +210,10 @@ def test_two_components_rank_the_mean_of_their_distributions_bit_for_bit(trained
     for start in range(0, len(quads), evaluate.CHUNK):
         batch = QueryBatch.from_quads(quads[start:start + evaluate.CHUNK], index)
         queries = np.stack([batch.s_ids, batch.r_ids], axis=1)
-        with nk.single_threaded_blas():
-            pd = evaluate.p_dpcl(model.dpcl, batch, model.mapping_strategy)
-            pg = gndiff.p_diff_batch(model.denoiser, queries, model.steps, model.chains,
-                                     nk.rng_for(seed + start, 9))
-            got = evaluate._query_distributions(model, batch, seed + start)
+        pd = evaluate.p_dpcl(model.dpcl, batch, model.mapping_strategy)
+        pg = gndiff.p_diff_batch(model.denoiser, queries, model.steps, model.chains,
+                                 nk.rng_for(seed + start, 9))
+        got = evaluate._query_distributions(model, batch, seed + start)
         want.append(0.5 * (pg + pd))
         np.testing.assert_array_equal(got, want[-1])
     reports = evaluate.evaluate_split(model, store, "test", seed=seed, lam=model.lam)

@@ -468,6 +468,70 @@ def test_the_helper_thread_does_not_hold_up_the_interpreters_exit():
     assert out.stdout.strip() == "stepped"
 
 
+def pair_case(layout):
+    """Operands of a product above the pair cutoff, C-ordered or as the
+    transposed views the callers pass, and its caller-allocated output."""
+    rng = nk.rng_for(61)
+    m, k, n = 256, 160, 192
+    if layout == "c-order":
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    else:
+        a, b = rng.normal(size=(k, m)).T, rng.normal(size=(n, k)).T
+    assert m * k * n >= nk._MIN_PARALLEL_MADDS
+    return a, b, np.empty((m, n))
+
+
+@pytest.mark.parametrize("layout", ["c-order", "transposed"])
+def test_a_product_on_the_helper_is_bit_equal_to_the_same_call_inline(monkeypatch, layout):
+    monkeypatch.setattr(nk.os, "sched_getaffinity", lambda pid: {0, 1})
+    submitted = count_submits(monkeypatch)
+    a, b, out = pair_case(layout)
+    c, d, _ = pair_case("c-order")
+    other = np.empty_like(out)
+    got, beside = nk._matmul_beside(a, b, out, lambda: np.matmul(c, d, out=other))
+    assert len(submitted) == 1
+    # the arrays returned are the caller's
+    assert got is out and beside is other
+    np.testing.assert_array_equal(got, a @ b)
+    np.testing.assert_array_equal(beside, c @ d)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_a_pair_below_the_cutoff_or_on_one_cpu_runs_in_the_callers_thread(monkeypatch, cpus):
+    # dense-history's largest pair, (240, 192) x (192, 16), is below the
+    # cutoff; a one-CPU process hands no pair to the helper
+    monkeypatch.setattr(nk.os, "sched_getaffinity", lambda pid: cpus)
+    submitted = count_submits(monkeypatch)
+    rng = nk.rng_for(62)
+    cases = [(rng.normal(size=(192, 240)).T, rng.normal(size=(192, 16)), np.empty((240, 16)))]
+    if cpus == {0}:
+        cases.append(pair_case("c-order"))      # above the cutoff
+    callers = []
+    for a, b, out in cases:
+        got, ran = nk._matmul_beside(a, b, out, lambda: callers.append(threading.get_ident()))
+        assert got is out and ran is None
+        np.testing.assert_array_equal(out, a @ b)
+    assert submitted == []
+    assert set(callers) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("failing", ["product", "work", "both"])
+def test_a_fault_in_either_unit_of_a_pair_is_raised_on_the_caller(monkeypatch, failing):
+    monkeypatch.setattr(nk.os, "sched_getaffinity", lambda pid: {0, 1})
+    a, b, out = pair_case("c-order")
+    wrong = np.empty((out.shape[0], out.shape[1] + 1))
+
+    def work():
+        if failing != "product":
+            raise RuntimeError("work failed")
+
+    with pytest.raises(ValueError if failing == "product" else RuntimeError):
+        nk._matmul_beside(a, b, wrong if failing != "work" else out, work)
+    if failing == "work":
+        # the caller raises once the helper's product is done
+        np.testing.assert_array_equal(out, a @ b)
+
+
 def test_grad_check_quadratic():
     x = tensor([[3.0]])
     report = grad_check(lambda ps: oracles.mul(ps[0], ps[0]), [x], tolerance=1e-6)
@@ -524,23 +588,35 @@ def test_rng_for_is_stable_and_splits():
     assert not np.array_equal(a, c)
 
 
-def test_single_threaded_blas_sets_one_thread_and_restores():
-    api = nk._openblas_threads_api()
-    if api is None:
+# A fresh interpreter that starts OpenBLAS on two threads and imports
+# numkit, then, once the wait of OpenBLAS's worker at its start is over,
+# runs one product; prints the process's CPU seconds over the 0.3 s sleep
+# after it
+SPIN_PROBE = """
+import time
+import numpy as np
+import tkgdiff.numkit
+time.sleep(0.3)
+a = np.ones((400, 400))
+a @ a
+before = time.process_time()
+time.sleep(0.3)
+print(time.process_time() - before)
+"""
+
+
+def test_no_blas_thread_waits_busily_after_a_product():
+    # a product split over OpenBLAS's threads leaves its worker spinning for
+    # about 0.12 s of CPU; numkit runs BLAS on one thread from its import on
+    if nk._openblas_threads_api() is None:
         pytest.skip("numpy's BLAS is not a findable OpenBLAS")
-    get, set_ = api
-    before = get()
-    set_(2)
-    try:
-        with nk.single_threaded_blas():
-            assert get() == 1
-        assert get() == 2
-        with pytest.raises(RuntimeError):
-            with nk.single_threaded_blas():
-                raise RuntimeError
-        assert get() == 2
-    finally:
-        set_(before)
+    if not TWO_CPUS:
+        pytest.skip("the process may run on one CPU only")
+    src = Path(nk.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", SPIN_PROBE], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"},
+                         timeout=60)
+    assert float(out.stdout) < 0.03
 
 
 # A fresh interpreter that imports numkit, then makes and frees a 20 MB
